@@ -17,7 +17,7 @@ smoothing = g.SmoothingParams(h=h, delta=delta)
 config = g.FitConfig(smoothing=smoothing, max_steps=3)
 
 fit = g.fit("bernoulli", data, config, curve_grid=False)
-cov = g.sandwich_covariance("bernoulli", data, fit, smoothing)
+cov = g.sandwich_covariance(fit)
 
 print("coef      estimate      truth     se        z")
 for j in range(design.p_dim):

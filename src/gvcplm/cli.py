@@ -2,8 +2,8 @@
 
 A run is described by a JSON config document; every flag mirrors a config
 key and flags override file values.  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numerical failure (a diagnostic JSON is printed on
-stderr for the latter).
+error, 3 data error, 4 numerical failure or out of memory (a diagnostic JSON
+is printed on stderr for the latter).
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ def _fit_config(cfg: dict, smoothing: SmoothingParams) -> FitConfig:
         algorithm=block.get("algorithm", "accelerated"),
         max_steps=int(block.get("max_steps", 3)),
         step_tol=float(block.get("tol", 1e-6)),
-        one_step_curves=bool(block.get("one_step_curves", False)),
     )
 
 
@@ -218,16 +217,12 @@ def _write_curve_csv(path: Path, data, result) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _standardized_residuals(family, data, result, smoothing) -> np.ndarray:
-    from .smoothing import CurveFitter
-
-    fam = get_family(family)
-    fitter = CurveFitter(fam, data.x, data.y, data.u, smoothing, points=data.u)
-    sol = fitter.solve(data.z @ result.beta)
-    mhat = np.einsum("iq,iq->i", fitter.curve_values(sol), data.x) + data.z @ result.beta
-    mu = fam.inverse_link(mhat)
-    v = fam.variance(mu)
-    return (data.y - mu) / np.sqrt(np.clip(v, 1e-300, None))
+def _standardized_residuals(family, data, result) -> np.ndarray:
+    """Pearson residuals (y - mu) / sqrt(V(mu)) at the fitted linear predictor;
+    for a canonical link these are q_1 / sqrt(-q_2)."""
+    q1 = family.q(1, result.fitted, data.y)
+    q2 = family.q(2, result.fitted, data.y)
+    return q1 / np.sqrt(np.clip(-q2, 1e-300, None))
 
 
 def _cmd_fit(cfg: dict) -> int:
@@ -237,13 +232,13 @@ def _cmd_fit(cfg: dict) -> int:
     smoothing = _resolve_smoothing(cfg, family, data)
     config = _fit_config(cfg, smoothing)
     result = profile_fit(family, data, config)
-    cov = sandwich_covariance(family, data, result, smoothing)
+    cov = sandwich_covariance(result)
     out = _out_dir(cfg)
     payload = _fit_payload(family, data, result, cov)
     payload["smoothing"] = {"h": smoothing.h, "delta": smoothing.delta,
                             "degree": smoothing.degree}
     payload["standardized_residuals"] = [
-        float(r) for r in _standardized_residuals(family, data, result, smoothing)
+        float(r) for r in _standardized_residuals(family, data, result)
     ]
     _json_dump(out / "fit_report.json", payload)
     _write_curve_csv(out / "curve.csv", data, result)
@@ -264,7 +259,7 @@ def _cmd_test(cfg: dict) -> int:
     config = _fit_config(cfg, smoothing)
     fit_alt = profile_fit(family, data, config, curve_grid=False)
     result = glrt(family, data, constraint, config, fit_alt=fit_alt)
-    cov = sandwich_covariance(family, data, fit_alt, smoothing)
+    cov = sandwich_covariance(fit_alt)
     out = _out_dir(cfg)
     payload = {
         "statistic": result.statistic,
@@ -461,7 +456,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (GvcplmError, np.linalg.LinAlgError) as exc:
+    except (GvcplmError, np.linalg.LinAlgError, MemoryError) as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
         return EXIT_NUMERICAL

@@ -115,16 +115,17 @@ def cross_validate(
                         template.smoothing, h=h, delta=delta
                     )
                     cfg = dataclasses.replace(template, smoothing=smoothing)
-                fitted = profile_fit(fam, train, cfg, curve_grid=False)
+                # keep beta only: the fit result pins the training engine
+                beta = profile_fit(fam, train, cfg, curve_grid=False).beta
                 # curves at held-out points from training observations only
                 fitter = CurveFitter(fam, train.x, train.y, train.u,
                                      smoothing, points=data.u[fold])
-                sol = fitter.solve(train.z @ fitted.beta)
+                sol = fitter.solve(train.z @ beta)
                 alpha = fitter.curve_values(sol)
                 mhat = (np.einsum("iq,iq->i", alpha, data.x[fold])
-                        + data.z[fold] @ fitted.beta)
+                        + data.z[fold] @ beta)
                 total += float(np.sum(fam.quasi_loglik(mhat, data.y[fold])))
-                betas.append(fitted.beta.copy())
+                betas.append(beta)
         except (EffectiveSampleError, SingularityError, ConditioningError,
                 ParameterError, np.linalg.LinAlgError):
             failed[cell] = True

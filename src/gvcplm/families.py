@@ -1,11 +1,13 @@
 """Quasi-likelihood families with canonical links.
 
-A family bundles the link g, the variance function V, the quasi-log-likelihood
-``Q(mu, y) = int_mu^y (s - y) / V(s) ds`` expressed on the linear-predictor
-scale, and the first four derivatives ``q_l(x, y)`` of ``Q(g^{-1}(x), y)``
-with respect to the linear predictor x.  These derivatives drive every
-Newton update in the package; strict negativity of ``q_2`` is what keeps the
-local and profile curvature matrices negative definite.
+A family bundles the quasi-log-likelihood
+``Q(mu, y) = int_mu^y (s - y) / V(s) ds`` of its canonical link g and variance
+function V, expressed on the linear-predictor scale, and the first four
+derivatives ``q_l(x, y)`` of ``Q(g^{-1}(x), y)`` with respect to the linear
+predictor x; for a canonical link q_1 = y - mu and q_2 = -V(mu).  These
+derivatives drive every Newton update in the package; strict negativity of
+``q_2`` is what keeps the local and profile curvature matrices negative
+definite.
 
 Closed forms (constants in y dropped, since only differences of Q matter):
 
@@ -159,9 +161,6 @@ class FamilySpec:
     """
 
     name: str
-    link: Callable
-    inverse_link: Callable
-    variance: Callable
     quasi_loglik: Callable            # (x, y) -> Q on the linear-predictor scale
     q_derivs: tuple                    # q_1 .. q_4, each (x, y) -> array
     response_transform: Callable       # (y, delta) -> transformed response
@@ -180,9 +179,6 @@ class FamilySpec:
 
 GAUSSIAN = FamilySpec(
     name="gaussian",
-    link=lambda mu: np.asarray(mu, float),
-    inverse_link=lambda x: np.asarray(x, float),
-    variance=lambda mu: np.ones_like(np.asarray(mu, float)),
     quasi_loglik=_gauss_q,
     q_derivs=(_gauss_q1, _gauss_q2, _gauss_q34, _gauss_q34),
     response_transform=_identity_transform,
@@ -192,9 +188,6 @@ GAUSSIAN = FamilySpec(
 
 POISSON = FamilySpec(
     name="poisson",
-    link=lambda mu: np.log(np.asarray(mu, float)),
-    inverse_link=lambda x: np.exp(_clip(x)),
-    variance=lambda mu: np.asarray(mu, float),
     quasi_loglik=_pois_q,
     q_derivs=(_pois_q1, _pois_q234, _pois_q234, _pois_q234),
     response_transform=_log_transform,
@@ -204,9 +197,6 @@ POISSON = FamilySpec(
 
 BERNOULLI = FamilySpec(
     name="bernoulli",
-    link=lambda mu: special.logit(np.asarray(mu, float)),
-    inverse_link=lambda x: special.expit(_clip(x)),
-    variance=lambda mu: np.asarray(mu, float) * (1.0 - np.asarray(mu, float)),
     quasi_loglik=_bern_q,
     q_derivs=(_bern_q1, _bern_q2, _bern_q3, _bern_q4),
     response_transform=_logit_transform,
@@ -214,15 +204,7 @@ BERNOULLI = FamilySpec(
     needs_delta=True,
 )
 
-_FAMILIES = {
-    "gaussian": GAUSSIAN,
-    "gaussian_identity": GAUSSIAN,
-    "poisson": POISSON,
-    "poisson_log": POISSON,
-    "bernoulli": BERNOULLI,
-    "bernoulli_logit": BERNOULLI,
-    "logistic": BERNOULLI,
-}
+_FAMILIES = {"gaussian": GAUSSIAN, "poisson": POISSON, "bernoulli": BERNOULLI}
 
 
 def get_family(name) -> FamilySpec:

@@ -29,7 +29,7 @@ from scipy import special
 
 from .data import Dataset
 from .errors import ConditioningError, ParameterError, RankError
-from .profile import FitConfig, FitResult, ProfileEngine, _newton_fit
+from .profile import FitConfig, FitResult, _newton_fit, fit as profile_fit
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,15 @@ class SandwichCov:
         return np.sqrt(np.clip(np.diag(self.sigma), 0.0, None))
 
 
-def sandwich_covariance(
-    family, data: Dataset, fit_result: FitResult, smoothing
-) -> SandwichCov:
+def sandwich_covariance(fit_result: FitResult) -> SandwichCov:
     """Sandwich covariance of the fitted parametric coefficients.
 
-    Pass the SmoothingParams that produced the fit; the per-observation
-    scores and the curvature are re-evaluated at fit_result.beta.
+    The per-observation scores and the curvature are read from the fit's
+    final state at fit_result.beta, on the engine that produced it.
     """
-    engine = ProfileEngine(family, data, smoothing)
-    state = engine.state(fit_result.beta)
+    engine, state = fit_result.engine, fit_result.state
     psi = engine.score_vectors(state)                    # (n, p)
-    n = data.n
+    n = engine.data.n
     mean_psi = psi.mean(axis=0)
     meat = psi.T @ psi / n - np.outer(mean_psi, mean_psi)
     bread = engine.hessian(state, "accelerated")
@@ -155,26 +152,20 @@ def glrt(
 ) -> GlrtResult:
     """Generalized likelihood ratio test of the hypothesis A beta = 0.
 
-    The unconstrained fit may be supplied to avoid refitting; the constrained
-    fit starts from the projection of the unconstrained estimate onto the
-    null space and runs the same Newton configuration in the reduced
-    coordinates.
+    The unconstrained fit may be supplied to avoid refitting.  The
+    constrained fit runs on the unconstrained fit's engine, starts from the
+    projection of its estimate onto the null space, warm-starts the local
+    fits from its final local coefficients, and runs the same Newton
+    configuration in the reduced coordinates.
     """
-    engine = ProfileEngine(family, data, config.smoothing, config.one_step_curves)
     if fit_alt is None:
-        from .dbe import fit_dbe
-
-        init = fit_dbe(family, data, config.smoothing.delta).beta0
-        state_alt, trace, converged, n_steps = _newton_fit(engine, config, init)
-        fit_alt = FitResult(
-            beta=np.asarray(state_alt.beta, dtype=float).copy(),
-            curve=None,
-            profile_loglik=state_alt.loglik,
-            trace=trace,
-            converged=converged,
-            algorithm_used=config.algorithm,
-            n_steps=n_steps,
-        )
+        fit_alt = profile_fit(family, data, config, curve_grid=False)
+    engine = fit_alt.engine
+    if engine.smoothing != config.smoothing:
+        raise ParameterError("fit_alt was fitted with other smoothing parameters "
+                             "than config.smoothing")
+    # the null fit must not depend on what ran on this engine before
+    engine._warm = fit_alt.state.solution.coefficients
     gamma0 = constraint.b @ fit_alt.beta
     state_null, _, _, _ = _newton_fit(engine, config, gamma0, basis=constraint.b)
     raw = 2.0 * (fit_alt.profile_loglik - state_null.loglik)

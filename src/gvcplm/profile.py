@@ -31,8 +31,7 @@ does not decrease, so the accepted trace of Qp values is nondecreasing.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,7 +66,6 @@ class FitConfig:
     algorithm: str = "accelerated"
     max_steps: int = 3
     step_tol: float = 1e-6
-    one_step_curves: bool = False
 
     def __post_init__(self):
         if self.algorithm not in _ALGORITHMS:
@@ -84,7 +82,13 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged (or capped) profile fit."""
+    """Converged (or capped) profile fit.
+
+    fitted is the (n,) linear predictor at beta.  The result also carries the
+    engine and the final state that produced it, so inference at beta reuses
+    the fit's smoother instead of rebuilding it.  Both pin O(n^2) arrays:
+    code that needs only beta should keep beta and drop the result.
+    """
 
     beta: np.ndarray
     curve: Optional[CurveEstimate]
@@ -93,6 +97,9 @@ class FitResult:
     converged: bool
     algorithm_used: str
     n_steps: int
+    fitted: np.ndarray
+    engine: ProfileEngine = field(repr=False, compare=False)
+    state: _State = field(repr=False, compare=False)
 
 
 class _State:
@@ -112,13 +119,11 @@ class _State:
 class ProfileEngine:
     """Caches the per-observation smoothing machinery across beta values."""
 
-    def __init__(self, family, data: Dataset, smoothing: SmoothingParams,
-                 one_step_curves: bool = False):
+    def __init__(self, family, data: Dataset, smoothing: SmoothingParams):
         self.family = get_family(family)
         data.validate_response(self.family)
         self.data = data
         self.smoothing = smoothing
-        self.one_step_curves = one_step_curves
         self.fitter = CurveFitter(
             self.family, data.x, data.y, data.u, smoothing, points=data.u
         )
@@ -127,8 +132,7 @@ class ProfileEngine:
     def state(self, beta) -> _State:
         beta = np.asarray(beta, dtype=float)
         offsets = self.data.z @ beta
-        sol = self.fitter.solve(offsets, warm=self._warm,
-                                one_step=self.one_step_curves)
+        sol = self.fitter.solve(offsets, warm=self._warm)
         self._warm = sol.coefficients
         a0 = sol.coefficients[:, : self.data.n_curves]
         fitted = np.einsum("iq,iq->i", a0, self.data.x) + offsets
@@ -297,7 +301,7 @@ def fit(
     array for explicit points, or False to skip curve evaluation.
     """
     fam = get_family(family)
-    engine = ProfileEngine(fam, data, config.smoothing, config.one_step_curves)
+    engine = ProfileEngine(fam, data, config.smoothing)
     if init is None:
         init = fit_dbe(fam, data, config.smoothing.delta).beta0
     state, trace, converged, n_steps = _newton_fit(engine, config, init)
@@ -323,9 +327,7 @@ def fit(
         converged=converged,
         algorithm_used=config.algorithm,
         n_steps=n_steps,
+        fitted=state.fitted,
+        engine=engine,
+        state=state,
     )
-
-
-def one_step_config(config: FitConfig) -> FitConfig:
-    """Copy of a configuration capped at a single Newton step."""
-    return dataclasses.replace(config, max_steps=1)

@@ -110,7 +110,7 @@ def bernoulli_design(n: int, seed: int = 0, p_dim=None) -> SimDesign:
 def make_design(family: str, n: int, seed: int = 0) -> SimDesign:
     if family == "poisson":
         return poisson_design(n, seed)
-    if family in ("bernoulli", "logistic"):
+    if family == "bernoulli":
         return bernoulli_design(n, seed)
     raise ParameterError(f"no simulation design for family {family!r}")
 

@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from .dbe import fit_dbe
 from .errors import GvcplmError, StudyError
@@ -122,11 +123,11 @@ def _study_table1(family, n, reps, seed, smoothing, full_steps=50):
         rase_oracle = rase(oracle, design.alpha_funcs)
         for name, cfg in configs.items():
             t0 = time.perf_counter()
-            res = profile_fit(family, data, cfg, init=init, curve_grid=False)
+            beta = profile_fit(family, data, cfg, init=init, curve_grid=False).beta
             elapsed = time.perf_counter() - t0
-            curve = fit_curve(family, data, res.beta, smoothing)
+            curve = fit_curve(family, data, beta, smoothing)
             row[f"time_{name}"] = elapsed
-            row[f"gmse_{name}"] = gmse(res.beta, design.beta0, moment)
+            row[f"gmse_{name}"] = gmse(beta, design.beta0, moment)
             row[f"rase_ratio_{name}"] = rase_oracle / rase(curve, design.alpha_funcs)
         row["rase_oracle"] = rase_oracle
         return row
@@ -155,10 +156,10 @@ def _study_table2(family, n, reps, seed, smoothing):
         data = generate(design, rng_seed)
         init = fit_dbe(family, data, smoothing.delta).beta0
         g_dbe = gmse(init, design.beta0, moment)
-        fit3 = profile_fit(family, data, cfg_3s, init=init, curve_grid=False)
-        fitaf = profile_fit(family, data, cfg_af, init=init, curve_grid=False)
-        g_3s = gmse(fit3.beta, design.beta0, moment)
-        g_af = gmse(fitaf.beta, design.beta0, moment)
+        beta_3s = profile_fit(family, data, cfg_3s, init=init, curve_grid=False).beta
+        beta_af = profile_fit(family, data, cfg_af, init=init, curve_grid=False).beta
+        g_3s = gmse(beta_3s, design.beta0, moment)
+        g_af = gmse(beta_af, design.beta0, moment)
         return {
             "rep": rep,
             "gmse_dbe": g_dbe,
@@ -191,10 +192,10 @@ def _study_table3(family, n, reps, seed, smoothing, multipliers=(0.66, 1.0, 1.5)
         for mult in multipliers:
             scaled = dataclasses.replace(smoothing, h=mult * smoothing.h)
             cfg = FitConfig(smoothing=scaled, max_steps=1)
-            res = profile_fit(family, data, cfg, init=init, curve_grid=False)
+            beta = profile_fit(family, data, cfg, init=init, curve_grid=False).beta
             tag = f"{mult:g}"
-            row[f"gmse_h{tag}"] = gmse(res.beta, design.beta0, moment)
-            row[f"beta5_h{tag}"] = float(res.beta[4])
+            row[f"gmse_h{tag}"] = gmse(beta, design.beta0, moment)
+            row[f"beta5_h{tag}"] = float(beta[4])
         return row
 
     rows, failures = _run_replicates(reps, seed, worker)
@@ -216,7 +217,7 @@ def _study_table4(family, n, reps, seed, smoothing):
     def worker(rep, rng_seed):
         data = generate(design, rng_seed)
         res = profile_fit(family, data, cfg, curve_grid=False)
-        cov = sandwich_covariance(family, data, res, smoothing)
+        cov = sandwich_covariance(res)
         row = {"rep": rep}
         for j in range(design.p_dim):
             row[f"beta_{j + 1}"] = float(res.beta[j])
@@ -324,15 +325,15 @@ def _gaussian_kde(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _chi2_pdf(x: np.ndarray, df: int) -> np.ndarray:
-    from scipy import stats
-
-    return stats.chi2.pdf(x, df)
+    """Chi-square density on x >= 0."""
+    k = df / 2.0
+    return np.exp(special.xlogy(k - 1.0, x) - x / 2.0 - special.gammaln(k)
+                  - k * np.log(2.0))
 
 
 def _chi2_isf(level: float, df: int) -> float:
-    from scipy import stats
-
-    return float(stats.chi2.isf(level, df))
+    """Upper-tail chi-square quantile: P(chi2_df > x) = level."""
+    return float(special.chdtri(df, level))
 
 
 _STUDY_FUNCS = {

@@ -7,6 +7,7 @@ import pytest
 
 import gvcplm as g
 from gvcplm.cli import main, read_dataset_csv, write_dataset_csv
+from gvcplm.smoothing import CurveFitter
 
 
 def run_cli(*args):
@@ -79,6 +80,83 @@ class TestExitCodes:
         assert code == 4
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error" in payload
+
+    def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(73, 0))
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, data)
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.0 GiB")
+
+        monkeypatch.setattr("gvcplm.cli.profile_fit", out_of_memory)
+        code = run_cli("fit", "--data", str(path), "--family", "poisson",
+                       "--u", "u", "--y", "y",
+                       "--x", "x1,x2", "--z", ",".join(f"z{j+1}" for j in range(10)),
+                       "--h", "0.1", "--delta", "0.1", "--out", str(tmp_path))
+        assert code == 4
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "MemoryError", "message": "Unable to allocate 9.0 GiB"}
+
+
+def _write_design_csv(tmp_path, family, n, seed):
+    design = g.make_design(family, n)
+    data = g.generate(design, seed=g.replicate_seed(seed, 0))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, data)
+    args = ["--data", str(path), "--family", family, "--u", "u", "--y", "y",
+            "--x", "x1,x2", "--z", ",".join(f"z{j+1}" for j in range(design.p_dim)),
+            "--out", str(tmp_path)]
+    return data, args
+
+
+class TestCommandsReadFitState:
+    # n differs from the 200-point display grid, so only the profile engine's
+    # smoother has n points
+    N = 240
+
+    def _count_points(self, monkeypatch):
+        sizes = []
+        orig = CurveFitter.__init__
+
+        def counting(fitter, *args, **kwargs):
+            orig(fitter, *args, **kwargs)
+            sizes.append(fitter.points.size)
+
+        monkeypatch.setattr(CurveFitter, "__init__", counting)
+        return sizes
+
+    @pytest.mark.parametrize("command", (("fit",), ("test", "--test", "z7=0,z8=0")))
+    def test_builds_one_n_point_smoother(self, tmp_path, monkeypatch, command):
+        _, args = _write_design_csv(tmp_path, "poisson", self.N, 113)
+        sizes = self._count_points(monkeypatch)
+        code = run_cli(*command, *args, "--h", "0.1", "--delta", "0.1")
+        assert code == 0
+        assert sizes.count(self.N) == 1
+
+    @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+    def test_residuals_are_pearson_residuals(self, tmp_path, family):
+        data, args = _write_design_csv(tmp_path, family, 200, 127)
+        delta, h = g.preset_smoothing(family, 200)
+        code = run_cli("fit", *args, "--h", repr(h), "--delta", repr(delta))
+        assert code == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        beta = np.array([report["coefficients"][f"z{j+1}"]["estimate"]
+                         for j in range(data.n_linear)])
+        # the curve refitted at every observation from a cold start, then the
+        # closed-form mean and variance of the family
+        curve = g.fit_curve(family, data, beta, g.SmoothingParams(h=h, delta=delta),
+                            grid=data.u)
+        mhat = np.einsum("iq,iq->i", curve.values, data.x) + data.z @ beta
+        if family == "poisson":
+            mu = np.exp(mhat)
+            var = mu
+        else:
+            mu = 1.0 / (1.0 + np.exp(-mhat))
+            var = mu * (1.0 - mu)
+        expected = (data.y - mu) / np.sqrt(var)
+        error = np.abs(np.array(report["standardized_residuals"]) - expected)
+        assert np.max(error) <= 1e-8 * np.max(np.abs(expected))
 
 
 class TestFitCommand:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import gvcplm as g
-from gvcplm import Dataset, FitConfig, ParameterError, RankError, SmoothingParams
+from gvcplm import (
+    Dataset,
+    FitConfig,
+    ParameterError,
+    ProfileEngine,
+    RankError,
+    SmoothingParams,
+)
 
 from conftest import make_gaussian_dataset
 from oracles import chi2_upper_oracle
@@ -90,7 +97,7 @@ class TestSandwichCovariance:
             y = 0.7 + z @ beta0 + gen.normal(size=n)
             data = Dataset(u=u, x=np.ones((n, 1)), z=z, y=y)
             res = self._fit(data, sm)
-            cov = g.sandwich_covariance("gaussian", data, res, sm)
+            cov = g.sandwich_covariance(res)
             zc = z - z.mean(axis=0)
             classical = np.linalg.inv(zc.T @ zc)  # sigma^2 = 1
             ratios.append(np.diag(cov.sigma) / np.diag(classical))
@@ -107,12 +114,12 @@ class TestSandwichCovariance:
         )
         sm = SmoothingParams(h=0.3)
         res = self._fit(data, sm)
-        cov1 = g.sandwich_covariance("gaussian", data, res, sm)
+        cov1 = g.sandwich_covariance(res)
         # duplicated rows make the difference-based start degenerate (tied u
         # windows), which is the documented least-norm fallback path
         with pytest.warns(UserWarning, match="rank deficient"):
             res2 = self._fit(doubled, sm)
-        cov2 = g.sandwich_covariance("gaussian", doubled, res2, sm)
+        cov2 = g.sandwich_covariance(res2)
         ratio = np.diag(cov2.sigma) / np.diag(cov1.sigma)
         assert np.all(np.abs(ratio - 0.5) < 0.15 * 0.5 + 0.075)
 
@@ -120,7 +127,7 @@ class TestSandwichCovariance:
         data, _, _ = make_gaussian_dataset(n=200, p=5, seed=33)
         sm = SmoothingParams(h=0.3)
         res = self._fit(data, sm)
-        cov = g.sandwich_covariance("gaussian", data, res, sm)
+        cov = g.sandwich_covariance(res)
         np.testing.assert_allclose(cov.sigma, cov.sigma.T, atol=1e-12)
         np.testing.assert_allclose(cov.bread, cov.bread.T, atol=1e-8)
         assert np.all(np.diag(cov.sigma) >= 0)
@@ -177,3 +184,50 @@ class TestGlrt:
         res = g.glrt("poisson", data, con, cfg)
         np.testing.assert_allclose(con.a @ res.beta_null, 0.0, atol=1e-10)
         assert res.df == design.p_dim - 6
+
+
+def _design_fit(family, seed):
+    design = g.make_design(family, 200)
+    data = g.generate(design, seed=g.replicate_seed(seed, 0))
+    delta, h = g.preset_smoothing(family, 200)
+    cfg = FitConfig(smoothing=SmoothingParams(h=h, delta=delta), max_steps=3)
+    return design, data, cfg, g.fit(family, data, cfg, curve_grid=False)
+
+
+class TestInferenceReadsFitState:
+    @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+    def test_sandwich_matches_fresh_engine_at_beta(self, family):
+        # reference: the scores and the bread rebuilt from a new engine and a
+        # cold local solve at the fitted beta
+        _, data, cfg, res = _design_fit(family, 107)
+        cov = g.sandwich_covariance(res)
+        engine = ProfileEngine(family, data, cfg.smoothing)
+        state = engine.state(res.beta)
+        psi = engine.score_vectors(state)
+        meat = psi.T @ psi / data.n - np.outer(psi.mean(axis=0), psi.mean(axis=0))
+        inv_bread = np.linalg.inv(engine.hessian(state))
+        sigma = data.n * inv_bread @ meat @ inv_bread.T
+        # the fit's warm local solve and the cold one stop at the same local
+        # gradient tolerance, not at the same bits
+        assert np.max(np.abs(res.fitted - state.fitted)) <= 1e-8 * np.max(np.abs(state.fitted))
+        assert np.max(np.abs(cov.sigma - sigma)) <= 1e-8 * np.max(np.abs(sigma))
+        np.testing.assert_allclose(cov.se, np.sqrt(np.diag(sigma)), rtol=1e-8)
+
+    def test_glrt_does_not_depend_on_engine_history(self):
+        design, data, cfg, fit_alt = _design_fit("poisson", 109)
+        joint = g.make_constraint(np.eye(design.p_dim)[6:])
+        single = g.make_constraint(np.eye(design.p_dim)[:1])
+        first = g.glrt("poisson", data, joint, cfg, fit_alt=fit_alt)
+        g.glrt("poisson", data, single, cfg, fit_alt=fit_alt)
+        again = g.glrt("poisson", data, joint, cfg, fit_alt=fit_alt)
+        refit = g.glrt("poisson", data, joint, cfg)
+        assert again.statistic == first.statistic
+        assert refit.statistic == first.statistic
+        np.testing.assert_array_equal(refit.beta_null, first.beta_null)
+
+    def test_glrt_rejects_fit_with_other_smoothing(self):
+        design, data, cfg, fit_alt = _design_fit("poisson", 109)
+        other = FitConfig(smoothing=SmoothingParams(h=0.2, delta=0.1))
+        with pytest.raises(ParameterError, match="smoothing"):
+            g.glrt("poisson", data, g.make_constraint(np.eye(design.p_dim)[6:]),
+                   other, fit_alt=fit_alt)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gvcplm as g
-from gvcplm import StudyError
+from gvcplm import StudyError, studies
 
 
 class TestRunTableSmoke:
@@ -149,3 +149,16 @@ class TestFailureAccounting:
         monkeypatch.setattr(studies, "fit_dbe", boom)
         with pytest.raises(StudyError):
             g.run_table("table2", reps=3, seed=1, family="poisson", n=200)
+
+
+class TestChiSquareHelpers:
+    @pytest.mark.parametrize("df", (1, 2, 4, 14))
+    def test_match_scipy_stats(self, df):
+        from scipy import stats
+
+        x = np.linspace(0.0, 4.0 * df + 10.0, 301)
+        np.testing.assert_allclose(studies._chi2_pdf(x, df), stats.chi2.pdf(x, df),
+                                   rtol=1e-12, atol=0.0)
+        for level in (0.9, 0.5, *studies.GLRT_LEVELS, 1e-4):
+            assert studies._chi2_isf(level, df) == pytest.approx(
+                stats.chi2.isf(level, df), rel=1e-12)
