@@ -17,7 +17,10 @@ class KernelSpec:
     Attributes:
         name: identifier used in configs and reports.
         eval: vectorized map u -> K(u).
-        support_radius: K(u) == 0 for |u| > support_radius.
+        support_radius: K(u) == 0 for |u| > support_radius.  ``CurveFitter``
+            keeps, per evaluation point, only the observations within
+            support_radius * h of it (use ``math.inf`` for a kernel
+            without compact support).
     """
 
     name: str

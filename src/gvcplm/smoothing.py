@@ -17,6 +17,14 @@ polynomial design tensor once per (data, bandwidth, points) triple; repeated
 solves at nearby beta values (the inner loop of profile estimation) then
 reuse them and warm-start from the previous coefficients.
 
+The kernel has compact support, so only observations with
+|u_i - u| <= support_radius * h carry weight at u.  With the observations
+sorted by u, that window is a contiguous band.  ``CurveFitter`` stores, per
+evaluation point, the band's observation indices, kernel weights and design
+columns, padded to the widest band w: O(m w) memory and work for m points
+instead of O(m n).  Padding entries get a kernel weight of exactly zero, so
+the estimator is the one defined by the full kernel sums above.
+
 ``CurveFitter.alpha_prime`` returns the derivative of the fitted curve with
 respect to beta, obtained in closed form by differentiating the local score
 equation: with W the kernel weights, D the local design and q2 evaluated at
@@ -103,7 +111,7 @@ class CurveEstimate:
 
 class BatchSolution(NamedTuple):
     coefficients: np.ndarray      # (m, d)
-    linear_predictor: np.ndarray  # (m, n) local fitted predictors
+    linear_predictor: np.ndarray  # (m, w) local fitted predictors on each band
     gradient_norm: np.ndarray     # (m,)
     converged: np.ndarray         # (m,) bool
     iterations: np.ndarray        # (m,) int
@@ -143,13 +151,34 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray
     return np.linalg.solve(ridged, rhs)
 
 
+def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray:
+    """Observation indices of each point's kernel window, shape (m, w).
+
+    Row e lists, in increasing order of u, the observations with
+    |u_i - points[e]| <= reach, padded with neighbouring observations to the
+    widest window w.  The search is widened by a relative 1e-9, so every
+    observation whose kernel weight is nonzero in floating point is inside.
+    """
+    order = np.argsort(u, kind="stable")
+    sorted_u = u[order]
+    n = sorted_u.size
+    reach = reach + 1e-9 * (reach + np.abs(points))
+    lo = np.searchsorted(sorted_u, points - reach, side="left")
+    hi = np.searchsorted(sorted_u, points + reach, side="right")
+    w = int((hi - lo).max(initial=0))
+    start = np.minimum(lo, n - w)
+    return order[start[:, None] + np.arange(w)]
+
+
 class CurveFitter:
     """Batched local polynomial quasi-likelihood solver at fixed points.
 
-    The constructor precomputes kernel weights and the design tensor; solve()
-    then runs the damped Newton iteration for a given offset vector
-    (z_i' beta).  One instance is reused for every beta the profile
-    optimizer visits.
+    The constructor finds each point's kernel window, a band of w
+    observations that holds every nonzero kernel weight, and stores the
+    band's indices ``index`` (m, w), kernel ``weights`` (m, w), responses and
+    polynomial ``design`` (m, d, w).  solve() then runs the damped Newton
+    iteration for a given offset vector (z_i' beta) over the bands only.  One
+    instance is reused for every beta the profile optimizer visits.
     """
 
     def __init__(self, family: FamilySpec, x, y, u, smoothing: SmoothingParams, points):
@@ -159,14 +188,17 @@ class CurveFitter:
         self.y = np.asarray(y, dtype=float)
         u = np.asarray(u, dtype=float)
         self.points = np.atleast_1d(np.asarray(points, dtype=float))
-        n = u.shape[0]
         q = self.x.shape[1]
         m = self.points.shape[0]
         degree = smoothing.degree
         self.n_curves = q
         self.n_coef = (degree + 1) * q
 
-        t = u[None, :] - self.points[:, None]                      # (m, n)
+        self.index = _kernel_windows(
+            u, self.points, smoothing.kernel.support_radius * smoothing.h
+        )
+        w = self.index.shape[1]
+        t = u[self.index] - self.points[:, None]                   # (m, w)
         self.weights = kernel_weight(smoothing.kernel, t, smoothing.h)
         counts = np.count_nonzero(self.weights, axis=1)
         if np.any(counts < self.n_coef):
@@ -176,23 +208,32 @@ class CurveFitter:
                 f"u = {self.points[k]:.6g}; need at least {self.n_coef} "
                 f"(bandwidth {smoothing.h} too small)"
             )
-        powers = np.ones((m, degree + 1, n))
+        self.y_local = self.y[self.index]
+        powers = np.ones((m, degree + 1, w))
         for r in range(1, degree + 1):
             powers[:, r] = powers[:, r - 1] * t / r
-        # design[e, r*q + j, i] = (u_i - u_e)^r / r! * x_ij
-        self.design = (powers[:, :, None, :] * self.x.T[None, None, :, :]).reshape(
-            m, self.n_coef, n
+        # design[e, r*q + j, k] = (u_i - u_e)^r / r! * x_ij with i = index[e, k]
+        x_local = np.moveaxis(self.x[self.index], 2, 1)           # (m, q, w)
+        self.design = (powers[:, :, None, :] * x_local[:, None, :, :]).reshape(
+            m, self.n_coef, w
         )
 
     # -- elementary pieces -------------------------------------------------
 
     def _linpred(self, coefs, offsets, rows=None):
+        """Local predictors (rows, w) from local offsets (rows, w)."""
         design = self.design if rows is None else self.design[rows]
-        return np.einsum("edi,ed->ei", design, coefs) + offsets[None, :]
+        return np.einsum("edi,ed->ei", design, coefs) + offsets
 
     def _objectives(self, linpred, rows=None):
         w = self.weights if rows is None else self.weights[rows]
-        return np.einsum("ei,ei->e", w, self.family.quasi_loglik(linpred, self.y))
+        y = self.y_local if rows is None else self.y_local[rows]
+        return np.einsum("ei,ei->e", w, self.family.quasi_loglik(linpred, y))
+
+    def _weighted_gram(self, weights, rows=None):
+        """sum_i weights_ei D_ei D_ei' per point, shape (rows, d, d)."""
+        design = self.design if rows is None else self.design[rows]
+        return (design * weights[:, None, :]) @ np.swapaxes(design, 1, 2)
 
     def initial_coefficients(self, offsets) -> np.ndarray:
         """Weighted least squares on the transformed response (cold start)."""
@@ -202,10 +243,9 @@ class CurveFitter:
                 f"smoothing delta is required for the {fam.name} family"
             )
         gy = fam.transform(self.y, self.smoothing.delta)
-        resid = gy - offsets
-        w = self.weights
-        mats = np.einsum("ei,edi,efi->edf", w, self.design, self.design, optimize=True)
-        rhs = np.einsum("ei,edi->ed", w * resid[None, :], self.design, optimize=True)
+        resid = (gy - offsets)[self.index]
+        mats = self._weighted_gram(self.weights)
+        rhs = np.einsum("edi,ei->ed", self.design, self.weights * resid)
         return _ridged_solve(mats, rhs, "local initializer")
 
     # -- Newton iteration ---------------------------------------------------
@@ -219,9 +259,10 @@ class CurveFitter:
             one_step: stop after a single damped Newton update.
         """
         offsets = np.asarray(offsets, dtype=float)
-        fam, w, G, y = self.family, self.weights, self.design, self.y
+        fam, w, G, y = self.family, self.weights, self.design, self.y_local
         coefs = np.array(warm, dtype=float, copy=True) if warm is not None \
             else self.initial_coefficients(offsets)
+        offsets = offsets[self.index]
         lin = self._linpred(coefs, offsets)
         obj = self._objectives(lin)
 
@@ -233,7 +274,7 @@ class CurveFitter:
         budget = 1 if one_step else MAX_LOCAL_ITERS
 
         while True:
-            q1 = fam.q(1, lin[active], y)
+            q1 = fam.q(1, lin[active], y[active])
             grad = np.einsum("ei,edi->ed", w[active] * q1, G[active])
             gn = np.abs(grad).max(axis=1)
             gnorm[active] = gn
@@ -245,15 +286,13 @@ class CurveFitter:
                 # points that exhausted the budget stay converged=False
                 break
 
-            q2 = fam.q(2, lin[active], y)
-            hess = np.einsum(
-                "ei,edi,efi->edf", w[active] * q2, G[active], G[active], optimize=True
-            )
+            q2 = fam.q(2, lin[active], y[active])
+            hess = self._weighted_gram(w[active] * q2, rows=active)
             step = _ridged_solve(-hess, grad, "local Newton")
 
             lam = np.ones(active.size)
             trial_c = coefs[active] + step
-            trial_lin = self._linpred(trial_c, offsets, rows=active)
+            trial_lin = self._linpred(trial_c, offsets[active], rows=active)
             trial_obj = self._objectives(trial_lin, rows=active)
             tol_obj = 1e-10 * (1.0 + np.abs(obj[active]))
             bad = trial_obj < obj[active] - tol_obj
@@ -263,7 +302,7 @@ class CurveFitter:
                 lam[bad] *= 0.5
                 rows = active[bad]
                 trial_c[bad] = coefs[rows] + lam[bad, None] * step[bad]
-                trial_lin[bad] = self._linpred(trial_c[bad], offsets, rows=rows)
+                trial_lin[bad] = self._linpred(trial_c[bad], offsets[rows], rows=rows)
                 trial_obj[bad] = self._objectives(trial_lin[bad], rows=rows)
                 bad = trial_obj < obj[active] - tol_obj
             ok = ~bad
@@ -288,13 +327,17 @@ class CurveFitter:
 
         Entry [e, j, r] is d alpha_hat_r(points[e]) / d beta_j, from the
         closed-form implicit derivative of the local score equation with q2
-        evaluated at the local fitted values.
+        evaluated at the local fitted values.  The right-hand side is
+        contracted one column of z at a time, so no (m, w, p) gather of z is
+        held.
         """
         z = np.asarray(z, dtype=float)
-        q2 = self.family.q(2, solution.linear_predictor, self.y)
-        wq2 = self.weights * q2
-        s1 = -np.einsum("ei,edi,efi->edf", wq2, self.design, self.design, optimize=True)
-        s2 = np.einsum("ei,edi,ik->edk", wq2, self.design, z, optimize=True)
+        q2 = self.family.q(2, solution.linear_predictor, self.y_local)
+        wq2_design = self.design * (self.weights * q2)[:, None, :]
+        s1 = -(wq2_design @ np.swapaxes(self.design, 1, 2))
+        s2 = np.empty(s1.shape[:2] + (z.shape[1],))
+        for k, column in enumerate(np.ascontiguousarray(z.T)):
+            s2[:, :, k] = (wq2_design @ column[self.index][:, :, None])[:, :, 0]
         nmat = _ridged_solve(s1, s2, "curve derivative")
         return np.swapaxes(nmat[:, : self.n_curves, :], 1, 2)
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,11 +256,15 @@ class TestSimulateCommand:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the package this test imported, also when pytest
+        # put src/ on the path itself and nothing is installed
+        package_root = str(Path(g.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gvcplm.cli", "simulate", "--family",
              "poisson", "--n", "200", "--seed", "1", "--reps", "1",
              "--emit-csv", "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert (tmp_path / "dataset_rep000.csv").exists()
