@@ -299,7 +299,7 @@ def _cmd_cv(cfg: dict) -> int:
         "seed": report.fold_assignment_seed,
         "cells": [
             {"delta": d, "h": h, "score": None if report.failed[i] else float(report.scores[i]),
-             "failed": bool(report.failed[i])}
+             "failed": bool(report.failed[i]), "reason": report.reasons[i]}
             for i, (d, h) in enumerate(report.grid)
         ],
     })

@@ -5,8 +5,13 @@ model is fitted on the training folds (difference-based start plus the
 accelerated Newton steps), the coefficient functions are evaluated at the
 held-out index points using only training observations, and the held-out
 quasi-likelihood is summed.  Held-out responses never enter the training
-fit.  Cells whose local fits fail on any fold are marked failed and excluded
-from the argmax.
+fit.  A cell whose fit fails on any fold is marked failed, with the reason,
+and excluded from the argmax; a ParameterError (a configuration mistake) is
+raised instead.  The loop runs fold -> h -> delta: the kernel windows depend
+on (fold, h) only, so one training engine and one held-out fitter per
+(fold, h) serve all its deltas (``with_delta``).  Each cell still starts cold
+from its own delta, so its score and fold betas are bit-identical to a
+one-cell run, whatever the rest of the grid holds.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     SingularityError,
 )
 from .families import get_family
-from .profile import FitConfig, fit as profile_fit
+from .profile import FitConfig, ProfileEngine, fit as profile_fit
 from .smoothing import CurveFitter, SmoothingParams
 
 DEFAULT_DELTA_GRID = (0.005, 0.01, 0.05, 0.1, 0.2)
@@ -38,7 +43,8 @@ class CvReport:
 
     scores holds the summed held-out quasi-likelihood per cell (NaN where
     failed); fold_betas keeps the trained coefficient vectors per cell and
-    fold, which makes training/evaluation separation auditable.
+    fold, which makes training/evaluation separation auditable.  reasons
+    holds, per cell, None or "<ErrorType>: <message>" of its first failure.
     """
 
     grid: tuple
@@ -48,6 +54,7 @@ class CvReport:
     fold_assignment_seed: int
     folds: tuple
     fold_betas: tuple
+    reasons: tuple
 
 
 def default_h_grid(data: Dataset, size: int = 10) -> np.ndarray:
@@ -94,48 +101,45 @@ def cross_validate(
     perm = rng.permutation(data.n)
     folds = tuple(np.sort(part) for part in np.array_split(perm, k))
 
-    template = config
-    scores = np.full(len(grid), np.nan)
-    failed = np.zeros(len(grid), dtype=bool)
-    fold_betas = []
-    for cell, (delta, h) in enumerate(grid):
-        total = 0.0
-        betas = []
-        try:
-            for fold in folds:
-                mask = np.ones(data.n, dtype=bool)
-                mask[fold] = False
-                train = Dataset(u=data.u[mask], x=data.x[mask],
-                                z=data.z[mask], y=data.y[mask])
-                if template is None:
-                    smoothing = SmoothingParams(h=h, delta=delta)
-                    cfg = FitConfig(smoothing=smoothing)
-                else:
-                    smoothing = dataclasses.replace(
-                        template.smoothing, h=h, delta=delta
-                    )
-                    cfg = dataclasses.replace(template, smoothing=smoothing)
-                # keep beta only: the fit result pins the training engine
-                beta = profile_fit(fam, train, cfg, curve_grid=False).beta
-                # curves at held-out points from training observations only
-                fitter = CurveFitter(fam, train.x, train.y, train.u,
-                                     smoothing, points=data.u[fold])
-                sol = fitter.solve(train.z @ beta)
-                alpha = fitter.curve_values(sol)
-                mhat = (np.einsum("iq,iq->i", alpha, data.x[fold])
+    template = config if config is not None else FitConfig(SmoothingParams(h=1.0))
+    totals = np.zeros(len(grid))
+    betas = [[] for _ in grid]
+    reasons = [None] * len(grid)
+    for fold in folds:
+        mask = np.ones(data.n, dtype=bool)
+        mask[fold] = False
+        train = Dataset(u=data.u[mask], x=data.x[mask], z=data.z[mask], y=data.y[mask])
+        for h in dict.fromkeys(h for _, h in grid):
+            engine = held_out = None  # the previous (fold, h) pair is freed
+            for cell in [c for c, (_, hc) in enumerate(grid)
+                         if hc == h and reasons[c] is None]:
+                delta = grid[cell][0]
+                smoothing = dataclasses.replace(template.smoothing, h=h, delta=delta)
+                cfg = dataclasses.replace(template, smoothing=smoothing)
+                try:
+                    if held_out is None:
+                        engine = ProfileEngine(fam, train, smoothing)
+                        # curves at held-out points from training observations only
+                        held_out = CurveFitter(fam, train.x, train.y, train.u,
+                                               smoothing, points=data.u[fold])
+                    # keep beta only: the fit result pins the training engine
+                    beta = profile_fit(fam, train, cfg, curve_grid=False,
+                                       engine=engine.with_delta(delta)).beta
+                    sol = held_out.with_delta(delta).solve(train.z @ beta)
+                except (EffectiveSampleError, SingularityError, ConditioningError,
+                        np.linalg.LinAlgError) as exc:
+                    reasons[cell] = f"{type(exc).__name__}: {exc}"
+                    continue
+                mhat = (np.einsum("iq,iq->i", held_out.curve_values(sol), data.x[fold])
                         + data.z[fold] @ beta)
-                total += float(np.sum(fam.quasi_loglik(mhat, data.y[fold])))
-                betas.append(beta)
-        except (EffectiveSampleError, SingularityError, ConditioningError,
-                ParameterError, np.linalg.LinAlgError):
-            failed[cell] = True
-            fold_betas.append(None)
-            continue
-        scores[cell] = total
-        fold_betas.append(tuple(betas))
+                totals[cell] += float(np.sum(fam.quasi_loglik(mhat, data.y[fold])))
+                betas[cell].append(beta)
+    failed = np.array([r is not None for r in reasons])
+    scores = np.where(failed, np.nan, totals)
 
     if failed.all():
-        raise CrossValidationError("every cross-validation cell failed")
+        raise CrossValidationError(
+            f"every cross-validation cell failed; first: {reasons[0]}")
     order = [
         (scores[i], grid[i][1], -np.inf if grid[i][0] is None else grid[i][0], i)
         for i in range(len(grid))
@@ -143,8 +147,7 @@ def cross_validate(
     ]
     _, _, _, best_idx = max(order)
     delta, h = grid[best_idx]
-    base = template.smoothing if template is not None else SmoothingParams(h=h)
-    best = dataclasses.replace(base, h=h, delta=delta)
+    best = dataclasses.replace(template.smoothing, h=h, delta=delta)
     return CvReport(
         grid=tuple(grid),
         scores=scores,
@@ -152,5 +155,6 @@ def cross_validate(
         best=best,
         fold_assignment_seed=int(seed),
         folds=folds,
-        fold_betas=tuple(fold_betas),
+        fold_betas=tuple(None if r else tuple(b) for r, b in zip(reasons, betas)),
+        reasons=tuple(reasons),
     )

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import ParameterError
@@ -42,6 +43,14 @@ class DbeResult:
     rank_deficient: bool = False
 
 
+def _null_directions(windows: np.ndarray) -> np.ndarray:
+    """difference_weights of each stacked (q, q + 1) system, shape (k, q + 1)."""
+    w = np.linalg.svd(windows, full_matrices=True)[2][:, -1]
+    big = np.abs(w) > 1e-12
+    flip = big.any(axis=1) & (w[np.arange(len(w)), big.argmax(axis=1)] < 0)
+    return np.where(flip[:, None], -w, w)
+
+
 def difference_weights(x_window: np.ndarray) -> np.ndarray:
     """Unit-norm weights annihilating a window of q + 1 consecutive x rows.
 
@@ -57,20 +66,15 @@ def difference_weights(x_window: np.ndarray) -> np.ndarray:
             f"window must have shape (q+1, q), got {x_window.shape}"
         )
     # null direction of the q x (q+1) system x_window' w = 0
-    _, _, vt = np.linalg.svd(x_window.T, full_matrices=True)
-    w = vt[-1]
-    lead = np.flatnonzero(np.abs(w) > 1e-12)
-    if lead.size and w[lead[0]] < 0:
-        w = -w
-    return w
+    return _null_directions(x_window.T[None])[0]
 
 
 def fit_dbe(family, data: Dataset, delta=None) -> DbeResult:
     """Difference-based least squares estimate of beta.
 
-    Sorts internally by u (ties broken by original row order), builds one
-    starred row per window of q + 1 consecutive observations and solves an
-    ordinary least squares problem on the n - q starred rows.
+    Sorts internally by u (ties broken by original row order), builds, in one
+    batch, a starred row per window of q + 1 consecutive observations and
+    solves an ordinary least squares problem on the n - q starred rows.
     """
     fam = get_family(family)
     data.validate_response(fam)
@@ -87,15 +91,16 @@ def fit_dbe(family, data: Dataset, delta=None) -> DbeResult:
     z = data.z[order]
     gy = fam.transform(data.y, delta)[order]
 
-    y_star = np.empty(n_starred)
-    design = np.empty((n_starred, 2 * q + p))
-    for i in range(n_starred):
-        sl = slice(i, i + q + 1)
-        w = difference_weights(x[sl])
-        y_star[i] = w @ gy[sl]
-        design[i, :q] = x[i] * w[0]
-        design[i, q : 2 * q] = (w * u[sl]) @ x[sl]
-        design[i, 2 * q :] = w @ z[sl]
+    # one batched SVD over the windows; the stacked matmuls reproduce the
+    # per-window products w @ window bit for bit (einsum does not)
+    x_win = sliding_window_view(x, q + 1, axis=0)                # (k, q, q+1)
+    w = _null_directions(x_win)[:, None, :]                      # (k, 1, q+1)
+    y_star = (w @ sliding_window_view(gy, q + 1)[:, :, None])[:, 0, 0]
+    design = np.concatenate([
+        x[:n_starred, None, :] * w[:, :, :1],
+        (w * sliding_window_view(u, q + 1)[:, None, :]) @ np.swapaxes(x_win, 1, 2),
+        w @ np.swapaxes(sliding_window_view(z, q + 1, axis=0), 1, 2),
+    ], axis=2)[:, 0]
 
     coef, residual, rank, _ = np.linalg.lstsq(design, y_star, rcond=None)
     rank_deficient = rank < design.shape[1]

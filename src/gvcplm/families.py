@@ -51,16 +51,16 @@ def _gauss_q(x, y):
     return -0.5 * (y - x) ** 2
 
 
-def _gauss_q1(x, y):
-    return np.asarray(y, float) - np.asarray(x, float)
-
-
 def _gauss_q2(x, y):
     return np.broadcast_arrays(np.asarray(x, float) * 0.0 - 1.0, y)[0]
 
 
 def _gauss_q34(x, y):
     return np.broadcast_arrays(np.asarray(x, float) * 0.0, y)[0]
+
+
+def _gauss_q12(x, y):
+    return np.asarray(y, float) - np.asarray(x, float), _gauss_q2(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +72,13 @@ def _pois_q(x, y):
     return np.asarray(y, float) * xc - np.exp(xc)
 
 
-def _pois_q1(x, y):
-    return np.asarray(y, float) - np.exp(_clip(x))
-
-
 def _pois_q234(x, y):
     return np.broadcast_arrays(-np.exp(_clip(x)), y)[0]
+
+
+def _pois_q12(x, y):
+    mu = np.exp(_clip(x))
+    return np.asarray(y, float) - mu, np.broadcast_arrays(-mu, y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +90,14 @@ def _bern_q(x, y):
     return np.asarray(y, float) * xc - np.logaddexp(0.0, xc)
 
 
-def _bern_q1(x, y):
-    return np.asarray(y, float) - special.expit(_clip(x))
-
-
 def _bern_q2(x, y):
     p = special.expit(_clip(x))
     return np.broadcast_arrays(-p * (1.0 - p), y)[0]
+
+
+def _bern_q12(x, y):
+    p = special.expit(_clip(x))
+    return np.asarray(y, float) - p, np.broadcast_arrays(-p * (1.0 - p), y)[0]
 
 
 def _bern_q3(x, y):
@@ -162,7 +164,8 @@ class FamilySpec:
 
     name: str
     quasi_loglik: Callable            # (x, y) -> Q on the linear-predictor scale
-    q_derivs: tuple                    # q_1 .. q_4, each (x, y) -> array
+    q12: Callable                      # (x, y) -> (q_1, q_2), one exp/expit
+    q_derivs: tuple                    # q_2 .. q_4, each (x, y) -> array
     response_transform: Callable       # (y, delta) -> transformed response
     validate_response: Callable
     needs_delta: bool
@@ -171,7 +174,7 @@ class FamilySpec:
         """Derivative q_order(x, y) of Q(g^{-1}(x), y), order in 1..4."""
         if order not in (1, 2, 3, 4):
             raise ParameterError(f"derivative order must be in 1..4, got {order}")
-        return self.q_derivs[order - 1](x, y)
+        return self.q12(x, y)[0] if order == 1 else self.q_derivs[order - 2](x, y)
 
     def transform(self, y, delta=None):
         return self.response_transform(y, delta)
@@ -180,7 +183,8 @@ class FamilySpec:
 GAUSSIAN = FamilySpec(
     name="gaussian",
     quasi_loglik=_gauss_q,
-    q_derivs=(_gauss_q1, _gauss_q2, _gauss_q34, _gauss_q34),
+    q12=_gauss_q12,
+    q_derivs=(_gauss_q2, _gauss_q34, _gauss_q34),
     response_transform=_identity_transform,
     validate_response=_validate_gaussian,
     needs_delta=False,
@@ -189,7 +193,8 @@ GAUSSIAN = FamilySpec(
 POISSON = FamilySpec(
     name="poisson",
     quasi_loglik=_pois_q,
-    q_derivs=(_pois_q1, _pois_q234, _pois_q234, _pois_q234),
+    q12=_pois_q12,
+    q_derivs=(_pois_q234, _pois_q234, _pois_q234),
     response_transform=_log_transform,
     validate_response=_validate_poisson,
     needs_delta=True,
@@ -198,7 +203,8 @@ POISSON = FamilySpec(
 BERNOULLI = FamilySpec(
     name="bernoulli",
     quasi_loglik=_bern_q,
-    q_derivs=(_bern_q1, _bern_q2, _bern_q3, _bern_q4),
+    q12=_bern_q12,
+    q_derivs=(_bern_q2, _bern_q3, _bern_q4),
     response_transform=_logit_transform,
     validate_response=_validate_bernoulli,
     needs_delta=True,

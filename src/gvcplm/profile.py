@@ -31,6 +31,7 @@ does not decrease, so the accepted trace of Qp values is nondecreasing.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -128,6 +129,13 @@ class ProfileEngine:
             self.family, data.x, data.y, data.u, smoothing, points=data.u
         )
         self._warm = None
+
+    def with_delta(self, delta) -> ProfileEngine:
+        """Cold engine for offset delta sharing this one's bands (same h)."""
+        other = copy.copy(self)
+        other.fitter = self.fitter.with_delta(delta)
+        other.smoothing, other._warm = other.fitter.smoothing, None
+        return other
 
     def state(self, beta) -> _State:
         beta = np.asarray(beta, dtype=float)
@@ -292,16 +300,23 @@ def fit(
     init=None,
     curve_grid=None,
     with_dbeta: bool = False,
+    engine: Optional[ProfileEngine] = None,
 ) -> FitResult:
     """Maximize the profile quasi-likelihood over beta.
 
     init defaults to the difference-based estimate.  curve_grid selects the
     display grid for the fitted coefficient functions: None for the default
     200-point grid, an integer for an equally spaced grid of that size, an
-    array for explicit points, or False to skip curve evaluation.
+    array for explicit points, or False to skip curve evaluation.  engine, a
+    ProfileEngine for (family, data, config.smoothing), is fitted from cold.
     """
     fam = get_family(family)
-    engine = ProfileEngine(fam, data, config.smoothing)
+    if engine is None:
+        engine = ProfileEngine(fam, data, config.smoothing)
+    elif not (engine.data is data and engine.family == fam
+              and engine.smoothing == config.smoothing):
+        raise ParameterError("engine was built for other data, family or smoothing")
+    engine._warm = None
     if init is None:
         init = fit_dbe(fam, data, config.smoothing.delta).beta0
     state, trace, converged, n_steps = _newton_fit(engine, config, init)

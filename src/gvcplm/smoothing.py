@@ -40,7 +40,8 @@ profile gradient and Hessian need to close the chain rule numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -218,21 +219,25 @@ class CurveFitter:
             m, self.n_coef, w
         )
 
+    def with_delta(self, delta) -> CurveFitter:
+        """Copy sharing the bands; delta enters only initial_coefficients."""
+        other = copy.copy(self)
+        other.smoothing = replace(self.smoothing, delta=delta)
+        return other
+
     # -- elementary pieces -------------------------------------------------
 
-    def _linpred(self, coefs, offsets, rows=None):
+    def _linpred(self, coefs, offsets, rows=slice(None)):
         """Local predictors (rows, w) from local offsets (rows, w)."""
-        design = self.design if rows is None else self.design[rows]
-        return np.einsum("edi,ed->ei", design, coefs) + offsets
+        return np.einsum("edi,ed->ei", self.design[rows], coefs) + offsets
 
-    def _objectives(self, linpred, rows=None):
-        w = self.weights if rows is None else self.weights[rows]
-        y = self.y_local if rows is None else self.y_local[rows]
-        return np.einsum("ei,ei->e", w, self.family.quasi_loglik(linpred, y))
+    def _objectives(self, linpred, rows=slice(None)):
+        q = self.family.quasi_loglik(linpred, self.y_local[rows])
+        return np.einsum("ei,ei->e", self.weights[rows], q)
 
-    def _weighted_gram(self, weights, rows=None):
+    def _weighted_gram(self, weights, rows=slice(None)):
         """sum_i weights_ei D_ei D_ei' per point, shape (rows, d, d)."""
-        design = self.design if rows is None else self.design[rows]
+        design = self.design[rows]
         return (design * weights[:, None, :]) @ np.swapaxes(design, 1, 2)
 
     def initial_coefficients(self, offsets) -> np.ndarray:
@@ -252,6 +257,9 @@ class CurveFitter:
 
     def solve(self, offsets, warm=None, one_step: bool = False) -> BatchSolution:
         """Maximize every local objective for the given offsets.
+
+        q_1 and q_2 come from one pass (``FamilySpec.q12``).  Bands are views
+        until a point converges or stalls; then only active rows are gathered.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
@@ -274,28 +282,29 @@ class CurveFitter:
         budget = 1 if one_step else MAX_LOCAL_ITERS
 
         while True:
-            q1 = fam.q(1, lin[active], y[active])
-            grad = np.einsum("ei,edi->ed", w[active] * q1, G[active])
+            sel = slice(None) if active.size == m else active
+            q1, q2 = fam.q12(lin[sel], y[sel])
+            grad = np.einsum("ei,edi->ed", w[sel] * q1, G[sel])
             gn = np.abs(grad).max(axis=1)
-            gnorm[active] = gn
+            gnorm[sel] = gn
             done = gn < LOCAL_TOL
             converged[active[done]] = True
-            keep = ~done
-            active, grad = active[keep], grad[keep]
-            if active.size == 0 or iters[active].min() >= budget:
+            if done.any():
+                active, grad, q2 = active[~done], grad[~done], q2[~done]
+                sel = active
+            if active.size == 0 or iters[sel].min() >= budget:
                 # points that exhausted the budget stay converged=False
                 break
 
-            q2 = fam.q(2, lin[active], y[active])
-            hess = self._weighted_gram(w[active] * q2, rows=active)
+            hess = self._weighted_gram(w[sel] * q2, rows=sel)
             step = _ridged_solve(-hess, grad, "local Newton")
 
             lam = np.ones(active.size)
-            trial_c = coefs[active] + step
-            trial_lin = self._linpred(trial_c, offsets[active], rows=active)
-            trial_obj = self._objectives(trial_lin, rows=active)
-            tol_obj = 1e-10 * (1.0 + np.abs(obj[active]))
-            bad = trial_obj < obj[active] - tol_obj
+            trial_c = coefs[sel] + step
+            trial_lin = self._linpred(trial_c, offsets[sel], rows=sel)
+            trial_obj = self._objectives(trial_lin, rows=sel)
+            tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
+            bad = trial_obj < obj[sel] - tol_obj
             for _ in range(MAX_HALVINGS):
                 if not bad.any():
                     break
@@ -304,15 +313,16 @@ class CurveFitter:
                 trial_c[bad] = coefs[rows] + lam[bad, None] * step[bad]
                 trial_lin[bad] = self._linpred(trial_c[bad], offsets[rows], rows=rows)
                 trial_obj[bad] = self._objectives(trial_lin[bad], rows=rows)
-                bad = trial_obj < obj[active] - tol_obj
-            ok = ~bad
-            rows = active[ok]
-            coefs[rows] = trial_c[ok]
-            lin[rows] = trial_lin[ok]
-            obj[rows] = trial_obj[ok]
-            iters[rows] += 1
-            # stalled points (no ascent after max halvings) are abandoned
-            active = rows
+                bad = trial_obj < obj[sel] - tol_obj
+            if bad.any():
+                # stalled points (no ascent after max halvings) are abandoned
+                active, trial_c, trial_lin, trial_obj = (
+                    active[~bad], trial_c[~bad], trial_lin[~bad], trial_obj[~bad])
+                sel = active
+            coefs[sel] = trial_c
+            lin[sel] = trial_lin
+            obj[sel] = trial_obj
+            iters[sel] += 1
 
         return BatchSolution(coefs, lin, gnorm, converged, iters)
 

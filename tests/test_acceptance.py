@@ -3,7 +3,8 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Stochastic criteria use the fixed master seed below and tolerance bands
 rather than exact Monte Carlo values; the heavy study reports are computed
-once per session and shared across criteria.
+once per session and shared across criteria.  The criteria that run the
+studies (3 to 7) are marked ``slow``.
 """
 
 import time
@@ -105,6 +106,7 @@ def test_criterion_2_derivative_consistency():
              f"gradient rel err {worst_grad:.2e}, curve-derivative err {worst_ap:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_3_gmse_ratios(table2_report):
     s = table2_report["summary"]
     af_dbe = s["ratio_af_dbe_pct"]["median"]
@@ -114,6 +116,7 @@ def test_criterion_3_gmse_ratios(table2_report):
              ok, f"median AF/DBE = {af_dbe:.1f}%, median AF/3S = {af_3s:.1f}%")
 
 
+@pytest.mark.slow
 def test_criterion_4_algorithm_comparison(table1_report):
     s = table1_report["summary"]
     gmse_accel = s["gmse_accelerated_x1e4"]["median"]
@@ -132,6 +135,7 @@ def test_criterion_4_algorithm_comparison(table1_report):
              f"(q10-q90 {q10:.1f}-{q90:.1f}x)")
 
 
+@pytest.mark.slow
 def test_criterion_5_sandwich_accuracy(table4_report):
     s = table4_report["summary"]["beta_1"]
     mc_sd = s["mc_sd"]
@@ -141,6 +145,7 @@ def test_criterion_5_sandwich_accuracy(table4_report):
              f"median SE = {se_med:.4g} vs Monte Carlo SD = {mc_sd:.4g}")
 
 
+@pytest.mark.slow
 def test_criterion_6_wilks_null_distribution(fig1_null_report):
     rows = fig1_null_report["replicates"]
     t_vals = np.array([r["t_stat"] for r in rows])
@@ -152,6 +157,7 @@ def test_criterion_6_wilks_null_distribution(fig1_null_report):
              f"rejection@0.05 = {rejection:.3f}, KS distance to chi2_{df} = {ks:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_power_monotonicity(fig1_power_report):
     power = fig1_power_report["summary"]["power"]["0.05"]
     gammas = fig1_power_report["summary"]["gammas"]

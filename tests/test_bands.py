@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import gvcplm as g
@@ -134,6 +134,68 @@ def test_band_solves_dense_problem(problem):
     event(f"well-conditioned points: {well.sum()} of {well.size}")
     scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(got - expected)[well] <= 1e-10 * scale[well])
+
+
+# ---------------------------------------------------------------------------
+# property: a warm start with some points already converged
+
+
+@st.composite
+def partly_converged(draw):
+    problem = draw(banded_problems())
+    done = draw(st.lists(st.booleans(), min_size=problem[3].size,
+                         max_size=problem[3].size))
+    # the unconverged points start this far below the cold start on the a_0
+    # intercept; much further, a saturated bernoulli window can overshoot to
+    # |eta| ~ 25, where q_2 ~ 1e-11 and 20 halvings cannot undo the next step
+    push = draw(st.sampled_from([0.0, -1.0, -3.0]))
+    return problem, np.array(done), push, False
+
+
+# a poisson start 8 below the local fit: the first Newton steps overshoot and
+# are halved
+_HALVING_DRAW = (("poisson", 1, np.arange(0, 41, 2) / 40.0, np.array([0.3, 0.5, 0.8]),
+                  0.3, 7), np.array([True, False, False]), -8.0, True)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(partly_converged())
+@example(_HALVING_DRAW)
+def test_warm_solve_with_converged_points(draw):
+    (family, degree, u, points, h, seed), done, push, must_halve = draw
+    x, z, y, offsets = _problem_arrays(family, u, seed)
+    sm = SmoothingParams(h=h, delta=0.1, degree=degree)
+    fitter = CurveFitter(family, x, y, u, sm, points)
+    first = fitter.solve(offsets)
+    assert first.converged.all()
+    warm = fitter.initial_coefficients(offsets)
+    warm[:, 0] += push
+    warm[done] = first.coefficients[done]
+
+    calls = []
+    objectives = fitter._objectives
+    fitter._objectives = lambda lin, rows=slice(None): calls.append(1) or objectives(lin, rows)
+    sol = fitter.solve(offsets, warm=warm)
+    # one objective call to start and one per Newton iteration; the rest
+    # are step halvings
+    halvings = len(calls) - 1 - int(sol.iterations.max(initial=0))
+    event(f"step halvings: {'some' if halvings else 'none'}")
+    if must_halve:
+        assert halvings > 0
+
+    assert np.array_equal(sol.coefficients[done], first.coefficients[done])
+    assert np.all(sol.iterations[done] == 0)
+    assert sol.converged.all()
+    rest = ~done
+    if not rest.any():
+        return
+    fam = g.get_family(family)
+    weights = _dense_weights(u, points[rest], sm)
+    design = np.stack([_dense_design(u, x, p, degree) for p in points[rest]])
+    lin = np.einsum("eid,ed->ei", design, sol.coefficients[rest]) + offsets
+    score = np.einsum("ei,eid->ed", weights * fam.q(1, lin, y), design)
+    assert np.abs(score).max() < 1e-7
 
 
 # ---------------------------------------------------------------------------

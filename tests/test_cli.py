@@ -242,6 +242,24 @@ class TestCvCommand:
         assert lines[0] == "delta,h,score,failed"
         assert len(lines) == 3
 
+    def test_report_names_failure_reason(self, tmp_path):
+        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(97, 0))
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, data)
+        znames = ",".join(f"z{j+1}" for j in range(10))
+        code = run_cli("cv", "--data", str(path), "--family", "poisson",
+                       "--u", "u", "--y", "y", "--x", "x1,x2", "--z", znames,
+                       "--cv", "3", "--h-grid", "1e-05,0.15",
+                       "--delta-grid", "0.1", "--out", str(tmp_path),
+                       "--seed", "5")
+        assert code == 0
+        cells = json.loads((tmp_path / "cv_report.json").read_text())["cells"]
+        assert cells[0]["failed"]
+        assert cells[0]["reason"].startswith("EffectiveSampleError: ")
+        assert not cells[1]["failed"] and cells[1]["reason"] is None
+        lines = (tmp_path / "cv_scores.csv").read_text().splitlines()
+        assert lines[0] == "delta,h,score,failed"
+
 
 class TestSimulateCommand:
     def test_runs_study_and_writes_artifacts(self, tmp_path):

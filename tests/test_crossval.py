@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gvcplm as g
-from gvcplm import CrossValidationError, Dataset, ParameterError
+from gvcplm import CrossValidationError, Dataset, FitConfig, ParameterError
+from gvcplm.smoothing import SmoothingParams
 
 
 def _poisson_data(n=200, rep=0):
@@ -50,6 +51,23 @@ class TestCrossValidate:
         assert not report.failed[1]
         assert report.best.h == pytest.approx(0.12)
 
+    def test_failure_reason_is_recorded(self):
+        data = _poisson_data()
+        grid = [(0.1, 1e-5), (0.1, 0.12)]
+        report = g.cross_validate("poisson", data, grid=grid, k=4, seed=7)
+        assert report.reasons[0].startswith("EffectiveSampleError: only ")
+        assert "bandwidth 1e-05 too small" in report.reasons[0]
+        assert report.reasons[1] is None
+        assert report.fold_betas[0] is None
+
+    def test_parameter_error_is_raised_not_recorded(self):
+        # a delta-less bernoulli grid is a configuration mistake, not a
+        # failed cell
+        data = g.generate(g.bernoulli_design(200), seed=g.replicate_seed(67, 0))
+        with pytest.raises(ParameterError, match="delta"):
+            g.cross_validate("bernoulli", data, grid=[(None, 0.3), (None, 0.5)],
+                             k=3, seed=1)
+
     def test_all_cells_failing_raises(self):
         data = _poisson_data()
         with pytest.raises(CrossValidationError):
@@ -71,6 +89,34 @@ class TestCrossValidate:
         assert max(order)[3] == 1
 
 
+class TestOrderIndependence:
+    """Cells at the same h share one training engine and held-out fitter per
+    fold, but each cell's result is bit-identical to a one-cell run."""
+
+    GRID = [(0.1, 0.12), (0.05, 0.2), (0.05, 1e-5), (0.2, 0.12), (0.05, 0.12),
+            (0.1, 0.2)]
+
+    @pytest.mark.parametrize("config", [None, FitConfig(
+        smoothing=SmoothingParams(h=1.0, degree=0), algorithm="backfitting",
+        max_steps=2)])
+    def test_each_cell_equals_a_one_cell_run(self, config):
+        data = _poisson_data()
+        report = g.cross_validate("poisson", data, grid=self.GRID, k=4, seed=3,
+                                  config=config)
+        assert report.failed.tolist() == [False, False, True, False, False, False]
+        assert report.reasons[2].startswith("EffectiveSampleError: ")
+        for cell, (delta, h) in enumerate(self.GRID):
+            if cell == 2:
+                continue
+            alone = g.cross_validate("poisson", data, grid=[(delta, h)], k=4,
+                                     seed=3, config=config)
+            assert np.array_equal(report.scores[cell], alone.scores[0])
+            assert len(report.fold_betas[cell]) == 4
+            for got, want in zip(report.fold_betas[cell], alone.fold_betas[0]):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.slow
 class TestSelectedBandwidthBands:
     """The selected h should land near the values used for the benchmark
     studies: within a factor 1.5 in at least 60 percent of replicates."""
