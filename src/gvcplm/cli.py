@@ -217,12 +217,10 @@ def _write_curve_csv(path: Path, data, result) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _standardized_residuals(family, data, result) -> np.ndarray:
+def _standardized_residuals(result) -> np.ndarray:
     """Pearson residuals (y - mu) / sqrt(V(mu)) at the fitted linear predictor;
-    for a canonical link these are q_1 / sqrt(-q_2)."""
-    q1 = family.q(1, result.fitted, data.y)
-    q2 = family.q(2, result.fitted, data.y)
-    return q1 / np.sqrt(np.clip(-q2, 1e-300, None))
+    for a canonical link these are q_1 / sqrt(-q_2) of the fit's final state."""
+    return result.state.q1 / np.sqrt(np.clip(-result.state.q2, 1e-300, None))
 
 
 def _cmd_fit(cfg: dict) -> int:
@@ -238,7 +236,7 @@ def _cmd_fit(cfg: dict) -> int:
     payload["smoothing"] = {"h": smoothing.h, "delta": smoothing.delta,
                             "degree": smoothing.degree}
     payload["standardized_residuals"] = [
-        float(r) for r in _standardized_residuals(family, data, result)
+        float(r) for r in _standardized_residuals(result)
     ]
     _json_dump(out / "fit_report.json", payload)
     _write_curve_csv(out / "curve.csv", data, result)

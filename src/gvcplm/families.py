@@ -4,25 +4,27 @@ A family bundles the quasi-log-likelihood
 ``Q(mu, y) = int_mu^y (s - y) / V(s) ds`` of its canonical link g and variance
 function V, expressed on the linear-predictor scale, and the first four
 derivatives ``q_l(x, y)`` of ``Q(g^{-1}(x), y)`` with respect to the linear
-predictor x; for a canonical link q_1 = y - mu and q_2 = -V(mu).  These
-derivatives drive every Newton update in the package; strict negativity of
-``q_2`` is what keeps the local and profile curvature matrices negative
-definite.
+predictor x.  With cumulant function b, Q = y*x - b(x), q_1 = y - b'(x) = y - mu
+and q_l = -b^(l)(x) for l >= 2, so q_2 = -V(mu) (McCullagh & Nelder, 1989).
+These derivatives drive every Newton update; strict negativity of ``q_2`` keeps
+the local and profile curvature matrices negative definite.  Closed forms
+(constants in y dropped, since only differences of Q matter):
 
-Closed forms (constants in y dropped, since only differences of Q matter):
+========== =========== ================== =================================
+family     b(x)        Q(x, y)            q_1 .. q_4
+========== =========== ================== =================================
+gaussian   x^2 / 2     -(y - x)^2 / 2     y - x, -1, 0, 0
+poisson    e^x         y*x - e^x          y - e^x, then -e^x for l = 2, 3, 4
+bernoulli  log(1+e^x)  y*x - log(1+e^x)   y - p, -p(1-p), -p(1-p)(1-2p),
+                                          -p(1-p)(1 - 6p(1-p)),  p = expit(x)
+========== =========== ================== =================================
 
-========== ================== ==========================================
-family     Q(x, y)            q_1 .. q_4
-========== ================== ==========================================
-gaussian   -(y - x)^2 / 2     y - x, -1, 0, 0
-poisson    y*x - exp(x)       y - e^x, then -e^x for l = 2, 3, 4
-bernoulli  y*x - log(1+e^x)   y - p, -p(1-p), -p(1-p)(1-2p),
-                              -p(1-p)(1 - 6p(1-p)),  p = expit(x)
-========== ================== ==========================================
-
-For the log and logit links the linear predictor is clipped to
-``+/- LINEAR_PREDICTOR_MAX`` inside the evaluation only, as an exp-overflow
-guard; stored parameters are never clipped.
+``FamilySpec.q012`` returns (Q, q_1, q_2) from one transcendental pass.  The
+gaussian Q keeps the residual form, since y*x - x^2/2 - y^2/2 cancels.  The
+bernoulli forms use only e = exp(-|x|), as Q = y*x - max(x, 0) - log1p(e) and
+p = 1/(1+e) or e/(1+e): finite for every finite x, with no clip.  Only e^x
+overflows, so only the poisson predictor is clipped, to +/- LINEAR_PREDICTOR_MAX
+and inside the evaluation; stored parameters are never clipped.
 """
 
 from __future__ import annotations
@@ -31,84 +33,80 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, ParameterError
 
 LINEAR_PREDICTOR_MAX = 30.0
 
 
-def _clip(x):
-    return np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX)
+def _operands(x, y):
+    """x and y as float arrays of their common broadcast shape."""
+    return np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
 
 
 # ---------------------------------------------------------------------------
 # gaussian / identity
 
 
-def _gauss_q(x, y):
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    return -0.5 * (y - x) ** 2
-
-
-def _gauss_q2(x, y):
-    return np.broadcast_arrays(np.asarray(x, float) * 0.0 - 1.0, y)[0]
+def _gauss_q012(x, y):
+    x, y = _operands(x, y)
+    resid = y - x
+    return -0.5 * resid ** 2, resid, np.full(resid.shape, -1.0)
 
 
 def _gauss_q34(x, y):
-    return np.broadcast_arrays(np.asarray(x, float) * 0.0, y)[0]
-
-
-def _gauss_q12(x, y):
-    return np.asarray(y, float) - np.asarray(x, float), _gauss_q2(x, y)
+    zero = np.zeros(_operands(x, y)[0].shape)
+    return zero, zero
 
 
 # ---------------------------------------------------------------------------
 # poisson / log
 
 
-def _pois_q(x, y):
-    xc = _clip(x)
-    return np.asarray(y, float) * xc - np.exp(xc)
+def _pois_q012(x, y):
+    # in place where an operand is not needed again, to hold fewer arrays
+    x, y = _operands(x, y)
+    q = np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX)
+    mu = np.exp(q)
+    q *= y
+    q -= mu
+    return q, y - mu, -mu
 
 
-def _pois_q234(x, y):
-    return np.broadcast_arrays(-np.exp(_clip(x)), y)[0]
-
-
-def _pois_q12(x, y):
-    mu = np.exp(_clip(x))
-    return np.asarray(y, float) - mu, np.broadcast_arrays(-mu, y)[0]
+def _pois_q34(x, y):
+    q2 = _pois_q012(x, y)[2]    # every derivative of e^x is e^x
+    return q2, q2
 
 
 # ---------------------------------------------------------------------------
 # bernoulli / logit
 
 
-def _bern_q(x, y):
-    xc = _clip(x)
-    return np.asarray(y, float) * xc - np.logaddexp(0.0, xc)
+def _logistic(x):
+    """e = exp(-|x|), p = expit(x) and p(1-p), finite for every finite x."""
+    e = np.exp(-np.abs(x))
+    r = 1.0 / (1.0 + e)
+    s = e * r
+    p = np.where(x >= 0.0, r, s)
+    s *= r
+    return e, p, s
 
 
-def _bern_q2(x, y):
-    p = special.expit(_clip(x))
-    return np.broadcast_arrays(-p * (1.0 - p), y)[0]
+def _bern_q012(x, y):
+    # in place, and operands dropped once used, to hold fewer arrays at once
+    x, y = _operands(x, y)
+    e, p, s = _logistic(x)
+    q = y * x
+    q -= np.maximum(x, 0.0)
+    q -= np.log1p(e)
+    q1 = y - p
+    del e, p
+    return q, q1, -s
 
 
-def _bern_q12(x, y):
-    p = special.expit(_clip(x))
-    return np.asarray(y, float) - p, np.broadcast_arrays(-p * (1.0 - p), y)[0]
-
-
-def _bern_q3(x, y):
-    p = special.expit(_clip(x))
-    return np.broadcast_arrays(-p * (1.0 - p) * (1.0 - 2.0 * p), y)[0]
-
-
-def _bern_q4(x, y):
-    p = special.expit(_clip(x))
-    s = p * (1.0 - p)
-    return np.broadcast_arrays(-s * (1.0 - 6.0 * s), y)[0]
+def _bern_q34(x, y):
+    _, p, s = _logistic(_operands(x, y)[0])
+    return -s * (1.0 - 2.0 * p), -s * (1.0 - 6.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +161,21 @@ class FamilySpec:
     """
 
     name: str
-    quasi_loglik: Callable            # (x, y) -> Q on the linear-predictor scale
-    q12: Callable                      # (x, y) -> (q_1, q_2), one exp/expit
-    q_derivs: tuple                    # q_2 .. q_4, each (x, y) -> array
+    q012: Callable                     # (x, y) -> (Q, q_1, q_2), one pass
+    q34: Callable                      # (x, y) -> (q_3, q_4)
     response_transform: Callable       # (y, delta) -> transformed response
     validate_response: Callable
     needs_delta: bool
+
+    def quasi_loglik(self, x, y):
+        """Q(g^{-1}(x), y) on the linear-predictor scale."""
+        return self.q012(x, y)[0]
 
     def q(self, order: int, x, y):
         """Derivative q_order(x, y) of Q(g^{-1}(x), y), order in 1..4."""
         if order not in (1, 2, 3, 4):
             raise ParameterError(f"derivative order must be in 1..4, got {order}")
-        return self.q12(x, y)[0] if order == 1 else self.q_derivs[order - 2](x, y)
+        return self.q012(x, y)[order] if order <= 2 else self.q34(x, y)[order - 3]
 
     def transform(self, y, delta=None):
         return self.response_transform(y, delta)
@@ -182,9 +183,8 @@ class FamilySpec:
 
 GAUSSIAN = FamilySpec(
     name="gaussian",
-    quasi_loglik=_gauss_q,
-    q12=_gauss_q12,
-    q_derivs=(_gauss_q2, _gauss_q34, _gauss_q34),
+    q012=_gauss_q012,
+    q34=_gauss_q34,
     response_transform=_identity_transform,
     validate_response=_validate_gaussian,
     needs_delta=False,
@@ -192,9 +192,8 @@ GAUSSIAN = FamilySpec(
 
 POISSON = FamilySpec(
     name="poisson",
-    quasi_loglik=_pois_q,
-    q12=_pois_q12,
-    q_derivs=(_pois_q234, _pois_q234, _pois_q234),
+    q012=_pois_q012,
+    q34=_pois_q34,
     response_transform=_log_transform,
     validate_response=_validate_poisson,
     needs_delta=True,
@@ -202,9 +201,8 @@ POISSON = FamilySpec(
 
 BERNOULLI = FamilySpec(
     name="bernoulli",
-    quasi_loglik=_bern_q,
-    q12=_bern_q12,
-    q_derivs=(_bern_q2, _bern_q3, _bern_q4),
+    q012=_bern_q012,
+    q34=_bern_q34,
     response_transform=_logit_transform,
     validate_response=_validate_bernoulli,
     needs_delta=True,

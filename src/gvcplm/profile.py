@@ -43,6 +43,7 @@ from .errors import ConditioningError, ParameterError
 from .families import get_family
 from .smoothing import (
     MAX_HALVINGS,
+    BatchSolution,
     CurveEstimate,
     CurveFitter,
     SmoothingParams,
@@ -87,8 +88,8 @@ class FitResult:
 
     fitted is the (n,) linear predictor at beta.  The result also carries the
     engine and the final state that produced it, so inference at beta reuses
-    the fit's smoother instead of rebuilding it.  Both pin O(n^2) arrays:
-    code that needs only beta should keep beta and drop the result.
+    the fit's smoother instead of rebuilding it.  Both pin O(n*w) arrays, w
+    the kernel window width: code that needs only beta should drop the result.
     """
 
     beta: np.ndarray
@@ -103,18 +104,18 @@ class FitResult:
     state: _State = field(repr=False, compare=False)
 
 
+@dataclass(eq=False, slots=True)
 class _State:
-    """Curve fit and derived quantities at one beta."""
+    """Curve fit and derived quantities at one beta (q1, q2 at fitted)."""
 
-    __slots__ = ("beta", "offsets", "solution", "fitted", "loglik", "_alpha_prime")
-
-    def __init__(self, beta, offsets, solution, fitted, loglik):
-        self.beta = beta
-        self.offsets = offsets
-        self.solution = solution
-        self.fitted = fitted
-        self.loglik = loglik
-        self._alpha_prime = None
+    beta: np.ndarray
+    offsets: np.ndarray
+    solution: BatchSolution
+    fitted: np.ndarray
+    loglik: float
+    q1: np.ndarray
+    q2: np.ndarray
+    _alpha_prime: Optional[np.ndarray] = None
 
 
 class ProfileEngine:
@@ -144,8 +145,8 @@ class ProfileEngine:
         self._warm = sol.coefficients
         a0 = sol.coefficients[:, : self.data.n_curves]
         fitted = np.einsum("iq,iq->i", a0, self.data.x) + offsets
-        loglik = float(np.sum(self.family.quasi_loglik(fitted, self.data.y)))
-        return _State(beta, offsets, sol, fitted, loglik)
+        q, q1, q2 = self.family.q012(fitted, self.data.y)
+        return _State(beta, offsets, sol, fitted, float(np.sum(q)), q1, q2)
 
     def alpha_prime(self, state: _State) -> np.ndarray:
         """(n, p, q) derivative of the fitted curve at each observation."""
@@ -162,16 +163,14 @@ class ProfileEngine:
 
     def score_vectors(self, state: _State, algorithm: str = "accelerated") -> np.ndarray:
         """Per-observation profile score contributions psi_i, shape (n, p)."""
-        q1 = self.family.q(1, state.fitted, self.data.y)
-        return self.effective_covariates(state, algorithm) * q1[:, None]
+        return self.effective_covariates(state, algorithm) * state.q1[:, None]
 
     def gradient(self, state: _State, algorithm: str = "accelerated") -> np.ndarray:
         return self.score_vectors(state, algorithm).sum(axis=0)
 
     def hessian(self, state: _State, algorithm: str = "accelerated") -> np.ndarray:
-        q2 = self.family.q(2, state.fitted, self.data.y)
         eff = self.effective_covariates(state, algorithm)
-        hess = (eff * q2[:, None]).T @ eff
+        hess = (eff * state.q2[:, None]).T @ eff
         if algorithm == "full":
             hess = hess + self._curve_curvature_term(state)
         return hess
@@ -184,7 +183,6 @@ class ProfileEngine:
         derivative evaluations, which is what makes the full variant slow.
         """
         p = self.data.n_linear
-        q1 = self.family.q(1, state.fitted, self.data.y)
         term = np.empty((p, p))
         warm_center = state.solution.coefficients
         for j in range(p):
@@ -195,7 +193,7 @@ class ProfileEngine:
             self._warm = warm_center
             ap_minus = self.alpha_prime(self.state(state.beta - shift))
             dj = (ap_plus - ap_minus) / (2.0 * _FD_EPS)   # (n, p, q)
-            term[j] = np.einsum("i,ikr,ir->k", q1, dj, self.data.x)
+            term[j] = np.einsum("i,ikr,ir->k", state.q1, dj, self.data.x)
         self._warm = warm_center
         return 0.5 * (term + term.T)
 

@@ -27,8 +27,8 @@ the estimator is the one defined by the full kernel sums above.
 
 ``CurveFitter.alpha_prime`` returns the derivative of the fitted curve with
 respect to beta, obtained in closed form by differentiating the local score
-equation: with W the kernel weights, D the local design and q2 evaluated at
-the local fitted values,
+equation: with W the kernel weights, D the local design and q2 the local
+curvature that ``solve`` returns, evaluated at the local fitted values,
 
     d a / d beta' = -[sum_i q2_i D_i D_i' W_i]^{-1} [sum_i q2_i D_i z_i' W_i],
 
@@ -112,7 +112,7 @@ class CurveEstimate:
 
 class BatchSolution(NamedTuple):
     coefficients: np.ndarray      # (m, d)
-    linear_predictor: np.ndarray  # (m, w) local fitted predictors on each band
+    curvature: np.ndarray         # (m, w) q_2 at the local fitted predictors
     gradient_norm: np.ndarray     # (m,)
     converged: np.ndarray         # (m,) bool
     iterations: np.ndarray        # (m,) int
@@ -232,8 +232,9 @@ class CurveFitter:
         return np.einsum("edi,ed->ei", self.design[rows], coefs) + offsets
 
     def _objectives(self, linpred, rows=slice(None)):
-        q = self.family.quasi_loglik(linpred, self.y_local[rows])
-        return np.einsum("ei,ei->e", self.weights[rows], q)
+        """Local objectives (rows,) with q_1 and q_2 (rows, w), one family pass."""
+        q, q1, q2 = self.family.q012(linpred, self.y_local[rows])
+        return np.einsum("ei,ei->e", self.weights[rows], q), q1, q2
 
     def _weighted_gram(self, weights, rows=slice(None)):
         """sum_i weights_ei D_ei D_ei' per point, shape (rows, d, d)."""
@@ -258,8 +259,10 @@ class CurveFitter:
     def solve(self, offsets, warm=None, one_step: bool = False) -> BatchSolution:
         """Maximize every local objective for the given offsets.
 
-        q_1 and q_2 come from one pass (``FamilySpec.q12``).  Bands are views
-        until a point converges or stalls; then only active rows are gathered.
+        Each trial predictor gets one family pass (``_objectives``); an
+        accepted trial's q_1 and q_2 serve the next iterate, and the last q_2
+        is returned as the curvature.  Bands are views until a point converges
+        or stalls; then only active rows are gathered.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
@@ -267,12 +270,12 @@ class CurveFitter:
             one_step: stop after a single damped Newton update.
         """
         offsets = np.asarray(offsets, dtype=float)
-        fam, w, G, y = self.family, self.weights, self.design, self.y_local
+        w, G = self.weights, self.design
         coefs = np.array(warm, dtype=float, copy=True) if warm is not None \
             else self.initial_coefficients(offsets)
         offsets = offsets[self.index]
-        lin = self._linpred(coefs, offsets)
-        obj = self._objectives(lin)
+        obj, q1, q2 = self._objectives(self._linpred(coefs, offsets))
+        curvature = q2
 
         m = coefs.shape[0]
         converged = np.zeros(m, dtype=bool)
@@ -282,8 +285,8 @@ class CurveFitter:
         budget = 1 if one_step else MAX_LOCAL_ITERS
 
         while True:
+            # q1 and q2 hold the active rows
             sel = slice(None) if active.size == m else active
-            q1, q2 = fam.q12(lin[sel], y[sel])
             grad = np.einsum("ei,edi->ed", w[sel] * q1, G[sel])
             gn = np.abs(grad).max(axis=1)
             gnorm[sel] = gn
@@ -301,30 +304,33 @@ class CurveFitter:
 
             lam = np.ones(active.size)
             trial_c = coefs[sel] + step
-            trial_lin = self._linpred(trial_c, offsets[sel], rows=sel)
-            trial_obj = self._objectives(trial_lin, rows=sel)
+            trial_obj, trial_q1, trial_q2 = self._objectives(
+                self._linpred(trial_c, offsets[sel], rows=sel), rows=sel)
             tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
-            bad = trial_obj < obj[sel] - tol_obj
+            bad = ~(trial_obj >= obj[sel] - tol_obj)   # a NaN objective is no ascent
             for _ in range(MAX_HALVINGS):
                 if not bad.any():
                     break
                 lam[bad] *= 0.5
                 rows = active[bad]
                 trial_c[bad] = coefs[rows] + lam[bad, None] * step[bad]
-                trial_lin[bad] = self._linpred(trial_c[bad], offsets[rows], rows=rows)
-                trial_obj[bad] = self._objectives(trial_lin[bad], rows=rows)
-                bad = trial_obj < obj[sel] - tol_obj
+                trial_obj[bad], trial_q1[bad], trial_q2[bad] = self._objectives(
+                    self._linpred(trial_c[bad], offsets[rows], rows=rows), rows=rows)
+                bad = ~(trial_obj >= obj[sel] - tol_obj)
             if bad.any():
                 # stalled points (no ascent after max halvings) are abandoned
-                active, trial_c, trial_lin, trial_obj = (
-                    active[~bad], trial_c[~bad], trial_lin[~bad], trial_obj[~bad])
+                active, trial_c, trial_obj, trial_q1, trial_q2 = (a[~bad] for a in (
+                    active, trial_c, trial_obj, trial_q1, trial_q2))
                 sel = active
-            coefs[sel] = trial_c
-            lin[sel] = trial_lin
-            obj[sel] = trial_obj
+            coefs[sel], obj[sel] = trial_c, trial_obj
+            if active.size == m:   # rebound, not copied: frees the last q_2
+                curvature = trial_q2
+            else:
+                curvature[sel] = trial_q2
+            q1, q2 = trial_q1, trial_q2
             iters[sel] += 1
 
-        return BatchSolution(coefs, lin, gnorm, converged, iters)
+        return BatchSolution(coefs, curvature, gnorm, converged, iters)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -336,14 +342,13 @@ class CurveFitter:
         """Derivative of the fitted curve with respect to beta, (m, p, q).
 
         Entry [e, j, r] is d alpha_hat_r(points[e]) / d beta_j, from the
-        closed-form implicit derivative of the local score equation with q2
-        evaluated at the local fitted values.  The right-hand side is
-        contracted one column of z at a time, so no (m, w, p) gather of z is
-        held.
+        closed-form implicit derivative of the local score equation with the
+        solution's curvature q2 (no family evaluation).  The right-hand side
+        is contracted one column of z at a time, so no (m, w, p) gather of z
+        is held.
         """
         z = np.asarray(z, dtype=float)
-        q2 = self.family.q(2, solution.linear_predictor, self.y_local)
-        wq2_design = self.design * (self.weights * q2)[:, None, :]
+        wq2_design = self.design * (self.weights * solution.curvature)[:, None, :]
         s1 = -(wq2_design @ np.swapaxes(self.design, 1, 2))
         s2 = np.empty(s1.shape[:2] + (z.shape[1],))
         for k, column in enumerate(np.ascontiguousarray(z.T)):

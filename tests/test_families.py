@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvcplm as g
 from gvcplm import DomainError, ParameterError
@@ -149,3 +151,64 @@ class TestBartlettMeanScore:
             data = g.generate(design, seed=g.replicate_seed(31, rep))
             norm = self._mean_score_norm("bernoulli", data, design.beta0, sm)
             assert norm < bound
+
+
+class TestBernoulliTails:
+    """Far in the tails, |x| from 30 to 700, Q keeps its slope and q_1
+    stays its derivative."""
+
+    TAILS = (np.linspace(30.0, 700.0, 2001), np.linspace(-700.0, -30.0, 2001))
+
+    @pytest.mark.parametrize("y", (0.0, 1.0))
+    def test_quasi_loglik_strictly_monotone(self, y):
+        for xs in self.TAILS:
+            steps = np.diff(g.eval_quasi_loglik("bernoulli", xs, y))
+            assert np.all(steps > 0) if y == 1.0 else np.all(steps < 0)
+
+    @pytest.mark.parametrize("y", (0.0, 1.0))
+    def test_q1_matches_finite_difference(self, y):
+        for xs in self.TAILS:
+            fd = fd_derivative(lambda t: g.eval_quasi_loglik("bernoulli", t, y), xs)
+            q1 = g.eval_q("bernoulli", 1, xs, y)
+            np.testing.assert_allclose(q1, fd, rtol=1e-6, atol=1e-7)
+
+    def test_every_finite_predictor_stays_finite(self):
+        big = np.finfo(float).max
+        xs = np.array([-big, -1e308, -1e4, 1e4, 1e308, big])
+        for y in (0.0, 1.0):
+            for order in (1, 2, 3, 4):
+                assert np.all(np.isfinite(g.eval_q("bernoulli", order, xs, y)))
+            assert np.all(np.isfinite(g.eval_quasi_loglik("bernoulli", xs, y)))
+
+
+_PROPERTY_RANGES = {
+    "gaussian": (30.0, st.floats(-10.0, 10.0)),
+    "poisson": (30.0 - 1e-3, st.floats(0.0, 50.0)),   # stays inside the clip
+    "bernoulli": (700.0, st.floats(0.0, 1.0)),
+}
+
+
+@st.composite
+def _family_points(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    reach, responses = _PROPERTY_RANGES[family]
+    return family, draw(st.floats(-reach, reach)), draw(responses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_points())
+def test_fused_triple_and_derivative_ladder(point):
+    family, x, y = point
+    fam = g.get_family(family)
+    q, q1, q2 = fam.q012(x, y)
+    assert q == fam.quasi_loglik(x, y)
+    assert q1 == fam.q(1, x, y)
+    assert q2 == fam.q(2, x, y)
+
+    def below(order, t):
+        return fam.quasi_loglik(t, y) if order == 1 else fam.q(order - 1, t, y)
+
+    for order in (1, 2, 3, 4):
+        fd = fd_derivative(lambda t: below(order, t), x)
+        exact = fam.q(order, x, y)
+        assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact)), (order, exact, fd)

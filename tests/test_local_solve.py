@@ -1,0 +1,126 @@
+"""The local Newton solve's family passes and the curvature it returns.
+
+Each trial predictor gets one family pass, (Q, q_1, q_2) together, and an
+accepted trial's q_1 and q_2 serve the next iterate; the final q_2 is carried
+on the solution, so ``alpha_prime`` evaluates no family at all.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import gvcplm as g
+from gvcplm import CurveFitter, SmoothingParams
+
+from test_bands import _problem_arrays
+
+
+def _count_calls(fitter):
+    """Wrap the fitter's family functions and its _objectives with counters."""
+    calls = {"family": 0, "objectives": 0}
+
+    def counted(func, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    fam = fitter.family
+    fitter.family = dataclasses.replace(
+        fam, q012=counted(fam.q012, "family"), q34=counted(fam.q34, "family"))
+    fitter._objectives = counted(fitter._objectives, "objectives")
+    return calls
+
+
+def _simulated_problem(family, n=300, seed=3):
+    design = g.make_design(family, n)
+    data = g.generate(design, seed=g.replicate_seed(seed, 1))
+    delta, h = (0.1, 0.1) if family == "poisson" else (0.005, 0.4)
+    sm = SmoothingParams(h=h, delta=delta)
+    return data, CurveFitter(family, data.x, data.y, data.u, sm, data.u)
+
+
+def _starts(fitter, offsets):
+    """Cold, warm (a_0 pushed 8 below the cold start, so steps are halved)
+    and one-step solve arguments."""
+    warm = fitter.initial_coefficients(offsets)
+    warm[:, 0] -= 8.0
+    return {"cold": {}, "warm": {"warm": warm}, "one_step": {"one_step": True}}
+
+
+@pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+@pytest.mark.parametrize("start", ("cold", "warm", "one_step"))
+def test_one_family_pass_per_objective(family, start):
+    data, fitter = _simulated_problem(family)
+    offsets = data.z @ np.full(data.n_linear, 0.1)
+    kwargs = _starts(fitter, offsets)[start]
+    calls = _count_calls(fitter)
+    sol = fitter.solve(offsets, **kwargs)
+    # one objective call to start and one per iteration; the rest are halvings
+    assert calls["objectives"] > sol.iterations.max() + (start == "warm")
+    assert calls["family"] == calls["objectives"]
+
+    calls.update(family=0, objectives=0)
+    fitter.alpha_prime(sol, data.z)
+    assert calls == {"family": 0, "objectives": 0}
+
+
+def _assert_carried_curvature(fitter, offsets, sol):
+    lin = np.einsum("edi,ed->ei", fitter.design, sol.coefficients) + offsets[fitter.index]
+    assert np.array_equal(sol.curvature, fitter.family.q(2, lin, fitter.y_local))
+
+
+@pytest.mark.parametrize("family", ("gaussian", "poisson", "bernoulli"))
+@pytest.mark.parametrize("start", ("cold", "warm", "one_step"))
+def test_curvature_is_q2_at_returned_coefficients(family, start):
+    if family == "gaussian":
+        u = np.linspace(0.0, 1.0, 60)
+        x, z, y, offsets = _problem_arrays("gaussian", u, 11)
+        fitter = CurveFitter("gaussian", x, y, u, SmoothingParams(h=0.2), u)
+    else:
+        data, fitter = _simulated_problem(family)
+        offsets = data.z @ np.full(data.n_linear, 0.1)
+    sol = fitter.solve(offsets, **_starts(fitter, offsets)[start])
+    if start == "one_step":
+        assert np.all(sol.iterations <= 1)
+    _assert_carried_curvature(fitter, offsets, sol)
+
+
+def test_curvature_of_an_abandoned_point():
+    # a three-observation bernoulli window started 8 below the cold start:
+    # the first step saturates the window, and 20 halvings cannot recover
+    u = np.array([0.0, 0.0, 0.025])
+    x, z, y, offsets = _problem_arrays("bernoulli", u, 16)
+    sm = SmoothingParams(h=0.02525, delta=0.1, degree=0)
+    fitter = CurveFitter("bernoulli", x, y, u, sm, np.array([0.0]))
+    warm = fitter.initial_coefficients(offsets)
+    warm[:, 0] -= 8.0
+    sol = fitter.solve(offsets, warm=warm)
+    assert not sol.converged[0] and sol.iterations[0] < 50
+    _assert_carried_curvature(fitter, offsets, sol)
+
+
+def test_profile_state_reads_the_triple_at_fitted():
+    data, _ = _simulated_problem("bernoulli", n=200)
+    engine = g.ProfileEngine("bernoulli", data, SmoothingParams(h=0.4, delta=0.005))
+    state = engine.state(np.full(data.n_linear, 0.1))
+    fam = engine.family
+    assert np.array_equal(state.q1, fam.q(1, state.fitted, data.y))
+    assert np.array_equal(state.q2, fam.q(2, state.fitted, data.y))
+    assert state.loglik == float(np.sum(fam.quasi_loglik(state.fitted, data.y)))
+
+
+@pytest.mark.parametrize("push", (40.0, 800.0))
+def test_saturated_start_is_abandoned_where_it_stands(push):
+    # every window saturated: q_2 is about e^-40, or underflows to zero at
+    # 800, so each Newton step is far too long; Q keeps its slope beyond any
+    # clip, so no such step is accepted and the points stop at their start
+    data, fitter = _simulated_problem("bernoulli", n=200)
+    offsets = data.z @ np.full(data.n_linear, 0.1)
+    warm = fitter.solve(offsets).coefficients
+    warm[:, 0] += push
+    sol = fitter.solve(offsets, warm=warm)
+    assert not sol.converged.any()
+    assert np.array_equal(sol.coefficients, warm)
+    _assert_carried_curvature(fitter, offsets, sol)
