@@ -40,6 +40,16 @@ def _float_repr(v) -> str:
     return repr(float(v))
 
 
+def _number(value, key: str, kind=float):
+    """value read as kind (None stays None); ParameterError naming key if not."""
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{key} must be a number, got {value!r}") from None
+
+
 def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dataset:
     """Load a dataset from a headed CSV file.
 
@@ -111,7 +121,7 @@ def _parse_constraint(spec: str, z_names) -> np.ndarray:
         if "=" not in clause:
             raise ParameterError(f"cannot parse constraint clause {clause!r}")
         name, value = (s.strip() for s in clause.split("=", 1))
-        if float(value) != 0.0:
+        if _number(value, f"constraint value in {clause!r}") != 0.0:
             raise ParameterError("only zero constraints are supported")
         if name not in names:
             raise ParameterError(f"constraint names unknown column {name!r}")
@@ -128,9 +138,9 @@ def _smoothing_from_config(cfg: dict) -> SmoothingParams | None:
     if block.get("h") is None:
         return None
     return SmoothingParams(
-        h=float(block["h"]),
-        delta=None if block.get("delta") is None else float(block["delta"]),
-        degree=int(block.get("degree", 1)),
+        h=_number(block["h"], "smoothing.h"),
+        delta=_number(block.get("delta"), "smoothing.delta"),
+        degree=_number(block.get("degree", 1), "smoothing.degree", int),
     )
 
 
@@ -139,8 +149,8 @@ def _fit_config(cfg: dict, smoothing: SmoothingParams) -> FitConfig:
     return FitConfig(
         smoothing=smoothing,
         algorithm=block.get("algorithm", "accelerated"),
-        max_steps=int(block.get("max_steps", 3)),
-        step_tol=float(block.get("tol", 1e-6)),
+        max_steps=_number(block.get("max_steps", 3), "fit.max_steps", int),
+        step_tol=_number(block.get("tol", 1e-6), "fit.tol"),
     )
 
 
@@ -166,7 +176,8 @@ def _resolve_smoothing(cfg, family, data) -> SmoothingParams:
         return smoothing
     report = cross_validate(
         family, data, grid=default_smoothing_grid(family, data),
-        k=int(cfg.get("cv", {}).get("k", 5)), seed=int(cfg.get("seed", 0)),
+        k=_number(cfg.get("cv", {}).get("k", 5), "cv.k", int),
+        seed=_number(cfg.get("seed", 0), "seed", int),
     )
     return report.best
 
@@ -280,17 +291,20 @@ def _cmd_cv(cfg: dict) -> int:
     data.validate_response(family)
     cv_block = cfg.get("cv", {})
     h_grid = cv_block.get("h_grid")
-    delta_grid = cv_block.get("delta_grid")
     if h_grid:
-        deltas = delta_grid if delta_grid else (
-            [None] if not family.needs_delta else [0.1]
-        )
-        grid = [(d, float(h)) for d in deltas for h in h_grid]
+        if cv_block.get("delta_grid"):
+            deltas = [_number(d, "cv.delta_grid") for d in cv_block["delta_grid"]]
+        elif family.needs_delta:
+            delta = _number(cfg.get("smoothing", {}).get("delta"), "smoothing.delta")
+            deltas = [0.1 if delta is None else delta]
+        else:
+            deltas = [None]
+        grid = [(d, _number(h, "cv.h_grid")) for d in deltas for h in h_grid]
     else:
         grid = default_smoothing_grid(family, data)
     report = cross_validate(family, data, grid=grid,
-                            k=int(cv_block.get("k", 5)),
-                            seed=int(cfg.get("seed", 0)))
+                            k=_number(cv_block.get("k", 5), "cv.k", int),
+                            seed=_number(cfg.get("seed", 0), "seed", int))
     out = _out_dir(cfg)
     _json_dump(out / "cv_report.json", {
         "best": {"h": report.best.h, "delta": report.best.delta},
@@ -313,25 +327,27 @@ def _cmd_cv(cfg: dict) -> int:
 def _cmd_simulate(cfg: dict) -> int:
     block = cfg.get("simulate", {})
     study = block.get("study", "table2")
+    n = _number(block.get("n", 200), "simulate.n", int)
+    seed = _number(cfg.get("seed", 0), "seed", int)
     out = _out_dir(cfg)
     if block.get("emit_csv"):
         from .simulate import generate, make_design, replicate_seed
 
-        design = make_design(cfg.get("family", "poisson"), int(block.get("n", 200)))
-        for rep in range(int(block.get("reps", 1))):
-            data = generate(design, replicate_seed(int(cfg.get("seed", 0)), rep))
+        design = make_design(cfg.get("family", "poisson"), n)
+        for rep in range(_number(block.get("reps", 1), "simulate.reps", int)):
+            data = generate(design, replicate_seed(seed, rep))
             write_dataset_csv(out / f"dataset_rep{rep:03d}.csv", data)
         return EXIT_OK
     studies.run_table(
         study,
-        reps=block.get("reps"),
-        seed=int(cfg.get("seed", 0)),
+        reps=_number(block.get("reps"), "simulate.reps", int),
+        seed=seed,
         family=cfg.get("family", "poisson"),
-        n=int(block.get("n", 200)),
+        n=n,
         out_dir=out,
         use_cv=bool(block.get("use_cv", False)),
-        h=cfg.get("smoothing", {}).get("h"),
-        delta=cfg.get("smoothing", {}).get("delta"),
+        h=_number(cfg.get("smoothing", {}).get("h"), "smoothing.h"),
+        delta=_number(cfg.get("smoothing", {}).get("delta"), "smoothing.delta"),
     )
     return EXIT_OK
 
@@ -391,11 +407,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config file is not valid JSON: {exc}") from None
-    cfg.setdefault("columns", {})
-    cfg.setdefault("smoothing", {})
-    cfg.setdefault("fit", {})
-    cfg.setdefault("cv", {})
-    cfg.setdefault("simulate", {})
+    if not isinstance(cfg, dict):
+        raise ParameterError("config file must hold a JSON object")
+    for block in ("columns", "smoothing", "fit", "cv", "simulate"):
+        if not isinstance(cfg.setdefault(block, {}), dict):
+            raise ParameterError(f"config block {block!r} must be a JSON object")
 
     def put(block, key, value):
         if value is not None:
@@ -419,10 +435,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     put(cfg, "test", args.test)
     put(cfg["cv"], "k", args.cv_k)
     if args.h_grid is not None:
-        cfg["cv"]["h_grid"] = [float(s) for s in args.h_grid.split(",") if s.strip()]
+        cfg["cv"]["h_grid"] = [_number(s, "--h-grid") for s in args.h_grid.split(",")
+                               if s.strip()]
     if args.delta_grid is not None:
-        cfg["cv"]["delta_grid"] = [float(s) for s in args.delta_grid.split(",")
-                                   if s.strip()]
+        cfg["cv"]["delta_grid"] = [_number(s, "--delta-grid")
+                                   for s in args.delta_grid.split(",") if s.strip()]
     put(cfg, "out", args.out)
     put(cfg, "seed", args.seed)
     if args.command == "simulate":

@@ -89,8 +89,8 @@ def cross_validate(
     """
     fam = get_family(family)
     data.validate_response(fam)
-    if k < 2:
-        raise ParameterError(f"cross-validation needs k >= 2 folds, got {k}")
+    if not 2 <= k <= data.n:
+        raise ParameterError(f"cross-validation needs 2 <= k <= n = {data.n}, got k = {k}")
     if grid is None:
         grid = default_smoothing_grid(fam, data)
     grid = [(None if d is None else float(d), float(h)) for d, h in grid]

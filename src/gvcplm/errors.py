@@ -38,8 +38,8 @@ class ConvergenceError(GvcplmError):
     """An iterative fit failed in a way that cannot be reported as a result."""
 
 
-class RankError(GvcplmError):
-    """User-supplied hypothesis rows are linearly dependent."""
+class RankError(ParameterError):
+    """User-supplied hypothesis rows are linearly dependent (a config mistake)."""
 
 
 class CrossValidationError(GvcplmError):

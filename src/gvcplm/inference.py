@@ -29,6 +29,7 @@ from scipy import special
 
 from .data import Dataset
 from .errors import ConditioningError, ParameterError, RankError
+from .families import get_family
 from .profile import FitConfig, FitResult, _newton_fit, fit as profile_fit
 
 
@@ -152,22 +153,23 @@ def glrt(
 ) -> GlrtResult:
     """Generalized likelihood ratio test of the hypothesis A beta = 0.
 
-    The unconstrained fit may be supplied to avoid refitting.  The
-    constrained fit runs on the unconstrained fit's engine, starts from the
-    projection of its estimate onto the null space, warm-starts the local
-    fits from its final local coefficients, and runs the same Newton
-    configuration in the reduced coordinates.
+    The unconstrained fit may be supplied to avoid refitting; it must have
+    been fitted to this data, family and config.smoothing.  The constrained
+    fit runs on the unconstrained fit's engine, starts from the projection of
+    its estimate onto the null space, passes its final local coefficients as
+    the warm start of the local fits, and runs the same Newton configuration
+    in the reduced coordinates.
     """
     if fit_alt is None:
         fit_alt = profile_fit(family, data, config, curve_grid=False)
     engine = fit_alt.engine
-    if engine.smoothing != config.smoothing:
-        raise ParameterError("fit_alt was fitted with other smoothing parameters "
-                             "than config.smoothing")
-    # the null fit must not depend on what ran on this engine before
-    engine._warm = fit_alt.state.solution.coefficients
+    if not (engine.data is data and engine.family == get_family(family)
+            and engine.smoothing == config.smoothing):
+        raise ParameterError("fit_alt was fitted to other data, family or smoothing "
+                             "than given to glrt")
     gamma0 = constraint.b @ fit_alt.beta
-    state_null, _, _, _ = _newton_fit(engine, config, gamma0, basis=constraint.b)
+    state_null, _, _, _ = _newton_fit(engine, config, gamma0, basis=constraint.b,
+                                      warm=fit_alt.state.solution.coefficients)
     raw = 2.0 * (fit_alt.profile_loglik - state_null.loglik)
     statistic = max(raw, 0.0)
     df = constraint.df

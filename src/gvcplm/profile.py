@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import Dataset
 from .dbe import fit_dbe
-from .errors import ConditioningError, ParameterError
+from .errors import ConditioningError, ParameterError, SingularityError
 from .families import get_family
 from .smoothing import (
     MAX_HALVINGS,
@@ -47,7 +47,9 @@ from .smoothing import (
     CurveEstimate,
     CurveFitter,
     SmoothingParams,
+    _ridged_solve,
     default_grid,
+    fit_curve,
 )
 
 _ALGORITHMS = {
@@ -88,7 +90,8 @@ class FitResult:
 
     fitted is the (n,) linear predictor at beta.  The result also carries the
     engine and the final state that produced it, so inference at beta reuses
-    the fit's smoother instead of rebuilding it.  Both pin O(n*w) arrays, w
+    the fit's smoother instead of rebuilding it (the GLRT null fit passes
+    state.solution.coefficients as its warm start).  Both pin O(n*w) arrays, w
     the kernel window width: code that needs only beta should drop the result.
     """
 
@@ -109,7 +112,6 @@ class _State:
     """Curve fit and derived quantities at one beta (q1, q2 at fitted)."""
 
     beta: np.ndarray
-    offsets: np.ndarray
     solution: BatchSolution
     fitted: np.ndarray
     loglik: float
@@ -119,7 +121,9 @@ class _State:
 
 
 class ProfileEngine:
-    """Caches the per-observation smoothing machinery across beta values."""
+    """The smoothing machinery of (family, data, smoothing), built once and
+    reused across beta values.  It keeps nothing between calls: a state
+    depends on beta and the warm start passed with it, not on call history."""
 
     def __init__(self, family, data: Dataset, smoothing: SmoothingParams):
         self.family = get_family(family)
@@ -129,24 +133,24 @@ class ProfileEngine:
         self.fitter = CurveFitter(
             self.family, data.x, data.y, data.u, smoothing, points=data.u
         )
-        self._warm = None
 
     def with_delta(self, delta) -> ProfileEngine:
-        """Cold engine for offset delta sharing this one's bands (same h)."""
+        """Engine for offset delta sharing this one's bands (same h)."""
         other = copy.copy(self)
         other.fitter = self.fitter.with_delta(delta)
-        other.smoothing, other._warm = other.fitter.smoothing, None
+        other.smoothing = other.fitter.smoothing
         return other
 
-    def state(self, beta) -> _State:
+    def state(self, beta, warm=None) -> _State:
+        """Profile state at beta; the local fits start from warm, a nearby
+        state's solution.coefficients, or cold when warm is None."""
         beta = np.asarray(beta, dtype=float)
         offsets = self.data.z @ beta
-        sol = self.fitter.solve(offsets, warm=self._warm)
-        self._warm = sol.coefficients
+        sol = self.fitter.solve(offsets, warm=warm)
         a0 = sol.coefficients[:, : self.data.n_curves]
         fitted = np.einsum("iq,iq->i", a0, self.data.x) + offsets
         q, q1, q2 = self.family.q012(fitted, self.data.y)
-        return _State(beta, offsets, sol, fitted, float(np.sum(q)), q1, q2)
+        return _State(beta, sol, fitted, float(np.sum(q)), q1, q2)
 
     def alpha_prime(self, state: _State) -> np.ndarray:
         """(n, p, q) derivative of the fitted curve at each observation."""
@@ -179,61 +183,51 @@ class ProfileEngine:
         """Finite-difference estimate of the Hessian term carrying the
         curve's second derivative in beta.
 
-        Each coordinate costs two full curve refits plus two closed-form
-        derivative evaluations, which is what makes the full variant slow.
+        Each coordinate costs two full curve refits, both warm-started from
+        the centre's local coefficients, plus two closed-form derivative
+        evaluations, which is what makes the full variant slow.
         """
         p = self.data.n_linear
         term = np.empty((p, p))
-        warm_center = state.solution.coefficients
+        warm = state.solution.coefficients
         for j in range(p):
             shift = np.zeros(p)
             shift[j] = _FD_EPS
-            self._warm = warm_center
-            ap_plus = self.alpha_prime(self.state(state.beta + shift))
-            self._warm = warm_center
-            ap_minus = self.alpha_prime(self.state(state.beta - shift))
+            ap_plus = self.alpha_prime(self.state(state.beta + shift, warm))
+            ap_minus = self.alpha_prime(self.state(state.beta - shift, warm))
             dj = (ap_plus - ap_minus) / (2.0 * _FD_EPS)   # (n, p, q)
             term[j] = np.einsum("i,ikr,ir->k", state.q1, dj, self.data.x)
-        self._warm = warm_center
         return 0.5 * (term + term.T)
 
 
 def _solve_descent(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Newton step -H^{-1} g for a negative-definite H, ridging if needed."""
-    neg = -hess
-    scale = max(float(np.max(np.diag(neg))), 1e-300)
-    ev = np.linalg.eigvalsh(neg)
-    for lam in (0.0, 1e-10, 1e-8, 1e-6):
-        lo, hi = ev[0] + lam * scale, ev[-1] + lam * scale
-        if lo <= 0 or hi > 1e12 * max(lo, 1e-300):
-            continue
-        return np.linalg.solve(neg + lam * scale * np.eye(neg.shape[0]), grad)
-    raise ConditioningError(
-        "profile Hessian is not usable even after ridge escalation "
-        f"(eigenvalue range {ev[0]:.3e} .. {ev[-1]:.3e})"
-    )
+    try:
+        return _ridged_solve(-hess[None], grad[None], "profile Hessian")[0]
+    except SingularityError as exc:
+        raise ConditioningError("profile Hessian is not negative definite, or stays "
+                                "ill-conditioned after ridge escalation") from exc
 
 
-def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None):
+def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm=None):
     """Damped Newton ascent of the profile objective.
 
     With ``basis`` B (rows orthonormal), the iteration runs in the reduced
     coordinates gamma with beta = B' gamma, which is how linear null
-    hypotheses are fitted.
+    hypotheses are fitted.  The first state's local fits start from warm (cold
+    when None), every later one from the state solved just before it.
 
     Returns (final state, trace, converged flag, accepted step count).
     """
+    current = np.asarray(init, dtype=float).copy()
     if basis is None:
-        current = np.asarray(init, dtype=float).copy()
         to_beta = lambda v: v
     else:
         basis = np.asarray(basis, dtype=float)
-        current = np.asarray(init, dtype=float).copy()
         to_beta = lambda v: basis.T @ v
-    state = engine.state(to_beta(current))
+    state = engine.state(to_beta(current), warm)
     trace = [(0.0, state.loglik)]
     converged = False
-    n_steps = 0
     for _ in range(config.max_steps):
         grad = engine.gradient(state, config.algorithm)
         hess = engine.hessian(state, config.algorithm)
@@ -241,26 +235,22 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None):
             grad = basis @ grad
             hess = basis @ hess @ basis.T
         step = _solve_descent(hess, grad)
-        scale = 1.0
-        accepted = None
+        scale, trial = 1.0, state
         for _ in range(MAX_HALVINGS + 1):
             candidate = current + scale * step
-            trial = engine.state(to_beta(candidate))
+            trial = engine.state(to_beta(candidate), trial.solution.coefficients)
             if trial.loglik >= state.loglik - 1e-9 * (1.0 + abs(state.loglik)):
-                accepted = (candidate, trial)
                 break
             scale *= 0.5
-        if accepted is None:
-            # no ascent direction survived the halvings; keep the best iterate
-            break
+        else:
+            break  # no ascent direction survived the halvings; keep the best iterate
         step_norm = float(np.linalg.norm(scale * step))
-        current, state = accepted
-        n_steps += 1
+        current, state = candidate, trial
         trace.append((step_norm, state.loglik))
         if step_norm < config.step_tol * (1.0 + float(np.linalg.norm(current))):
             converged = True
             break
-    return state, tuple(trace), converged, n_steps
+    return state, tuple(trace), converged, len(trace) - 1
 
 
 def profile_objective(family, data: Dataset, beta, smoothing: SmoothingParams) -> float:
@@ -297,7 +287,6 @@ def fit(
     config: FitConfig,
     init=None,
     curve_grid=None,
-    with_dbeta: bool = False,
     engine: Optional[ProfileEngine] = None,
 ) -> FitResult:
     """Maximize the profile quasi-likelihood over beta.
@@ -306,7 +295,8 @@ def fit(
     display grid for the fitted coefficient functions: None for the default
     200-point grid, an integer for an equally spaced grid of that size, an
     array for explicit points, or False to skip curve evaluation.  engine, a
-    ProfileEngine for (family, data, config.smoothing), is fitted from cold.
+    ProfileEngine for (family, data, config.smoothing), is reused; the local
+    fits still start cold, so the result is the one a new engine gives.
     """
     fam = get_family(family)
     if engine is None:
@@ -314,24 +304,14 @@ def fit(
     elif not (engine.data is data and engine.family == fam
               and engine.smoothing == config.smoothing):
         raise ParameterError("engine was built for other data, family or smoothing")
-    engine._warm = None
     if init is None:
         init = fit_dbe(fam, data, config.smoothing.delta).beta0
     state, trace, converged, n_steps = _newton_fit(engine, config, init)
 
-    curve = None
-    if curve_grid is not False:
-        if curve_grid is None:
-            grid = default_grid(data)
-        elif np.isscalar(curve_grid):
-            grid = default_grid(data, int(curve_grid))
-        else:
-            grid = np.asarray(curve_grid, dtype=float)
-        grid_fitter = CurveFitter(fam, data.x, data.y, data.u, config.smoothing, grid)
-        sol = grid_fitter.solve(state.offsets)
-        dbeta = grid_fitter.alpha_prime(sol, data.z) if with_dbeta else None
-        curve = CurveEstimate(grid=grid, values=grid_fitter.curve_values(sol).copy(),
-                              dbeta=dbeta)
+    if np.isscalar(curve_grid) and curve_grid is not False:
+        curve_grid = default_grid(data, int(curve_grid))
+    curve = (None if curve_grid is False
+             else fit_curve(fam, data, state.beta, config.smoothing, curve_grid))
     return FitResult(
         beta=state.beta.copy(),
         curve=curve,

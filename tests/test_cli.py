@@ -83,6 +83,25 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error" in payload
 
+    @pytest.mark.parametrize("command, extra, message", [
+        ("cv", ("--h-grid", "0.1,abc"), "--h-grid"),
+        ("test", ("--test", "z7=abc"), "z7=abc"),
+        ("fit", ("--config", "{config}"), "smoothing.h"),
+        ("fit", ("--config", "{blocks}"), "'fit'"),
+        ("test", ("--test", "z7=0,z7=0"), "linearly dependent"),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, extra, message):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 127)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"smoothing": {"h": "abc", "delta": 0.1}}))
+        blocks = tmp_path / "b.json"
+        blocks.write_text(json.dumps({"fit": 5}))
+        files = {"{config}": str(config), "{blocks}": str(blocks)}
+        extra = [files.get(arg, arg) for arg in extra]
+        code = run_cli(command, *args, "--delta", "0.1", *extra)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch):
         data = g.generate(g.poisson_design(200), seed=g.replicate_seed(73, 0))
         path = tmp_path / "d.csv"
@@ -241,6 +260,16 @@ class TestCvCommand:
         lines = (tmp_path / "cv_scores.csv").read_text().splitlines()
         assert lines[0] == "delta,h,score,failed"
         assert len(lines) == 3
+
+    def test_single_delta_is_the_configured_delta(self, tmp_path):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        code = run_cli("cv", *args, "--cv", "3", "--h-grid", "0.15",
+                       "--delta", "0.05", "--seed", "5")
+        assert code == 0
+        lines = (tmp_path / "cv_scores.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.05"]
+        report = json.loads((tmp_path / "cv_report.json").read_text())
+        assert report["best"]["delta"] == 0.05
 
     def test_report_names_failure_reason(self, tmp_path):
         data = g.generate(g.poisson_design(200), seed=g.replicate_seed(97, 0))

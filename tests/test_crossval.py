@@ -78,6 +78,12 @@ class TestCrossValidate:
         with pytest.raises(ParameterError):
             g.cross_validate("poisson", data, grid=[(0.1, 0.1)], k=1)
 
+    def test_more_folds_than_observations(self):
+        # k > n would leave a fold empty and spend a fit on the full data
+        data = _poisson_data()
+        with pytest.raises(ParameterError, match="k <= n"):
+            g.cross_validate("poisson", data, grid=[(0.1, 0.1)], k=data.n + 1)
+
     def test_tie_breaks_toward_larger_bandwidth(self, monkeypatch):
         data = _poisson_data()
         grid = [(0.1, 0.08), (0.1, 0.12)]

@@ -225,6 +225,30 @@ class TestInferenceReadsFitState:
         assert refit.statistic == first.statistic
         np.testing.assert_array_equal(refit.beta_null, first.beta_null)
 
+    def test_glrt_rejects_fit_on_other_data_or_family(self):
+        design, data, cfg, fit_alt = _design_fit("poisson", 109)
+        other = g.generate(design, seed=g.replicate_seed(110, 0))
+        joint = g.make_constraint(np.eye(design.p_dim)[6:])
+        with pytest.raises(ParameterError, match="data"):
+            g.glrt("poisson", other, joint, cfg, fit_alt=fit_alt)
+        with pytest.raises(ParameterError, match="family"):
+            g.glrt("bernoulli", data, joint, cfg, fit_alt=fit_alt)
+
+    @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+    def test_engine_state_is_history_free(self, family):
+        # a state depends on beta and its warm start only: an engine that has
+        # served a fit, a GLRT and a state elsewhere gives a new engine's bits
+        design, data, cfg, res = _design_fit(family, 113)
+        fresh = ProfileEngine(family, data, cfg.smoothing).state(res.beta)
+        g.glrt(family, data, g.make_constraint(np.eye(design.p_dim)[6:]), cfg,
+               fit_alt=res)
+        res.engine.state(np.zeros(design.p_dim))
+        used = res.engine.state(res.beta)
+        assert used.loglik == fresh.loglik
+        np.testing.assert_array_equal(used.fitted, fresh.fitted)
+        np.testing.assert_array_equal(used.solution.coefficients,
+                                      fresh.solution.coefficients)
+
     def test_glrt_rejects_fit_with_other_smoothing(self):
         design, data, cfg, fit_alt = _design_fit("poisson", 109)
         other = FitConfig(smoothing=SmoothingParams(h=0.2, delta=0.1))
