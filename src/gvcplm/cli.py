@@ -1,24 +1,28 @@
 """Command-line interface: fit, test, cv, simulate.
 
 A run is described by a JSON config document; every flag mirrors a config
-key and flags override file values.  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numerical failure or out of memory (a diagnostic JSON
-is printed on stderr for the latter).
+key and flags override file values.  The option table ``_OPTIONS`` is the
+one record of which flag sets which key, how its value is read and which
+commands read it; a command accepts only the flags it reads.  Exit codes:
+0 success, 2 configuration error, 3 data error, 4 numerical failure or out
+of memory (a diagnostic JSON is printed on stderr for the latter).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
 
 from . import studies
-from .crossval import cross_validate, default_smoothing_grid
+from .crossval import DEFAULT_DELTA_GRID, cross_validate, default_h_grid
 from .data import Dataset
 from .errors import (
     DataError,
@@ -29,6 +33,7 @@ from .families import get_family
 from .inference import glrt, make_constraint, sandwich_covariance
 from .profile import FitConfig, fit as profile_fit
 from .smoothing import SmoothingParams
+from .studies import write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,18 +41,90 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _float_repr(v) -> str:
-    return repr(float(v))
+def _names(value) -> list:
+    """Comma-separated text (a flag) or a JSON list (a config file) as a list."""
+    if isinstance(value, str):
+        return [s.strip() for s in value.split(",") if s.strip()]
+    return list(value)
 
 
-def _number(value, key: str, kind=float):
-    """value read as kind (None stays None); ParameterError naming key if not."""
-    if value is None:
-        return None
+def _floats(value) -> list:
+    return [float(v) for v in _names(value)]
+
+
+def _study(value) -> str:
+    if value not in studies.STUDIES:
+        raise ValueError(f"unknown study {value!r}; choose from {', '.join(studies.STUDIES)}")
+    return value
+
+
+class _Option(NamedTuple):
+    flag: str
+    key: str            # dotted config key; "config" names the config file itself
+    parse: Callable     # flag text or config value -> config value; bool marks a switch
+    commands: tuple     # the commands that read the key
+    help: str
+
+
+_ALL = ("fit", "test", "cv", "simulate")
+_DATA = ("fit", "test", "cv")
+
+_OPTIONS = (
+    _Option("--config", "config", str, _ALL, "JSON config file; flags override it"),
+    _Option("--data", "dataset", str, _DATA, "dataset CSV path"),
+    _Option("--family", "family", str, _ALL, "gaussian | poisson | bernoulli"),
+    _Option("--u", "columns.u", str, _DATA, "index column name"),
+    _Option("--y", "columns.y", str, _DATA, "response column name"),
+    _Option("--x", "columns.x", _names, _DATA, "comma-separated curve covariate columns"),
+    _Option("--z", "columns.z", _names, _DATA, "comma-separated linear covariate columns"),
+    _Option("--intercept", "intercept", bool, _DATA, "prepend a constant column to x"),
+    _Option("--h", "smoothing.h", float, ("fit", "test", "simulate"),
+            "bandwidth; without it fit and test choose (delta, h) by CV"),
+    _Option("--delta", "smoothing.delta", float, _ALL,
+            "transform offset; the CV delta axis when --delta-grid is unset"),
+    _Option("--degree", "smoothing.degree", int, _DATA, "local polynomial degree"),
+    _Option("--algorithm", "fit.algorithm", str, _DATA,
+            "outer Newton variant: backfitting (backfit), accelerated (accel) or full"),
+    _Option("--max-steps", "fit.max_steps", int, _DATA, "most outer Newton steps"),
+    _Option("--tol", "fit.tol", float, _DATA, "outer Newton step tolerance"),
+    _Option("--test", "test", str, ("test",), "constraint spec, e.g. 'z7=0,z8=0'"),
+    _Option("--cv", "cv.k", int, _DATA, "number of CV folds"),
+    _Option("--h-grid", "cv.h_grid", _floats, _DATA, "comma-separated CV bandwidth grid"),
+    _Option("--delta-grid", "cv.delta_grid", _floats, _DATA,
+            "comma-separated CV offset grid"),
+    _Option("--out", "out", str, _ALL, "output directory"),
+    _Option("--seed", "seed", int, _ALL, "seed of the CV folds or of the simulation"),
+    _Option("--study", "simulate.study", _study, ("simulate",),
+            " | ".join(studies.STUDIES)),
+    _Option("--reps", "simulate.reps", int, ("simulate",), "number of replicates"),
+    _Option("--n", "simulate.n", int, ("simulate",), "sample size"),
+    _Option("--emit-csv", "simulate.emit_csv", bool, ("simulate",),
+            "write the replicate datasets as CSV instead of running a study"),
+    _Option("--use-cv", "simulate.use_cv", bool, ("simulate",),
+            "choose (delta, h) by CV on the first replicate"),
+)
+_BY_KEY = {opt.key: opt for opt in _OPTIONS}
+
+
+def _parse(opt: _Option, value, name: str):
+    """value read as opt says; ParameterError naming name (flag or key) if not."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{key} must be a number, got {value!r}") from None
+        return opt.parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name}: cannot read {value!r} ({exc})") from None
+
+
+def _read(cfg: dict, key: str):
+    """The value of a dotted config key, read as its option says; None if unset."""
+    block, _, name = key.rpartition(".")
+    value = (cfg[block] if block else cfg).get(name)
+    return None if value is None else _parse(_BY_KEY[key], value, key)
+
+
+def _set(cfg: dict, **keys) -> dict:
+    """{argument: value} for each argument whose config key is set."""
+    values = {arg: _read(cfg, key) for arg, key in keys.items()}
+    return {arg: value for arg, value in values.items() if value is not None}
 
 
 def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dataset:
@@ -98,16 +175,17 @@ def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dat
     )
 
 
+def _column_names(data: Dataset) -> tuple:
+    """The x and z column labels: the dataset's, or x1.., z1.. where it has none."""
+    return (list(data.x_names or [f"x{j + 1}" for j in range(data.n_curves)]),
+            list(data.z_names or [f"z{j + 1}" for j in range(data.n_linear)]))
+
+
 def write_dataset_csv(path, data: Dataset) -> None:
     """Write a dataset with exact float round-trip (repr formatting)."""
-    x_names = list(data.x_names or [f"x{j + 1}" for j in range(data.n_curves)])
-    z_names = list(data.z_names or [f"z{j + 1}" for j in range(data.n_linear)])
-    header = ["u", *x_names, *z_names, "y"]
-    lines = [",".join(header)]
-    for i in range(data.n):
-        cells = [data.u[i], *data.x[i], *data.z[i], data.y[i]]
-        lines.append(",".join(_float_repr(c) for c in cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    x_names, z_names = _column_names(data)
+    write_csv(path, ["u", *x_names, *z_names, "y"],
+              np.column_stack([data.u, data.x, data.z, data.y]))
 
 
 def _parse_constraint(spec: str, z_names) -> np.ndarray:
@@ -121,7 +199,12 @@ def _parse_constraint(spec: str, z_names) -> np.ndarray:
         if "=" not in clause:
             raise ParameterError(f"cannot parse constraint clause {clause!r}")
         name, value = (s.strip() for s in clause.split("=", 1))
-        if _number(value, f"constraint value in {clause!r}") != 0.0:
+        try:
+            zero = float(value) == 0.0
+        except ValueError:
+            raise ParameterError(f"constraint value in {clause!r} must be a number, "
+                                 f"got {value!r}") from None
+        if not zero:
             raise ParameterError("only zero constraints are supported")
         if name not in names:
             raise ParameterError(f"constraint names unknown column {name!r}")
@@ -133,53 +216,58 @@ def _parse_constraint(spec: str, z_names) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _smoothing_from_config(cfg: dict) -> SmoothingParams | None:
-    block = cfg.get("smoothing", {})
-    if block.get("h") is None:
-        return None
-    return SmoothingParams(
-        h=_number(block["h"], "smoothing.h"),
-        delta=_number(block.get("delta"), "smoothing.delta"),
-        degree=_number(block.get("degree", 1), "smoothing.degree", int),
-    )
-
-
-def _fit_config(cfg: dict, smoothing: SmoothingParams) -> FitConfig:
-    block = cfg.get("fit", {})
-    return FitConfig(
-        smoothing=smoothing,
-        algorithm=block.get("algorithm", "accelerated"),
-        max_steps=_number(block.get("max_steps", 3), "fit.max_steps", int),
-        step_tol=_number(block.get("tol", 1e-6), "fit.tol"),
-    )
-
-
-def _load_dataset(cfg: dict) -> Dataset:
-    cols = cfg.get("columns") or {}
-    for key in ("u", "y", "x", "z"):
-        if key not in cols:
+def _load(cfg: dict) -> tuple:
+    """The run's family and dataset, with the response checked against the family."""
+    family = get_family(_read(cfg, "family"))
+    cols = {key: _read(cfg, f"columns.{key}") for key in ("u", "y", "x", "z")}
+    for key, value in cols.items():
+        if value is None:
             raise ParameterError(f"config is missing columns.{key}")
     roles = [cols["u"], cols["y"], *cols["x"], *cols["z"]]
     if len(set(roles)) != len(roles):
         raise ParameterError("column roles overlap; u, y, x, z must be disjoint")
-    if cfg.get("dataset") is None:
+    path = _read(cfg, "dataset")
+    if path is None:
         raise ParameterError("config is missing the dataset path")
-    return read_dataset_csv(
-        cfg["dataset"], cols["u"], cols["y"], list(cols["x"]), list(cols["z"]),
-        intercept=bool(cfg.get("intercept", False)),
-    )
+    data = read_dataset_csv(path, cols["u"], cols["y"], cols["x"], cols["z"],
+                            intercept=bool(_read(cfg, "intercept")))
+    data.validate_response(family)
+    return family, data
 
 
-def _resolve_smoothing(cfg, family, data) -> SmoothingParams:
-    smoothing = _smoothing_from_config(cfg)
-    if smoothing is not None:
-        return smoothing
-    report = cross_validate(
-        family, data, grid=default_smoothing_grid(family, data),
-        k=_number(cfg.get("cv", {}).get("k", 5), "cv.k", int),
-        seed=_number(cfg.get("seed", 0), "seed", int),
-    )
-    return report.best
+def _fit_config(cfg: dict, h: float) -> FitConfig:
+    """The run's fit settings at bandwidth h: the config keys that are set, and
+    the defaults of FitConfig and SmoothingParams for the rest."""
+    smoothing = SmoothingParams(h=h, **_set(cfg, delta="smoothing.delta",
+                                            degree="smoothing.degree"))
+    return FitConfig(smoothing, **_set(cfg, algorithm="fit.algorithm",
+                                       max_steps="fit.max_steps", step_tol="fit.tol"))
+
+
+def _cross_validate(cfg: dict, family, data: Dataset):
+    """Cross-validate the run's (delta, h) grid with the run's fit settings.
+
+    Each axis comes from its grid key (cv.delta_grid, cv.h_grid).  Failing
+    that, the delta axis is smoothing.delta.  Failing both, each axis is the
+    one default_smoothing_grid uses.
+    """
+    deltas = _read(cfg, "cv.delta_grid") or [_read(cfg, "smoothing.delta")]
+    if deltas == [None] and family.needs_delta:
+        deltas = DEFAULT_DELTA_GRID
+    hs = _read(cfg, "cv.h_grid") or default_h_grid(data)
+    grid = [(d, float(h)) for d in deltas for h in hs]
+    return cross_validate(family, data, grid=grid, config=_fit_config(cfg, grid[0][1]),
+                          **_set(cfg, k="cv.k", seed="seed"))
+
+
+def _run_config(cfg: dict, family, data: Dataset) -> FitConfig:
+    """fit and test: the run's FitConfig; without smoothing.h, at the best
+    cell of _cross_validate."""
+    h = _read(cfg, "smoothing.h")
+    if h is not None:
+        return _fit_config(cfg, h)
+    best = _cross_validate(cfg, family, data).best
+    return dataclasses.replace(_fit_config(cfg, best.h), smoothing=best)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -194,14 +282,13 @@ def _json_dump(path: Path, payload: dict) -> None:
 
 
 def _fit_payload(family, data, result, cov) -> dict:
-    z_names = list(data.z_names or [f"z{j + 1}" for j in range(data.n_linear)])
+    _, z_names = _column_names(data)
     beta = result.beta
     se = cov.se
     zscores = beta / np.where(se > 0, se, np.nan)
     pvals = 2.0 * special.ndtr(-np.abs(zscores))
-    fam = get_family(family)
     return {
-        "family": fam.name,
+        "family": family.name,
         "coefficients": {
             name: {
                 "estimate": float(beta[j]),
@@ -219,13 +306,9 @@ def _fit_payload(family, data, result, cov) -> dict:
 
 
 def _write_curve_csv(path: Path, data, result) -> None:
-    x_names = list(data.x_names or [f"x{j + 1}" for j in range(data.n_curves)])
-    header = ["grid_u"] + [f"alpha_{name}_hat" for name in x_names]
-    lines = [",".join(header)]
-    for k in range(result.curve.grid.size):
-        cells = [result.curve.grid[k], *result.curve.values[k]]
-        lines.append(",".join(_float_repr(c) for c in cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    x_names, _ = _column_names(data)
+    write_csv(path, ["grid_u", *(f"alpha_{name}_hat" for name in x_names)],
+              np.column_stack([result.curve.grid, result.curve.values]))
 
 
 def _standardized_residuals(result) -> np.ndarray:
@@ -235,15 +318,13 @@ def _standardized_residuals(result) -> np.ndarray:
 
 
 def _cmd_fit(cfg: dict) -> int:
-    family = get_family(cfg.get("family"))
-    data = _load_dataset(cfg)
-    data.validate_response(family)
-    smoothing = _resolve_smoothing(cfg, family, data)
-    config = _fit_config(cfg, smoothing)
+    family, data = _load(cfg)
+    config = _run_config(cfg, family, data)
     result = profile_fit(family, data, config)
     cov = sandwich_covariance(result)
     out = _out_dir(cfg)
     payload = _fit_payload(family, data, result, cov)
+    smoothing = config.smoothing
     payload["smoothing"] = {"h": smoothing.h, "delta": smoothing.delta,
                             "degree": smoothing.degree}
     payload["standardized_residuals"] = [
@@ -255,17 +336,13 @@ def _cmd_fit(cfg: dict) -> int:
 
 
 def _cmd_test(cfg: dict) -> int:
-    family = get_family(cfg.get("family"))
-    data = _load_dataset(cfg)
-    data.validate_response(family)
-    if not cfg.get("test"):
+    family, data = _load(cfg)
+    spec = _read(cfg, "test")
+    if not spec:
         raise ParameterError("test command requires a constraint, e.g. "
                              "--test 'z7=0,z8=0'")
-    z_names = list(data.z_names or [f"z{j + 1}" for j in range(data.n_linear)])
-    rows = _parse_constraint(cfg["test"], z_names)
-    constraint = make_constraint(rows)
-    smoothing = _resolve_smoothing(cfg, family, data)
-    config = _fit_config(cfg, smoothing)
+    constraint = make_constraint(_parse_constraint(spec, _column_names(data)[1]))
+    config = _run_config(cfg, family, data)
     fit_alt = profile_fit(family, data, config, curve_grid=False)
     result = glrt(family, data, constraint, config, fit_alt=fit_alt)
     cov = sandwich_covariance(fit_alt)
@@ -279,32 +356,15 @@ def _cmd_test(cfg: dict) -> int:
         "beta_alt": [float(b) for b in result.beta_alt],
         "beta_null": [float(b) for b in result.beta_null],
         "coefficients": _fit_payload(family, data, fit_alt, cov)["coefficients"],
-        "constraint": cfg["test"],
+        "constraint": spec,
     }
     _json_dump(out / "test_report.json", payload)
     return EXIT_OK
 
 
 def _cmd_cv(cfg: dict) -> int:
-    family = get_family(cfg.get("family"))
-    data = _load_dataset(cfg)
-    data.validate_response(family)
-    cv_block = cfg.get("cv", {})
-    h_grid = cv_block.get("h_grid")
-    if h_grid:
-        if cv_block.get("delta_grid"):
-            deltas = [_number(d, "cv.delta_grid") for d in cv_block["delta_grid"]]
-        elif family.needs_delta:
-            delta = _number(cfg.get("smoothing", {}).get("delta"), "smoothing.delta")
-            deltas = [0.1 if delta is None else delta]
-        else:
-            deltas = [None]
-        grid = [(d, _number(h, "cv.h_grid")) for d in deltas for h in h_grid]
-    else:
-        grid = default_smoothing_grid(family, data)
-    report = cross_validate(family, data, grid=grid,
-                            k=_number(cv_block.get("k", 5), "cv.k", int),
-                            seed=_number(cfg.get("seed", 0), "seed", int))
+    family, data = _load(cfg)
+    report = _cross_validate(cfg, family, data)
     out = _out_dir(cfg)
     _json_dump(out / "cv_report.json", {
         "best": {"h": report.best.h, "delta": report.best.delta},
@@ -315,40 +375,26 @@ def _cmd_cv(cfg: dict) -> int:
             for i, (d, h) in enumerate(report.grid)
         ],
     })
-    lines = ["delta,h,score,failed"]
-    for i, (d, h) in enumerate(report.grid):
-        score = "nan" if report.failed[i] else repr(float(report.scores[i]))
-        lines.append(f"{'' if d is None else repr(float(d))},{repr(float(h))},"
-                     f"{score},{int(report.failed[i])}")
-    (out / "cv_scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out / "cv_scores.csv", ["delta", "h", "score", "failed"],
+              [(d, h, report.scores[i], report.failed[i])
+               for i, (d, h) in enumerate(report.grid)])
     return EXIT_OK
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    block = cfg.get("simulate", {})
-    study = block.get("study", "table2")
-    n = _number(block.get("n", 200), "simulate.n", int)
-    seed = _number(cfg.get("seed", 0), "seed", int)
     out = _out_dir(cfg)
-    if block.get("emit_csv"):
+    run = _set(cfg, family="family", n="simulate.n", seed="seed", reps="simulate.reps")
+    if _read(cfg, "simulate.emit_csv"):
         from .simulate import generate, make_design, replicate_seed
 
-        design = make_design(cfg.get("family", "poisson"), n)
-        for rep in range(_number(block.get("reps", 1), "simulate.reps", int)):
-            data = generate(design, replicate_seed(seed, rep))
+        design = make_design(run.get("family", "poisson"), run.get("n", 200))
+        for rep in range(run.get("reps", 1)):
+            data = generate(design, replicate_seed(run.get("seed", 0), rep))
             write_dataset_csv(out / f"dataset_rep{rep:03d}.csv", data)
         return EXIT_OK
-    studies.run_table(
-        study,
-        reps=_number(block.get("reps"), "simulate.reps", int),
-        seed=seed,
-        family=cfg.get("family", "poisson"),
-        n=n,
-        out_dir=out,
-        use_cv=bool(block.get("use_cv", False)),
-        h=_number(cfg.get("smoothing", {}).get("h"), "smoothing.h"),
-        delta=_number(cfg.get("smoothing", {}).get("delta"), "smoothing.delta"),
-    )
+    studies.run_table(_read(cfg, "simulate.study") or "table2", out_dir=out, **run,
+                      **_set(cfg, use_cv="simulate.use_cv", h="smoothing.h",
+                             delta="smoothing.delta"))
     return EXIT_OK
 
 
@@ -360,40 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "partially linear models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fit", "test", "cv", "simulate"):
+    for name in _ALL:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--data", help="dataset CSV path")
-        p.add_argument("--family", help="gaussian | poisson | bernoulli")
-        p.add_argument("--u", help="index column name")
-        p.add_argument("--y", help="response column name")
-        p.add_argument("--x", help="comma-separated curve covariate columns")
-        p.add_argument("--z", help="comma-separated linear covariate columns")
-        p.add_argument("--intercept", action="store_true", default=None,
-                       help="prepend a constant column to x")
-        p.add_argument("--h", type=float, help="bandwidth")
-        p.add_argument("--delta", type=float, help="transform offset")
-        p.add_argument("--degree", type=int, help="local polynomial degree")
-        p.add_argument("--algorithm", choices=["backfit", "accel", "full"],
-                       help="outer Newton variant")
-        p.add_argument("--max-steps", type=int, dest="max_steps")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--test", help="constraint spec, e.g. 'z7=0,z8=0'")
-        p.add_argument("--cv", type=int, dest="cv_k", help="number of folds")
-        p.add_argument("--h-grid", dest="h_grid",
-                       help="comma-separated bandwidth grid")
-        p.add_argument("--delta-grid", dest="delta_grid",
-                       help="comma-separated offset grid")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        if name == "simulate":
-            p.add_argument("--study", choices=list(studies.STUDIES))
-            p.add_argument("--reps", type=int)
-            p.add_argument("--n", type=int)
-            p.add_argument("--emit-csv", dest="emit_csv", action="store_true",
-                           default=None)
-            p.add_argument("--use-cv", dest="use_cv", action="store_true",
-                           default=None)
+        for opt in _OPTIONS:
+            if name in opt.commands:
+                switch = {"action": "store_true", "default": None} if opt.parse is bool else {}
+                p.add_argument(opt.flag, dest=opt.key, help=opt.help, **switch)
     return parser
 
 
@@ -412,42 +430,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for block in ("columns", "smoothing", "fit", "cv", "simulate"):
         if not isinstance(cfg.setdefault(block, {}), dict):
             raise ParameterError(f"config block {block!r} must be a JSON object")
-
-    def put(block, key, value):
-        if value is not None:
-            block[key] = value
-
-    put(cfg, "dataset", args.data)
-    put(cfg, "family", args.family)
-    put(cfg["columns"], "u", args.u)
-    put(cfg["columns"], "y", args.y)
-    if args.x is not None:
-        cfg["columns"]["x"] = [s.strip() for s in args.x.split(",") if s.strip()]
-    if args.z is not None:
-        cfg["columns"]["z"] = [s.strip() for s in args.z.split(",") if s.strip()]
-    put(cfg, "intercept", args.intercept)
-    put(cfg["smoothing"], "h", args.h)
-    put(cfg["smoothing"], "delta", args.delta)
-    put(cfg["smoothing"], "degree", args.degree)
-    put(cfg["fit"], "algorithm", args.algorithm)
-    put(cfg["fit"], "max_steps", args.max_steps)
-    put(cfg["fit"], "tol", args.tol)
-    put(cfg, "test", args.test)
-    put(cfg["cv"], "k", args.cv_k)
-    if args.h_grid is not None:
-        cfg["cv"]["h_grid"] = [_number(s, "--h-grid") for s in args.h_grid.split(",")
-                               if s.strip()]
-    if args.delta_grid is not None:
-        cfg["cv"]["delta_grid"] = [_number(s, "--delta-grid")
-                                   for s in args.delta_grid.split(",") if s.strip()]
-    put(cfg, "out", args.out)
-    put(cfg, "seed", args.seed)
-    if args.command == "simulate":
-        put(cfg["simulate"], "study", getattr(args, "study", None))
-        put(cfg["simulate"], "reps", getattr(args, "reps", None))
-        put(cfg["simulate"], "n", getattr(args, "n", None))
-        put(cfg["simulate"], "emit_csv", getattr(args, "emit_csv", None))
-        put(cfg["simulate"], "use_cv", getattr(args, "use_cv", None))
+    for opt in _OPTIONS:
+        value = getattr(args, opt.key, None)
+        if value is not None and opt.key != "config":
+            block, _, name = opt.key.rpartition(".")
+            (cfg[block] if block else cfg)[name] = _parse(opt, value, opt.flag)
     return cfg
 
 

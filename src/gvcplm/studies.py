@@ -394,6 +394,8 @@ def run_table(
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -401,11 +403,13 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header, rows_of_values):
+def write_csv(path, header, rows_of_values) -> None:
+    """Write a headed CSV: floats in repr form (exact round trip), bools and
+    ints as integers, None as an empty cell."""
     lines = [",".join(header)]
     for row in rows_of_values:
         lines.append(",".join(_format_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_report(out_dir: Path, report: dict) -> None:
@@ -414,8 +418,8 @@ def _write_report(out_dir: Path, report: dict) -> None:
     rows = report["replicates"]
     if rows:
         header = sorted(rows[0].keys())
-        _write_csv(out_dir / f"{study}_replicates.csv", header,
-                   ([row[k] for k in header] for row in rows))
+        write_csv(out_dir / f"{study}_replicates.csv", header,
+                  ([row[k] for k in header] for row in rows))
     meta = {k: v for k, v in report.items()
             if k not in ("replicates", "curves", "power_curves")}
     (out_dir / f"{study}_summary.json").write_text(
@@ -427,5 +431,5 @@ def _write_report(out_dir: Path, report: dict) -> None:
             table = report[key]
             names = list(table.keys())
             columns = [np.asarray(table[name]) for name in names]
-            _write_csv(out_dir / f"{study}_{key}.csv", names,
-                       (list(vals) for vals in zip(*columns)))
+            write_csv(out_dir / f"{study}_{key}.csv", names,
+                      (list(vals) for vals in zip(*columns)))

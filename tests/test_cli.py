@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gvcplm as g
+from gvcplm import cli, crossval
 from gvcplm.cli import main, read_dataset_csv, write_dataset_csv
 from gvcplm.smoothing import CurveFitter
 
@@ -222,6 +223,22 @@ class TestFitCommand:
         via_csv = g.fit("poisson", emitted, cfg, curve_grid=False)
         np.testing.assert_array_equal(direct.beta, via_csv.beta)
 
+    def test_cv_without_h_keeps_degree_and_delta(self, tmp_path):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 101)
+        code = run_cli("fit", *args, "--degree", "2", "--delta", "0.05", "--cv", "2")
+        assert code == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert report["smoothing"]["degree"] == 2
+        assert report["smoothing"]["delta"] == 0.05
+
+    @pytest.mark.parametrize("name, code", [("accelerated", 0), ("bogus", 2)])
+    def test_algorithm_named_as_reports_write_it(self, tmp_path, capsys, name, code):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 103)
+        assert run_cli("fit", *args, "--h", "0.1", "--delta", "0.1",
+                       "--algorithm", name) == code
+        if code:
+            assert "unknown algorithm" in capsys.readouterr().err
+
 
 class TestTestCommand:
     def test_reports_glrt_payload(self, tmp_path):
@@ -289,6 +306,32 @@ class TestCvCommand:
         lines = (tmp_path / "cv_scores.csv").read_text().splitlines()
         assert lines[0] == "delta,h,score,failed"
 
+    def test_delta_grid_alone_crosses_the_default_h_axis(self, tmp_path):
+        data, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        code = run_cli("cv", *args, "--cv", "2", "--delta-grid", "0.05", "--seed", "5")
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "cv_scores.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0.05"] * 10
+        assert [float(row[1]) for row in rows] == list(g.default_h_grid(data))
+
+    def test_cells_fit_with_the_run_settings(self, tmp_path, monkeypatch):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        configs = []
+        fit = crossval.profile_fit
+
+        def spy(family, data, config, *rest, **kwargs):
+            configs.append(config)
+            return fit(family, data, config, *rest, **kwargs)
+
+        monkeypatch.setattr("gvcplm.crossval.profile_fit", spy)
+        code = run_cli("cv", *args, "--cv", "2", "--h-grid", "0.15", "--delta-grid", "0.1",
+                       "--degree", "0", "--algorithm", "backfit", "--max-steps", "1")
+        assert code == 0
+        assert len(configs) == 2
+        assert {(c.algorithm, c.max_steps, c.smoothing.degree)
+                for c in configs} == {("backfitting", 1, 0)}
+
 
 class TestSimulateCommand:
     def test_runs_study_and_writes_artifacts(self, tmp_path):
@@ -299,6 +342,64 @@ class TestSimulateCommand:
         payload = json.loads((tmp_path / "table2_summary.json").read_text())
         assert payload["reps"] == 2
         assert (tmp_path / "table2_replicates.csv").exists()
+
+
+# per flag: its command-line text and the JSON value a config file holds for it
+FLAG_SAMPLES = {
+    "--data": ("d.csv", "d.csv"),
+    "--family": ("bernoulli", "bernoulli"),
+    "--u": ("age", "age"),
+    "--y": ("outcome", "outcome"),
+    "--x": ("x1, x2", ["x1", "x2"]),
+    "--z": ("z1,z2", ["z1", "z2"]),
+    "--intercept": (None, True),
+    "--h": ("0.25", 0.25),
+    "--delta": ("0.05", 0.05),
+    "--degree": ("2", 2),
+    "--algorithm": ("full", "full"),
+    "--max-steps": ("7", 7),
+    "--tol": ("1e-08", 1e-08),
+    "--test": ("z7=0", "z7=0"),
+    "--cv": ("4", 4),
+    "--h-grid": ("0.1,0.2", [0.1, 0.2]),
+    "--delta-grid": ("0.05", [0.05]),
+    "--out": ("results", "results"),
+    "--seed": ("9", 9),
+    "--study": ("table4", "table4"),
+    "--reps": ("20", 20),
+    "--n": ("400", 400),
+    "--emit-csv": (None, True),
+    "--use-cv": (None, True),
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("flag", sorted(FLAG_SAMPLES))
+    def test_flag_and_config_key_merge_alike(self, tmp_path, flag):
+        assert {o.flag for o in cli._OPTIONS} == {"--config", *FLAG_SAMPLES}
+        option = next(o for o in cli._OPTIONS if o.flag == flag)
+        text, value = FLAG_SAMPLES[flag]
+        block, _, name = option.key.rpartition(".")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({block: {name: value}} if block else {name: value}))
+        parser = cli.build_parser()
+        for command in option.commands:
+            from_flag = cli._merge_config(parser.parse_args(
+                [command, flag, *([] if text is None else [text])]))
+            from_file = cli._merge_config(parser.parse_args(
+                [command, "--config", str(config)]))
+            assert from_flag == from_file
+            assert from_flag != cli._merge_config(parser.parse_args([command]))
+
+    @pytest.mark.parametrize("command, flag", [("simulate", ("--degree", "2")),
+                                               ("cv", ("--h", "0.1"))])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, command, flag):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        runs = {"simulate": ("--emit-csv", "--reps", "1", "--out", str(tmp_path / "sim")),
+                "cv": (*args, "--cv", "2", "--h-grid", "0.15", "--delta-grid", "0.1")}
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(command, *runs[command], *flag)
+        assert exit_.value.code == 2
 
 
 class TestConsoleEntryPoint:
