@@ -155,10 +155,10 @@ def glrt(
 
     The unconstrained fit may be supplied to avoid refitting; it must have
     been fitted to this data, family and config.smoothing.  The constrained
-    fit runs on the unconstrained fit's engine, starts from the projection of
-    its estimate onto the null space, passes its final local coefficients as
-    the warm start of the local fits, and runs the same Newton configuration
-    in the reduced coordinates.
+    fit runs on the unconstrained fit's engine from the projection B'B beta
+    of its estimate onto the null space, warm-starts the local fits from
+    tangent_start(fit_alt.state, B'B beta), and runs the same Newton
+    configuration in the reduced coordinates.
     """
     if fit_alt is None:
         fit_alt = profile_fit(family, data, config, curve_grid=False)
@@ -168,8 +168,9 @@ def glrt(
         raise ParameterError("fit_alt was fitted to other data, family or smoothing "
                              "than given to glrt")
     gamma0 = constraint.b @ fit_alt.beta
+    warm = engine.tangent_start(fit_alt.state, constraint.b.T @ gamma0)
     state_null, _, _, _ = _newton_fit(engine, config, gamma0, basis=constraint.b,
-                                      warm=fit_alt.state.solution.coefficients)
+                                      warm=warm)
     raw = 2.0 * (fit_alt.profile_loglik - state_null.loglik)
     statistic = max(raw, 0.0)
     df = constraint.df

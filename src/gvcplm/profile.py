@@ -27,6 +27,11 @@ the gradient is sum_i psi_i and the outer-product Hessian term is
 sum_i q_2(mhat_i, y_i) (z_i + alpha_prime(u_i) x_i) (same)'.  Every accepted
 outer step recomputes the curve, and a step is halved until the objective
 does not decrease, so the accepted trace of Qp values is nondecreasing.
+
+Each trial's local fits, halvings included, start from the accepted iterate:
+``accelerated`` and ``full`` from its tangent prediction (predictor-corrector
+continuation), since their gradient already holds every local coefficient's
+beta-derivative, and ``backfitting`` from its local coefficients.
 """
 
 from __future__ import annotations
@@ -90,8 +95,8 @@ class FitResult:
 
     fitted is the (n,) linear predictor at beta.  The result also carries the
     engine and the final state that produced it, so inference at beta reuses
-    the fit's smoother instead of rebuilding it (the GLRT null fit passes
-    state.solution.coefficients as its warm start).  Both pin O(n*w) arrays, w
+    the fit's smoother instead of rebuilding it (the GLRT null fit starts its
+    local fits from the state's tangent_start).  Both pin O(n*w) arrays, w
     the kernel window width: code that needs only beta should drop the result.
     """
 
@@ -117,7 +122,7 @@ class _State:
     loglik: float
     q1: np.ndarray
     q2: np.ndarray
-    _alpha_prime: Optional[np.ndarray] = None
+    _dcoef: Optional[np.ndarray] = None   # (n, p, d) local coefficients' beta-derivative
 
 
 class ProfileEngine:
@@ -142,8 +147,8 @@ class ProfileEngine:
         return other
 
     def state(self, beta, warm=None) -> _State:
-        """Profile state at beta; the local fits start from warm, a nearby
-        state's solution.coefficients, or cold when warm is None."""
+        """Profile state at beta; the local fits start from warm, (m, d)
+        coefficients such as tangent_start's, or cold when warm is None."""
         beta = np.asarray(beta, dtype=float)
         offsets = self.data.z @ beta
         sol = self.fitter.solve(offsets, warm=warm)
@@ -152,11 +157,22 @@ class ProfileEngine:
         q, q1, q2 = self.family.q012(fitted, self.data.y)
         return _State(beta, sol, fitted, float(np.sum(q)), q1, q2)
 
+    def _coefficient_derivative(self, state: _State) -> np.ndarray:
+        if state._dcoef is None:
+            state._dcoef = self.fitter.coefficient_derivative(state.solution, self.data.z)
+        return state._dcoef
+
     def alpha_prime(self, state: _State) -> np.ndarray:
         """(n, p, q) derivative of the fitted curve at each observation."""
-        if state._alpha_prime is None:
-            state._alpha_prime = self.fitter.alpha_prime(state.solution, self.data.z)
-        return state._alpha_prime
+        return self._coefficient_derivative(state)[:, :, : self.data.n_curves]
+
+    def tangent_start(self, near: _State, beta) -> np.ndarray:
+        """Local coefficients at beta predicted to first order from the state
+        near; depends on (near, beta) only (near's derivative is computed if
+        it was not yet)."""
+        move = np.asarray(beta, dtype=float) - near.beta
+        return near.solution.coefficients + np.einsum(
+            "epd,p->ed", self._coefficient_derivative(near), move)
 
     def effective_covariates(self, state: _State, algorithm: str) -> np.ndarray:
         """z_i + alpha_prime(u_i) x_i, or plain z for backfitting."""
@@ -215,7 +231,7 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm
     With ``basis`` B (rows orthonormal), the iteration runs in the reduced
     coordinates gamma with beta = B' gamma, which is how linear null
     hypotheses are fitted.  The first state's local fits start from warm (cold
-    when None), every later one from the state solved just before it.
+    when None), every trial's from the accepted iterate (module docstring).
 
     Returns (final state, trace, converged flag, accepted step count).
     """
@@ -235,10 +251,13 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm
             grad = basis @ grad
             hess = basis @ hess @ basis.T
         step = _solve_descent(hess, grad)
-        scale, trial = 1.0, state
+        scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = current + scale * step
-            trial = engine.state(to_beta(candidate), trial.solution.coefficients)
+            beta = to_beta(candidate)
+            trial = engine.state(beta, state.solution.coefficients
+                                 if config.algorithm == "backfitting"
+                                 else engine.tangent_start(state, beta))
             if trial.loglik >= state.loglik - 1e-9 * (1.0 + abs(state.loglik)):
                 break
             scale *= 0.5

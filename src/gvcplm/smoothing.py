@@ -15,7 +15,7 @@ local objective (q_2 < 0) makes the maximizer unique, so batching changes
 cost, not results.  ``CurveFitter`` precomputes the kernel weights and the
 polynomial design tensor once per (data, bandwidth, points) triple; repeated
 solves at nearby beta values (the inner loop of profile estimation) then
-reuse them and warm-start from the previous coefficients.
+reuse them and warm-start from nearby coefficients.
 
 The kernel has compact support, so only observations with
 |u_i - u| <= support_radius * h carry weight at u.  With the observations
@@ -25,17 +25,19 @@ columns, padded to the widest band w: O(m w) memory and work for m points
 instead of O(m n).  Padding entries get a kernel weight of exactly zero, so
 the estimator is the one defined by the full kernel sums above.
 
-``CurveFitter.alpha_prime`` returns the derivative of the fitted curve with
-respect to beta, obtained in closed form by differentiating the local score
-equation: with W the kernel weights, D the local design and q2 the local
-curvature that ``solve`` returns, evaluated at the local fitted values,
+``CurveFitter.coefficient_derivative`` returns the derivative of the local
+coefficients with respect to beta, obtained in closed form by differentiating
+the local score equation: with W the kernel weights, D the local design and
+q2 the local curvature that ``solve`` returns, evaluated at the local fitted
+values,
 
     d a / d beta' = -[sum_i q2_i D_i D_i' W_i]^{-1} [sum_i q2_i D_i z_i' W_i],
 
-whose leading q rows give d alpha(u) / d beta.  For degree 0 this is the
-familiar ratio of kernel-weighted moment matrices; for degree >= 1 it is the
-exact implicit derivative of the implemented local fit, which is what the
-profile gradient and Hessian need to close the chain rule numerically.
+summed over each window as a contiguous run of the u-sorted rows of z.  Its
+leading q rows (``alpha_prime``) give d alpha(u) / d beta, which the profile
+gradient and Hessian need; all rows predict the local fit at a nearby beta.
+For degree 0 this is the familiar ratio of kernel-weighted moment matrices;
+for degree >= 1 it is the exact implicit derivative of the implemented fit.
 """
 
 from __future__ import annotations
@@ -152,13 +154,14 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray
     return np.linalg.solve(ridged, rhs)
 
 
-def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float) -> np.ndarray:
-    """Observation indices of each point's kernel window, shape (m, w).
+def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float):
+    """Each point's kernel window as a run of the u-sorted observations.
 
-    Row e lists, in increasing order of u, the observations with
-    |u_i - points[e]| <= reach, padded with neighbouring observations to the
-    widest window w.  The search is widened by a relative 1e-9, so every
-    observation whose kernel weight is nonzero in floating point is inside.
+    Returns (order, start, w): order sorts u (stable), and point e's window
+    order[start[e] : start[e] + w] holds the observations with
+    |u_i - points[e]| <= reach, padded with neighbours to the widest window
+    w (start is clamped to n - w).  The search is widened by a relative 1e-9,
+    so every observation whose kernel weight is nonzero is inside.
     """
     order = np.argsort(u, kind="stable")
     sorted_u = u[order]
@@ -167,8 +170,7 @@ def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float) -> np.ndarr
     lo = np.searchsorted(sorted_u, points - reach, side="left")
     hi = np.searchsorted(sorted_u, points + reach, side="right")
     w = int((hi - lo).max(initial=0))
-    start = np.minimum(lo, n - w)
-    return order[start[:, None] + np.arange(w)]
+    return order, np.minimum(lo, n - w), w
 
 
 class CurveFitter:
@@ -176,8 +178,8 @@ class CurveFitter:
 
     The constructor finds each point's kernel window, a band of w
     observations that holds every nonzero kernel weight, and stores the
-    band's indices ``index`` (m, w), kernel ``weights`` (m, w), responses and
-    polynomial ``design`` (m, d, w).  solve() then runs the damped Newton
+    band's indices ``index`` (m, w) (rows order[start : start + w]), kernel
+    ``weights`` (m, w), responses and polynomial ``design`` (m, d, w).  solve() then runs the damped Newton
     iteration for a given offset vector (z_i' beta) over the bands only.  One
     instance is reused for every beta the profile optimizer visits.
     """
@@ -195,10 +197,10 @@ class CurveFitter:
         self.n_curves = q
         self.n_coef = (degree + 1) * q
 
-        self.index = _kernel_windows(
+        self.order, self.start, w = _kernel_windows(
             u, self.points, smoothing.kernel.support_radius * smoothing.h
         )
-        w = self.index.shape[1]
+        self.index = self.order[self.start[:, None] + np.arange(w)]
         t = u[self.index] - self.points[:, None]                   # (m, w)
         self.weights = kernel_weight(smoothing.kernel, t, smoothing.h)
         counts = np.count_nonzero(self.weights, axis=1)
@@ -338,23 +340,28 @@ class CurveFitter:
         """alpha_hat at each evaluation point, shape (m, q)."""
         return solution.coefficients[:, : self.n_curves]
 
-    def alpha_prime(self, solution: BatchSolution, z) -> np.ndarray:
-        """Derivative of the fitted curve with respect to beta, (m, p, q).
+    def coefficient_derivative(self, solution: BatchSolution, z) -> np.ndarray:
+        """Derivative of every local coefficient with respect to beta, (m, p, d).
 
-        Entry [e, j, r] is d alpha_hat_r(points[e]) / d beta_j, from the
-        closed-form implicit derivative of the local score equation with the
-        solution's curvature q2 (no family evaluation).  The right-hand side
-        is contracted one column of z at a time, so no (m, w, p) gather of z
-        is held.
+        Entry [e, j, k] is d a_k(points[e]) / d beta_j, the closed-form
+        implicit derivative -S1^{-1} S2 of the local score equation with the
+        solution's curvature q2 (no family evaluation).  S2 is built point by
+        point from the window's contiguous slice of the u-sorted z, a view,
+        so no rows of z are gathered.
         """
-        z = np.asarray(z, dtype=float)
+        zs = np.asarray(z, dtype=float)[self.order]
         wq2_design = self.design * (self.weights * solution.curvature)[:, None, :]
         s1 = -(wq2_design @ np.swapaxes(self.design, 1, 2))
-        s2 = np.empty(s1.shape[:2] + (z.shape[1],))
-        for k, column in enumerate(np.ascontiguousarray(z.T)):
-            s2[:, :, k] = (wq2_design @ column[self.index][:, :, None])[:, :, 0]
-        nmat = _ridged_solve(s1, s2, "curve derivative")
-        return np.swapaxes(nmat[:, : self.n_curves, :], 1, 2)
+        s2 = np.empty(s1.shape[:2] + (zs.shape[1],))
+        w = self.design.shape[2]
+        for rows, s, out in zip(wq2_design, self.start.tolist(), s2):
+            np.dot(rows, zs[s:s + w], out=out)   # out=: no temporary per point
+        return np.swapaxes(_ridged_solve(s1, s2, "curve derivative"), 1, 2)
+
+    def alpha_prime(self, solution: BatchSolution, z) -> np.ndarray:
+        """(m, p, q) derivative of the fitted curve with respect to beta: the
+        leading q coefficients of coefficient_derivative."""
+        return self.coefficient_derivative(solution, z)[:, :, : self.n_curves]
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,14 @@ _SE_DISPLAY_COORDS = {"poisson": (1, 3), "bernoulli": (2, 4)}  # 1-based
 
 
 def _smoothing_for(family: str, n: int, h, delta, use_cv: bool, seed: int) -> SmoothingParams:
+    """Given h and delta, else cross-validated over the axes not given (with
+    use_cv), else the presets."""
     preset_delta, preset_h = preset_smoothing(family, n)
-    if use_cv:
+    if use_cv and (h is None or delta is None):
         data = generate(make_design(family, n), replicate_seed(seed, 0))
-        report = cross_validate(family, data,
-                                grid=default_smoothing_grid(family, data),
-                                seed=seed)
-        chosen = report.best
-        return SmoothingParams(h=chosen.h if h is None else h,
-                               delta=chosen.delta if delta is None else delta)
+        grid = [(d if delta is None else delta, hh if h is None else h)
+                for d, hh in default_smoothing_grid(family, data)]
+        return cross_validate(family, data, grid=list(dict.fromkeys(grid)), seed=seed).best
     return SmoothingParams(h=preset_h if h is None else h,
                            delta=preset_delta if delta is None else delta)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import gvcplm as g
 from gvcplm import CurveFitter, EffectiveSampleError, SmoothingParams
-from gvcplm.smoothing import LOCAL_TOL, MAX_LOCAL_ITERS
+from gvcplm.smoothing import LOCAL_TOL, MAX_LOCAL_ITERS, _ridged_solve
 
 
 def _dense_design(u, x, point, degree):
@@ -269,3 +269,58 @@ class TestBandedWindows:
         sm = SmoothingParams(h=0.1, delta=0.1, kernel=gauss)
         fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, [0.5, 3.0])
         assert fitter.weights.shape == (2, data.n)
+
+
+# ---------------------------------------------------------------------------
+# the derivative over contiguous windows against the gathered one
+
+
+def _gathered_derivative(fitter, sol, z):
+    """The earlier S2, one gather of z's rows through ``index`` per column,
+    kept as the reference for the contiguous windows; (m, p, d)."""
+    wq2_design = fitter.design * (fitter.weights * sol.curvature)[:, None, :]
+    s1 = -(wq2_design @ np.swapaxes(fitter.design, 1, 2))
+    s2 = np.empty(s1.shape[:2] + (z.shape[1],))
+    for k, column in enumerate(np.ascontiguousarray(z.T)):
+        s2[:, :, k] = (wq2_design @ column[fitter.index][:, :, None])[:, :, 0]
+    return np.swapaxes(_ridged_solve(s1, s2, "curve derivative"), 1, 2)
+
+
+class TestContiguousWindows:
+    @staticmethod
+    def _check(family, data, sm, points):
+        fitter = CurveFitter(family, data.x, data.y, data.u, sm, points)
+        sol = fitter.solve(data.z @ np.linspace(-0.2, 0.2, data.n_linear))
+        got = fitter.coefficient_derivative(sol, data.z)
+        expected = _gathered_derivative(fitter, sol, data.z)
+        assert got.shape == (points.size, data.n_linear, fitter.n_coef)
+        scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+        assert np.array_equal(fitter.alpha_prime(sol, data.z),
+                              got[:, :, : data.n_curves])
+        return fitter
+
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+    @pytest.mark.parametrize("n", [200, 1500])
+    def test_benchmark_designs(self, family, n):
+        data = g.generate(g.make_design(family, n), seed=g.replicate_seed(9, 0))
+        delta, h = g.preset_smoothing(family, n)
+        self._check(family, data, SmoothingParams(h=h, delta=delta), data.u)
+
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+    def test_ties_in_u(self, family):
+        data = g.generate(g.make_design(family, 400), seed=g.replicate_seed(9, 1))
+        tied = g.Dataset(u=np.round(data.u * U_STEPS) / U_STEPS, x=data.x,
+                         z=data.z, y=data.y)
+        delta, h = g.preset_smoothing(family, 400)
+        self._check(family, tied, SmoothingParams(h=h, delta=delta), tied.u)
+
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+    def test_points_beyond_the_data_range(self, family):
+        data = g.generate(g.make_design(family, 400), seed=g.replicate_seed(9, 2))
+        sm = SmoothingParams(h=0.4 if family == "bernoulli" else 0.2, delta=0.1)
+        points = np.linspace(-0.15, 1.15, 27)
+        fitter = self._check(family, data, sm, points)
+        w = fitter.index.shape[1]
+        assert w < data.n
+        assert fitter.start[0] == 0 and fitter.start[-1] == data.n - w

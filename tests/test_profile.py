@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gvcplm as g
-from gvcplm import FitConfig, ParameterError, SmoothingParams
+from gvcplm import CurveFitter, FitConfig, ParameterError, SmoothingParams
+from gvcplm.profile import ProfileEngine, _solve_descent
 
 from conftest import make_gaussian_dataset
 from oracles import fd_gradient, gaussian_profile_sse, gaussian_profile_wls
@@ -178,3 +179,64 @@ class TestFit:
         assert res.curve.values.shape == (200, data.n_curves)
         assert np.all(np.isfinite(res.curve.values))
         assert np.all(np.diff(res.curve.grid) > 0)
+
+
+class TestTangentStart:
+    """Trials of the profile Newton ascent start their local fits from the
+    first-order prediction off the accepted iterate."""
+
+    @staticmethod
+    def _first_step(family, n):
+        design = g.make_design(family, n)
+        data = g.generate(design, seed=g.replicate_seed(53, 0))
+        delta, h = g.preset_smoothing(family, n)
+        engine = ProfileEngine(family, data, SmoothingParams(h=h, delta=delta))
+        state = engine.state(g.fit_dbe(family, data, delta).beta0)
+        step = _solve_descent(engine.hessian(state), engine.gradient(state))
+        return engine, state, state.beta + step
+
+    def test_prediction_at_the_state_is_its_coefficients(self):
+        engine, state, _ = self._first_step("poisson", 200)
+        start = engine.tangent_start(state, state.beta.copy())
+        assert np.array_equal(start, state.solution.coefficients)
+
+    @pytest.mark.parametrize("family,n", [("poisson", 1500), ("bernoulli", 400)])
+    def test_first_accelerated_step(self, family, n):
+        engine, state, beta = self._first_step(family, n)
+        tangent = engine.state(beta, engine.tangent_start(state, beta))
+        plain = engine.state(beta, state.solution.coefficients)
+        cold = engine.state(beta)
+        # relative to the largest predictor: the local fits stop at a score
+        # below LOCAL_TOL, which leaves ~1e-9 absolute between starts
+        np.testing.assert_allclose(tangent.fitted, cold.fitted, rtol=0,
+                                   atol=1e-9 * np.abs(cold.fitted).max())
+        assert tangent.loglik == pytest.approx(cold.loglik, rel=1e-9)
+        assert tangent.solution.converged.all()
+        assert tangent.solution.iterations.sum() < plain.solution.iterations.sum()
+
+    def test_glrt_does_not_depend_on_an_earlier_sandwich(self):
+        design = _small_design("poisson", 200)
+        data = g.generate(design, seed=g.replicate_seed(59, 0))
+        cfg = FitConfig(smoothing=SmoothingParams(h=0.15, delta=0.1))
+        con = g.make_constraint(np.eye(design.p_dim)[3:])
+        first = g.fit("poisson", data, cfg, curve_grid=False)
+        alone = g.glrt("poisson", data, con, cfg, fit_alt=first)
+        second = g.fit("poisson", data, cfg, curve_grid=False)
+        g.sandwich_covariance(second)
+        after = g.glrt("poisson", data, con, cfg, fit_alt=second)
+        assert alone.statistic == after.statistic
+        assert np.array_equal(alone.beta_null, after.beta_null)
+
+    def test_backfitting_never_differentiates_the_curve(self, monkeypatch):
+        calls = []
+        derivative = CurveFitter.coefficient_derivative
+        monkeypatch.setattr(CurveFitter, "coefficient_derivative",
+                            lambda self, *a: calls.append(1) or derivative(self, *a))
+        design = _small_design("poisson", 200)
+        data = g.generate(design, seed=g.replicate_seed(61, 0))
+        sm = SmoothingParams(h=0.15, delta=0.1)
+        g.fit("poisson", data, FitConfig(smoothing=sm, algorithm="backfitting"),
+              curve_grid=False)
+        assert calls == []
+        g.fit("poisson", data, FitConfig(smoothing=sm), curve_grid=False)
+        assert calls

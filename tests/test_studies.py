@@ -151,6 +151,34 @@ class TestFailureAccounting:
             g.run_table("table2", reps=3, seed=1, family="poisson", n=200)
 
 
+class TestCrossValidatedSmoothing:
+    """run_table(use_cv=True) cross-validates only the axes not given."""
+
+    def test_given_delta_tunes_h_at_that_delta(self, monkeypatch):
+        grids = []
+        cross_validate = studies.cross_validate
+        monkeypatch.setattr(studies, "cross_validate", lambda *a, grid, **kw:
+                            grids.append(grid) or cross_validate(*a, grid=grid, **kw))
+        report = g.run_table("table2", reps=1, seed=3, family="poisson", n=200,
+                             use_cv=True, delta=0.1)
+        data = g.generate(g.make_design("poisson", 200), g.replicate_seed(3, 0))
+        grid = [(0.1, float(h)) for h in g.default_h_grid(data)]
+        assert grids == [grid]
+        best = g.cross_validate("poisson", data, grid=grid, seed=3).best
+        assert report["smoothing"]["delta"] == 0.1
+        assert report["smoothing"]["h"] == best.h
+
+    def test_given_h_and_delta_run_no_cross_validation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross_validate called")
+
+        monkeypatch.setattr(studies, "cross_validate", refuse)
+        report = g.run_table("table2", reps=1, seed=3, family="poisson", n=200,
+                             use_cv=True, h=0.12, delta=0.1)
+        assert report["smoothing"]["h"] == 0.12
+        assert report["smoothing"]["delta"] == 0.1
+
+
 class TestChiSquareHelpers:
     @pytest.mark.parametrize("df", (1, 2, 4, 14))
     def test_match_scipy_stats(self, df):
