@@ -97,7 +97,10 @@ class FitResult:
     engine and the final state that produced it, so inference at beta reuses
     the fit's smoother instead of rebuilding it (the GLRT null fit starts its
     local fits from the state's tangent_start).  Both pin O(n*w) arrays, w
-    the kernel window width: code that needs only beta should drop the result.
+    the kernel window width: the engine's fitter holds the kernel weights
+    (n, w) and local design (n, d, w), and the state its local curvature
+    (n, w) and, once computed, the (n, p, d) coefficient derivative.  Code
+    that needs only beta should drop the result.
     """
 
     beta: np.ndarray

@@ -9,21 +9,31 @@ the polynomial expansion
 over the coefficient blocks a_0 .. a_p.  The maximizer's leading block a_0 is
 the fitted curve value at u.
 
-The solver is batched: all evaluation points are advanced together through a
-damped Newton iteration on stacked per-point problems.  Concavity of the
-local objective (q_2 < 0) makes the maximizer unique, so batching changes
-cost, not results.  ``CurveFitter`` precomputes the kernel weights and the
-polynomial design tensor once per (data, bandwidth, points) triple; repeated
-solves at nearby beta values (the inner loop of profile estimation) then
-reuse them and warm-start from nearby coefficients.
+The solver is batched: the evaluation points of a block are advanced
+together through a damped Newton iteration on stacked per-point problems.
+Concavity of the local objective (q_2 < 0) makes the maximizer unique, and
+every point's iteration, ridge and step halvings are its own, so batching
+changes cost, not results.  ``CurveFitter`` precomputes the kernel weights
+and the polynomial design tensor once per (data, bandwidth, points) triple;
+repeated solves at nearby beta values (the inner loop of profile estimation)
+then reuse them and warm-start from nearby coefficients.
 
 The kernel has compact support, so only observations with
 |u_i - u| <= support_radius * h carry weight at u.  With the observations
 sorted by u, that window is a contiguous band.  ``CurveFitter`` stores, per
-evaluation point, the band's observation indices, kernel weights and design
-columns, padded to the widest band w: O(m w) memory and work for m points
-instead of O(m n).  Padding entries get a kernel weight of exactly zero, so
-the estimator is the one defined by the full kernel sums above.
+evaluation point, the band's kernel weights and design columns, padded to
+the widest band w: O(m w) memory and work for m points instead of O(m n).
+Padding entries get a kernel weight of exactly zero, so the estimator is the
+one defined by the full kernel sums above.  A band's responses and offsets
+are not stored: they are read, when needed, from the point's window of the
+u-sorted arrays (a strided view, one row per window start).
+
+Every stage (construction, the cold start, the Newton iteration and the
+curve derivative) runs over consecutive blocks of max(1, _BLOCK_ELEMENTS //
+w) points, so its (rows, w) and (rows, d, w) temporaries are bounded by
+_BLOCK_ELEMENTS (point, window) pairs whatever m is.  Blocks depend on
+(m, w) only, and within a block the arithmetic is that of one batch of all
+points, so every result is bit for bit the same for any block size.
 
 ``CurveFitter.coefficient_derivative`` returns the derivative of the local
 coefficients with respect to beta, obtained in closed form by differentiating
@@ -53,7 +63,9 @@ and a row whose bound is at most 1e10 is cleared.  Cholesky is backward
 stable (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), and
 the factor 100 of headroom is far beyond both its rounding and that of the
 eigenvalues, so a cleared row is one the eigenvalue test would pass at zero
-ridge: the clearance changes cost, never a ridge or a result.
+ridge: the clearance changes cost, never a ridge or a result.  A row with a
+NaN or infinite entry is rejected first, with a ``SingularityError`` that
+names its evaluation point.
 """
 
 from __future__ import annotations
@@ -65,6 +77,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import EffectiveSampleError, ParameterError, SingularityError
@@ -78,6 +91,7 @@ _RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _CONDITION_LIMIT = 1e12
 _LOG_CLEARED = math.log(1e-2 * _CONDITION_LIMIT)
 DEFAULT_GRID_SIZE = 200
+_BLOCK_ELEMENTS = 1 << 16   # (point, window) pairs per block of points
 
 _log = logging.getLogger("gvcplm")
 
@@ -144,21 +158,21 @@ class BatchSolution(NamedTuple):
 def _log_condition_bound(mats: np.ndarray) -> np.ndarray:
     """(m,) upper bound on log kappa_2 of each row from its Cholesky factor
     (module docstring); +inf on every row when some row is not positive
-    definite, NaN or +inf on a row with a non-finite entry."""
+    definite."""
     d = mats.shape[-1]
     try:
         chol_diag = np.linalg.cholesky(mats).diagonal(axis1=-2, axis2=-1)
     except np.linalg.LinAlgError:
         return np.full(mats.shape[0], np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):   # non-finite rows
-        log_bound = d * np.log(np.trace(mats, axis1=-2, axis2=-1)) \
-            - 2.0 * np.log(chol_diag).sum(axis=-1)
+    log_bound = d * np.log(np.trace(mats, axis1=-2, axis2=-1)) \
+        - 2.0 * np.log(chol_diag).sum(axis=-1)
     if d > 1:
         log_bound -= (d - 1) * math.log(d - 1)
     return log_bound
 
 
-def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
+                  points=None) -> np.ndarray:
     """Solve batched SPD systems, escalating a relative ridge when needed.
 
     mats has shape (m, d, d) and is expected symmetric positive definite;
@@ -168,11 +182,22 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray
     whose Cholesky factor already proves that bound with 100-fold headroom
     skip the eigenvalues and keep a zero ridge, the level the ladder would
     give them, so every ridge and every result is the ladder's own.  Raises
-    SingularityError, naming the first such row, when the ladder cannot
-    bring a row under the limit.  A batch that needed any ridge is reported
-    by one debug record on the ``gvcplm`` logger.
+    SingularityError, naming the first such row, when a row has a NaN or
+    infinite entry (checked before anything else) or when the ladder cannot
+    bring a row under the limit.  Errors name row k as points[k], the
+    evaluation point's index in the caller's numbering (k itself when points
+    is None).  A batch that needed any ridge is reported by one debug record
+    on the ``gvcplm`` logger.
     """
     mats = np.ascontiguousarray(mats)
+    if points is None:
+        points = range(mats.shape[0])
+    if not np.isfinite(mats).all():
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        raise SingularityError(
+            f"{context}: information matrix at point index "
+            f"{points[np.argmin(finite)]} has a non-finite entry"
+        )
     eye = np.eye(mats.shape[-1])
     scale = np.maximum(mats.diagonal(axis1=-2, axis2=-1).max(axis=-1), 1e-300)
     lam = np.zeros(mats.shape[0])
@@ -189,8 +214,8 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray
             break
         if level == len(_RIDGE_LADDER) - 1:
             raise SingularityError(
-                f"{context}: information matrix at point index {rows[0]} stayed "
-                f"ill-conditioned after ridge escalation"
+                f"{context}: information matrix at point index {points[rows[0]]} "
+                f"stayed ill-conditioned after ridge escalation"
             )
         level += 1
         lam[rows] = _RIDGE_LADDER[level]
@@ -222,15 +247,37 @@ def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float):
     return order, np.minimum(lo, n - w), w
 
 
+def _blocks(m: int, w: int) -> list:
+    """Consecutive slices of m points, max(1, _BLOCK_ELEMENTS // w) each;
+    one empty slice when m is 0."""
+    size = max(1, _BLOCK_ELEMENTS // max(w, 1))
+    return [slice(b, min(b + size, m)) for b in range(0, max(m, 1), size)]
+
+
+def _stacked(blocks, compute) -> np.ndarray:
+    """compute(rows) of every block, stacked along the first axis; a single
+    block's result is returned as it is, not copied."""
+    first = compute(blocks[0])
+    if len(blocks) == 1:
+        return first
+    out = np.empty((blocks[-1].stop,) + first.shape[1:])
+    out[blocks[0]] = first
+    for rows in blocks[1:]:
+        out[rows] = compute(rows)
+    return out
+
+
 class CurveFitter:
     """Batched local polynomial quasi-likelihood solver at fixed points.
 
-    The constructor finds each point's kernel window, a band of w
-    observations that holds every nonzero kernel weight, and stores the
-    band's indices ``index`` (m, w) (rows order[start : start + w]), kernel
-    ``weights`` (m, w), responses and polynomial ``design`` (m, d, w).  solve() then runs the damped Newton
-    iteration for a given offset vector (z_i' beta) over the bands only.  One
-    instance is reused for every beta the profile optimizer visits.
+    The constructor finds each point's kernel window, the w consecutive
+    u-sorted observations order[start : start + w] that hold every nonzero
+    kernel weight, and stores the kernel ``weights`` (m, w) and polynomial
+    ``design`` (m, d, w); beyond those it keeps O(n) arrays only (``order``,
+    ``start``, the u-sorted responses).  Every method runs block by block
+    (module docstring), gathering a block's responses, offsets and cold-start
+    residuals from the windows of the u-sorted arrays.  One instance is
+    reused for every beta the profile optimizer visits.
     """
 
     def __init__(self, family: FamilySpec, x, y, u, smoothing: SmoothingParams, points):
@@ -249,9 +296,21 @@ class CurveFitter:
         self.order, self.start, w = _kernel_windows(
             u, self.points, smoothing.kernel.support_radius * smoothing.h
         )
-        self.index = self.order[self.start[:, None] + np.arange(w)]
-        t = u[self.index] - self.points[:, None]                   # (m, w)
-        self.weights = kernel_weight(smoothing.kernel, t, smoothing.h)
+        self.weights = np.empty((m, w))
+        self._y_windows = self._windows(self.y)
+        u_windows = self._windows(u)
+        x_windows = self._windows(self.x)   # (n - w + 1, q, w)
+        design = np.empty((m, degree + 1, q, w))   # C order: the reshape is a view
+        for rows in _blocks(m, w):
+            s = self.start[rows]
+            t = u_windows[s] - self.points[rows, None]
+            self.weights[rows] = kernel_weight(smoothing.kernel, t, smoothing.h)
+            powers = np.ones((t.shape[0], degree + 1, w))
+            for r in range(1, degree + 1):
+                powers[:, r] = powers[:, r - 1] * t / r
+            # design[e, r*q + j, k] = (u_i - u_e)^r / r! * x_ij, i = order[start[e] + k]
+            np.multiply(powers[:, :, None, :], x_windows[s][:, None, :, :],
+                        out=design[rows])
         counts = np.count_nonzero(self.weights, axis=1)
         if np.any(counts < self.n_coef):
             k = int(np.argmin(counts))
@@ -260,14 +319,6 @@ class CurveFitter:
                 f"u = {self.points[k]:.6g}; need at least {self.n_coef} "
                 f"(bandwidth {smoothing.h} too small)"
             )
-        self.y_local = self.y[self.index]
-        powers = np.ones((m, degree + 1, w))
-        for r in range(1, degree + 1):
-            powers[:, r] = powers[:, r - 1] * t / r
-        # design[e, r*q + j, k] = (u_i - u_e)^r / r! * x_ij with i = index[e, k]
-        x_local = np.moveaxis(self.x[self.index], 2, 1)           # (m, q, w)
-        design = np.empty((m, degree + 1, q, w))   # C order: the reshape is a view
-        np.multiply(powers[:, :, None, :], x_local[:, None, :, :], out=design)
         self.design = design.reshape(m, self.n_coef, w)
 
     def with_delta(self, delta) -> CurveFitter:
@@ -276,20 +327,27 @@ class CurveFitter:
         other.smoothing = replace(self.smoothing, delta=delta)
         return other
 
-    # -- elementary pieces -------------------------------------------------
+    def _windows(self, values) -> np.ndarray:
+        """Windows of w consecutive u-sorted rows of values, a view of shape
+        (n - w + 1, ..., w): row s holds observations order[s : s + w], so
+        row start[e] is point e's band."""
+        return sliding_window_view(values[self.order], self.weights.shape[1], axis=0)
 
-    def _linpred(self, coefs, offsets, rows=slice(None)):
-        """Local predictors (rows, w) from local offsets (rows, w)."""
-        return np.einsum("edi,ed->ei", self.design[rows], coefs) + offsets
+    # -- elementary pieces, on one block's rows -------------------------------
 
-    def _objectives(self, linpred, rows=slice(None)):
+    def _objectives(self, linpred, y, weights):
         """Local objectives (rows,) with q_1 and q_2 (rows, w), one family pass."""
-        q, q1, q2 = self.family.q012(linpred, self.y_local[rows])
-        return np.einsum("ei,ei->e", self.weights[rows], q), q1, q2
+        q, q1, q2 = self.family.q012(linpred, y)
+        return np.einsum("ei,ei->e", weights, q), q1, q2
 
-    def _weighted_gram(self, weights, rows=slice(None)):
+    @staticmethod
+    def _linpred(design, coefs, offsets):
+        """Local predictors (rows, w) from local offsets (rows, w)."""
+        return np.einsum("edi,ed->ei", design, coefs) + offsets
+
+    @staticmethod
+    def _weighted_gram(design, weights):
         """sum_i weights_ei D_ei D_ei' per point, shape (rows, d, d)."""
-        design = self.design[rows]
         return (design * weights[:, None, :]) @ np.swapaxes(design, 1, 2)
 
     def initial_coefficients(self, offsets) -> np.ndarray:
@@ -300,20 +358,26 @@ class CurveFitter:
                 f"smoothing delta is required for the {fam.name} family"
             )
         gy = fam.transform(self.y, self.smoothing.delta)
-        resid = (gy - offsets)[self.index]
-        mats = self._weighted_gram(self.weights)
-        rhs = np.einsum("edi,ei->ed", self.design, self.weights * resid)
-        return _ridged_solve(mats, rhs, "local initializer")
+        resid_windows = self._windows(gy - offsets)
+
+        def cold(rows):
+            design, weights = self.design[rows], self.weights[rows]
+            mats = self._weighted_gram(design, weights)
+            rhs = np.einsum("edi,ei->ed", design,
+                            weights * resid_windows[self.start[rows]])
+            return _ridged_solve(mats, rhs, "local initializer",
+                                 range(rows.start, rows.stop))
+
+        return _stacked(_blocks(*self.weights.shape), cold)
 
     # -- Newton iteration ---------------------------------------------------
 
     def solve(self, offsets, warm=None, one_step: bool = False) -> BatchSolution:
         """Maximize every local objective for the given offsets.
 
-        Each trial predictor gets one family pass (``_objectives``); an
-        accepted trial's q_1 and q_2 serve the next iterate, and the last q_2
-        is returned as the curvature.  Bands are views until a point converges
-        or stalls; then only active rows are gathered.
+        The blocks of points are solved one after another (``_solve_block``).
+        A solve that leaves points unconverged, other than a one_step solve,
+        reports them in one debug record on the ``gvcplm`` logger.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
@@ -321,20 +385,47 @@ class CurveFitter:
             one_step: stop after a single damped Newton update.
         """
         offsets = np.asarray(offsets, dtype=float)
-        w, G = self.weights, self.design
         coefs = np.array(warm, dtype=float, copy=True) if warm is not None \
             else self.initial_coefficients(offsets)
-        offsets = offsets[self.index]
-        obj, q1, q2 = self._objectives(self._linpred(coefs, offsets))
-        curvature = q2
-
+        offset_windows = self._windows(offsets)
         m = coefs.shape[0]
         converged = np.zeros(m, dtype=bool)
         iters = np.zeros(m, dtype=int)
         gnorm = np.full(m, np.inf)
-        active = np.arange(m)
         budget = 1 if one_step else MAX_LOCAL_ITERS
+        curvature = _stacked(_blocks(*self.weights.shape), lambda rows: self._solve_block(
+            rows, offset_windows[self.start[rows]], budget,
+            coefs[rows], gnorm[rows], converged[rows], iters[rows]))
+        if not one_step and _log.isEnabledFor(logging.DEBUG) and not converged.all():
+            # an active point has iterations left, so one that stopped short
+            # of the budget unconverged was abandoned
+            abandoned = np.count_nonzero(~converged & (iters < budget))
+            unconverged = m - np.count_nonzero(converged)
+            _log.debug("local Newton: %d of %d points unconverged (%d abandoned after "
+                       "%d step halvings, %d out of the %d-iteration budget); "
+                       "largest gradient norm %.3g", unconverged, m, abandoned,
+                       MAX_HALVINGS, unconverged - abandoned, budget,
+                       gnorm[~converged].max())
+        return BatchSolution(coefs, curvature, gnorm, converged, iters)
 
+    def _solve_block(self, rows, offsets, budget, coefs, gnorm, converged, iters):
+        """Damped Newton iteration of one block of points, in place.
+
+        offsets are the block's local offsets (rows, w); coefs, gnorm,
+        converged and iters are its views of the solution arrays, updated in
+        place.  Each trial predictor gets one family pass (``_objectives``);
+        an accepted trial's q_1 and q_2 serve the next iterate, and the last
+        q_2 (rows, w), the block's curvature, is returned.  Bands are views
+        until a point converges or stalls; then only active rows are
+        gathered.
+        """
+        w, G = self.weights[rows], self.design[rows]
+        y = self._y_windows[self.start[rows]]
+        obj, q1, q2 = self._objectives(self._linpred(G, coefs, offsets), y, w)
+        curvature = q2
+
+        m = coefs.shape[0]
+        active = np.arange(m)
         while True:
             # q1 and q2 hold the active rows
             sel = slice(None) if active.size == m else active
@@ -350,23 +441,23 @@ class CurveFitter:
                 # points that exhausted the budget stay converged=False
                 break
 
-            hess = self._weighted_gram(w[sel] * q2, rows=sel)
-            step = _ridged_solve(-hess, grad, "local Newton")
+            hess = self._weighted_gram(G[sel], w[sel] * q2)
+            step = _ridged_solve(-hess, grad, "local Newton", rows.start + active)
 
             lam = np.ones(active.size)
             trial_c = coefs[sel] + step
             trial_obj, trial_q1, trial_q2 = self._objectives(
-                self._linpred(trial_c, offsets[sel], rows=sel), rows=sel)
+                self._linpred(G[sel], trial_c, offsets[sel]), y[sel], w[sel])
             tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
             bad = ~(trial_obj >= obj[sel] - tol_obj)   # a NaN objective is no ascent
             for _ in range(MAX_HALVINGS):
                 if not bad.any():
                     break
                 lam[bad] *= 0.5
-                rows = active[bad]
-                trial_c[bad] = coefs[rows] + lam[bad, None] * step[bad]
+                idx = active[bad]
+                trial_c[bad] = coefs[idx] + lam[bad, None] * step[bad]
                 trial_obj[bad], trial_q1[bad], trial_q2[bad] = self._objectives(
-                    self._linpred(trial_c[bad], offsets[rows], rows=rows), rows=rows)
+                    self._linpred(G[idx], trial_c[bad], offsets[idx]), y[idx], w[idx])
                 bad = ~(trial_obj >= obj[sel] - tol_obj)
             if bad.any():
                 # stalled points (no ascent after max halvings) are abandoned
@@ -381,7 +472,7 @@ class CurveFitter:
             q1, q2 = trial_q1, trial_q2
             iters[sel] += 1
 
-        return BatchSolution(coefs, curvature, gnorm, converged, iters)
+        return curvature
 
     # -- derived quantities ---------------------------------------------------
 
@@ -394,18 +485,24 @@ class CurveFitter:
 
         Entry [e, j, k] is d a_k(points[e]) / d beta_j, the closed-form
         implicit derivative -S1^{-1} S2 of the local score equation with the
-        solution's curvature q2 (no family evaluation).  S2 is built point by
-        point from the window's contiguous slice of the u-sorted z, a view,
-        so no rows of z are gathered.
+        solution's curvature q2 (no family evaluation), one block of points
+        at a time.  S2 is built point by point from the window's contiguous
+        slice of the u-sorted z, a view, so no rows of z are gathered.  The
+        result is a transposed view of a C-contiguous (m, d, p) array.
         """
         zs = np.asarray(z, dtype=float)[self.order]
-        wq2_design = self.design * (self.weights * solution.curvature)[:, None, :]
-        s1 = -(wq2_design @ np.swapaxes(self.design, 1, 2))
-        s2 = np.empty(s1.shape[:2] + (zs.shape[1],))
-        w = self.design.shape[2]
-        for rows, s, out in zip(wq2_design, self.start.tolist(), s2):
-            np.dot(rows, zs[s:s + w], out=out)   # out=: no temporary per point
-        return np.swapaxes(_ridged_solve(s1, s2, "curve derivative"), 1, 2)
+        w = self.weights.shape[1]
+
+        def derivative(rows):
+            design = self.design[rows]
+            wq2_design = design * (self.weights[rows] * solution.curvature[rows])[:, None, :]
+            s1 = -(wq2_design @ np.swapaxes(design, 1, 2))
+            s2 = np.empty(s1.shape[:2] + (zs.shape[1],))
+            for band, s, out in zip(wq2_design, self.start[rows].tolist(), s2):
+                np.dot(band, zs[s:s + w], out=out)   # out=: no temporary per point
+            return _ridged_solve(s1, s2, "curve derivative", range(rows.start, rows.stop))
+
+        return np.swapaxes(_stacked(_blocks(*self.weights.shape), derivative), 1, 2)
 
     def alpha_prime(self, solution: BatchSolution, z) -> np.ndarray:
         """(m, p, q) derivative of the fitted curve with respect to beta: the

@@ -6,14 +6,16 @@ on the solution, so ``alpha_prime`` evaluates no family at all.
 """
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
 import gvcplm as g
-from gvcplm import CurveFitter, SmoothingParams
+from gvcplm import CurveFitter, SmoothingParams, smoothing
+from gvcplm.smoothing import MAX_HALVINGS, MAX_LOCAL_ITERS
 
-from test_bands import _problem_arrays
+from test_bands import _band_index, _problem_arrays
 
 
 def _count_calls(fitter):
@@ -67,8 +69,9 @@ def test_one_family_pass_per_objective(family, start):
 
 
 def _assert_carried_curvature(fitter, offsets, sol):
-    lin = np.einsum("edi,ed->ei", fitter.design, sol.coefficients) + offsets[fitter.index]
-    assert np.array_equal(sol.curvature, fitter.family.q(2, lin, fitter.y_local))
+    index = _band_index(fitter)
+    lin = np.einsum("edi,ed->ei", fitter.design, sol.coefficients) + offsets[index]
+    assert np.array_equal(sol.curvature, fitter.family.q(2, lin, fitter.y[index]))
 
 
 @pytest.mark.parametrize("family", ("gaussian", "poisson", "bernoulli"))
@@ -111,16 +114,68 @@ def test_profile_state_reads_the_triple_at_fitted():
     assert state.loglik == float(np.sum(fam.quasi_loglik(state.fitted, data.y)))
 
 
+def _saturated_solve(push):
+    """Every bernoulli window's start pushed up by push: (fitter, offsets, warm)."""
+    data, fitter = _simulated_problem("bernoulli", n=200)
+    offsets = data.z @ np.full(data.n_linear, 0.1)
+    warm = fitter.solve(offsets).coefficients
+    warm[:, 0] += push
+    return fitter, offsets, warm
+
+
 @pytest.mark.parametrize("push", (40.0, 800.0))
 def test_saturated_start_is_abandoned_where_it_stands(push):
     # every window saturated: q_2 is about e^-40, or underflows to zero at
     # 800, so each Newton step is far too long; Q keeps its slope beyond any
     # clip, so no such step is accepted and the points stop at their start
-    data, fitter = _simulated_problem("bernoulli", n=200)
-    offsets = data.z @ np.full(data.n_linear, 0.1)
-    warm = fitter.solve(offsets).coefficients
-    warm[:, 0] += push
+    fitter, offsets, warm = _saturated_solve(push)
     sol = fitter.solve(offsets, warm=warm)
     assert not sol.converged.any()
     assert np.array_equal(sol.coefficients, warm)
     _assert_carried_curvature(fitter, offsets, sol)
+
+
+@pytest.mark.parametrize("push", (40.0, 800.0))
+def test_unconverged_points_are_reported_once(push, caplog):
+    fitter, offsets, warm = _saturated_solve(push)
+    with caplog.at_level(logging.DEBUG, logger="gvcplm"):
+        sol = fitter.solve(offsets, warm=warm)
+    reports = [r for r in caplog.records if "unconverged" in r.getMessage()]
+    assert len(reports) == 1
+    assert reports[0].name == "gvcplm" and reports[0].levelno == logging.DEBUG
+    largest = sol.gradient_norm.max()
+    assert reports[0].getMessage() == (
+        f"local Newton: 200 of 200 points unconverged (200 abandoned after "
+        f"{MAX_HALVINGS} step halvings, 0 out of the {MAX_LOCAL_ITERS}-iteration "
+        f"budget); largest gradient norm {largest:.3g}")
+    if push == 40.0:   # at 800 the zero curvature is also ridged, and logged
+        assert len(caplog.records) == 1
+
+
+def test_points_out_of_budget_are_reported(caplog, monkeypatch):
+    data, fitter = _simulated_problem("poisson")
+    offsets = data.z @ np.full(data.n_linear, 0.1)
+    monkeypatch.setattr(smoothing, "MAX_LOCAL_ITERS", 1)
+    with caplog.at_level(logging.DEBUG, logger="gvcplm"):
+        sol = fitter.solve(offsets)
+    assert np.all(sol.iterations == 1)
+    unconverged = np.count_nonzero(~sol.converged)
+    assert unconverged > 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"local Newton: {unconverged} of {data.n} points unconverged (0 abandoned after "
+        f"{MAX_HALVINGS} step halvings, {unconverged} out of the 1-iteration budget); "
+        f"largest gradient norm {sol.gradient_norm.max():.3g}"]
+
+
+def test_converged_and_one_step_solves_report_nothing(caplog, monkeypatch):
+    data, fitter = _simulated_problem("poisson")
+    offsets = data.z @ np.full(data.n_linear, 0.1)
+    with caplog.at_level(logging.DEBUG, logger="gvcplm"):
+        assert fitter.solve(offsets).converged.all()
+        assert not fitter.solve(offsets, one_step=True).converged.all()
+    assert caplog.records == []
+    # with DEBUG off the saturated solve builds no record
+    fitter, offsets, warm = _saturated_solve(40.0)
+    monkeypatch.setattr(smoothing._log, "debug", None)
+    with caplog.at_level(logging.INFO, logger="gvcplm"):
+        assert not fitter.solve(offsets, warm=warm).converged.any()

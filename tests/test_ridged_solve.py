@@ -120,13 +120,21 @@ def test_well_conditioned_batch_needs_no_eigenvalues(monkeypatch):
 
 
 def test_nan_row_raises_like_the_reference():
-    mats = np.tile(np.eye(4), (3, 1, 1))
-    mats[1, 0, 0] = np.nan
+    # a NaN or infinite entry is rejected before the Cholesky with a
+    # SingularityError naming its row; the eigenvalue ladder itself ends such
+    # a row in a NaN solution or a bare LinAlgError
     rhs = np.ones((3, 4))
-    with pytest.raises(Exception) as ref:
-        _ladder_reference(mats, rhs, "ctx")
-    with pytest.raises(type(ref.value)):
-        _ridged_solve(mats, rhs, "ctx")
+    for entry, value in (((1, 0, 0), np.nan), ((1, 2, 1), np.nan), ((1, 3, 3), np.inf),
+                         ((2, 0, 1), -np.inf)):
+        mats = np.tile(np.eye(4), (3, 1, 1))
+        mats[entry] = value
+        row = entry[0]
+        message = f"ctx: information matrix at point index {row} has a non-finite entry"
+        with pytest.raises(SingularityError, match=message):
+            _ridged_solve(mats, rhs, "ctx")
+        # rows named in the caller's numbering
+        with pytest.raises(SingularityError, match=f"point index {40 + row} has"):
+            _ridged_solve(mats, rhs, "ctx", np.arange(40, 43))
 
 
 def test_row_failing_cholesky_leaves_the_others_unchanged():
