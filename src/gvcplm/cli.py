@@ -14,12 +14,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from . import studies
 from .crossval import DEFAULT_DELTA_GRID, cross_validate, default_h_grid
@@ -281,12 +281,17 @@ def _json_dump(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+def _wald_p_values(zscores) -> list:
+    """Two-sided normal p-values 2 Phi(-|z|) = erfc(|z| / sqrt 2); NaN stays NaN."""
+    return [math.erfc(abs(z) / math.sqrt(2.0)) for z in zscores]
+
+
 def _fit_payload(family, data, result, cov) -> dict:
     _, z_names = _column_names(data)
     beta = result.beta
     se = cov.se
     zscores = beta / np.where(se > 0, se, np.nan)
-    pvals = 2.0 * special.ndtr(-np.abs(zscores))
+    pvals = _wald_p_values(zscores)
     return {
         "family": family.name,
         "coefficients": {

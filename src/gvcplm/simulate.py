@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset
 from .errors import ParameterError
@@ -136,7 +135,8 @@ def generate(design: SimDesign, seed=None) -> Dataset:
     """Draw one dataset from the design.
 
     seed overrides design.seed; it may be an int or a numpy SeedSequence,
-    which is how replicate streams are split deterministically.
+    which is how replicate streams are split deterministically.  The
+    bernoulli draw loads scipy.special on first use, for its expit.
     """
     if seed is None:
         seed = design.seed
@@ -153,6 +153,8 @@ def generate(design: SimDesign, seed=None) -> Dataset:
     if design.family_name == "poisson":
         y = rng.poisson(np.exp(np.clip(lp, None, 30.0))).astype(float)
     elif design.family_name == "bernoulli":
+        from scipy import special
+
         y = rng.binomial(1, special.expit(lp)).astype(float)
     else:
         raise ParameterError(f"cannot sample family {design.family_name!r}")

@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .dbe import fit_dbe
 from .errors import GvcplmError, StudyError
@@ -324,14 +323,19 @@ def _gaussian_kde(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _chi2_pdf(x: np.ndarray, df: int) -> np.ndarray:
-    """Chi-square density on x >= 0."""
+    """Chi-square density on x >= 0; loads scipy.special on first use."""
+    from scipy import special
+
     k = df / 2.0
     return np.exp(special.xlogy(k - 1.0, x) - x / 2.0 - special.gammaln(k)
                   - k * np.log(2.0))
 
 
 def _chi2_isf(level: float, df: int) -> float:
-    """Upper-tail chi-square quantile: P(chi2_df > x) = level."""
+    """Upper-tail chi-square quantile: P(chi2_df > x) = level; loads
+    scipy.special on first use."""
+    from scipy import special
+
     return float(special.chdtri(df, level))
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvcplm as g
 from gvcplm import cli, crossval
@@ -402,17 +404,70 @@ class TestOptionTable:
         assert exit_.value.code == 2
 
 
+def _run_python(args, **kwargs):
+    """Run a fresh interpreter on the package this test imported, also when
+    pytest put src/ on the path itself and nothing is installed."""
+    package_root = str(Path(g.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports the package this test imported, also when pytest
-        # put src/ on the path itself and nothing is installed
-        package_root = str(Path(g.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gvcplm.cli", "simulate", "--family",
-             "poisson", "--n", "200", "--seed", "1", "--reps", "1",
-             "--emit-csv", "--out", str(tmp_path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _run_python(["-m", "gvcplm.cli", "simulate", "--family",
+                            "poisson", "--n", "200", "--seed", "1", "--reps", "1",
+                            "--emit-csv", "--out", str(tmp_path)])
         assert proc.returncode == 0
         assert (tmp_path / "dataset_rep000.csv").exists()
+
+
+_STARTUP_SCRIPT = """
+import json, sys
+import gvcplm as g
+from gvcplm import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+csv, out = sys.argv[1], sys.argv[2]
+cli.write_dataset_csv(csv, g.generate(g.make_design("poisson", 120), 1))
+args = ["--data", csv, "--family", "poisson", "--u", "u", "--y", "y",
+        "--x", "x1,x2", "--z", ",".join(f"z{j + 1}" for j in range(8)),
+        "--delta", "0.1", "--out", out]
+codes = [cli.main(["fit", *args, "--h", "0.15"]),
+         cli.main(["test", *args, "--h", "0.15", "--test", "z7=0,z8=0"]),
+         cli.main(["cv", *args, "--cv", "2", "--h-grid", "0.15"])]
+after_commands = scipy_modules()
+g.generate(g.make_design("bernoulli", 60), 1)
+print(json.dumps({"codes": codes, "after_commands": after_commands,
+                  "after_bernoulli": scipy_modules()}))
+"""
+
+
+class TestStartupImports:
+    def test_estimation_commands_load_no_scipy(self, tmp_path):
+        # fit, test and cv need numpy and the standard library only; the
+        # simulation harness loads scipy.special when it first draws bernoulli
+        proc = _run_python(["-c", _STARTUP_SCRIPT, str(tmp_path / "d.csv"),
+                            str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen["codes"] == [0, 0, 0]
+        assert seen["after_commands"] == []
+        assert "scipy.special" in seen["after_bernoulli"]
+        assert (tmp_path / "out" / "cv_report.json").exists()
+
+
+class TestWaldPValues:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-37.0, max_value=37.0))
+    def test_matches_twice_the_normal_tail(self, z):
+        from scipy import special
+
+        reference = 2.0 * special.ndtr(-abs(z))
+        (p,) = cli._wald_p_values(np.array([z]))
+        assert abs(p - reference) <= 1e-12 * reference
+
+    def test_nan_z_gives_nan(self):
+        assert np.isnan(cli._wald_p_values(np.array([np.nan, 1.0]))).tolist() == [True, False]

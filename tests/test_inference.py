@@ -1,5 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg as sla
+from scipy import special
 
 import gvcplm as g
 from gvcplm import (
@@ -40,6 +46,42 @@ class TestChi2UpperTail:
         with pytest.raises(ParameterError):
             g.chi2_upper_tail(1.0, 0)
 
+    @pytest.mark.parametrize("df", (2.5, 0.5, float("nan"), float("inf")))
+    def test_non_integer_df_rejected(self, df):
+        with pytest.raises(ParameterError, match="integer"):
+            g.chi2_upper_tail(1.0, df)
+
+    def test_nan_statistic_gives_nan(self):
+        assert math.isnan(g.chi2_upper_tail(float("nan"), 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.floats(0.0, 5000.0))
+    def test_matches_regularized_upper_gamma(self, df, x):
+        reference = special.gammaincc(df / 2.0, x / 2.0)
+        value = g.chi2_upper_tail(x, df)
+        if reference >= 1e-300:
+            assert abs(value - reference) <= 1e-12 * reference
+        else:
+            assert abs(value - reference) <= 1e-300
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.floats(0.0, 5000.0), st.floats(0.0, 5000.0))
+    def test_nonincreasing_in_the_statistic(self, df, x1, x2):
+        lo, hi = sorted((x1, x2))
+        assert g.chi2_upper_tail(hi, df) <= g.chi2_upper_tail(lo, df) <= 1.0
+
+    @pytest.mark.parametrize("df", (7, 20, 21, 40, 60))
+    def test_at_most_one_and_ordered_below_the_mode(self, df):
+        # where the tail is within rounding of 1, its terms' rounding must
+        # not carry it past 1 or out of order
+        tails = np.array([g.chi2_upper_tail(x, df) for x in np.linspace(0.0, 2.0 * df, 4001)])
+        assert tails.max() <= 1.0
+        assert np.all(np.diff(tails) <= 0.0)
+
+    @given(st.floats(0.0, 5000.0))
+    def test_two_df_is_the_exponential_tail(self, x):
+        assert g.chi2_upper_tail(x, 2) == math.exp(-x / 2.0)
+
 
 class TestMakeConstraint:
     def test_unit_coordinate_row_is_unchanged(self):
@@ -73,6 +115,22 @@ class TestMakeConstraint:
         rows = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(RankError):
             g.make_constraint(rows)
+
+    @pytest.mark.parametrize("p", (10, 13, 20, 28))
+    def test_basis_is_scipy_null_space(self, p):
+        # the hypotheses z7 = ... = zp = 0 of the benchmark designs
+        rows = np.eye(p)[6:]
+        np.testing.assert_array_equal(g.make_constraint(rows).b, sla.null_space(rows).T)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_basis_completes_random_rows(self, l, extra, seed):
+        p = l + extra
+        rows = np.random.default_rng(seed).normal(size=(l, p))
+        con = g.make_constraint(rows)
+        assert con.b.shape == (p - l, p)
+        np.testing.assert_allclose(con.b @ con.b.T, np.eye(p - l), atol=1e-12)
+        assert np.abs(con.a @ con.b.T).max() <= 1e-12
 
 
 class TestSandwichCovariance:
@@ -184,6 +242,40 @@ class TestGlrt:
         res = g.glrt("poisson", data, con, cfg)
         np.testing.assert_allclose(con.a @ res.beta_null, 0.0, atol=1e-10)
         assert res.df == design.p_dim - 6
+
+
+class TestRowPermutationInvariance:
+    # the estimator depends on the data through its order in u only, so
+    # shuffling the rows leaves the fit and the test unchanged up to rounding
+    N = 150
+
+    @staticmethod
+    def _fit_and_test(family, data):
+        delta, h = g.preset_smoothing(family, data.n)
+        cfg = FitConfig(smoothing=SmoothingParams(h=h, delta=delta), max_steps=30)
+        p = data.z.shape[1]
+        fit = g.fit(family, data, cfg, curve_grid=False)
+        test = g.glrt(family, data, g.make_constraint(np.eye(p)[6:]), cfg, fit_alt=fit)
+        return fit, test
+
+    @pytest.fixture(scope="class", params=("poisson", "bernoulli"))
+    def reference(self, request):
+        family = request.param
+        data = g.generate(g.make_design(family, self.N), seed=g.replicate_seed(131, 0))
+        return (family, data, *self._fit_and_test(family, data))
+
+    @settings(max_examples=15, deadline=None)
+    @given(perm=st.permutations(range(N)))
+    def test_fit_and_glrt_ignore_row_order(self, reference, perm):
+        family, data, fit, test = reference
+        perm = np.asarray(perm)
+        shuffled = Dataset(u=data.u[perm], x=data.x[perm], z=data.z[perm], y=data.y[perm])
+        fit_p, test_p = self._fit_and_test(family, shuffled)
+        assert fit_p.converged == fit.converged
+        assert np.abs(fit_p.beta - fit.beta).max() <= 1e-12 * np.abs(fit.beta).max()
+        loglik = abs(fit.profile_loglik)
+        assert abs(fit_p.profile_loglik - fit.profile_loglik) <= 1e-12 * loglik
+        assert abs(test_p.statistic - test.statistic) <= 1e-12 * loglik
 
 
 def _design_fit(family, seed):
