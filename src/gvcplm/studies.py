@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 
 from .dbe import fit_dbe
-from .errors import GvcplmError, StudyError
+from .errors import GvcplmError, ParameterError, StudyError
 from .inference import chi2_upper_tail, glrt, make_constraint, sandwich_covariance
 from .metrics import MetricSummary, gmse, rase, sd_mad
 from .profile import FitConfig, fit as profile_fit
@@ -323,20 +324,47 @@ def _gaussian_kde(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _chi2_pdf(x: np.ndarray, df: int) -> np.ndarray:
-    """Chi-square density on x >= 0; loads scipy.special on first use."""
-    from scipy import special
+    """Chi-square density on x >= 0, in closed form:
+    exp((k - 1) log x - x/2 - lgamma(k) - k log 2) with k = df/2.
 
-    k = df / 2.0
-    return np.exp(special.xlogy(k - 1.0, x) - x / 2.0 - special.gammaln(k)
-                  - k * np.log(2.0))
+    (k - 1) log x is taken as 0 when k = 1, also at x = 0, so the density at
+    0 is inf for df = 1, 0.5 for df = 2 and 0 for df >= 3, with no warning.
+    Against scipy.stats.chi2.pdf it agrees to about 4e-14 relative on
+    [0, 100] for df <= 60, where the density is at least 1e-300.
+    """
+    k = 0.5 * df
+    x = np.asarray(x, dtype=float)
+    if k == 1.0:
+        power = np.zeros_like(x)
+    else:
+        with np.errstate(divide="ignore"):
+            power = (k - 1.0) * np.log(x)
+    return np.exp(power - x / 2.0 - math.lgamma(k) - k * math.log(2.0))
 
 
 def _chi2_isf(level: float, df: int) -> float:
-    """Upper-tail chi-square quantile: P(chi2_df > x) = level; loads
-    scipy.special on first use."""
-    from scipy import special
+    """Upper-tail chi-square quantile: the x with P(chi2_df > x) = level.
 
-    return float(special.chdtri(df, level))
+    level must lie in (0, 1) and df be an integer >= 1.  The quantile is
+    found by bisection on inference.chi2_upper_tail, which is nonincreasing
+    in x: the bracket is doubled until the tail falls to level, then halved
+    until no float lies strictly inside it, and its upper end is returned.
+    Against scipy.special.chdtri it agrees to about 4e-15 relative for df
+    1..60 and levels 1e-6..0.9.
+    """
+    if not 0.0 < level < 1.0:
+        raise ParameterError(f"tail level must lie in (0, 1), got {level}")
+    lo, hi = 0.0, float(df)
+    while chi2_upper_tail(hi, df) > level:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if chi2_upper_tail(mid, df) > level:
+            lo = mid
+        else:
+            hi = mid
 
 
 _STUDY_FUNCS = {

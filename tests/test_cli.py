@@ -424,11 +424,14 @@ class TestConsoleEntryPoint:
 
 _STARTUP_SCRIPT = """
 import json, sys
+if sys.argv[3] == "blocked":
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
 import gvcplm as g
 from gvcplm import cli
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m, module in sys.modules.items()
+                  if module is not None and (m == "scipy" or m.startswith("scipy.")))
 
 csv, out = sys.argv[1], sys.argv[2]
 cli.write_dataset_csv(csv, g.generate(g.make_design("poisson", 120), 1))
@@ -438,25 +441,38 @@ args = ["--data", csv, "--family", "poisson", "--u", "u", "--y", "y",
 codes = [cli.main(["fit", *args, "--h", "0.15"]),
          cli.main(["test", *args, "--h", "0.15", "--test", "z7=0,z8=0"]),
          cli.main(["cv", *args, "--cv", "2", "--h-grid", "0.15"])]
-after_commands = scipy_modules()
 g.generate(g.make_design("bernoulli", 60), 1)
-print(json.dumps({"codes": codes, "after_commands": after_commands,
-                  "after_bernoulli": scipy_modules()}))
+# fig1_power sets b7 and b8, so it needs p >= 8, which n = 90 gives
+failures = [g.run_table(study, reps=2, seed=1, family="bernoulli", n=n)["n_failures"]
+            for study, n in (("table4", 60), ("fig1_null", 60), ("fig1_power", 90))]
+codes.append(cli.main(["simulate", "--family", "bernoulli", "--n", "60", "--reps", "1",
+                       "--seed", "1", "--emit-csv", "--out", out]))
+print(json.dumps({"codes": codes, "failures": failures, "scipy": scipy_modules()}))
 """
+
+
+def _run_startup_script(tmp_path, scipy_import):
+    proc = _run_python(["-c", _STARTUP_SCRIPT, str(tmp_path / "d.csv"),
+                        str(tmp_path / "out"), scipy_import])
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["failures"] == [0, 0, 0]
+    assert (tmp_path / "out" / "cv_report.json").exists()
+    assert (tmp_path / "out" / "dataset_rep000.csv").exists()
+    return seen
 
 
 class TestStartupImports:
     def test_estimation_commands_load_no_scipy(self, tmp_path):
-        # fit, test and cv need numpy and the standard library only; the
-        # simulation harness loads scipy.special when it first draws bernoulli
-        proc = _run_python(["-c", _STARTUP_SCRIPT, str(tmp_path / "d.csv"),
-                            str(tmp_path / "out")])
-        assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert seen["codes"] == [0, 0, 0]
-        assert seen["after_commands"] == []
-        assert "scipy.special" in seen["after_bernoulli"]
-        assert (tmp_path / "out" / "cv_report.json").exists()
+        # fit, test and cv, and the simulation harness (bernoulli draws,
+        # run_table, gvcplm simulate), need numpy and the standard library only
+        seen = _run_startup_script(tmp_path, "allowed")
+        assert seen["scipy"] == []
+
+    def test_runs_with_scipy_imports_blocked(self, tmp_path):
+        # stands in for an install without scipy
+        _run_startup_script(tmp_path, "blocked")
 
 
 class TestWaldPValues:

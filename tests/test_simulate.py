@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvcplm as g
-from gvcplm import ParameterError
+from gvcplm import ParameterError, simulate
 
 
 class TestParametricDimension:
@@ -38,6 +40,11 @@ class TestDesigns:
         alt = g.with_beta(design, b7=0.2, b8=0.2)
         assert alt.beta0[6] == alt.beta0[7] == 0.2
         assert design.beta0[6] == 0.0
+
+    def test_with_beta_rejects_missing_coordinate(self):
+        # b8 needs p >= 8; n = 60 gives p = 7
+        with pytest.raises(ParameterError, match="b8"):
+            g.with_beta(g.poisson_design(60), b7=0.1, b8=0.1)
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
@@ -77,6 +84,57 @@ class TestGenerate:
         data = g.generate(g.poisson_design(200), seed=7)
         assert np.all(data.y >= 0)
         np.testing.assert_array_equal(data.y, np.round(data.y))
+
+
+def _expit_reference_generate(design, seed):
+    """The generator with scipy.special.expit for the bernoulli means."""
+    from scipy import special
+
+    rng = np.random.default_rng(seed)
+    n, p = design.n, design.p_dim
+    u = rng.uniform(0.0, 1.0, size=n)
+    chol = np.linalg.cholesky(g.ar1_moment(p + 1, design.cov_rho))
+    zx = rng.standard_normal((n, p + 1)) @ chol.T
+    z, x2 = zx[:, :p], zx[:, p]
+    alpha1, alpha2 = design.alpha_funcs
+    lp = alpha1(u) + alpha2(u) * x2 + z @ design.beta0
+    y = rng.binomial(1, special.expit(lp)).astype(float)
+    return u, np.column_stack([np.ones(n), x2]), z, y
+
+
+class TestBernoulliMeans:
+    """_expit is scipy.special.expit bit for bit, so bernoulli datasets are
+    the ones an expit-based generator draws."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_expit_is_scipy_expit(self, v):
+        from scipy import special
+
+        values = np.array([v, -v])
+        assert np.array_equal(simulate._expit(values), special.expit(values),
+                              equal_nan=True)
+
+    def test_expit_at_the_edges(self):
+        from scipy import special
+
+        edges = np.array([0.0, 709.78, 745.2, 1e308, np.inf])
+        values = np.concatenate([edges, -edges])
+        got = simulate._expit(values)
+        assert np.array_equal(got, special.expit(values))
+        assert got[-1] == got[-2] == 0.0 and got[0] == got[5] == 0.5
+
+    @pytest.mark.parametrize("n", (60, 200, 1500))
+    def test_draws_match_an_expit_generator(self, n):
+        design = g.bernoulli_design(n)
+        for rep in range(20):
+            seed = g.replicate_seed(20260, rep)
+            data = g.generate(design, seed)
+            u, x, z, y = _expit_reference_generate(design, seed)
+            assert np.array_equal(data.u, u)
+            assert np.array_equal(data.x, x)
+            assert np.array_equal(data.z, z)
+            assert np.array_equal(data.y, y)
 
 
 class TestPresets:
