@@ -33,16 +33,17 @@ print(np.round(result.beta[:6], 3))
 print("profile quasi-likelihood:", round(result.profile_loglik, 2))
 print("step norms:", [round(s, 6) for s, _ in result.trace[1:]])
 
-# 3. the fitted coefficient functions on the display grid
-mid = len(result.curve.grid) // 2
-print("\nalpha_hat at u = %.3f:" % result.curve.grid[mid],
-      np.round(result.curve.values[mid], 3),
-      " truth:", np.round([f(result.curve.grid[mid]) for f in design.alpha_funcs], 3))
+# 3. the fitted coefficient functions on the display grid, at the estimate
+curve = g.fit_curve("poisson", data, result.beta, smoothing)
+mid = len(curve.grid) // 2
+print("\nalpha_hat at u = %.3f:" % curve.grid[mid],
+      np.round(curve.values[mid], 3),
+      " truth:", np.round([f(curve.grid[mid]) for f in design.alpha_funcs], 3))
 
 # 4. how much do the algorithm variants differ?
 moment = g.design_moment(design)
 for algorithm in ("backfitting", "accelerated", "full"):
     cfg = g.FitConfig(smoothing=smoothing, algorithm=algorithm, max_steps=3)
-    res = g.fit("poisson", data, cfg, init=start.beta0, curve_grid=False)
+    res = g.fit("poisson", data, cfg, init=start.beta0)
     err = g.gmse(res.beta, design.beta0, moment)
     print(f"{algorithm:>12}: GMSE = {err:.2e}")

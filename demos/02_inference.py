@@ -16,7 +16,7 @@ delta, h = g.preset_smoothing("bernoulli", 400)
 smoothing = g.SmoothingParams(h=h, delta=delta)
 config = g.FitConfig(smoothing=smoothing, max_steps=3)
 
-fit = g.fit("bernoulli", data, config, curve_grid=False)
+fit = g.fit("bernoulli", data, config)
 cov = g.sandwich_covariance(fit)
 
 print("coef      estimate      truth     se        z")

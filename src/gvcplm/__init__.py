@@ -15,7 +15,6 @@ from .data import Dataset
 from .dbe import DbeResult, difference_weights, fit_dbe
 from .errors import (
     ConditioningError,
-    ConvergenceError,
     CrossValidationError,
     DataError,
     DomainError,
@@ -86,7 +85,6 @@ __all__ = [
     "BERNOULLI",
     "ConditioningError",
     "ConstraintSpec",
-    "ConvergenceError",
     "CrossValidationError",
     "CurveEstimate",
     "CurveFitter",

@@ -32,7 +32,7 @@ from .errors import (
 from .families import get_family
 from .inference import glrt, make_constraint, sandwich_covariance
 from .profile import FitConfig, fit as profile_fit
-from .smoothing import SmoothingParams
+from .smoothing import SmoothingParams, fit_curve
 from .studies import write_csv
 
 EXIT_OK = 0
@@ -130,7 +130,8 @@ def _set(cfg: dict, **keys) -> dict:
 def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dataset:
     """Load a dataset from a headed CSV file.
 
-    Missing or non-numeric values are rejected with their row number.  When
+    Missing or non-numeric values are rejected with their row number, and a
+    column read here that the header names twice is rejected.  When
     intercept is true a leading column of ones is prepended to x.
     """
     path = Path(path)
@@ -148,6 +149,8 @@ def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dat
     for name in needed:
         if name not in index:
             raise DataError(f"{path}: column {name!r} not found in header")
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears more than once in header")
     parsed = {name: np.empty(len(rows)) for name in needed}
     for rownum, row in enumerate(rows, start=2):  # header is line 1
         if len(row) != len(header):
@@ -310,10 +313,10 @@ def _fit_payload(family, data, result, cov) -> dict:
     }
 
 
-def _write_curve_csv(path: Path, data, result) -> None:
+def _write_curve_csv(path: Path, data, curve) -> None:
     x_names, _ = _column_names(data)
     write_csv(path, ["grid_u", *(f"alpha_{name}_hat" for name in x_names)],
-              np.column_stack([result.curve.grid, result.curve.values]))
+              np.column_stack([curve.grid, curve.values]))
 
 
 def _standardized_residuals(result) -> np.ndarray:
@@ -326,6 +329,7 @@ def _cmd_fit(cfg: dict) -> int:
     family, data = _load(cfg)
     config = _run_config(cfg, family, data)
     result = profile_fit(family, data, config)
+    curve = fit_curve(family, data, result.beta, config.smoothing)
     cov = sandwich_covariance(result)
     out = _out_dir(cfg)
     payload = _fit_payload(family, data, result, cov)
@@ -336,7 +340,7 @@ def _cmd_fit(cfg: dict) -> int:
         float(r) for r in _standardized_residuals(result)
     ]
     _json_dump(out / "fit_report.json", payload)
-    _write_curve_csv(out / "curve.csv", data, result)
+    _write_curve_csv(out / "curve.csv", data, curve)
     return EXIT_OK
 
 
@@ -348,7 +352,7 @@ def _cmd_test(cfg: dict) -> int:
                              "--test 'z7=0,z8=0'")
     constraint = make_constraint(_parse_constraint(spec, _column_names(data)[1]))
     config = _run_config(cfg, family, data)
-    fit_alt = profile_fit(family, data, config, curve_grid=False)
+    fit_alt = profile_fit(family, data, config)
     result = glrt(family, data, constraint, config, fit_alt=fit_alt)
     cov = sandwich_covariance(fit_alt)
     out = _out_dir(cfg)

@@ -123,8 +123,7 @@ def cross_validate(
                         held_out = CurveFitter(fam, train.x, train.y, train.u,
                                                smoothing, points=data.u[fold])
                     # keep beta only: the fit result pins the training engine
-                    beta = profile_fit(fam, train, cfg, curve_grid=False,
-                                       engine=engine.with_delta(delta)).beta
+                    beta = profile_fit(fam, train, cfg, engine=engine.with_delta(delta)).beta
                     sol = held_out.with_delta(delta).solve(train.z @ beta)
                 except (EffectiveSampleError, SingularityError, ConditioningError,
                         np.linalg.LinAlgError) as exc:

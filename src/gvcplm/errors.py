@@ -34,10 +34,6 @@ class ConditioningError(GvcplmError):
     """A global curvature or covariance matrix is not usable."""
 
 
-class ConvergenceError(GvcplmError):
-    """An iterative fit failed in a way that cannot be reported as a result."""
-
-
 class RankError(ParameterError):
     """User-supplied hypothesis rows are linearly dependent (a config mistake)."""
 

@@ -205,7 +205,7 @@ def glrt(
     configuration in the reduced coordinates.
     """
     if fit_alt is None:
-        fit_alt = profile_fit(family, data, config, curve_grid=False)
+        fit_alt = profile_fit(family, data, config)
     engine = fit_alt.engine
     if not (engine.data is data and engine.family == get_family(family)
             and engine.smoothing == config.smoothing):

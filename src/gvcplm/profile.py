@@ -49,12 +49,9 @@ from .families import get_family
 from .smoothing import (
     MAX_HALVINGS,
     BatchSolution,
-    CurveEstimate,
     CurveFitter,
     SmoothingParams,
     _ridged_solve,
-    default_grid,
-    fit_curve,
 )
 
 _ALGORITHMS = {
@@ -91,7 +88,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged (or capped) profile fit.
+    """Converged (or capped) profile fit: the estimate of beta, not of the
+    coefficient functions on a display grid (``fit_curve`` at beta).
 
     fitted is the (n,) linear predictor at beta.  The result also carries the
     engine and the final state that produced it, so inference at beta reuses
@@ -104,7 +102,6 @@ class FitResult:
     """
 
     beta: np.ndarray
-    curve: Optional[CurveEstimate]
     profile_loglik: float
     trace: tuple          # per accepted step: (step norm, objective value)
     converged: bool
@@ -308,17 +305,15 @@ def fit(
     data: Dataset,
     config: FitConfig,
     init=None,
-    curve_grid=None,
     engine: Optional[ProfileEngine] = None,
 ) -> FitResult:
     """Maximize the profile quasi-likelihood over beta.
 
-    init defaults to the difference-based estimate.  curve_grid selects the
-    display grid for the fitted coefficient functions: None for the default
-    200-point grid, an integer for an equally spaced grid of that size, an
-    array for explicit points, or False to skip curve evaluation.  engine, a
-    ProfileEngine for (family, data, config.smoothing), is reused; the local
-    fits still start cold, so the result is the one a new engine gives.
+    init defaults to the difference-based estimate.  engine, a ProfileEngine
+    for (family, data, config.smoothing), is reused; the local fits still
+    start cold, so the result is the one a new engine gives.  The coefficient
+    functions on a display grid are a separate fit: ``fit_curve`` at the
+    returned beta.
     """
     fam = get_family(family)
     if engine is None:
@@ -329,14 +324,8 @@ def fit(
     if init is None:
         init = fit_dbe(fam, data, config.smoothing.delta).beta0
     state, trace, converged, n_steps = _newton_fit(engine, config, init)
-
-    if np.isscalar(curve_grid) and curve_grid is not False:
-        curve_grid = default_grid(data, int(curve_grid))
-    curve = (None if curve_grid is False
-             else fit_curve(fam, data, state.beta, config.smoothing, curve_grid))
     return FitResult(
         beta=state.beta.copy(),
-        curve=curve,
         profile_loglik=state.loglik,
         trace=trace,
         converged=converged,

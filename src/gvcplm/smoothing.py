@@ -135,16 +135,11 @@ class LocalFit:
 
 @dataclass(frozen=True)
 class CurveEstimate:
-    """Fitted coefficient functions on a grid.
-
-    values[k] is alpha_hat(grid[k]) (length q); dbeta, when present, stacks
-    the (p x q) derivative of the fitted curve with respect to beta at each
-    grid point.
-    """
+    """Fitted coefficient functions on a grid: values[k] is alpha_hat(grid[k])
+    (length q)."""
 
     grid: np.ndarray
     values: np.ndarray
-    dbeta: Optional[np.ndarray] = None
 
 
 class BatchSolution(NamedTuple):
@@ -372,17 +367,16 @@ class CurveFitter:
 
     # -- Newton iteration ---------------------------------------------------
 
-    def solve(self, offsets, warm=None, one_step: bool = False) -> BatchSolution:
+    def solve(self, offsets, warm=None) -> BatchSolution:
         """Maximize every local objective for the given offsets.
 
         The blocks of points are solved one after another (``_solve_block``).
-        A solve that leaves points unconverged, other than a one_step solve,
-        reports them in one debug record on the ``gvcplm`` logger.
+        A solve that leaves points unconverged reports them in one debug
+        record on the ``gvcplm`` logger.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
             warm: optional (m, d) starting coefficients.
-            one_step: stop after a single damped Newton update.
         """
         offsets = np.asarray(offsets, dtype=float)
         coefs = np.array(warm, dtype=float, copy=True) if warm is not None \
@@ -392,23 +386,22 @@ class CurveFitter:
         converged = np.zeros(m, dtype=bool)
         iters = np.zeros(m, dtype=int)
         gnorm = np.full(m, np.inf)
-        budget = 1 if one_step else MAX_LOCAL_ITERS
         curvature = _stacked(_blocks(*self.weights.shape), lambda rows: self._solve_block(
-            rows, offset_windows[self.start[rows]], budget,
+            rows, offset_windows[self.start[rows]],
             coefs[rows], gnorm[rows], converged[rows], iters[rows]))
-        if not one_step and _log.isEnabledFor(logging.DEBUG) and not converged.all():
+        if _log.isEnabledFor(logging.DEBUG) and not converged.all():
             # an active point has iterations left, so one that stopped short
             # of the budget unconverged was abandoned
-            abandoned = np.count_nonzero(~converged & (iters < budget))
+            abandoned = np.count_nonzero(~converged & (iters < MAX_LOCAL_ITERS))
             unconverged = m - np.count_nonzero(converged)
             _log.debug("local Newton: %d of %d points unconverged (%d abandoned after "
                        "%d step halvings, %d out of the %d-iteration budget); "
                        "largest gradient norm %.3g", unconverged, m, abandoned,
-                       MAX_HALVINGS, unconverged - abandoned, budget,
+                       MAX_HALVINGS, unconverged - abandoned, MAX_LOCAL_ITERS,
                        gnorm[~converged].max())
         return BatchSolution(coefs, curvature, gnorm, converged, iters)
 
-    def _solve_block(self, rows, offsets, budget, coefs, gnorm, converged, iters):
+    def _solve_block(self, rows, offsets, coefs, gnorm, converged, iters):
         """Damped Newton iteration of one block of points, in place.
 
         offsets are the block's local offsets (rows, w); coefs, gnorm,
@@ -437,7 +430,7 @@ class CurveFitter:
             if done.any():
                 active, grad, q2 = active[~done], grad[~done], q2[~done]
                 sel = active
-            if active.size == 0 or iters[sel].min() >= budget:
+            if active.size == 0 or iters[sel].min() >= MAX_LOCAL_ITERS:
                 # points that exhausted the budget stay converged=False
                 break
 
@@ -531,16 +524,12 @@ def fit_local(
     beta,
     u: float,
     smoothing: SmoothingParams,
-    warm_start: Optional[LocalFit] = None,
 ) -> LocalFit:
     """Fit the local polynomial coefficients at a single point u."""
     fam = get_family(family)
     data.validate_response(fam)
     fitter = CurveFitter(fam, data.x, data.y, data.u, smoothing, [u])
-    warm = None
-    if warm_start is not None:
-        warm = warm_start.coefficients[None, :]
-    sol = fitter.solve(_offsets(data, beta), warm=warm)
+    sol = fitter.solve(_offsets(data, beta))
     q = data.n_curves
     return LocalFit(
         a0=sol.coefficients[0, :q].copy(),
@@ -550,8 +539,8 @@ def fit_local(
     )
 
 
-def default_grid(data: Dataset, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    return np.linspace(data.u.min(), data.u.max(), size)
+def default_grid(data: Dataset) -> np.ndarray:
+    return np.linspace(data.u.min(), data.u.max(), DEFAULT_GRID_SIZE)
 
 
 def fit_curve(
@@ -560,15 +549,11 @@ def fit_curve(
     beta,
     smoothing: SmoothingParams,
     grid=None,
-    one_step: bool = False,
-    with_dbeta: bool = False,
 ) -> CurveEstimate:
     """Fit the coefficient functions on a grid for fixed beta.
 
     grid defaults to 200 equally spaced points spanning the observed u
-    range.  With one_step=True each point takes a single damped Newton step
-    from the transformed-response least squares start instead of iterating
-    to convergence.
+    range.
     """
     fam = get_family(family)
     data.validate_response(fam)
@@ -576,9 +561,8 @@ def fit_curve(
         grid = default_grid(data)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     fitter = CurveFitter(fam, data.x, data.y, data.u, smoothing, grid)
-    sol = fitter.solve(_offsets(data, beta), one_step=one_step)
-    dbeta = fitter.alpha_prime(sol, data.z) if with_dbeta else None
-    return CurveEstimate(grid=grid, values=fitter.curve_values(sol).copy(), dbeta=dbeta)
+    sol = fitter.solve(_offsets(data, beta))
+    return CurveEstimate(grid=grid, values=fitter.curve_values(sol).copy())
 
 
 def estimate_alpha_prime(
@@ -587,17 +571,13 @@ def estimate_alpha_prime(
     beta,
     u: float,
     smoothing: SmoothingParams,
-    local_fit: Optional[LocalFit] = None,
 ) -> np.ndarray:
     """Closed-form derivative of the fitted curve at u with respect to beta.
 
     Returns a (p, q) matrix whose (j, r) entry is d alpha_hat_r(u) / d beta_j.
-    A previously computed LocalFit at u may be passed to skip the Newton
-    iterations.
     """
     fam = get_family(family)
     data.validate_response(fam)
     fitter = CurveFitter(fam, data.x, data.y, data.u, smoothing, [u])
-    warm = local_fit.coefficients[None, :] if local_fit is not None else None
-    sol = fitter.solve(_offsets(data, beta), warm=warm)
+    sol = fitter.solve(_offsets(data, beta))
     return fitter.alpha_prime(sol, data.z)[0]

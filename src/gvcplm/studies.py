@@ -122,7 +122,7 @@ def _study_table1(family, n, reps, seed, smoothing, full_steps=50):
         rase_oracle = rase(oracle, design.alpha_funcs)
         for name, cfg in configs.items():
             t0 = time.perf_counter()
-            beta = profile_fit(family, data, cfg, init=init, curve_grid=False).beta
+            beta = profile_fit(family, data, cfg, init=init).beta
             elapsed = time.perf_counter() - t0
             curve = fit_curve(family, data, beta, smoothing)
             row[f"time_{name}"] = elapsed
@@ -155,9 +155,10 @@ def _study_table2(family, n, reps, seed, smoothing):
         data = generate(design, rng_seed)
         init = fit_dbe(family, data, smoothing.delta).beta0
         g_dbe = gmse(init, design.beta0, moment)
-        beta_3s = profile_fit(family, data, cfg_3s, init=init, curve_grid=False).beta
-        beta_af = profile_fit(family, data, cfg_af, init=init, curve_grid=False).beta
-        g_3s = gmse(beta_3s, design.beta0, moment)
+        # one engine for both fits: it keeps no state between them
+        res_3s = profile_fit(family, data, cfg_3s, init=init)
+        beta_af = profile_fit(family, data, cfg_af, init=init, engine=res_3s.engine).beta
+        g_3s = gmse(res_3s.beta, design.beta0, moment)
         g_af = gmse(beta_af, design.beta0, moment)
         return {
             "rep": rep,
@@ -191,7 +192,7 @@ def _study_table3(family, n, reps, seed, smoothing, multipliers=(0.66, 1.0, 1.5)
         for mult in multipliers:
             scaled = dataclasses.replace(smoothing, h=mult * smoothing.h)
             cfg = FitConfig(smoothing=scaled, max_steps=1)
-            beta = profile_fit(family, data, cfg, init=init, curve_grid=False).beta
+            beta = profile_fit(family, data, cfg, init=init).beta
             tag = f"{mult:g}"
             row[f"gmse_h{tag}"] = gmse(beta, design.beta0, moment)
             row[f"beta5_h{tag}"] = float(beta[4])
@@ -215,7 +216,7 @@ def _study_table4(family, n, reps, seed, smoothing):
 
     def worker(rep, rng_seed):
         data = generate(design, rng_seed)
-        res = profile_fit(family, data, cfg, curve_grid=False)
+        res = profile_fit(family, data, cfg)
         cov = sandwich_covariance(res)
         row = {"rep": rep}
         for j in range(design.p_dim):

@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
-from gvcplm import Dataset
+from gvcplm import CurveFitter, Dataset
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def fitter_sizes(monkeypatch):
+    """The number of points of every CurveFitter built during the test, in
+    the order they are built."""
+    sizes = []
+    orig = CurveFitter.__init__
+
+    def counting(fitter, *args, **kwargs):
+        orig(fitter, *args, **kwargs)
+        sizes.append(fitter.points.size)
+
+    monkeypatch.setattr(CurveFitter, "__init__", counting)
+    return sizes
 
 
 def make_gaussian_dataset(n=300, q=2, p=6, seed=0, noise=1.0, alpha_linear=False):

@@ -68,8 +68,7 @@ def test_criterion_1_gaussian_oracle_equivalence():
     for rep in range(20):
         data, _, _ = make_gaussian_dataset(n=300, q=2, p=6, seed=1000 + rep)
         oracle, _, _ = gaussian_profile_wls(data, sm)
-        res = g.fit("gaussian", data, FitConfig(smoothing=sm, max_steps=10),
-                    curve_grid=False)
+        res = g.fit("gaussian", data, FitConfig(smoothing=sm, max_steps=10))
         worst = max(worst, float(np.linalg.norm(res.beta - oracle)))
     elapsed = time.perf_counter() - start
     _verdict(1, "gaussian oracle equivalence",
@@ -191,7 +190,7 @@ class TestCriterion8Properties:
         design = g.poisson_design(200)
         data = g.generate(design, seed=g.replicate_seed(MASTER_SEED, 1))
         cfg = FitConfig(smoothing=SmoothingParams(h=0.1, delta=0.1), max_steps=30)
-        fit_alt = g.fit("poisson", data, cfg, curve_grid=False)
+        fit_alt = g.fit("poisson", data, cfg)
         rows = np.eye(design.p_dim)[6:]
         base = g.glrt("poisson", data, g.make_constraint(rows), cfg, fit_alt=fit_alt)
         gen = np.random.default_rng(MASTER_SEED)
@@ -209,7 +208,7 @@ class TestCriterion8Properties:
         for alg in ("backfitting", "accelerated", "full"):
             cfg = FitConfig(smoothing=SmoothingParams(h=0.1, delta=0.1),
                             algorithm=alg, max_steps=5)
-            res = g.fit("poisson", data, cfg, curve_grid=False)
+            res = g.fit("poisson", data, cfg)
             values = [v for _, v in res.trace]
             tol = 1e-9 * (1 + abs(values[0]))
             ok = ok and all(b >= a - tol for a, b in zip(values, values[1:]))

@@ -42,7 +42,6 @@ def _outputs(family, data, sm):
         "design": fitter.design,
         "cold": cold,
         "warm": fitter.solve(offsets * 1.01, warm=warm),
-        "one_step": fitter.solve(offsets, one_step=True),
         "initial": fitter.initial_coefficients(offsets),
         "derivative": derivative,
         "strides": derivative.strides,
@@ -145,8 +144,10 @@ def test_block_temporaries_do_not_grow_with_the_points(monkeypatch):
 
 def test_no_points_is_one_empty_block():
     data, delta, h = _dataset("poisson", 200, 1)
-    curve = g.fit_curve("poisson", data, np.zeros(data.n_linear),
-                        SmoothingParams(h=h, delta=delta), grid=np.array([]),
-                        with_dbeta=True)
+    sm = SmoothingParams(h=h, delta=delta)
+    beta = np.zeros(data.n_linear)
+    curve = g.fit_curve("poisson", data, beta, sm, grid=np.array([]))
     assert curve.values.shape == (0, data.n_curves)
-    assert curve.dbeta.shape == (0, data.n_linear, data.n_curves)
+    fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, np.array([]))
+    sol = fitter.solve(data.z @ beta)
+    assert fitter.alpha_prime(sol, data.z).shape == (0, data.n_linear, data.n_curves)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import gvcplm as g
 from gvcplm import cli, crossval
 from gvcplm.cli import main, read_dataset_csv, write_dataset_csv
-from gvcplm.smoothing import CurveFitter
 
 
 def run_cli(*args):
@@ -43,6 +42,23 @@ class TestDatasetCsv:
         path.write_text("u,x1,z1,y\n0.1,1.0,0.3,2\n0.2,1.0,,3\n")
         with pytest.raises(g.DataError, match="row 3"):
             read_dataset_csv(path, "u", "y", ["x1"], ["z1"])
+
+    def test_column_read_twice_in_header_named(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("u,y,x1,z1,z1\n0.1,2,1.0,0.3,0.5\n")
+        with pytest.raises(g.DataError, match="'z1' appears more than once"):
+            read_dataset_csv(path, "u", "y", ["x1"], ["z1"])
+        code = run_cli("fit", "--data", str(path), "--family", "gaussian",
+                       "--u", "u", "--y", "y", "--x", "x1", "--z", "z1",
+                       "--h", "0.3", "--out", str(tmp_path))
+        assert code == 3
+        assert "'z1'" in capsys.readouterr().err
+
+    def test_duplicate_column_not_read_is_allowed(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("u,y,x1,z1,note,note\n0.1,2,1.0,0.3,a,b\n")
+        data = read_dataset_csv(path, "u", "y", ["x1"], ["z1"])
+        np.testing.assert_array_equal(data.z, [[0.3]])
 
     def test_intercept_prepended(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -139,24 +155,25 @@ class TestCommandsReadFitState:
     # smoother has n points
     N = 240
 
-    def _count_points(self, monkeypatch):
-        sizes = []
-        orig = CurveFitter.__init__
-
-        def counting(fitter, *args, **kwargs):
-            orig(fitter, *args, **kwargs)
-            sizes.append(fitter.points.size)
-
-        monkeypatch.setattr(CurveFitter, "__init__", counting)
-        return sizes
-
     @pytest.mark.parametrize("command", (("fit",), ("test", "--test", "z7=0,z8=0")))
-    def test_builds_one_n_point_smoother(self, tmp_path, monkeypatch, command):
+    def test_builds_one_n_point_smoother(self, tmp_path, fitter_sizes, command):
         _, args = _write_design_csv(tmp_path, "poisson", self.N, 113)
-        sizes = self._count_points(monkeypatch)
         code = run_cli(*command, *args, "--h", "0.1", "--delta", "0.1")
         assert code == 0
-        assert sizes.count(self.N) == 1
+        assert fitter_sizes.count(self.N) == 1
+
+    @pytest.mark.parametrize("command, sizes", (
+        (("fit",), [N, 200]),
+        (("test", "--test", "z7=0,z8=0"), [N]),
+    ), ids=("fit", "test"))
+    def test_only_fit_builds_the_display_grid_smoother(self, tmp_path, fitter_sizes,
+                                                       command, sizes):
+        # fit evaluates the curve on the 200-point display grid once the
+        # estimate is in; test reports no curve
+        _, args = _write_design_csv(tmp_path, "poisson", self.N, 113)
+        code = run_cli(*command, *args, "--h", "0.1", "--delta", "0.1")
+        assert code == 0
+        assert fitter_sizes == sizes
 
     @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
     def test_residuals_are_pearson_residuals(self, tmp_path, family):
@@ -221,8 +238,8 @@ class TestFitCommand:
         np.testing.assert_array_equal(emitted.y, data.y)
         sm = g.SmoothingParams(h=0.1, delta=0.1)
         cfg = g.FitConfig(smoothing=sm, max_steps=3)
-        direct = g.fit("poisson", data, cfg, curve_grid=False)
-        via_csv = g.fit("poisson", emitted, cfg, curve_grid=False)
+        direct = g.fit("poisson", data, cfg)
+        via_csv = g.fit("poisson", emitted, cfg)
         np.testing.assert_array_equal(direct.beta, via_csv.beta)
 
     def test_cv_without_h_keeps_degree_and_delta(self, tmp_path):

@@ -81,7 +81,7 @@ class TestFitDbe:
         moment = g.design_moment(design)
         dbe = g.fit_dbe("gaussian", data)
         cfg = g.FitConfig(smoothing=g.SmoothingParams(h=0.15), max_steps=50)
-        final = g.fit("gaussian", data, cfg, init=dbe.beta0, curve_grid=False)
+        final = g.fit("gaussian", data, cfg, init=dbe.beta0)
         ratio = g.gmse(final.beta, design.beta0, moment) / g.gmse(
             dbe.beta0, design.beta0, moment
         )

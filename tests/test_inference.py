@@ -136,7 +136,7 @@ class TestMakeConstraint:
 class TestSandwichCovariance:
     def _fit(self, data, sm, **kw):
         cfg = FitConfig(smoothing=sm, max_steps=20, **kw)
-        return g.fit("gaussian", data, cfg, curve_grid=False)
+        return g.fit("gaussian", data, cfg)
 
     def test_close_to_classical_ols_covariance(self):
         # intercept-only curve with flat truth: the model is a linear model
@@ -213,7 +213,7 @@ class TestGlrt:
         design = g.poisson_design(200)
         data = g.generate(design, seed=g.replicate_seed(53, 0))
         cfg = FitConfig(smoothing=SmoothingParams(h=0.1, delta=0.1), max_steps=30)
-        fit_alt = g.fit("poisson", data, cfg, curve_grid=False)
+        fit_alt = g.fit("poisson", data, cfg)
         rows = np.eye(design.p_dim)[6:]
         base = g.glrt("poisson", data, g.make_constraint(rows), cfg, fit_alt=fit_alt)
         assert base.statistic_raw > -1e-6
@@ -254,7 +254,7 @@ class TestRowPermutationInvariance:
         delta, h = g.preset_smoothing(family, data.n)
         cfg = FitConfig(smoothing=SmoothingParams(h=h, delta=delta), max_steps=30)
         p = data.z.shape[1]
-        fit = g.fit(family, data, cfg, curve_grid=False)
+        fit = g.fit(family, data, cfg)
         test = g.glrt(family, data, g.make_constraint(np.eye(p)[6:]), cfg, fit_alt=fit)
         return fit, test
 
@@ -283,7 +283,7 @@ def _design_fit(family, seed):
     data = g.generate(design, seed=g.replicate_seed(seed, 0))
     delta, h = g.preset_smoothing(family, 200)
     cfg = FitConfig(smoothing=SmoothingParams(h=h, delta=delta), max_steps=3)
-    return design, data, cfg, g.fit(family, data, cfg, curve_grid=False)
+    return design, data, cfg, g.fit(family, data, cfg)
 
 
 class TestInferenceReadsFitState:

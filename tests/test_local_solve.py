@@ -44,15 +44,15 @@ def _simulated_problem(family, n=300, seed=3):
 
 
 def _starts(fitter, offsets):
-    """Cold, warm (a_0 pushed 8 below the cold start, so steps are halved)
-    and one-step solve arguments."""
+    """Cold and warm (a_0 pushed 8 below the cold start, so steps are
+    halved) solve arguments."""
     warm = fitter.initial_coefficients(offsets)
     warm[:, 0] -= 8.0
-    return {"cold": {}, "warm": {"warm": warm}, "one_step": {"one_step": True}}
+    return {"cold": {}, "warm": {"warm": warm}}
 
 
 @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
-@pytest.mark.parametrize("start", ("cold", "warm", "one_step"))
+@pytest.mark.parametrize("start", ("cold", "warm"))
 def test_one_family_pass_per_objective(family, start):
     data, fitter = _simulated_problem(family)
     offsets = data.z @ np.full(data.n_linear, 0.1)
@@ -75,7 +75,7 @@ def _assert_carried_curvature(fitter, offsets, sol):
 
 
 @pytest.mark.parametrize("family", ("gaussian", "poisson", "bernoulli"))
-@pytest.mark.parametrize("start", ("cold", "warm", "one_step"))
+@pytest.mark.parametrize("start", ("cold", "warm"))
 def test_curvature_is_q2_at_returned_coefficients(family, start):
     if family == "gaussian":
         u = np.linspace(0.0, 1.0, 60)
@@ -85,8 +85,6 @@ def test_curvature_is_q2_at_returned_coefficients(family, start):
         data, fitter = _simulated_problem(family)
         offsets = data.z @ np.full(data.n_linear, 0.1)
     sol = fitter.solve(offsets, **_starts(fitter, offsets)[start])
-    if start == "one_step":
-        assert np.all(sol.iterations <= 1)
     _assert_carried_curvature(fitter, offsets, sol)
 
 
@@ -172,7 +170,6 @@ def test_converged_and_one_step_solves_report_nothing(caplog, monkeypatch):
     offsets = data.z @ np.full(data.n_linear, 0.1)
     with caplog.at_level(logging.DEBUG, logger="gvcplm"):
         assert fitter.solve(offsets).converged.all()
-        assert not fitter.solve(offsets, one_step=True).converged.all()
     assert caplog.records == []
     # with DEBUG off the saturated solve builds no record
     fitter, offsets, warm = _saturated_solve(40.0)

@@ -27,8 +27,7 @@ class TestProfileObjective:
     def test_local_maximality_at_converged_fit(self):
         data, _, _ = make_gaussian_dataset(n=150, p=4, seed=8)
         sm = SmoothingParams(h=0.3)
-        res = g.fit("gaussian", data, FitConfig(smoothing=sm, max_steps=20),
-                    curve_grid=False)
+        res = g.fit("gaussian", data, FitConfig(smoothing=sm, max_steps=20))
         assert res.converged
         base = res.profile_loglik
         for j in range(4):
@@ -80,7 +79,7 @@ class TestProfileGradient:
         data = g.generate(design, seed=g.replicate_seed(29, 0))
         sm = SmoothingParams(h=0.25, delta=0.1)
         cfg = FitConfig(smoothing=sm, max_steps=30, step_tol=1e-8)
-        res = g.fit("poisson", data, cfg, curve_grid=False)
+        res = g.fit("poisson", data, cfg)
         assert res.converged
         grad = g.profile_gradient("poisson", data, res.beta, sm)
         assert np.abs(grad).max() < 10 * cfg.step_tol * data.n
@@ -122,15 +121,14 @@ class TestFit:
         oracle, _, _ = gaussian_profile_wls(data, sm)
         for alg in ("backfitting", "accelerated", "full"):
             cfg = FitConfig(smoothing=sm, algorithm=alg, max_steps=30)
-            res = g.fit("gaussian", data, cfg, curve_grid=False)
+            res = g.fit("gaussian", data, cfg)
             assert np.linalg.norm(res.beta - oracle) < 1e-6, alg
 
     def test_accelerated_exact_on_noisy_gaussian(self):
         data, _, _ = make_gaussian_dataset(n=200, p=5, seed=13)
         sm = SmoothingParams(h=0.25)
         oracle, _, _ = gaussian_profile_wls(data, sm)
-        res = g.fit("gaussian", data, FitConfig(smoothing=sm, max_steps=10),
-                    curve_grid=False)
+        res = g.fit("gaussian", data, FitConfig(smoothing=sm, max_steps=10))
         assert np.linalg.norm(res.beta - oracle) < 1e-8
 
     def test_one_step_contract_and_max_steps_validation(self):
@@ -139,8 +137,7 @@ class TestFit:
         sm = SmoothingParams(h=0.25, delta=0.1)
         with pytest.raises(ParameterError):
             FitConfig(smoothing=sm, max_steps=0)
-        res = g.fit("poisson", data, FitConfig(smoothing=sm, max_steps=1),
-                    curve_grid=False)
+        res = g.fit("poisson", data, FitConfig(smoothing=sm, max_steps=1))
         assert res.n_steps == 1
         assert len(res.trace) == 2
 
@@ -150,7 +147,7 @@ class TestFit:
         for alg in ("backfitting", "accelerated", "full"):
             cfg = FitConfig(smoothing=sm, algorithm=alg, max_steps=5)
             data = g.generate(design, seed=g.replicate_seed(43, 1))
-            res = g.fit("poisson", data, cfg, curve_grid=False)
+            res = g.fit("poisson", data, cfg)
             values = [v for _, v in res.trace]
             tol = 1e-9 * (1 + abs(values[0]))
             assert all(b >= a - tol for a, b in zip(values, values[1:]))
@@ -160,25 +157,31 @@ class TestFit:
         design = g.poisson_design(400)
         data = g.generate(design, seed=g.replicate_seed(47, 0))
         sm = SmoothingParams(h=0.08, delta=0.1)
-        accel = g.fit("poisson", data, FitConfig(smoothing=sm, max_steps=50),
-                      curve_grid=False)
+        accel = g.fit("poisson", data, FitConfig(smoothing=sm, max_steps=50))
         full = g.fit("poisson", data,
-                     FitConfig(smoothing=sm, algorithm="full", max_steps=50),
-                     curve_grid=False)
+                     FitConfig(smoothing=sm, algorithm="full", max_steps=50))
         backfit = g.fit("poisson", data,
                         FitConfig(smoothing=sm, algorithm="backfitting",
-                                  max_steps=20),
-                        curve_grid=False)
+                                  max_steps=20))
         assert np.linalg.norm(accel.beta - full.beta) < 0.05
         assert np.linalg.norm(accel.beta - backfit.beta) < 0.1
 
     def test_fit_returns_display_curve(self):
         data, _, _ = make_gaussian_dataset(n=150, p=3, seed=21)
-        res = g.fit("gaussian", data, FitConfig(smoothing=SmoothingParams(h=0.3)))
-        assert res.curve.grid.shape == (200,)
-        assert res.curve.values.shape == (200, data.n_curves)
-        assert np.all(np.isfinite(res.curve.values))
-        assert np.all(np.diff(res.curve.grid) > 0)
+        sm = SmoothingParams(h=0.3)
+        res = g.fit("gaussian", data, FitConfig(smoothing=sm))
+        curve = g.fit_curve("gaussian", data, res.beta, sm)
+        assert curve.grid.shape == (200,)
+        assert curve.values.shape == (200, data.n_curves)
+        assert np.all(np.isfinite(curve.values))
+        assert np.all(np.diff(curve.grid) > 0)
+
+
+    def test_builds_one_smoother(self, fitter_sizes):
+        # the estimate needs the smoother at the observations only
+        data, _, _ = make_gaussian_dataset(n=150, p=3, seed=21)
+        g.fit("gaussian", data, FitConfig(smoothing=SmoothingParams(h=0.3)))
+        assert fitter_sizes == [data.n]
 
 
 class TestTangentStart:
@@ -219,9 +222,9 @@ class TestTangentStart:
         data = g.generate(design, seed=g.replicate_seed(59, 0))
         cfg = FitConfig(smoothing=SmoothingParams(h=0.15, delta=0.1))
         con = g.make_constraint(np.eye(design.p_dim)[3:])
-        first = g.fit("poisson", data, cfg, curve_grid=False)
+        first = g.fit("poisson", data, cfg)
         alone = g.glrt("poisson", data, con, cfg, fit_alt=first)
-        second = g.fit("poisson", data, cfg, curve_grid=False)
+        second = g.fit("poisson", data, cfg)
         g.sandwich_covariance(second)
         after = g.glrt("poisson", data, con, cfg, fit_alt=second)
         assert alone.statistic == after.statistic
@@ -235,8 +238,7 @@ class TestTangentStart:
         design = _small_design("poisson", 200)
         data = g.generate(design, seed=g.replicate_seed(61, 0))
         sm = SmoothingParams(h=0.15, delta=0.1)
-        g.fit("poisson", data, FitConfig(smoothing=sm, algorithm="backfitting"),
-              curve_grid=False)
+        g.fit("poisson", data, FitConfig(smoothing=sm, algorithm="backfitting"))
         assert calls == []
-        g.fit("poisson", data, FitConfig(smoothing=sm), curve_grid=False)
+        g.fit("poisson", data, FitConfig(smoothing=sm))
         assert calls

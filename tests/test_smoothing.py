@@ -87,8 +87,9 @@ class TestFitLocal:
         data = _tiny_poisson_dataset()
         sm = SmoothingParams(h=0.5, delta=0.1)
         beta = np.array([0.4])
-        cold = g.fit_local("poisson", data, beta, 0.5, sm)
-        warm = g.fit_local("poisson", data, beta, 0.5, sm, warm_start=cold)
+        fitter = g.CurveFitter("poisson", data.x, data.y, data.u, sm, [0.5])
+        cold = fitter.solve(data.z @ beta)
+        warm = fitter.solve(data.z @ beta, warm=cold.coefficients)
         np.testing.assert_allclose(warm.coefficients, cold.coefficients, atol=1e-7)
 
     def test_effective_sample_error(self):
@@ -124,14 +125,6 @@ class TestFitCurve:
         curve = g.fit_curve("gaussian", data, np.zeros(1), SmoothingParams(h=0.1))
         err = np.abs(curve.values[:, 0] - curve.grid)
         assert err.max() < 0.05
-
-    def test_one_step_close_to_fully_iterated(self):
-        design = g.poisson_design(400)
-        data = g.generate(design, seed=g.replicate_seed(5, 1))
-        sm = SmoothingParams(h=0.08, delta=0.1)
-        full = g.fit_curve("poisson", data, design.beta0, sm)
-        one = g.fit_curve("poisson", data, design.beta0, sm, one_step=True)
-        assert np.max(np.abs(full.values - one.values)) < 0.02
 
 
 class TestAlphaPrime:
@@ -182,9 +175,9 @@ class TestAlphaPrime:
     def test_curve_dbeta_shape(self):
         data = _tiny_poisson_dataset()
         sm = SmoothingParams(h=0.6, delta=0.1)
-        curve = g.fit_curve("poisson", data, np.array([0.4]), sm,
-                            grid=[0.3, 0.5, 0.7], with_dbeta=True)
-        assert curve.dbeta.shape == (3, 1, 1)
+        fitter = g.CurveFitter("poisson", data.x, data.y, data.u, sm, [0.3, 0.5, 0.7])
+        sol = fitter.solve(data.z @ np.array([0.4]))
+        assert fitter.alpha_prime(sol, data.z).shape == (3, 1, 1)
 
 
 class TestSmoothingParams:

@@ -25,7 +25,7 @@ class TestRunTableSmoke:
     def test_table1_accuracy_matches_default_grid_fit(self):
         # table1 times profile maximization alone and evaluates the curve
         # afterwards; its accuracy columns must equal those of a plain fit()
-        # on the default curve grid
+        # followed by fit_curve on the default grid
         report = g.run_table("table1", reps=2, seed=1, family="poisson", n=200)
         sm = g.SmoothingParams(h=report["smoothing"]["h"],
                                delta=report["smoothing"]["delta"])
@@ -41,14 +41,32 @@ class TestRunTableSmoke:
                 cfg = g.FitConfig(smoothing=sm, algorithm=name, max_steps=max_steps)
                 res = g.fit("poisson", data, cfg, init=init)
                 assert row[f"gmse_{name}"] == g.gmse(res.beta, design.beta0, moment)
+                curve = g.fit_curve("poisson", data, res.beta, sm)
                 assert row[f"rase_ratio_{name}"] == (
-                    rase_oracle / g.rase(res.curve, design.alpha_funcs))
+                    rase_oracle / g.rase(curve, design.alpha_funcs))
 
     def test_table2_report(self):
         report = g.run_table("table2", reps=3, seed=2, family="poisson", n=200)
         s = report["summary"]
         assert 0 < s["ratio_af_dbe_pct"]["median"] < 100
         assert s["ratio_af_3s_pct"]["median"] > 0
+
+    def test_table2_fits_share_one_smoother(self, fitter_sizes):
+        # the 3-step and the fully iterated fit of a replicate reuse one
+        # engine, and give what two separately built engines give
+        report = g.run_table("table2", reps=1, seed=2, family="poisson", n=200)
+        assert fitter_sizes == [200]
+        sm = g.SmoothingParams(h=report["smoothing"]["h"],
+                               delta=report["smoothing"]["delta"])
+        design = g.make_design("poisson", 200)
+        moment = g.design_moment(design)
+        data = g.generate(design, g.replicate_seed(2, 0))
+        init = g.fit_dbe("poisson", data, sm.delta).beta0
+        row = report["replicates"][0]
+        for key, max_steps in (("gmse_3s", 3), ("gmse_af", 50)):
+            res = g.fit("poisson", data, g.FitConfig(smoothing=sm, max_steps=max_steps),
+                        init=init)
+            assert row[key] == g.gmse(res.beta, design.beta0, moment)
 
     def test_table3_report(self):
         report = g.run_table("table3", reps=2, seed=3, family="poisson", n=200)
@@ -135,8 +153,9 @@ class TestBenchmarkBehavior:
             data = g.generate(design, seed=g.replicate_seed(23, rep))
             res = g.fit("poisson", data, cfg)
             oracle = g.fit_curve("poisson", data, design.beta0, sm)
+            curve = g.fit_curve("poisson", data, res.beta, sm)
             ratios.append(g.rase(oracle, design.alpha_funcs)
-                          / g.rase(res.curve, design.alpha_funcs))
+                          / g.rase(curve, design.alpha_funcs))
         assert np.median(ratios) <= 1.05
 
 
