@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -132,18 +134,19 @@ def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dat
 
     Missing or non-numeric values are rejected with their row number, and a
     column read here that the header names twice is rejected.  When
-    intercept is true a leading column of ones is prepended to x.
+    intercept is true a leading column of ones is prepended to x.  A plain
+    table of numbers is parsed in one pass (``_numeric_table``); any other
+    file is read cell by cell, which names what is wrong with it.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
-        rows = list(reader)
+        text = handle.read()
     index = {name: k for k, name in enumerate(header)}
     needed = [u_col, y_col, *x_cols, *z_cols]
     for name in needed:
@@ -151,6 +154,51 @@ def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dat
             raise DataError(f"{path}: column {name!r} not found in header")
         if header.count(name) > 1:
             raise DataError(f"{path}: column {name!r} appears more than once in header")
+    table = _numeric_table(text, len(header))
+    if table is not None:
+        parsed = {name: table[:, index[name]].copy() for name in needed}
+    else:
+        parsed = _parse_cells(path, text, header, index, needed)
+    n_rows = parsed[u_col].shape[0]
+    x = np.column_stack([parsed[c] for c in x_cols])
+    x_names = list(x_cols)
+    if intercept:
+        x = np.column_stack([np.ones(n_rows), x])
+        x_names = ["(intercept)", *x_names]
+    z = np.column_stack([parsed[c] for c in z_cols])
+    return Dataset(
+        u=parsed[u_col], x=x, z=z, y=parsed[y_col],
+        x_names=tuple(x_names), z_names=tuple(z_cols),
+    )
+
+
+def _numeric_table(text: str, n_fields: int):
+    """The data rows of a CSV file, text, as one (rows, n_fields) float array
+    parsed by ``np.loadtxt`` in one C pass, or None when text is not a plain
+    table of numbers.
+
+    loadtxt skips blank lines, which the cell-by-cell reader reports as short
+    rows, so a table with fewer rows than text has line ends (\\r\\n, \\n or
+    \\r, as csv reads them) is not taken; a quoted cell, a cell that is not a
+    number, a row of another length and a file without rows make loadtxt
+    fail, and are not taken either.  Both parsers round correctly, so a taken
+    table holds the values the cell-by-cell reader would read.
+    """
+    records = text.count("\n") + text.count("\r") - text.count("\r\n") \
+        + (not text.endswith(("\n", "\r")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)   # loadtxt warns on no rows
+        try:
+            table = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+    return table if table.shape == (records, n_fields) else None
+
+
+def _parse_cells(path, text: str, header, index, needed) -> dict:
+    """The needed columns of a CSV file's data rows, text, read cell by cell,
+    with a DataError naming the first row or cell that is not a number."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     parsed = {name: np.empty(len(rows)) for name in needed}
     for rownum, row in enumerate(rows, start=2):  # header is line 1
         if len(row) != len(header):
@@ -166,16 +214,7 @@ def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dat
             except ValueError:
                 raise DataError(f"{path}: non-numeric value {cell!r} in column "
                                 f"{name!r} at row {rownum}") from None
-    x = np.column_stack([parsed[c] for c in x_cols])
-    x_names = list(x_cols)
-    if intercept:
-        x = np.column_stack([np.ones(len(rows)), x])
-        x_names = ["(intercept)", *x_names]
-    z = np.column_stack([parsed[c] for c in z_cols])
-    return Dataset(
-        u=parsed[u_col], x=x, z=z, y=parsed[y_col],
-        x_names=tuple(x_names), z_names=tuple(z_cols),
-    )
+    return parsed
 
 
 def _column_names(data: Dataset) -> tuple:

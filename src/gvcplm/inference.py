@@ -154,9 +154,14 @@ def chi2_upper_tail(x: float, df: int) -> float:
     Each term is evaluated as exp(a log y - y - lgamma(a + 1)), so none
     overflows.  Below the mode (y < df/2, df > 2) the tail is 1 - P instead,
     with P the lower series, which keeps it at most 1 and nonincreasing in x.
-    Against scipy.special.gammaincc(df/2, x/2) it agrees to about 2e-13
-    relative for df <= 60.  x <= 0 gives 1.0 and NaN gives NaN; a df that is
-    not a whole number raises ParameterError.
+    Each term's exponent is rounded at its own magnitude, which grows with
+    df, and so does the relative error.  Against
+    scipy.special.gammaincc(df/2, x/2) over x in [df/2, 5 df/2] the largest
+    measured is 3.7e-14 at df = 100 (under 1e-13 for every df <= 100),
+    4.4e-13 at df = 1000 and 1.9e-12 at df = 3000.  No hypothesis the package
+    builds has df above p, the number of linear coefficients.  x <= 0 gives
+    1.0 and NaN gives NaN; a df that is not a whole number raises
+    ParameterError.
     """
     if not float(df).is_integer() or df < 1:
         raise ParameterError(f"degrees of freedom must be an integer >= 1, got {df}")

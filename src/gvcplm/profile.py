@@ -94,11 +94,12 @@ class FitResult:
     fitted is the (n,) linear predictor at beta.  The result also carries the
     engine and the final state that produced it, so inference at beta reuses
     the fit's smoother instead of rebuilding it (the GLRT null fit starts its
-    local fits from the state's tangent_start).  Both pin O(n*w) arrays, w
-    the kernel window width: the engine's fitter holds the kernel weights
-    (n, w) and local design (n, d, w), and the state its local curvature
-    (n, w) and, once computed, the (n, p, d) coefficient derivative.  Code
-    that needs only beta should drop the result.
+    local fits from the state's tangent_start).  The engine pins O(n*w)
+    arrays, w the kernel window width: its fitter holds the kernel weights
+    (n, w) and local design (n, d, w).  The state pins its local curvature
+    (n, w) only until it is differentiated, and from then on the (n, p, d)
+    coefficient derivative instead.  Code that needs only beta should drop
+    the result.
     """
 
     beta: np.ndarray
@@ -114,7 +115,12 @@ class FitResult:
 
 @dataclass(eq=False, slots=True)
 class _State:
-    """Curve fit and derived quantities at one beta (q1, q2 at fitted)."""
+    """Curve fit and derived quantities at one beta (q1, q2 at fitted).
+
+    The solution's (n, w) curvature serves only the coefficient derivative:
+    once _dcoef is cached the curvature is released (None), so a state holds
+    one of the two, never both.
+    """
 
     beta: np.ndarray
     solution: BatchSolution
@@ -160,6 +166,7 @@ class ProfileEngine:
     def _coefficient_derivative(self, state: _State) -> np.ndarray:
         if state._dcoef is None:
             state._dcoef = self.fitter.coefficient_derivative(state.solution, self.data.z)
+            state.solution = state.solution._replace(curvature=None)
         return state._dcoef
 
     def alpha_prime(self, state: _State) -> np.ndarray:

@@ -29,11 +29,14 @@ are not stored: they are read, when needed, from the point's window of the
 u-sorted arrays (a strided view, one row per window start).
 
 Every stage (construction, the cold start, the Newton iteration and the
-curve derivative) runs over consecutive blocks of max(1, _BLOCK_ELEMENTS //
-w) points, so its (rows, w) and (rows, d, w) temporaries are bounded by
-_BLOCK_ELEMENTS (point, window) pairs whatever m is.  Blocks depend on
-(m, w) only, and within a block the arithmetic is that of one batch of all
-points, so every result is bit for bit the same for any block size.
+curve derivative) runs over consecutive blocks of points, so its (rows, w)
+and (rows, d, w) temporaries are bounded by _BLOCK_ELEMENTS = 2^15 (point,
+window) pairs whatever m is.  The blocks are balanced: the fewest that keep
+to that bound, with sizes that differ by at most one point, so none is a
+small remainder whose fixed per-call costs are not spread over many points.
+Blocks depend on (m, w) only, and within a block the arithmetic is that of
+one batch of all points, so every result is bit for bit the same for any
+partition into blocks.
 
 ``CurveFitter.coefficient_derivative`` returns the derivative of the local
 coefficients with respect to beta, obtained in closed form by differentiating
@@ -91,7 +94,7 @@ _RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _CONDITION_LIMIT = 1e12
 _LOG_CLEARED = math.log(1e-2 * _CONDITION_LIMIT)
 DEFAULT_GRID_SIZE = 200
-_BLOCK_ELEMENTS = 1 << 16   # (point, window) pairs per block of points
+_BLOCK_ELEMENTS = 1 << 15   # most (point, window) pairs in a block of points
 
 _log = logging.getLogger("gvcplm")
 
@@ -144,7 +147,9 @@ class CurveEstimate:
 
 class BatchSolution(NamedTuple):
     coefficients: np.ndarray      # (m, d)
-    curvature: np.ndarray         # (m, w) q_2 at the local fitted predictors
+    # (m, w) q_2 at the local fitted predictors, which coefficient_derivative
+    # reads; None in a profile state once its derivative is cached
+    curvature: Optional[np.ndarray]
     gradient_norm: np.ndarray     # (m,)
     converged: np.ndarray         # (m,) bool
     iterations: np.ndarray        # (m,) int
@@ -243,10 +248,13 @@ def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float):
 
 
 def _blocks(m: int, w: int) -> list:
-    """Consecutive slices of m points, max(1, _BLOCK_ELEMENTS // w) each;
-    one empty slice when m is 0."""
-    size = max(1, _BLOCK_ELEMENTS // max(w, 1))
-    return [slice(b, min(b + size, m)) for b in range(0, max(m, 1), size)]
+    """Consecutive slices of m points: the fewest blocks of at most cap =
+    max(1, _BLOCK_ELEMENTS // w) points, ceil(m / cap), with sizes that
+    differ by at most one, so no block is a small remainder; one empty slice
+    when m is 0."""
+    count = max(1, -(-m // max(1, _BLOCK_ELEMENTS // max(w, 1))))
+    bounds = [m * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _stacked(blocks, compute) -> np.ndarray:

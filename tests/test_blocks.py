@@ -84,6 +84,24 @@ def test_blocked_equals_one_block(data_strategy):
             assert np.array_equal(got[key], value), key
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 3000), st.integers(1, 1 << 17))
+def test_blocks_are_the_fewest_balanced_slices(m, w, elements):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
+        blocks = smoothing._blocks(m, w)
+    cap = max(1, elements // max(w, 1))
+    if m == 0:
+        assert blocks == [slice(0, 0)]
+        return
+    assert [b.step for b in blocks] == [None] * len(blocks)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(m))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= cap
+    assert len(blocks) == math.ceil(m / cap)
+
+
 @pytest.mark.parametrize("elements", [1, 1000, 5000, 1 << 62],
                          ids=["rows", "1000", "5000", "one"])
 def test_singular_system_in_a_later_block_names_its_point(elements, monkeypatch):

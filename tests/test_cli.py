@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,13 @@ from gvcplm.cli import main, read_dataset_csv, write_dataset_csv
 
 def run_cli(*args):
     return main(list(args))
+
+
+def _numeric_table_of(path):
+    """cli._numeric_table on the data rows of a CSV file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header = next(csv.reader(handle))
+        return cli._numeric_table(handle.read(), len(header))
 
 
 class TestDatasetCsv:
@@ -59,6 +68,57 @@ class TestDatasetCsv:
         path.write_text("u,y,x1,z1,note,note\n0.1,2,1.0,0.3,a,b\n")
         data = read_dataset_csv(path, "u", "y", ["x1"], ["z1"])
         np.testing.assert_array_equal(data.z, [[0.3]])
+
+    def test_numeric_table_is_the_cell_reader_bit_for_bit(self, tmp_path, monkeypatch):
+        # a plain table of numbers is parsed in one pass; the cell-by-cell
+        # reader, forced by a table parser that never takes, is the reference
+        data = g.generate(g.poisson_design(1500), seed=g.replicate_seed(73, 0))
+        table = np.column_stack([data.u, data.x, data.z, data.y])
+        header = ["u", "x1", "x2", *(f"z{j+1}" for j in range(data.n_linear)), "y"]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join([",".join(header)] + [
+            ",".join(repr(float(v)) for v in row) for row in table]) + "\n")
+        cols = ("u", "y", ["x1", "x2"], header[3:-1])
+        assert _numeric_table_of(path) is not None
+        fast = read_dataset_csv(path, *cols)
+        monkeypatch.setattr(cli, "_numeric_table", lambda text, n_fields: None)
+        cells = read_dataset_csv(path, *cols)
+        for name in ("u", "x", "z", "y"):
+            a, b = getattr(fast, name), getattr(cells, name)
+            assert a.tobytes() == b.tobytes() and a.strides == b.strides, name
+        np.testing.assert_array_equal(fast.z, data.z)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.1,2,1,0.3\n\n0.2,3,1,0.4\n", "row 3 has 0 fields, expected 4"),
+        ("0.1,2,1,0.3\r\n\r\n", "row 3 has 0 fields, expected 4"),
+        ("0.1,2,1\n", "row 2 has 3 fields, expected 4"),
+        ("0.1,2,1,0.3,5\n", "row 2 has 5 fields, expected 4"),
+        ("0.1,,1,0.3\n", "missing value in column 'y' at row 2"),
+        ("0.1,abc,1,0.3\n", "non-numeric value 'abc' in column 'y' at row 2"),
+    ], ids=["blank-line", "blank-crlf-line", "short-row", "long-row", "empty-cell",
+            "non-numeric"])
+    def test_rows_the_table_parser_skips_are_named(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text("u,y,x1,z1\n" + text, newline="")
+        with pytest.raises(g.DataError) as info:
+            read_dataset_csv(path, "u", "y", ["x1"], ["z1"])
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text, y", [
+        ('u,y,x1,z1\n0.1,"2",1,0.3\n', [2.0]),           # a quoted number
+        ("u,y,x1,z1,note\n0.1,2,1,0.3,text\n", [2.0]),    # an unused text column
+        ("u,y,x1,z1\n", []),                              # a header only
+        ("u,y,x1,z1\r0.1,2,1,0.3\r0.2,3,1,0.4\r", [2.0, 3.0]),   # CR line ends
+    ], ids=["quoted", "unused-text-column", "header-only", "cr-line-ends"])
+    def test_files_the_table_parser_does_not_take_are_read_by_cell(self, tmp_path, text, y):
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")   # loadtxt warns on a file without rows
+            assert _numeric_table_of(path) is None
+            data = read_dataset_csv(path, "u", "y", ["x1"], ["z1"])
+        assert not caught
+        np.testing.assert_array_equal(data.y, y)
 
     def test_intercept_prepended(self, tmp_path):
         path = tmp_path / "d.csv"

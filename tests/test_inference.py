@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from gvcplm import (
     RankError,
     SmoothingParams,
 )
+
+from gvcplm.profile import _State
 
 from conftest import make_gaussian_dataset
 from oracles import chi2_upper_oracle
@@ -63,6 +66,14 @@ class TestChi2UpperTail:
             assert abs(value - reference) <= 1e-12 * reference
         else:
             assert abs(value - reference) <= 1e-300
+
+    def test_relative_error_to_df_100_around_the_mean(self):
+        # each term's exponent rounds at its own magnitude, so the error
+        # grows with df; 1e-13 holds up to df = 100 (about 6e-14 measured)
+        for df in range(1, 101):
+            for x in np.linspace(0.5 * df, 2.5 * df, 101):
+                reference = special.gammaincc(df / 2.0, x / 2.0)
+                assert abs(g.chi2_upper_tail(x, df) - reference) <= 1e-13 * reference, (df, x)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 60), st.floats(0.0, 5000.0), st.floats(0.0, 5000.0))
@@ -278,6 +289,13 @@ class TestRowPermutationInvariance:
         assert abs(test_p.statistic - test.statistic) <= 1e-12 * loglik
 
 
+def _new_states(before):
+    """Profile states alive now that were not in before."""
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, _State)
+            and not any(obj is old for old in before)]
+
+
 def _design_fit(family, seed):
     design = g.make_design(family, 200)
     data = g.generate(design, seed=g.replicate_seed(seed, 0))
@@ -340,6 +358,40 @@ class TestInferenceReadsFitState:
         np.testing.assert_array_equal(used.fitted, fresh.fitted)
         np.testing.assert_array_equal(used.solution.coefficients,
                                       fresh.solution.coefficients)
+
+    @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+    def test_states_release_their_curvature_once_differentiated(self, family, monkeypatch):
+        # inference reads a state's coefficient derivative, never its (n, w)
+        # curvature, so releasing the curvature once the derivative is cached
+        # leaves every bit of the SEs, T, the null beta and a tangent start
+        def run():
+            gc.collect()
+            before = [obj for obj in gc.get_objects() if isinstance(obj, _State)]
+            design, data, cfg, res = _design_fit(family, 127)
+            se = g.sandwich_covariance(res).se
+            sandwich_states = _new_states(before)
+            test = g.glrt(family, data, g.make_constraint(np.eye(design.p_dim)[6:]), cfg,
+                          fit_alt=res)
+            assert _new_states(before) == sandwich_states == [res.state]
+            tangent = res.engine.tangent_start(res.state, test.beta_null)
+            return se, test, tangent, res.state
+
+        se, test, tangent, state = run()
+        assert state.solution.curvature is None
+
+        def keep_curvature(engine, state):
+            if state._dcoef is None:
+                state._dcoef = engine.fitter.coefficient_derivative(state.solution,
+                                                                    engine.data.z)
+            return state._dcoef
+
+        monkeypatch.setattr(ProfileEngine, "_coefficient_derivative", keep_curvature)
+        kept_se, kept_test, kept_tangent, kept_state = run()
+        assert kept_state.solution.curvature.shape[0] == kept_state.fitted.shape[0]
+        assert se.tobytes() == kept_se.tobytes()
+        assert test.statistic == kept_test.statistic
+        assert test.beta_null.tobytes() == kept_test.beta_null.tobytes()
+        assert tangent.tobytes() == kept_tangent.tobytes()
 
     def test_glrt_rejects_fit_with_other_smoothing(self):
         design, data, cfg, fit_alt = _design_fit("poisson", 109)
