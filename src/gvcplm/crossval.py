@@ -9,9 +9,11 @@ fit.  A cell whose fit fails on any fold is marked failed, with the reason,
 and excluded from the argmax; a ParameterError (a configuration mistake) is
 raised instead.  The loop runs fold -> h -> delta: the kernel windows depend
 on (fold, h) only, so one training engine and one held-out fitter per
-(fold, h) serve all its deltas (``with_delta``).  Each cell still starts cold
-from its own delta, so its score and fold betas are bit-identical to a
-one-cell run, whatever the rest of the grid holds.
+(fold, h) serve all its deltas (``with_delta``), and the difference-based
+start depends on (fold, delta) only, so it is computed once per pair and
+shared by that delta's bandwidths.  Each cell still starts cold from its own
+delta, so its score and fold betas are bit-identical to a one-cell run,
+whatever the rest of the grid holds.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
+from .dbe import fit_dbe
 from .errors import (
     ConditioningError,
     CrossValidationError,
@@ -109,6 +112,7 @@ def cross_validate(
         mask = np.ones(data.n, dtype=bool)
         mask[fold] = False
         train = Dataset(u=data.u[mask], x=data.x[mask], z=data.z[mask], y=data.y[mask])
+        starts = {}   # delta -> the fold's difference-based start
         for h in dict.fromkeys(h for _, h in grid):
             engine = held_out = None  # the previous (fold, h) pair is freed
             for cell in [c for c, (_, hc) in enumerate(grid)
@@ -122,8 +126,11 @@ def cross_validate(
                         # curves at held-out points from training observations only
                         held_out = CurveFitter(fam, train.x, train.y, train.u,
                                                smoothing, points=data.u[fold])
+                    if delta not in starts:
+                        starts[delta] = fit_dbe(fam, train, delta).beta0
                     # keep beta only: the fit result pins the training engine
-                    beta = profile_fit(fam, train, cfg, engine=engine.with_delta(delta)).beta
+                    beta = profile_fit(fam, train, cfg, init=starts[delta],
+                                       engine=engine.with_delta(delta)).beta
                     sol = held_out.with_delta(delta).solve(train.z @ beta)
                 except (EffectiveSampleError, SingularityError, ConditioningError,
                         np.linalg.LinAlgError) as exc:

@@ -95,11 +95,11 @@ class FitResult:
     engine and the final state that produced it, so inference at beta reuses
     the fit's smoother instead of rebuilding it (the GLRT null fit starts its
     local fits from the state's tangent_start).  The engine pins O(n*w)
-    arrays, w the kernel window width: its fitter holds the kernel weights
-    (n, w) and local design (n, d, w).  The state pins its local curvature
-    (n, w) only until it is differentiated, and from then on the (n, p, d)
-    coefficient derivative instead.  Code that needs only beta should drop
-    the result.
+    arrays, w the kernel window width: its fitter holds the kernel weights of
+    each group of tiles, at most n (w + 32) values in all.  The state pins
+    its per-group local curvature, as large, only until it is differentiated,
+    and from then on the (n, p, d) coefficient derivative instead.  Code that
+    needs only beta should drop the result.
     """
 
     beta: np.ndarray
@@ -117,9 +117,9 @@ class FitResult:
 class _State:
     """Curve fit and derived quantities at one beta (q1, q2 at fitted).
 
-    The solution's (n, w) curvature serves only the coefficient derivative:
-    once _dcoef is cached the curvature is released (None), so a state holds
-    one of the two, never both.
+    The solution's per-group curvature serves only the coefficient
+    derivative: once _dcoef is cached the curvature is released (None), so a
+    state holds one of the two, never both.
     """
 
     beta: np.ndarray

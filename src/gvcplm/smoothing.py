@@ -9,34 +9,50 @@ the polynomial expansion
 over the coefficient blocks a_0 .. a_p.  The maximizer's leading block a_0 is
 the fitted curve value at u.
 
-The solver is batched: the evaluation points of a block are advanced
+The solver is batched: the evaluation points of a group are advanced
 together through a damped Newton iteration on stacked per-point problems.
 Concavity of the local objective (q_2 < 0) makes the maximizer unique, and
 every point's iteration, ridge and step halvings are its own, so batching
-changes cost, not results.  ``CurveFitter`` precomputes the kernel weights
-and the polynomial design tensor once per (data, bandwidth, points) triple;
-repeated solves at nearby beta values (the inner loop of profile estimation)
-then reuse them and warm-start from nearby coefficients.
+changes cost, not results beyond rounding.  ``CurveFitter`` precomputes the
+kernel weights once per (data, bandwidth, points) triple; repeated solves at
+nearby beta values (the inner loop of profile estimation) then reuse them and
+warm-start from nearby coefficients.
 
 The kernel has compact support, so only observations with
 |u_i - u| <= support_radius * h carry weight at u.  With the observations
-sorted by u, that window is a contiguous band.  ``CurveFitter`` stores, per
-evaluation point, the band's kernel weights and design columns, padded to
-the widest band w: O(m w) memory and work for m points instead of O(m n).
-Padding entries get a kernel weight of exactly zero, so the estimator is the
-one defined by the full kernel sums above.  A band's responses and offsets
-are not stored: they are read, when needed, from the point's window of the
-u-sorted arrays (a strided view, one row per window start).
+sorted by u, that window is a contiguous run.  ``CurveFitter`` sorts the
+points by u and cuts them into tiles of consecutive points, and the tiles
+into groups of consecutive tiles.  A tile's columns are a contiguous run of
+the u-sorted observations that holds the union of its points' windows,
+padded to the widest union of its group; a group stores its points' kernel
+weights over their tiles' columns, (b_g, width), zero outside each point's
+own window, so the estimator is the one defined by the full kernel sums
+above.  Responses, offsets, x and z are read, when needed, as a tile's
+contiguous slice of the u-sorted arrays.
 
-Every stage (construction, the cold start, the Newton iteration and the
-curve derivative) runs over consecutive blocks of points, so its (rows, w)
-and (rows, d, w) temporaries are bounded by _BLOCK_ELEMENTS = 2^15 (point,
-window) pairs whatever m is.  The blocks are balanced: the fewest that keep
-to that bound, with sizes that differ by at most one point, so none is a
-small remainder whose fixed per-call costs are not spread over many points.
-Blocks depend on (m, w) only, and within a block the arithmetic is that of
-one batch of all points, so every result is bit for bit the same for any
-partition into blocks.
+A tile shares one basis across its points (Fan and Gijbels, Local Polynomial
+Modelling, 1996, section 3): the Taylor re-expansion of the local polynomial
+about the tile's centre c,
+
+    (u_i - u_e)^r / r!  =  sum_{s <= r} (u_i - c)^s / s! * (c - u_e)^(r-s) / (r-s)!,
+
+makes point e's local design D_e = M_e B, with B the (d, width) basis of
+rows (u_i - c)^r / r! * x_ij and M_e unit lower triangular, M_e[r, s] =
+(-(u_e - c))^(r-s) / (r-s)! (times the q x q identity).  So every kernel sum
+of a tile is one matrix product against B: the predictors (M_e' a_e)' B + o,
+the score M_e [(W q_1) B']_e, and the Hessian M_e [(W q_2) P]_e M_e' with P
+the (width, d^2) products of B's rows, per observation.  Everything else (the
+family pass, the ridged Newton steps, halvings and convergence, decided on
+each point's own coefficients a_e) runs once per group.
+
+Two bounds size them.  A tile's union may exceed its widest window by at
+most _TILE_SPAN = 32 observations, so a point's sums run over few
+observations beyond its own window.  A group's (b_g, width) arrays, and a
+tile's, hold at most _BLOCK_ELEMENTS = 2^15 (point, observation) pairs
+unless a single tile is wider, so the temporaries of every stage stay
+bounded whatever m is.  Nothing of size (m, d, w) is stored: the bases and
+their products are rebuilt per call from O(n) arrays, at about the cost of
+one point's Hessian per tile.
 
 ``CurveFitter.coefficient_derivative`` returns the derivative of the local
 coefficients with respect to beta, obtained in closed form by differentiating
@@ -46,11 +62,11 @@ values,
 
     d a / d beta' = -[sum_i q2_i D_i D_i' W_i]^{-1} [sum_i q2_i D_i z_i' W_i],
 
-summed over each window as a contiguous run of the u-sorted rows of z.  Its
-leading q rows (``alpha_prime``) give d alpha(u) / d beta, which the profile
-gradient and Hessian need; all rows predict the local fit at a nearby beta.
-For degree 0 this is the familiar ratio of kernel-weighted moment matrices;
-for degree >= 1 it is the exact implicit derivative of the implemented fit.
+both sums one product per tile against its basis.  Its leading q rows
+(``alpha_prime``) give d alpha(u) / d beta, which the profile gradient and
+Hessian need; all rows predict the local fit at a nearby beta.  For degree 0
+this is the familiar ratio of kernel-weighted moment matrices; for degree >= 1
+it is the exact implicit derivative of the implemented fit.
 
 Every batch of small SPD systems (the cold start, each Newton step, the
 derivative, the profile Hessian) goes through ``_ridged_solve``, which ridges
@@ -80,7 +96,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import EffectiveSampleError, ParameterError, SingularityError
@@ -94,7 +109,8 @@ _RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _CONDITION_LIMIT = 1e12
 _LOG_CLEARED = math.log(1e-2 * _CONDITION_LIMIT)
 DEFAULT_GRID_SIZE = 200
-_BLOCK_ELEMENTS = 1 << 15   # most (point, window) pairs in a block of points
+_BLOCK_ELEMENTS = 1 << 15   # most (point, observation) pairs in a tile or a group
+_TILE_SPAN = 32   # most observations a tile's union may add to its widest window
 
 _log = logging.getLogger("gvcplm")
 
@@ -131,10 +147,6 @@ class LocalFit:
     converged: bool
     newton_iters: int
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.concatenate([self.a0, self.higher_coefs.ravel()])
-
 
 @dataclass(frozen=True)
 class CurveEstimate:
@@ -146,10 +158,13 @@ class CurveEstimate:
 
 
 class BatchSolution(NamedTuple):
+    """Local fits at every evaluation point, in the caller's point order."""
+
     coefficients: np.ndarray      # (m, d)
-    # (m, w) q_2 at the local fitted predictors, which coefficient_derivative
-    # reads; None in a profile state once its derivative is cached
-    curvature: Optional[np.ndarray]
+    # per group, (b_g, width) q_2 at its points' local predictors over their
+    # tiles' columns, which coefficient_derivative reads; None in a profile
+    # state once its derivative is cached
+    curvature: Optional[tuple]
     gradient_norm: np.ndarray     # (m,)
     converged: np.ndarray         # (m,) bool
     iterations: np.ndarray        # (m,) int
@@ -231,56 +246,125 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
 def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float):
     """Each point's kernel window as a run of the u-sorted observations.
 
-    Returns (order, start, w): order sorts u (stable), and point e's window
-    order[start[e] : start[e] + w] holds the observations with
-    |u_i - points[e]| <= reach, padded with neighbours to the widest window
-    w (start is clamped to n - w).  The search is widened by a relative 1e-9,
-    so every observation whose kernel weight is nonzero is inside.
+    Returns (order, lo, hi): order sorts u (stable), and point e's window
+    order[lo[e] : hi[e]] holds the observations with |u_i - points[e]| <=
+    reach.  The search is widened by a relative 1e-9, so every observation
+    whose kernel weight is nonzero is inside.  lo and hi are nondecreasing in
+    the point.
     """
     order = np.argsort(u, kind="stable")
     sorted_u = u[order]
-    n = sorted_u.size
     reach = reach + 1e-9 * (reach + np.abs(points))
     lo = np.searchsorted(sorted_u, points - reach, side="left")
     hi = np.searchsorted(sorted_u, points + reach, side="right")
-    w = int((hi - lo).max(initial=0))
-    return order, np.minimum(lo, n - w), w
+    return order, lo, hi
 
 
-def _blocks(m: int, w: int) -> list:
-    """Consecutive slices of m points: the fewest blocks of at most cap =
-    max(1, _BLOCK_ELEMENTS // w) points, ceil(m / cap), with sizes that
-    differ by at most one, so no block is a small remainder; one empty slice
-    when m is 0."""
-    count = max(1, -(-m // max(1, _BLOCK_ELEMENTS // max(w, 1))))
-    bounds = [m * k // count for k in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+def _tiles(lo, hi) -> list:
+    """Tiles of the u-sorted points, as (a, b) bounds of consecutive points,
+    from their windows [lo[e], hi[e]) (nondecreasing in e).
+
+    A tile's union of windows is [lo[a], hi[b - 1]).  A point joins the tile
+    while the union stays within _TILE_SPAN observations of the tile's widest
+    window and the tile's (point, observation) pairs within _BLOCK_ELEMENTS.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
+    tiles, a = [], 0
+    while a < len(lo):
+        b, widest = a + 1, hi[a] - lo[a]
+        while b < len(lo):
+            union, wider = hi[b] - lo[a], max(widest, hi[b] - lo[b])
+            if union > wider + _TILE_SPAN or (b + 1 - a) * union > _BLOCK_ELEMENTS:
+                break
+            b, widest = b + 1, wider
+        tiles.append((a, b))
+        a = b
+    return tiles
 
 
-def _stacked(blocks, compute) -> np.ndarray:
-    """compute(rows) of every block, stacked along the first axis; a single
-    block's result is returned as it is, not copied."""
-    first = compute(blocks[0])
-    if len(blocks) == 1:
-        return first
-    out = np.empty((blocks[-1].stop,) + first.shape[1:])
-    out[blocks[0]] = first
-    for rows in blocks[1:]:
-        out[rows] = compute(rows)
+def _groups(tiles, unions) -> list:
+    """Groups of consecutive tiles, as (first, stop) bounds into tiles: a tile
+    joins while the group's points times its widest union stay within
+    _BLOCK_ELEMENTS."""
+    groups, first = [], 0
+    while first < len(tiles):
+        stop, width = first + 1, unions[first]
+        while stop < len(tiles):
+            wider = max(width, unions[stop])
+            if (tiles[stop][1] - tiles[first][0]) * wider > _BLOCK_ELEMENTS:
+                break
+            stop, width = stop + 1, wider
+        groups.append((first, stop))
+        first = stop
+    return groups
+
+
+class Tile(NamedTuple):
+    """A run of consecutive u-sorted evaluation points sharing one basis."""
+
+    points: slice     # rows of the u-sorted points
+    lo: int           # its columns, the u-sorted observations lo .. hi - 1:
+    hi: int           # the union of its points' windows, padded to its group's width
+    centre: float     # the basis's expansion point
+
+
+class Group(NamedTuple):
+    """Consecutive tiles whose points are solved together."""
+
+    points: slice     # rows of the u-sorted points
+    tiles: slice      # into CurveFitter.tiles
+    width: int        # hi - lo of each of its tiles
+
+
+class _Local(NamedTuple):
+    """A group's tile bases, built per call from O(n) arrays."""
+
+    bases: np.ndarray    # (tiles, d, width) rows (u_i - centre)^r / r! * x_ij
+    pairs: np.ndarray    # (tiles, width, d * d) products of a basis's rows
+    bounds: np.ndarray   # (tiles + 1,) the tiles' first rows in the group, then b
+    shift: np.ndarray    # (b, d, d) M_e: point e's local design is M_e times its basis
+    index: np.ndarray    # (b,) the points' indices in the caller's order
+
+
+def _shift_matrices(shift, degree: int, q: int) -> np.ndarray:
+    """(b, d, d) Taylor re-expansion maps M_e, unit lower triangular, with
+    M_e[r q + j, s q + j] = (-shift_e)^(r - s) / (r - s)! for s <= r."""
+    d = (degree + 1) * q
+    maps = np.zeros((shift.size, d, d))
+    term = np.ones_like(shift)
+    for k in range(degree + 1):   # term = (-shift)^k / k!
+        for r in range(k, degree + 1):
+            for j in range(q):
+                maps[:, r * q + j, (r - k) * q + j] = term
+        term = term * -shift / (k + 1)
+    return maps
+
+
+def _products(local, rows, values, mats) -> np.ndarray:
+    """values (k, .) times its row's tile matrix from mats, (k, .): rows is
+    slice(None) or the sorted group rows that values holds."""
+    cuts = local.bounds if isinstance(rows, slice) else np.searchsorted(rows, local.bounds)
+    out = np.empty((values.shape[0], mats[0].shape[1]))
+    for a, b, mat in zip(cuts[:-1].tolist(), cuts[1:].tolist(), mats):
+        if a < b:
+            np.matmul(values[a:b], mat, out=out[a:b])
     return out
 
 
 class CurveFitter:
     """Batched local polynomial quasi-likelihood solver at fixed points.
 
-    The constructor finds each point's kernel window, the w consecutive
-    u-sorted observations order[start : start + w] that hold every nonzero
-    kernel weight, and stores the kernel ``weights`` (m, w) and polynomial
-    ``design`` (m, d, w); beyond those it keeps O(n) arrays only (``order``,
-    ``start``, the u-sorted responses).  Every method runs block by block
-    (module docstring), gathering a block's responses, offsets and cold-start
-    residuals from the windows of the u-sorted arrays.  One instance is
-    reused for every beta the profile optimizer visits.
+    The constructor sorts the points by u (stable), cuts them into tiles
+    (``_tiles``) and the tiles into groups (``_groups``).  A tile's columns
+    are the u-sorted observations lo .. hi - 1, the union of its points'
+    kernel windows padded to its group's width; a group stores its points'
+    kernel ``weights`` (b_g, width), zero outside each point's own window.
+    Beyond those the fitter keeps O(n) arrays only: ``order``,
+    ``point_order``, the tiles and groups, the u-sorted u, x and y, and each
+    point's shift from its tile's centre.  Every method runs group by group
+    (module docstring), reading a tile's responses, offsets, z and x as
+    contiguous slices of the u-sorted arrays.  One instance is reused for
+    every beta the profile optimizer visits.
     """
 
     def __init__(self, family: FamilySpec, x, y, u, smoothing: SmoothingParams, points):
@@ -291,30 +375,38 @@ class CurveFitter:
         u = np.asarray(u, dtype=float)
         self.points = np.atleast_1d(np.asarray(points, dtype=float))
         q = self.x.shape[1]
-        m = self.points.shape[0]
-        degree = smoothing.degree
         self.n_curves = q
-        self.n_coef = (degree + 1) * q
+        self.n_coef = (smoothing.degree + 1) * q
 
-        self.order, self.start, w = _kernel_windows(
+        self.order, lo, hi = _kernel_windows(
             u, self.points, smoothing.kernel.support_radius * smoothing.h
         )
-        self.weights = np.empty((m, w))
-        self._y_windows = self._windows(self.y)
-        u_windows = self._windows(u)
-        x_windows = self._windows(self.x)   # (n - w + 1, q, w)
-        design = np.empty((m, degree + 1, q, w))   # C order: the reshape is a view
-        for rows in _blocks(m, w):
-            s = self.start[rows]
-            t = u_windows[s] - self.points[rows, None]
-            self.weights[rows] = kernel_weight(smoothing.kernel, t, smoothing.h)
-            powers = np.ones((t.shape[0], degree + 1, w))
-            for r in range(1, degree + 1):
-                powers[:, r] = powers[:, r - 1] * t / r
-            # design[e, r*q + j, k] = (u_i - u_e)^r / r! * x_ij, i = order[start[e] + k]
-            np.multiply(powers[:, :, None, :], x_windows[s][:, None, :, :],
-                        out=design[rows])
-        counts = np.count_nonzero(self.weights, axis=1)
+        self.point_order = np.argsort(self.points, kind="stable")
+        points = self.points[self.point_order]
+        lo, hi = lo[self.point_order], hi[self.point_order]
+        self._u = u[self.order]
+        self._y = self.y[self.order]
+        self._xt = np.ascontiguousarray(self.x[self.order].T)   # (q, n)
+        self._shift = np.empty(points.size)
+        counts = np.empty(points.size, dtype=int)
+        tiles = _tiles(lo, hi)
+        unions = [int(hi[b - 1] - lo[a]) for a, b in tiles]
+        self.tiles, self.groups, self.weights = [], [], []
+        for first, stop in _groups(tiles, unions):
+            width = max(unions[first:stop])
+            rows = slice(tiles[first][0], tiles[stop - 1][1])
+            weights = np.empty((rows.stop - rows.start, width))
+            for a, b in tiles[first:stop]:
+                lo_t = min(int(lo[a]), u.size - width)
+                tile = Tile(slice(a, b), lo_t, lo_t + width, 0.5 * (points[a] + points[b - 1]))
+                weights[a - rows.start:b - rows.start] = kernel_weight(
+                    smoothing.kernel, self._u[tile.lo:tile.hi] - points[a:b, None],
+                    smoothing.h)
+                self._shift[a:b] = points[a:b] - tile.centre
+                self.tiles.append(tile)
+            counts[self.point_order[rows]] = np.count_nonzero(weights, axis=1)
+            self.groups.append(Group(rows, slice(first, stop), width))
+            self.weights.append(weights)
         if np.any(counts < self.n_coef):
             k = int(np.argmin(counts))
             raise EffectiveSampleError(
@@ -322,81 +414,133 @@ class CurveFitter:
                 f"u = {self.points[k]:.6g}; need at least {self.n_coef} "
                 f"(bandwidth {smoothing.h} too small)"
             )
-        self.design = design.reshape(m, self.n_coef, w)
 
     def with_delta(self, delta) -> CurveFitter:
-        """Copy sharing the bands; delta enters only initial_coefficients."""
+        """Copy sharing the tiles; delta enters only initial_coefficients."""
         other = copy.copy(self)
         other.smoothing = replace(self.smoothing, delta=delta)
         return other
 
-    def _windows(self, values) -> np.ndarray:
-        """Windows of w consecutive u-sorted rows of values, a view of shape
-        (n - w + 1, ..., w): row s holds observations order[s : s + w], so
-        row start[e] is point e's band."""
-        return sliding_window_view(values[self.order], self.weights.shape[1], axis=0)
+    def _local(self, group: Group) -> _Local:
+        """The group's tile bases, their column pair products and its points'
+        maps."""
+        tiles = self.tiles[group.tiles]
+        columns = np.array([t.lo for t in tiles])[:, None] + np.arange(group.width)
+        du = self._u[columns] - np.array([t.centre for t in tiles])[:, None]  # (T, width)
+        x = self._xt[:, columns].swapaxes(0, 1)                              # (T, q, width)
+        degree = self.smoothing.degree
+        bases = np.empty((len(tiles), degree + 1) + x.shape[1:])
+        bases[:, 0] = x
+        power = np.ones_like(du)
+        for r in range(1, degree + 1):
+            power = power * du / r
+            np.multiply(power[:, None, :], x, out=bases[:, r])
+        bases = bases.reshape(len(tiles), self.n_coef, group.width)
+        pairs = bases.swapaxes(1, 2)[:, :, :, None] * bases.swapaxes(1, 2)[:, :, None, :]
+        bounds = [0] + [t.points.stop - group.points.start for t in tiles]
+        shift = _shift_matrices(self._shift[group.points], degree, self.n_curves)
+        return _Local(bases, pairs.reshape(len(tiles), group.width, -1), np.array(bounds),
+                      shift, self.point_order[group.points])
 
-    # -- elementary pieces, on one block's rows -------------------------------
+    def _rows(self, group: Group, values) -> np.ndarray:
+        """(b_g, width) the u-sorted values over each point's tile columns."""
+        tiles = self.tiles[group.tiles]
+        return np.repeat(np.stack([values[t.lo:t.hi] for t in tiles]),
+                         [t.points.stop - t.points.start for t in tiles], axis=0)
+
+    def _unsorted(self, values: np.ndarray) -> np.ndarray:
+        """Rows of the u-sorted points back in the caller's point order."""
+        out = np.empty_like(values)
+        out[self.point_order] = values
+        return out
+
+    # -- elementary pieces, on one group's rows -------------------------------
 
     def _objectives(self, linpred, y, weights):
-        """Local objectives (rows,) with q_1 and q_2 (rows, w), one family pass."""
+        """Local objectives (rows,) with q_1 and q_2 (rows, width), one family pass."""
         q, q1, q2 = self.family.q012(linpred, y)
         return np.einsum("ei,ei->e", weights, q), q1, q2
 
     @staticmethod
-    def _linpred(design, coefs, offsets):
-        """Local predictors (rows, w) from local offsets (rows, w)."""
-        return np.einsum("edi,ed->ei", design, coefs) + offsets
+    def _linpred(local, sel, coefs, offsets):
+        """Predictors (rows, width) of rows sel: (M_e' a_e)' B + o."""
+        out = _products(local, sel, np.einsum("ers,er->es", local.shift[sel], coefs),
+                        local.bases)
+        out += offsets
+        return out
 
     @staticmethod
-    def _weighted_gram(design, weights):
-        """sum_i weights_ei D_ei D_ei' per point, shape (rows, d, d)."""
-        return (design * weights[:, None, :]) @ np.swapaxes(design, 1, 2)
+    def _score(local, sel, weighted):
+        """sum_i weighted_ei D_ei per row, (rows, d): M_e (weighted B')_e."""
+        return np.einsum("ers,es->er", local.shift[sel],
+                         _products(local, sel, weighted, local.bases.swapaxes(1, 2)))
 
-    def initial_coefficients(self, offsets) -> np.ndarray:
-        """Weighted least squares on the transformed response (cold start)."""
+    @staticmethod
+    def _weighted_gram(local, sel, weighted):
+        """sum_i weighted_ei D_ei D_ei' per row, (rows, d, d): M_e (weighted P)_e M_e'."""
+        shift = local.shift[sel]
+        gram = _products(local, sel, weighted, local.pairs).reshape(shift.shape)
+        return shift @ gram @ np.swapaxes(shift, 1, 2)
+
+    def _transformed_residuals(self, offsets):
+        """u-sorted transformed response minus offsets (the cold start's)."""
         fam = self.family
         if fam.needs_delta and self.smoothing.delta is None:
             raise ParameterError(
                 f"smoothing delta is required for the {fam.name} family"
             )
-        gy = fam.transform(self.y, self.smoothing.delta)
-        resid_windows = self._windows(gy - offsets)
+        return (fam.transform(self.y, self.smoothing.delta) - offsets)[self.order]
 
-        def cold(rows):
-            design, weights = self.design[rows], self.weights[rows]
-            mats = self._weighted_gram(design, weights)
-            rhs = np.einsum("edi,ei->ed", design,
-                            weights * resid_windows[self.start[rows]])
-            return _ridged_solve(mats, rhs, "local initializer",
-                                 range(rows.start, rows.stop))
+    def _cold(self, group, local, weights, resid):
+        """Weighted least squares on the group's transformed residuals (b_g, d)."""
+        every = slice(None)
+        return _ridged_solve(self._weighted_gram(local, every, weights),
+                             self._score(local, every, weights * self._rows(group, resid)),
+                             "local initializer", local.index)
 
-        return _stacked(_blocks(*self.weights.shape), cold)
+    def initial_coefficients(self, offsets) -> np.ndarray:
+        """Weighted least squares on the transformed response (cold start)."""
+        resid = self._transformed_residuals(np.asarray(offsets, dtype=float))
+        coefs = np.empty((self.points.size, self.n_coef))
+        for group, weights in zip(self.groups, self.weights):
+            coefs[group.points] = self._cold(group, self._local(group), weights, resid)
+        return self._unsorted(coefs)
 
     # -- Newton iteration ---------------------------------------------------
 
     def solve(self, offsets, warm=None) -> BatchSolution:
         """Maximize every local objective for the given offsets.
 
-        The blocks of points are solved one after another (``_solve_block``).
-        A solve that leaves points unconverged reports them in one debug
-        record on the ``gvcplm`` logger.
+        The groups are solved one after another (``_solve_group``), each from
+        its cold start when warm is None.  A solve that leaves points
+        unconverged reports them in one debug record on the ``gvcplm``
+        logger.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
             warm: optional (m, d) starting coefficients.
         """
         offsets = np.asarray(offsets, dtype=float)
-        coefs = np.array(warm, dtype=float, copy=True) if warm is not None \
-            else self.initial_coefficients(offsets)
-        offset_windows = self._windows(offsets)
-        m = coefs.shape[0]
+        m = self.points.size
+        if warm is None:
+            coefs = np.empty((m, self.n_coef))
+            resid = self._transformed_residuals(offsets)
+        else:
+            coefs = np.array(warm, dtype=float)[self.point_order]
+        offsets = offsets[self.order]
         converged = np.zeros(m, dtype=bool)
         iters = np.zeros(m, dtype=int)
         gnorm = np.full(m, np.inf)
-        curvature = _stacked(_blocks(*self.weights.shape), lambda rows: self._solve_block(
-            rows, offset_windows[self.start[rows]],
-            coefs[rows], gnorm[rows], converged[rows], iters[rows]))
+        curvature = []
+        for group, weights in zip(self.groups, self.weights):
+            local, rows = self._local(group), group.points
+            if warm is None:
+                coefs[rows] = self._cold(group, local, weights, resid)
+            curvature.append(self._solve_group(
+                local, weights, self._rows(group, offsets), self._rows(group, self._y),
+                coefs[rows], gnorm[rows], converged[rows], iters[rows]))
+        coefs, gnorm, converged, iters = (
+            self._unsorted(a) for a in (coefs, gnorm, converged, iters))
         if _log.isEnabledFor(logging.DEBUG) and not converged.all():
             # an active point has iterations left, so one that stopped short
             # of the budget unconverged was abandoned
@@ -407,30 +551,31 @@ class CurveFitter:
                        "largest gradient norm %.3g", unconverged, m, abandoned,
                        MAX_HALVINGS, unconverged - abandoned, MAX_LOCAL_ITERS,
                        gnorm[~converged].max())
-        return BatchSolution(coefs, curvature, gnorm, converged, iters)
+        return BatchSolution(coefs, tuple(curvature), gnorm, converged, iters)
 
-    def _solve_block(self, rows, offsets, coefs, gnorm, converged, iters):
-        """Damped Newton iteration of one block of points, in place.
+    def _solve_group(self, local, w, offsets, y, coefs, gnorm, converged, iters):
+        """Damped Newton iteration of one group's points, in place.
 
-        offsets are the block's local offsets (rows, w); coefs, gnorm,
+        offsets and y are the group's (b_g, width) rows; coefs, gnorm,
         converged and iters are its views of the solution arrays, updated in
-        place.  Each trial predictor gets one family pass (``_objectives``);
-        an accepted trial's q_1 and q_2 serve the next iterate, and the last
-        q_2 (rows, w), the block's curvature, is returned.  Bands are views
-        until a point converges or stalls; then only active rows are
+        place.  Steps, ridges, halvings and convergence are decided on the
+        points' own coefficients a_e (the local design D_e = M_e B), as for
+        a per-point solve.  Each trial predictor gets one family pass
+        (``_objectives``); an accepted trial's q_1 and q_2 serve the next
+        iterate, and the last q_2 (b_g, width), the group's curvature, is
+        returned.  Once a point converges or stalls only active rows are
         gathered.
         """
-        w, G = self.weights[rows], self.design[rows]
-        y = self._y_windows[self.start[rows]]
-        obj, q1, q2 = self._objectives(self._linpred(G, coefs, offsets), y, w)
+        m = coefs.shape[0]
+        every = slice(None)
+        obj, q1, q2 = self._objectives(self._linpred(local, every, coefs, offsets), y, w)
         curvature = q2
 
-        m = coefs.shape[0]
         active = np.arange(m)
         while True:
             # q1 and q2 hold the active rows
-            sel = slice(None) if active.size == m else active
-            grad = np.einsum("ei,edi->ed", w[sel] * q1, G[sel])
+            sel = every if active.size == m else active
+            grad = self._score(local, sel, w[sel] * q1)
             gn = np.abs(grad).max(axis=1)
             gnorm[sel] = gn
             done = gn < LOCAL_TOL
@@ -442,13 +587,13 @@ class CurveFitter:
                 # points that exhausted the budget stay converged=False
                 break
 
-            hess = self._weighted_gram(G[sel], w[sel] * q2)
-            step = _ridged_solve(-hess, grad, "local Newton", rows.start + active)
+            hess = self._weighted_gram(local, sel, w[sel] * q2)
+            step = _ridged_solve(-hess, grad, "local Newton", local.index[active])
 
             lam = np.ones(active.size)
             trial_c = coefs[sel] + step
             trial_obj, trial_q1, trial_q2 = self._objectives(
-                self._linpred(G[sel], trial_c, offsets[sel]), y[sel], w[sel])
+                self._linpred(local, sel, trial_c, offsets[sel]), y[sel], w[sel])
             tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
             bad = ~(trial_obj >= obj[sel] - tol_obj)   # a NaN objective is no ascent
             for _ in range(MAX_HALVINGS):
@@ -458,7 +603,7 @@ class CurveFitter:
                 idx = active[bad]
                 trial_c[bad] = coefs[idx] + lam[bad, None] * step[bad]
                 trial_obj[bad], trial_q1[bad], trial_q2[bad] = self._objectives(
-                    self._linpred(G[idx], trial_c[bad], offsets[idx]), y[idx], w[idx])
+                    self._linpred(local, idx, trial_c[bad], offsets[idx]), y[idx], w[idx])
                 bad = ~(trial_obj >= obj[sel] - tol_obj)
             if bad.any():
                 # stalled points (no ascent after max halvings) are abandoned
@@ -486,24 +631,29 @@ class CurveFitter:
 
         Entry [e, j, k] is d a_k(points[e]) / d beta_j, the closed-form
         implicit derivative -S1^{-1} S2 of the local score equation with the
-        solution's curvature q2 (no family evaluation), one block of points
-        at a time.  S2 is built point by point from the window's contiguous
-        slice of the u-sorted z, a view, so no rows of z are gathered.  The
-        result is a transposed view of a C-contiguous (m, d, p) array.
+        solution's per-group curvature q2 (no family evaluation), one group
+        at a time.  Both sums are one product per tile against its basis: S1
+        as in the Newton Hessian, S2 = M_e [(W q2)(B x z)]_e with B x z the
+        (width, d p) products of the basis's columns with the tile's
+        contiguous rows of the u-sorted z.  The result is a transposed view
+        of a C-contiguous (m, d, p) array.
         """
         zs = np.asarray(z, dtype=float)[self.order]
-        w = self.weights.shape[1]
-
-        def derivative(rows):
-            design = self.design[rows]
-            wq2_design = design * (self.weights[rows] * solution.curvature[rows])[:, None, :]
-            s1 = -(wq2_design @ np.swapaxes(design, 1, 2))
-            s2 = np.empty(s1.shape[:2] + (zs.shape[1],))
-            for band, s, out in zip(wq2_design, self.start[rows].tolist(), s2):
-                np.dot(band, zs[s:s + w], out=out)   # out=: no temporary per point
-            return _ridged_solve(s1, s2, "curve derivative", range(rows.start, rows.stop))
-
-        return np.swapaxes(_stacked(_blocks(*self.weights.shape), derivative), 1, 2)
+        p, d, every = zs.shape[1], self.n_coef, slice(None)
+        out = np.empty((self.points.size, d, p))
+        for group, weights, q2 in zip(self.groups, self.weights, solution.curvature):
+            local = self._local(group)
+            wq2 = weights * q2
+            s1 = -self._weighted_gram(local, every, wq2)
+            s2 = np.empty((wq2.shape[0], d * p))
+            bounds = local.bounds.tolist()
+            for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
+                                         self.tiles[group.tiles]):
+                kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
+                np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=s2[a:b])
+            s2 = local.shift @ s2.reshape(-1, d, p)
+            out[local.index] = _ridged_solve(s1, s2, "curve derivative", local.index)
+        return np.swapaxes(out, 1, 2)
 
     def alpha_prime(self, solution: BatchSolution, z) -> np.ndarray:
         """(m, p, q) derivative of the fitted curve with respect to beta: the

@@ -1,8 +1,9 @@
-"""``CurveFitter`` run one block of points at a time.
+"""``CurveFitter`` run one group of tiles of points at a time.
 
-Every local problem is solved on its own, so splitting the points into
-blocks must leave every result bit for bit as one block gives it, and a
-block's temporaries must not grow with the number of points.
+Every local problem is solved on its own, in its points' own coefficients,
+so any tiling must agree with the dense per-point reference, and the same
+tiling must give the same bits on every run.  A group's temporaries must not
+grow with the number of points.
 """
 
 import math
@@ -17,6 +18,8 @@ import gvcplm as g
 from gvcplm import CurveFitter, SingularityError, SmoothingParams
 from gvcplm import smoothing
 
+from test_bands import _assert_close_where_well_conditioned, _dense_derivative, _dense_score
+
 
 def _dataset(family, n, seed):
     data = g.generate(g.make_design(family, n), seed=g.replicate_seed(seed, 0))
@@ -24,22 +27,19 @@ def _dataset(family, n, seed):
     return data, delta, h
 
 
-def _outputs(family, data, sm):
-    """Everything the blocks must not change, from a new engine."""
-    engine = g.ProfileEngine(family, data, sm)
-    fitter = engine.fitter
-    beta = np.linspace(-0.2, 0.2, data.n_linear)
+def _outputs(engine, beta):
+    """Every stage of the fitter and the engine at beta."""
+    fitter, data = engine.fitter, engine.data
     offsets = data.z @ beta
     cold = fitter.solve(offsets)
     # some points start converged, others 3 below their fit, so active
-    # subsets and step halvings occur inside the blocks
+    # subsets and step halvings occur inside the tiles
     warm = cold.coefficients.copy()
     warm[::3, 0] -= 3.0
     derivative = fitter.coefficient_derivative(cold, data.z)
     state = engine.state(beta)
     return {
         "weights": fitter.weights,
-        "design": fitter.design,
         "cold": cold,
         "warm": fitter.solve(offsets * 1.01, warm=warm),
         "initial": fitter.initial_coefficients(offsets),
@@ -50,56 +50,83 @@ def _outputs(family, data, sm):
     }
 
 
-def _block_elements(partition, m, w, draw):
-    """_BLOCK_ELEMENTS giving one block, two blocks, blocks of one row, or
-    blocks of a random size."""
-    return {"one": m * w, "two": math.ceil(m / 2) * w, "rows": 1,
-            "random": draw(st.integers(1, m * w))}[partition]
+def _flat(value):
+    """The arrays of an output, in order: a solution's fields, its per-group
+    curvature and the groups' weights are lists and tuples of arrays."""
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _flat(v)]
+    return [value]
+
+
+def _assert_bit_equal(expected, got):
+    for key, value in expected.items():
+        a, b = _flat(value), _flat(got[key])
+        assert len(a) == len(b) and all(map(np.array_equal, a, b)), key
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
-def test_blocked_equals_one_block(data_strategy):
+def test_tilings_repeat_bit_for_bit_and_agree_with_dense(data_strategy):
     draw = data_strategy.draw
     family = draw(st.sampled_from(["poisson", "bernoulli"]))
-    n = draw(st.integers(60, 300))
+    n = draw(st.integers(60, 240))
     data, delta, h = _dataset(family, n, draw(st.integers(0, 2 ** 16)))
     sm = SmoothingParams(h=h * draw(st.floats(1.0, 2.0)), delta=delta,
                          degree=draw(st.integers(0, 1)))
+    beta = np.linspace(-0.2, 0.2, data.n_linear)
+    partition = draw(st.sampled_from(["points", "random", "default"]))
+    elements = {"points": 1, "random": draw(st.integers(1, n * n)),
+                "default": smoothing._BLOCK_ELEMENTS}[partition]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smoothing, "_BLOCK_ELEMENTS", 1 << 62)
-        expected = _outputs(family, data, sm)
-        m, w = expected["weights"].shape
-        partition = draw(st.sampled_from(["rows", "random", "two", "one"]))
-        patch.setattr(smoothing, "_BLOCK_ELEMENTS", _block_elements(partition, m, w, draw))
-        blocks = len(smoothing._blocks(m, w))
-        event(f"{partition}: {'one block' if blocks == 1 else 'several blocks'}")
-        got = _outputs(family, data, sm)
-    for key, value in expected.items():
-        if isinstance(value, tuple) and key != "strides":
-            for field, a, b in zip(value._fields, value, got[key]):
-                assert np.array_equal(a, b), (key, field)
-        else:
-            assert np.array_equal(got[key], value), key
+        patch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
+        engine = g.ProfileEngine(family, data, sm)
+        event(f"{partition}: {'one group' if len(engine.fitter.groups) == 1 else 'groups'}")
+        expected = _outputs(engine, beta)
+        # the same bits again from an engine built for another delta and
+        # moved to this one
+        other = g.ProfileEngine(family, data, SmoothingParams(
+            h=sm.h, delta=2.0 * delta, degree=sm.degree))
+        _assert_bit_equal(expected, _outputs(other.with_delta(delta), beta))
+
+    # and the dense per-point reference
+    cold, offsets = expected["cold"], data.z @ beta
+    dense = (family, data.u, data.x, data.y)
+    assert cold.converged.all()
+    assert np.abs(_dense_score(*dense, offsets, data.u, sm, cold.coefficients)).max() < 1e-7
+    _assert_close_where_well_conditioned(expected["derivative"], *_dense_derivative(
+        *dense, data.z, offsets, data.u, sm, cold.coefficients))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 5000), st.integers(0, 3000), st.integers(1, 1 << 17))
-def test_blocks_are_the_fewest_balanced_slices(m, w, elements):
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 60)), max_size=200),
+       st.integers(1, 1 << 12))
+def test_tiles_partition_the_points_within_bounds(steps, elements):
+    # window bounds of u-sorted points are nondecreasing: drawn as increments
+    lo = np.cumsum([step for step, _ in steps], dtype=int)
+    hi = np.maximum.accumulate(lo + np.array([width for _, width in steps], dtype=int))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
-        blocks = smoothing._blocks(m, w)
-    cap = max(1, elements // max(w, 1))
-    if m == 0:
-        assert blocks == [slice(0, 0)]
-        return
-    assert [b.step for b in blocks] == [None] * len(blocks)
-    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(m))
-    sizes = [b.stop - b.start for b in blocks]
-    assert max(sizes) - min(sizes) <= 1
-    assert max(sizes) <= cap
-    assert len(blocks) == math.ceil(m / cap)
+        tiles = smoothing._tiles(lo, hi)
+        unions = [hi[b - 1] - lo[a] for a, b in tiles]
+        groups = smoothing._groups(tiles, unions)
+
+    def tile_fits(a, b):
+        union = hi[b - 1] - lo[a]
+        return b - a == 1 or (union <= (hi - lo)[a:b].max() + smoothing._TILE_SPAN
+                              and (b - a) * union <= elements)
+
+    def group_fits(first, stop):
+        points = tiles[stop - 1][1] - tiles[first][0]
+        return stop - first == 1 or points * max(unions[first:stop]) <= elements
+
+    # consecutive runs that cover every point and every tile once, each
+    # within its bounds, and stopped only where the next would break one
+    for runs, count, fits in ((tiles, lo.size, tile_fits),
+                              (groups, len(tiles), group_fits)):
+        assert [i for a, b in runs for i in range(a, b)] == list(range(count))
+        assert all(fits(a, b) for a, b in runs)
+        assert all(not fits(a, b + 1) for a, b in runs[:-1])
 
 
 @pytest.mark.parametrize("elements", [1, 1000, 5000, 1 << 62],
@@ -107,7 +134,7 @@ def test_blocks_are_the_fewest_balanced_slices(m, w, elements):
 def test_singular_system_in_a_later_block_names_its_point(elements, monkeypatch):
     # a NaN start at point e makes its local Newton Hessian and its
     # derivative system NaN; every other point starts at its fit, so it
-    # converges at once and e is the only active row of its block
+    # converges at once and e is the only active row of its group
     monkeypatch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
     data, delta, h = _dataset("poisson", 300, 4)
     fitter = CurveFitter("poisson", data.x, data.y, data.u,
@@ -120,10 +147,14 @@ def test_singular_system_in_a_later_block_names_its_point(elements, monkeypatch)
     message = f"point index {e} has a non-finite entry"
     with pytest.raises(SingularityError, match=f"local Newton: .*{message}"):
         fitter.solve(offsets, warm=warm)
-    curvature = fit.curvature.copy()
-    curvature[e, 0] = np.nan
+    # e's row in its group: its place among the u-sorted points, less the
+    # group's first
+    k = int(np.flatnonzero(fitter.point_order == e)[0])
+    t = next(t for t, group in enumerate(fitter.groups) if k < group.points.stop)
+    curvature = [c.copy() for c in fit.curvature]
+    curvature[t][k - fitter.groups[t].points.start, 0] = np.nan
     with pytest.raises(SingularityError, match=f"curve derivative: .*{message}"):
-        fitter.coefficient_derivative(fit._replace(curvature=curvature), data.z)
+        fitter.coefficient_derivative(fit._replace(curvature=tuple(curvature)), data.z)
 
 
 def _transient_peaks(fitter, offsets, z):
@@ -133,7 +164,7 @@ def _transient_peaks(fitter, offsets, z):
         base = tracemalloc.get_traced_memory()[0]
         sol = fitter.solve(offsets)
         solve_peak = tracemalloc.get_traced_memory()[1] - base \
-            - sum(a.nbytes for a in sol)
+            - sum(a.nbytes for a in _flat(sol))
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         derivative = fitter.coefficient_derivative(sol, z)
@@ -144,16 +175,18 @@ def _transient_peaks(fitter, offsets, z):
 
 
 def test_block_temporaries_do_not_grow_with_the_points(monkeypatch):
-    # the same data and window width w at m and 4m points (u tiled), in
-    # blocks of m / 4 points, so both runs see the same blocks, 4 and 16 times
+    # the same data and window width w at m and 4m points (u tiled), in tiles
+    # of at most m / 4 * w (point, observation) pairs: 9 tiles at m points
+    # and 18 at 4m, whose temporaries are the same size
     data, delta, h = _dataset("poisson", 800, 2)
     sm = SmoothingParams(h=h, delta=delta)
     offsets = data.z @ np.full(data.n_linear, 0.1)
+    fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, data.u)
+    w = max(np.count_nonzero(weights, axis=1).max() for weights in fitter.weights)
+    monkeypatch.setattr(smoothing, "_BLOCK_ELEMENTS", data.n // 4 * w)
     peaks = []
     for points in (data.u, np.tile(data.u, 4)):
         fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, points)
-        monkeypatch.setattr(smoothing, "_BLOCK_ELEMENTS",
-                            data.n // 4 * fitter.weights.shape[1])
         peaks.append(_transient_peaks(fitter, offsets, data.z))
     (solve_m, derivative_m), (solve_4m, derivative_4m) = peaks
     assert solve_4m < 1.25 * solve_m
@@ -167,5 +200,7 @@ def test_no_points_is_one_empty_block():
     curve = g.fit_curve("poisson", data, beta, sm, grid=np.array([]))
     assert curve.values.shape == (0, data.n_curves)
     fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, np.array([]))
+    assert fitter.tiles == fitter.groups == []
     sol = fitter.solve(data.z @ beta)
+    assert sol.coefficients.shape == (0, fitter.n_coef) and sol.curvature == ()
     assert fitter.alpha_prime(sol, data.z).shape == (0, data.n_linear, data.n_curves)

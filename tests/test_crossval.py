@@ -121,6 +121,21 @@ class TestOrderIndependence:
             for got, want in zip(report.fold_betas[cell], alone.fold_betas[0]):
                 assert np.array_equal(got, want)
 
+    def test_dbe_start_once_per_fold_and_delta(self, monkeypatch):
+        # the grid fits deltas 0.1, 0.2 and 0.05 at h = 0.12 and two of them
+        # again at h = 0.2 (the cell at h = 1e-5 fails before any fit)
+        calls = []
+        fit_dbe = g.fit_dbe
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return fit_dbe(*args, **kwargs)
+
+        monkeypatch.setattr(g.crossval, "fit_dbe", counted)
+        monkeypatch.setattr(g.profile, "fit_dbe", counted)
+        g.cross_validate("poisson", _poisson_data(), grid=self.GRID, k=4, seed=3)
+        assert sorted(calls) == sorted([0.1, 0.2, 0.05] * 4)
+
 
 @pytest.mark.slow
 class TestSelectedBandwidthBands:

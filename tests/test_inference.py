@@ -361,7 +361,7 @@ class TestInferenceReadsFitState:
 
     @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
     def test_states_release_their_curvature_once_differentiated(self, family, monkeypatch):
-        # inference reads a state's coefficient derivative, never its (n, w)
+        # inference reads a state's coefficient derivative, never its per-group
         # curvature, so releasing the curvature once the derivative is cached
         # leaves every bit of the SEs, T, the null beta and a tangent start
         def run():
@@ -387,7 +387,7 @@ class TestInferenceReadsFitState:
 
         monkeypatch.setattr(ProfileEngine, "_coefficient_derivative", keep_curvature)
         kept_se, kept_test, kept_tangent, kept_state = run()
-        assert kept_state.solution.curvature.shape[0] == kept_state.fitted.shape[0]
+        assert sum(c.shape[0] for c in kept_state.solution.curvature) == kept_state.fitted.size
         assert se.tobytes() == kept_se.tobytes()
         assert test.statistic == kept_test.statistic
         assert test.beta_null.tobytes() == kept_test.beta_null.tobytes()

@@ -15,7 +15,7 @@ import gvcplm as g
 from gvcplm import CurveFitter, SmoothingParams, smoothing
 from gvcplm.smoothing import MAX_HALVINGS, MAX_LOCAL_ITERS
 
-from test_bands import _band_index, _problem_arrays
+from test_bands import _problem_arrays, _tile_predictors, _tile_rows, _tiles_in_groups
 
 
 def _count_calls(fitter):
@@ -68,10 +68,15 @@ def test_one_family_pass_per_objective(family, start):
     assert calls == {"family": 0, "objectives": 0}
 
 
-def _assert_carried_curvature(fitter, offsets, sol):
-    index = _band_index(fitter)
-    lin = np.einsum("edi,ed->ei", fitter.design, sol.coefficients) + offsets[index]
-    assert np.array_equal(sol.curvature, fitter.family.q(2, lin, fitter.y[index]))
+def _assert_carried_curvature(fitter, u, offsets, sol):
+    """Each group's curvature is q_2 at the returned coefficients, to
+    rounding: the reference predictors come from every point's own dense
+    design."""
+    lins = _tile_predictors(fitter, u, sol.coefficients, offsets)
+    assert len(sol.curvature) == len(fitter.groups)
+    for (tile, curvature), lin in zip(_tiles_in_groups(fitter, sol.curvature), lins):
+        expected = fitter.family.q(2, lin, fitter.y[_tile_rows(fitter, tile)[1]])
+        np.testing.assert_allclose(curvature, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("family", ("gaussian", "poisson", "bernoulli"))
@@ -83,9 +88,9 @@ def test_curvature_is_q2_at_returned_coefficients(family, start):
         fitter = CurveFitter("gaussian", x, y, u, SmoothingParams(h=0.2), u)
     else:
         data, fitter = _simulated_problem(family)
-        offsets = data.z @ np.full(data.n_linear, 0.1)
+        u, offsets = data.u, data.z @ np.full(data.n_linear, 0.1)
     sol = fitter.solve(offsets, **_starts(fitter, offsets)[start])
-    _assert_carried_curvature(fitter, offsets, sol)
+    _assert_carried_curvature(fitter, u, offsets, sol)
 
 
 def test_curvature_of_an_abandoned_point():
@@ -99,7 +104,7 @@ def test_curvature_of_an_abandoned_point():
     warm[:, 0] -= 8.0
     sol = fitter.solve(offsets, warm=warm)
     assert not sol.converged[0] and sol.iterations[0] < 50
-    _assert_carried_curvature(fitter, offsets, sol)
+    _assert_carried_curvature(fitter, u, offsets, sol)
 
 
 def test_profile_state_reads_the_triple_at_fitted():
@@ -113,12 +118,13 @@ def test_profile_state_reads_the_triple_at_fitted():
 
 
 def _saturated_solve(push):
-    """Every bernoulli window's start pushed up by push: (fitter, offsets, warm)."""
+    """Every bernoulli window's start pushed up by push: (fitter, offsets,
+    warm, u)."""
     data, fitter = _simulated_problem("bernoulli", n=200)
     offsets = data.z @ np.full(data.n_linear, 0.1)
     warm = fitter.solve(offsets).coefficients
     warm[:, 0] += push
-    return fitter, offsets, warm
+    return fitter, offsets, warm, data.u
 
 
 @pytest.mark.parametrize("push", (40.0, 800.0))
@@ -126,16 +132,16 @@ def test_saturated_start_is_abandoned_where_it_stands(push):
     # every window saturated: q_2 is about e^-40, or underflows to zero at
     # 800, so each Newton step is far too long; Q keeps its slope beyond any
     # clip, so no such step is accepted and the points stop at their start
-    fitter, offsets, warm = _saturated_solve(push)
+    fitter, offsets, warm, u = _saturated_solve(push)
     sol = fitter.solve(offsets, warm=warm)
     assert not sol.converged.any()
     assert np.array_equal(sol.coefficients, warm)
-    _assert_carried_curvature(fitter, offsets, sol)
+    _assert_carried_curvature(fitter, u, offsets, sol)
 
 
 @pytest.mark.parametrize("push", (40.0, 800.0))
 def test_unconverged_points_are_reported_once(push, caplog):
-    fitter, offsets, warm = _saturated_solve(push)
+    fitter, offsets, warm, _ = _saturated_solve(push)
     with caplog.at_level(logging.DEBUG, logger="gvcplm"):
         sol = fitter.solve(offsets, warm=warm)
     reports = [r for r in caplog.records if "unconverged" in r.getMessage()]
@@ -172,7 +178,7 @@ def test_converged_and_one_step_solves_report_nothing(caplog, monkeypatch):
         assert fitter.solve(offsets).converged.all()
     assert caplog.records == []
     # with DEBUG off the saturated solve builds no record
-    fitter, offsets, warm = _saturated_solve(40.0)
+    fitter, offsets, warm, _ = _saturated_solve(40.0)
     monkeypatch.setattr(smoothing._log, "debug", None)
     with caplog.at_level(logging.INFO, logger="gvcplm"):
         assert not fitter.solve(offsets, warm=warm).converged.any()

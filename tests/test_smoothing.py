@@ -63,7 +63,8 @@ class TestFitLocal:
         for u in (0.2, 0.5, 0.8):
             fit = g.fit_local("gaussian", data, beta, u, sm)
             oracle = _local_wls_oracle(data, beta, u, sm)
-            np.testing.assert_allclose(fit.coefficients, oracle, atol=1e-10)
+            np.testing.assert_allclose(fit.a0, oracle[:1], atol=1e-10)
+            np.testing.assert_allclose(fit.higher_coefs, oracle[1:].reshape(1, 1), atol=1e-10)
             assert fit.converged
 
     def test_poisson_matches_grid_search_oracle(self):
