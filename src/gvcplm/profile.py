@@ -97,9 +97,9 @@ class FitResult:
     local fits from the state's tangent_start).  The engine pins O(n*w)
     arrays, w the kernel window width: its fitter holds the kernel weights of
     each group of tiles, at most n (w + 32) values in all.  The state pins
-    its per-group local curvature, as large, only until it is differentiated,
-    and from then on the (n, p, d) coefficient derivative instead.  Code that
-    needs only beta should drop the result.
+    the (n, p, d) derivative of the local coefficients, except after a
+    backfitting fit, whose states are not differentiated.  Code that needs
+    only beta should drop the result.
     """
 
     beta: np.ndarray
@@ -113,13 +113,13 @@ class FitResult:
     state: _State = field(repr=False, compare=False)
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class _State:
     """Curve fit and derived quantities at one beta (q1, q2 at fitted).
 
-    The solution's per-group curvature serves only the coefficient
-    derivative: once _dcoef is cached the curvature is released (None), so a
-    state holds one of the two, never both.
+    solution.derivative is the (n, p, d) beta-derivative of the local
+    coefficients, or None for a state evaluated without it
+    (``ProfileEngine.state``).
     """
 
     beta: np.ndarray
@@ -128,7 +128,6 @@ class _State:
     loglik: float
     q1: np.ndarray
     q2: np.ndarray
-    _dcoef: Optional[np.ndarray] = None   # (n, p, d) local coefficients' beta-derivative
 
 
 class ProfileEngine:
@@ -152,34 +151,38 @@ class ProfileEngine:
         other.smoothing = other.fitter.smoothing
         return other
 
-    def state(self, beta, warm=None) -> _State:
+    def state(self, beta, warm=None, differentiate=True) -> _State:
         """Profile state at beta; the local fits start from warm, (m, d)
-        coefficients such as tangent_start's, or cold when warm is None."""
+        coefficients such as tangent_start's, or cold when warm is None.
+        With differentiate the solve also returns the local coefficients'
+        beta-derivative, which alpha_prime and tangent_start read; the
+        backfitting ascent and the bare objective go without it."""
         beta = np.asarray(beta, dtype=float)
         offsets = self.data.z @ beta
-        sol = self.fitter.solve(offsets, warm=warm)
+        sol = self.fitter.solve(offsets, warm=warm, z=self.data.z if differentiate else None)
         a0 = sol.coefficients[:, : self.data.n_curves]
         fitted = np.einsum("iq,iq->i", a0, self.data.x) + offsets
         q, q1, q2 = self.family.q012(fitted, self.data.y)
         return _State(beta, sol, fitted, float(np.sum(q)), q1, q2)
 
-    def _coefficient_derivative(self, state: _State) -> np.ndarray:
-        if state._dcoef is None:
-            state._dcoef = self.fitter.coefficient_derivative(state.solution, self.data.z)
-            state.solution = state.solution._replace(curvature=None)
-        return state._dcoef
+    def differentiated(self, state: _State) -> _State:
+        """state when it has its derivative; otherwise (a backfitting fit's
+        state) the state re-solved at its beta from its own local
+        coefficients, with the derivative."""
+        if state.solution.derivative is not None:
+            return state
+        return self.state(state.beta, state.solution.coefficients)
 
     def alpha_prime(self, state: _State) -> np.ndarray:
         """(n, p, q) derivative of the fitted curve at each observation."""
-        return self._coefficient_derivative(state)[:, :, : self.data.n_curves]
+        return self.fitter.alpha_prime(state.solution)
 
     def tangent_start(self, near: _State, beta) -> np.ndarray:
-        """Local coefficients at beta predicted to first order from the state
-        near; depends on (near, beta) only (near's derivative is computed if
-        it was not yet)."""
+        """Local coefficients at beta predicted to first order from the
+        differentiated state near; depends on (near, beta) only."""
         move = np.asarray(beta, dtype=float) - near.beta
         return near.solution.coefficients + np.einsum(
-            "epd,p->ed", self._coefficient_derivative(near), move)
+            "epd,p->ed", near.solution.derivative, move)
 
     def effective_covariates(self, state: _State, algorithm: str) -> np.ndarray:
         """z_i + alpha_prime(u_i) x_i, or plain z for backfitting."""
@@ -239,6 +242,8 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm
     coordinates gamma with beta = B' gamma, which is how linear null
     hypotheses are fitted.  The first state's local fits start from warm (cold
     when None), every trial's from the accepted iterate (module docstring).
+    Every state is differentiated, except in the backfitting ascent, which
+    never reads the curve's derivative.
 
     Returns (final state, trace, converged flag, accepted step count).
     """
@@ -248,7 +253,8 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm
     else:
         basis = np.asarray(basis, dtype=float)
         to_beta = lambda v: basis.T @ v
-    state = engine.state(to_beta(current), warm)
+    differentiate = config.algorithm != "backfitting"
+    state = engine.state(to_beta(current), warm, differentiate)
     trace = [(0.0, state.loglik)]
     converged = False
     for _ in range(config.max_steps):
@@ -262,9 +268,9 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm
         for _ in range(MAX_HALVINGS + 1):
             candidate = current + scale * step
             beta = to_beta(candidate)
-            trial = engine.state(beta, state.solution.coefficients
-                                 if config.algorithm == "backfitting"
-                                 else engine.tangent_start(state, beta))
+            trial = engine.state(beta, engine.tangent_start(state, beta)
+                                 if differentiate else state.solution.coefficients,
+                                 differentiate)
             if trial.loglik >= state.loglik - 1e-9 * (1.0 + abs(state.loglik)):
                 break
             scale *= 0.5
@@ -282,7 +288,7 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm
 def profile_objective(family, data: Dataset, beta, smoothing: SmoothingParams) -> float:
     """Profile quasi-likelihood at beta (curves refitted at every call)."""
     engine = ProfileEngine(family, data, smoothing)
-    return engine.state(beta).loglik
+    return engine.state(beta, differentiate=False).loglik
 
 
 def profile_gradient(family, data: Dataset, beta, smoothing: SmoothingParams) -> np.ndarray:

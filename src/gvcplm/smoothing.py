@@ -54,19 +54,21 @@ bounded whatever m is.  Nothing of size (m, d, w) is stored: the bases and
 their products are rebuilt per call from O(n) arrays, at about the cost of
 one point's Hessian per tile.
 
-``CurveFitter.coefficient_derivative`` returns the derivative of the local
+Given z, ``CurveFitter.solve`` also returns the derivative of the local
 coefficients with respect to beta, obtained in closed form by differentiating
 the local score equation: with W the kernel weights, D the local design and
-q2 the local curvature that ``solve`` returns, evaluated at the local fitted
-values,
+q2 the local curvature at the returned coefficients,
 
     d a / d beta' = -[sum_i q2_i D_i D_i' W_i]^{-1} [sum_i q2_i D_i z_i' W_i],
 
-both sums one product per tile against its basis.  Its leading q rows
-(``alpha_prime``) give d alpha(u) / d beta, which the profile gradient and
-Hessian need; all rows predict the local fit at a nearby beta.  For degree 0
-this is the familiar ratio of kernel-weighted moment matrices; for degree >= 1
-it is the exact implicit derivative of the implemented fit.
+both sums one product per tile against its basis.  Each group is
+differentiated right after its Newton loop, from the bases it was solved on
+and its last q2, which is then dropped, so no solution holds the (b_g,
+width) curvature.  The derivative's leading q rows (``alpha_prime``) give
+d alpha(u) / d beta, which the profile gradient and Hessian need; all rows
+predict the local fit at a nearby beta.  For degree 0 this is the familiar
+ratio of kernel-weighted moment matrices; for degree >= 1 it is the exact
+implicit derivative of the implemented fit.
 
 Every batch of small SPD systems (the cold start, each Newton step, the
 derivative, the profile Hessian) goes through ``_ridged_solve``, which ridges
@@ -158,13 +160,13 @@ class CurveEstimate:
 
 
 class BatchSolution(NamedTuple):
-    """Local fits at every evaluation point, in the caller's point order."""
+    """Local fits at every evaluation point, in the caller's point order,
+    and their derivative with respect to beta when solved with z."""
 
     coefficients: np.ndarray      # (m, d)
-    # per group, (b_g, width) q_2 at its points' local predictors over their
-    # tiles' columns, which coefficient_derivative reads; None in a profile
-    # state once its derivative is cached
-    curvature: Optional[tuple]
+    # (m, p, d) d coefficients / d beta, a transposed view of a C-contiguous
+    # (m, d, p) array; None when solved without z
+    derivative: Optional[np.ndarray]
     gradient_norm: np.ndarray     # (m,)
     converged: np.ndarray         # (m,) bool
     iterations: np.ndarray        # (m,) int
@@ -508,17 +510,19 @@ class CurveFitter:
 
     # -- Newton iteration ---------------------------------------------------
 
-    def solve(self, offsets, warm=None) -> BatchSolution:
+    def solve(self, offsets, warm=None, z=None) -> BatchSolution:
         """Maximize every local objective for the given offsets.
 
         The groups are solved one after another (``_solve_group``), each from
-        its cold start when warm is None.  A solve that leaves points
+        its cold start when warm is None, and, given z, differentiated
+        (``_differentiate``) before the next.  A solve that leaves points
         unconverged reports them in one debug record on the ``gvcplm``
         logger.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
             warm: optional (m, d) starting coefficients.
+            z: optional (n, p) linear covariates, for the derivative.
         """
         offsets = np.asarray(offsets, dtype=float)
         m = self.points.size
@@ -531,14 +535,18 @@ class CurveFitter:
         converged = np.zeros(m, dtype=bool)
         iters = np.zeros(m, dtype=int)
         gnorm = np.full(m, np.inf)
-        curvature = []
+        if z is not None:
+            zs = np.asarray(z, dtype=float)[self.order]
+            derivative = np.empty((m, self.n_coef, zs.shape[1]))
         for group, weights in zip(self.groups, self.weights):
             local, rows = self._local(group), group.points
             if warm is None:
                 coefs[rows] = self._cold(group, local, weights, resid)
-            curvature.append(self._solve_group(
+            q2 = self._solve_group(
                 local, weights, self._rows(group, offsets), self._rows(group, self._y),
-                coefs[rows], gnorm[rows], converged[rows], iters[rows]))
+                coefs[rows], gnorm[rows], converged[rows], iters[rows])
+            if z is not None:
+                derivative[local.index] = self._differentiate(group, local, weights * q2, zs)
         coefs, gnorm, converged, iters = (
             self._unsorted(a) for a in (coefs, gnorm, converged, iters))
         if _log.isEnabledFor(logging.DEBUG) and not converged.all():
@@ -551,7 +559,8 @@ class CurveFitter:
                        "largest gradient norm %.3g", unconverged, m, abandoned,
                        MAX_HALVINGS, unconverged - abandoned, MAX_LOCAL_ITERS,
                        gnorm[~converged].max())
-        return BatchSolution(coefs, tuple(curvature), gnorm, converged, iters)
+        return BatchSolution(coefs, None if z is None else np.swapaxes(derivative, 1, 2),
+                             gnorm, converged, iters)
 
     def _solve_group(self, local, w, offsets, y, coefs, gnorm, converged, iters):
         """Damped Newton iteration of one group's points, in place.
@@ -563,8 +572,8 @@ class CurveFitter:
         a per-point solve.  Each trial predictor gets one family pass
         (``_objectives``); an accepted trial's q_1 and q_2 serve the next
         iterate, and the last q_2 (b_g, width), the group's curvature, is
-        returned.  Once a point converges or stalls only active rows are
-        gathered.
+        returned for ``_differentiate``.  Once a point converges or stalls
+        only active rows are gathered.
         """
         m = coefs.shape[0]
         every = slice(None)
@@ -620,45 +629,40 @@ class CurveFitter:
 
         return curvature
 
+    def _differentiate(self, group, local, wq2, zs) -> np.ndarray:
+        """(b_g, d, p) derivative of the group's local coefficients with
+        respect to beta, from wq2 = W q2 (b_g, width) at its solution.
+
+        It is the closed-form implicit derivative -S1^{-1} S2 of the local
+        score equation (module docstring), with no family evaluation.  Both
+        sums are one product per tile against its basis: S1 as in the Newton
+        Hessian, S2 = M_e [(W q2)(B x z)]_e with B x z the (width, d p)
+        products of the basis's columns with the tile's contiguous rows of
+        the u-sorted z, zs.
+        """
+        d, p = self.n_coef, zs.shape[1]
+        s1 = -self._weighted_gram(local, slice(None), wq2)
+        s2 = np.empty((wq2.shape[0], d * p))
+        bounds = local.bounds.tolist()
+        for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
+                                     self.tiles[group.tiles]):
+            kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
+            np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=s2[a:b])
+        s2 = local.shift @ s2.reshape(-1, d, p)
+        return _ridged_solve(s1, s2, "curve derivative", local.index)
+
     # -- derived quantities ---------------------------------------------------
 
     def curve_values(self, solution: BatchSolution) -> np.ndarray:
         """alpha_hat at each evaluation point, shape (m, q)."""
         return solution.coefficients[:, : self.n_curves]
 
-    def coefficient_derivative(self, solution: BatchSolution, z) -> np.ndarray:
-        """Derivative of every local coefficient with respect to beta, (m, p, d).
-
-        Entry [e, j, k] is d a_k(points[e]) / d beta_j, the closed-form
-        implicit derivative -S1^{-1} S2 of the local score equation with the
-        solution's per-group curvature q2 (no family evaluation), one group
-        at a time.  Both sums are one product per tile against its basis: S1
-        as in the Newton Hessian, S2 = M_e [(W q2)(B x z)]_e with B x z the
-        (width, d p) products of the basis's columns with the tile's
-        contiguous rows of the u-sorted z.  The result is a transposed view
-        of a C-contiguous (m, d, p) array.
-        """
-        zs = np.asarray(z, dtype=float)[self.order]
-        p, d, every = zs.shape[1], self.n_coef, slice(None)
-        out = np.empty((self.points.size, d, p))
-        for group, weights, q2 in zip(self.groups, self.weights, solution.curvature):
-            local = self._local(group)
-            wq2 = weights * q2
-            s1 = -self._weighted_gram(local, every, wq2)
-            s2 = np.empty((wq2.shape[0], d * p))
-            bounds = local.bounds.tolist()
-            for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
-                                         self.tiles[group.tiles]):
-                kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
-                np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=s2[a:b])
-            s2 = local.shift @ s2.reshape(-1, d, p)
-            out[local.index] = _ridged_solve(s1, s2, "curve derivative", local.index)
-        return np.swapaxes(out, 1, 2)
-
-    def alpha_prime(self, solution: BatchSolution, z) -> np.ndarray:
+    def alpha_prime(self, solution: BatchSolution) -> np.ndarray:
         """(m, p, q) derivative of the fitted curve with respect to beta: the
-        leading q coefficients of coefficient_derivative."""
-        return self.coefficient_derivative(solution, z)[:, :, : self.n_curves]
+        leading q coefficients of the derivative of a solve given z."""
+        if solution.derivative is None:
+            raise ParameterError("the solution has no derivative: solve with z")
+        return solution.derivative[:, :, : self.n_curves]
 
 
 # ---------------------------------------------------------------------------
@@ -737,5 +741,5 @@ def estimate_alpha_prime(
     fam = get_family(family)
     data.validate_response(fam)
     fitter = CurveFitter(fam, data.x, data.y, data.u, smoothing, [u])
-    sol = fitter.solve(_offsets(data, beta))
-    return fitter.alpha_prime(sol, data.z)[0]
+    sol = fitter.solve(_offsets(data, beta), z=data.z)
+    return fitter.alpha_prime(sol)[0]

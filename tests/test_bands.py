@@ -112,7 +112,7 @@ def test_band_solves_dense_problem(problem):
     x, z, y, offsets = _problem_arrays(family, u, seed)
     sm = SmoothingParams(h=h, delta=0.1, degree=degree)
     fitter = CurveFitter(family, x, y, u, sm, points)
-    sol = fitter.solve(offsets)
+    sol = fitter.solve(offsets, z=z)
     assert sol.converged.all()
 
     # (a) the dense local score vanishes at the band's coefficients
@@ -124,7 +124,7 @@ def test_band_solves_dense_problem(problem):
     derivative, cond = _dense_derivative(family, u, x, y, z, offsets, points, sm,
                                          sol.coefficients)
     event(f"well-conditioned points: {(cond < 1e5).sum()} of {cond.size}")
-    _assert_close_where_well_conditioned(fitter.alpha_prime(sol, z),
+    _assert_close_where_well_conditioned(fitter.alpha_prime(sol),
                                          derivative[:, :, :2], cond)
 
 
@@ -198,7 +198,7 @@ def _tile_rows(fitter, tile):
 
 def _tiles_in_groups(fitter, per_group):
     """(tile, its rows of the group's array) for every tile, with per_group
-    one (b_g, width) array per group, such as its weights or curvature."""
+    one (b_g, width) array per group, such as its weights."""
     for group, array in zip(fitter.groups, per_group):
         for tile in fitter.tiles[group.tiles]:
             start = group.points.start
@@ -213,19 +213,6 @@ def _scattered_weights(fitter):
     return dense
 
 
-def _tile_predictors(fitter, u, coefficients, offsets):
-    """Per tile, its points' local predictors (b_t, width) over the tile's
-    columns, from each point's own dense design."""
-    predictors = []
-    for tile in fitter.tiles:
-        points, obs = _tile_rows(fitter, tile)
-        predictors.append(np.stack([
-            _dense_design(u[obs], fitter.x[obs], fitter.points[e],
-                          fitter.smoothing.degree) @ coefficients[e]
-            for e in points]) + offsets[obs])
-    return predictors
-
-
 def _dense_initial(family, u, x, y, offsets, points, smoothing):
     """The cold start's weighted least squares over all n observations, (m, d),
     with the condition number of each system."""
@@ -238,16 +225,22 @@ def _dense_initial(family, u, x, y, offsets, points, smoothing):
     return np.linalg.solve(mats, rhs[..., None])[..., 0], np.linalg.cond(mats)
 
 
-def _dense_derivative(family, u, x, y, z, offsets, points, smoothing, coefficients):
-    """-S1^{-1} S2 of the dense kernel sums at the given local coefficients,
-    (m, p, d), with the condition number of each S1."""
+def _dense_systems(family, u, x, y, z, offsets, points, smoothing, coefficients):
+    """The dense kernel sums S1 (m, d, d) and S2 (m, d, p) of the derivative's
+    systems, with q_2 at the given local coefficients."""
     fam = g.get_family(family)
     weights = _dense_weights(u, points, smoothing)
     design = np.stack([_dense_design(u, x, p, smoothing.degree) for p in points])
     lin = np.einsum("eid,ed->ei", design, coefficients) + offsets
     wq2 = weights * fam.q(2, lin, y)
-    s1 = np.einsum("ei,eid,eif->edf", wq2, design, design)
-    s2 = np.einsum("ei,eid,ik->edk", wq2, design, z)
+    return (np.einsum("ei,eid,eif->edf", wq2, design, design),
+            np.einsum("ei,eid,ik->edk", wq2, design, z))
+
+
+def _dense_derivative(family, u, x, y, z, offsets, points, smoothing, coefficients):
+    """-S1^{-1} S2 of the dense kernel sums at the given local coefficients,
+    (m, p, d), with the condition number of each S1."""
+    s1, s2 = _dense_systems(family, u, x, y, z, offsets, points, smoothing, coefficients)
     return np.swapaxes(-np.linalg.solve(s1, s2), 1, 2), np.linalg.cond(s1)
 
 
@@ -339,7 +332,7 @@ def test_tiles_agree_with_dense_reference(problem):
         initial = fitter.initial_coefficients(offsets)
         _assert_close_where_well_conditioned(initial, *_dense_initial(*dense))
 
-        cold = fitter.solve(offsets)
+        cold = fitter.solve(offsets, z=z)
         assert cold.converged.all()
         assert np.abs(_dense_score(*dense, cold.coefficients)).max() < 1e-7
 
@@ -351,8 +344,7 @@ def test_tiles_agree_with_dense_reference(problem):
 
         derivative, cond = _dense_derivative(family, u, x, y, z, offsets, points, sm,
                                              cold.coefficients)
-        _assert_close_where_well_conditioned(
-            fitter.coefficient_derivative(cold, z), derivative, cond)
+        _assert_close_where_well_conditioned(cold.derivative, derivative, cond)
 
         if where == "observations":
             # bernoulli responses in (0, 1) keep every local fit finite; the
@@ -486,16 +478,15 @@ class TestContiguousWindows:
     def _check(family, data, sm, points):
         fitter = CurveFitter(family, data.x, data.y, data.u, sm, points)
         offsets = data.z @ np.linspace(-0.2, 0.2, data.n_linear)
-        sol = fitter.solve(offsets)
-        got = fitter.coefficient_derivative(sol, data.z)
+        sol = fitter.solve(offsets, z=data.z)
+        got = sol.derivative
         assert got.shape == (points.size, data.n_linear, fitter.n_coef)
         # every point in every tile, or a sample of at most 300 in each
         rows = slice(None, None, -(-points.size // 300))
         expected, cond = _dense_derivative(family, data.u, data.x, data.y, data.z, offsets,
                                            points[rows], sm, sol.coefficients[rows])
         _assert_close_where_well_conditioned(got[rows], expected, cond)
-        assert np.array_equal(fitter.alpha_prime(sol, data.z),
-                              got[:, :, : data.n_curves])
+        assert np.array_equal(fitter.alpha_prime(sol), got[:, :, : data.n_curves])
         return fitter
 
     @pytest.mark.parametrize("family", ["poisson", "bernoulli"])

@@ -36,23 +36,23 @@ def _outputs(engine, beta):
     # subsets and step halvings occur inside the tiles
     warm = cold.coefficients.copy()
     warm[::3, 0] -= 3.0
-    derivative = fitter.coefficient_derivative(cold, data.z)
+    differentiated = fitter.solve(offsets, z=data.z)
     state = engine.state(beta)
     return {
         "weights": fitter.weights,
         "cold": cold,
         "warm": fitter.solve(offsets * 1.01, warm=warm),
         "initial": fitter.initial_coefficients(offsets),
-        "derivative": derivative,
-        "strides": derivative.strides,
+        "differentiated": differentiated,
+        "strides": differentiated.derivative.strides,
         "loglik": state.loglik,
         "tangent": engine.tangent_start(state, beta * 1.01),
     }
 
 
 def _flat(value):
-    """The arrays of an output, in order: a solution's fields, its per-group
-    curvature and the groups' weights are lists and tuples of arrays."""
+    """The arrays of an output, in order: a solution's fields and the groups'
+    weights are tuples and lists of arrays."""
     if isinstance(value, (list, tuple)):
         return [a for v in value for a in _flat(v)]
     return [value]
@@ -89,12 +89,14 @@ def test_tilings_repeat_bit_for_bit_and_agree_with_dense(data_strategy):
             h=sm.h, delta=2.0 * delta, degree=sm.degree))
         _assert_bit_equal(expected, _outputs(other.with_delta(delta), beta))
 
-    # and the dense per-point reference
+    # and the dense per-point reference; the derivative leaves the solve as it is
     cold, offsets = expected["cold"], data.z @ beta
+    differentiated = expected["differentiated"]
+    assert np.array_equal(differentiated.coefficients, cold.coefficients)
     dense = (family, data.u, data.x, data.y)
     assert cold.converged.all()
     assert np.abs(_dense_score(*dense, offsets, data.u, sm, cold.coefficients)).max() < 1e-7
-    _assert_close_where_well_conditioned(expected["derivative"], *_dense_derivative(
+    _assert_close_where_well_conditioned(differentiated.derivative, *_dense_derivative(
         *dense, data.z, offsets, data.u, sm, cold.coefficients))
 
 
@@ -132,9 +134,9 @@ def test_tiles_partition_the_points_within_bounds(steps, elements):
 @pytest.mark.parametrize("elements", [1, 1000, 5000, 1 << 62],
                          ids=["rows", "1000", "5000", "one"])
 def test_singular_system_in_a_later_block_names_its_point(elements, monkeypatch):
-    # a NaN start at point e makes its local Newton Hessian and its
-    # derivative system NaN; every other point starts at its fit, so it
-    # converges at once and e is the only active row of its group
+    # a NaN start at point e makes its local Newton Hessian NaN; every other
+    # point starts at its fit, so it converges at once and e is the only
+    # active row of its group
     monkeypatch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
     data, delta, h = _dataset("poisson", 300, 4)
     fitter = CurveFitter("poisson", data.x, data.y, data.u,
@@ -147,31 +149,33 @@ def test_singular_system_in_a_later_block_names_its_point(elements, monkeypatch)
     message = f"point index {e} has a non-finite entry"
     with pytest.raises(SingularityError, match=f"local Newton: .*{message}"):
         fitter.solve(offsets, warm=warm)
-    # e's row in its group: its place among the u-sorted points, less the
+    # and a NaN q_2 in e's row of its group's curvature makes e's derivative
+    # system NaN: e's row is its place among the u-sorted points, less the
     # group's first
     k = int(np.flatnonzero(fitter.point_order == e)[0])
     t = next(t for t, group in enumerate(fitter.groups) if k < group.points.stop)
-    curvature = [c.copy() for c in fit.curvature]
-    curvature[t][k - fitter.groups[t].points.start, 0] = np.nan
+    solve_group, groups = fitter._solve_group, iter(range(len(fitter.groups)))
+
+    def poisoned(*args):
+        q2 = solve_group(*args)
+        if next(groups) == t:
+            q2[k - fitter.groups[t].points.start, 0] = np.nan
+        return q2
+
+    monkeypatch.setattr(fitter, "_solve_group", poisoned)
     with pytest.raises(SingularityError, match=f"curve derivative: .*{message}"):
-        fitter.coefficient_derivative(fit._replace(curvature=tuple(curvature)), data.z)
+        fitter.solve(offsets, z=data.z)
 
 
-def _transient_peaks(fitter, offsets, z):
-    """Traced peaks of a cold solve and of the derivative, less their outputs."""
+def _transient_peak(fitter, offsets, z):
+    """Traced peak of a cold solve with its derivative, less its outputs."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sol = fitter.solve(offsets)
-        solve_peak = tracemalloc.get_traced_memory()[1] - base \
-            - sum(a.nbytes for a in _flat(sol))
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        derivative = fitter.coefficient_derivative(sol, z)
-        derivative_peak = tracemalloc.get_traced_memory()[1] - base - derivative.nbytes
+        sol = fitter.solve(offsets, z=z)
+        return tracemalloc.get_traced_memory()[1] - base - sum(a.nbytes for a in _flat(sol))
     finally:
         tracemalloc.stop()
-    return solve_peak, derivative_peak
 
 
 def test_block_temporaries_do_not_grow_with_the_points(monkeypatch):
@@ -184,13 +188,11 @@ def test_block_temporaries_do_not_grow_with_the_points(monkeypatch):
     fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, data.u)
     w = max(np.count_nonzero(weights, axis=1).max() for weights in fitter.weights)
     monkeypatch.setattr(smoothing, "_BLOCK_ELEMENTS", data.n // 4 * w)
-    peaks = []
-    for points in (data.u, np.tile(data.u, 4)):
-        fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, points)
-        peaks.append(_transient_peaks(fitter, offsets, data.z))
-    (solve_m, derivative_m), (solve_4m, derivative_4m) = peaks
-    assert solve_4m < 1.25 * solve_m
-    assert derivative_4m < 1.25 * derivative_m
+    peak_m, peak_4m = (
+        _transient_peak(CurveFitter("poisson", data.x, data.y, data.u, sm, points),
+                        offsets, data.z)
+        for points in (data.u, np.tile(data.u, 4)))
+    assert peak_4m < 1.25 * peak_m
 
 
 def test_no_points_is_one_empty_block():
@@ -201,6 +203,6 @@ def test_no_points_is_one_empty_block():
     assert curve.values.shape == (0, data.n_curves)
     fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, np.array([]))
     assert fitter.tiles == fitter.groups == []
-    sol = fitter.solve(data.z @ beta)
-    assert sol.coefficients.shape == (0, fitter.n_coef) and sol.curvature == ()
-    assert fitter.alpha_prime(sol, data.z).shape == (0, data.n_linear, data.n_curves)
+    sol = fitter.solve(data.z @ beta, z=data.z)
+    assert sol.coefficients.shape == (0, fitter.n_coef)
+    assert fitter.alpha_prime(sol).shape == (0, data.n_linear, data.n_curves)

@@ -18,7 +18,8 @@ from gvcplm import (
     SmoothingParams,
 )
 
-from gvcplm.profile import _State
+from gvcplm.profile import _State, _newton_fit
+from gvcplm.smoothing import BatchSolution
 
 from conftest import make_gaussian_dataset
 from oracles import chi2_upper_oracle
@@ -289,10 +290,10 @@ class TestRowPermutationInvariance:
         assert abs(test_p.statistic - test.statistic) <= 1e-12 * loglik
 
 
-def _new_states(before):
-    """Profile states alive now that were not in before."""
+def _new_objects(before, kinds):
+    """Objects of kinds alive now that were not in before."""
     gc.collect()
-    return [obj for obj in gc.get_objects() if isinstance(obj, _State)
+    return [obj for obj in gc.get_objects() if isinstance(obj, kinds)
             and not any(obj is old for old in before)]
 
 
@@ -360,38 +361,51 @@ class TestInferenceReadsFitState:
                                       fresh.solution.coefficients)
 
     @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
-    def test_states_release_their_curvature_once_differentiated(self, family, monkeypatch):
-        # inference reads a state's coefficient derivative, never its per-group
-        # curvature, so releasing the curvature once the derivative is cached
-        # leaves every bit of the SEs, T, the null beta and a tangent start
-        def run():
-            gc.collect()
-            before = [obj for obj in gc.get_objects() if isinstance(obj, _State)]
-            design, data, cfg, res = _design_fit(family, 127)
-            se = g.sandwich_covariance(res).se
-            sandwich_states = _new_states(before)
-            test = g.glrt(family, data, g.make_constraint(np.eye(design.p_dim)[6:]), cfg,
-                          fit_alt=res)
-            assert _new_states(before) == sandwich_states == [res.state]
-            tangent = res.engine.tangent_start(res.state, test.beta_null)
-            return se, test, tangent, res.state
+    def test_states_release_their_curvature_once_differentiated(self, family):
+        # each group's (b_g, width) curvature is differentiated inside the
+        # solve and then dropped: after a fit, a sandwich and a GLRT the one
+        # live new state and its solution hold (p,), (n,), (n, d) and
+        # (n, p, d) arrays only
+        kinds = (_State, BatchSolution)
+        gc.collect()
+        before = [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
+        design, data, cfg, res = _design_fit(family, 127)
+        g.sandwich_covariance(res)
+        g.glrt(family, data, g.make_constraint(np.eye(design.p_dim)[6:]), cfg, fit_alt=res)
+        new = _new_objects(before, kinds)
+        assert len(new) == 2 and {id(obj) for obj in new} == {id(res.state),
+                                                              id(res.state.solution)}
+        n, p, d = data.n, design.p_dim, res.engine.fitter.n_coef
+        shapes = {(p,), (n,), (n, d), (n, p, d)}
+        fields = [*res.state.solution] + [getattr(res.state, name)
+                                          for name in res.state.__slots__]
+        assert all(np.shape(v) in shapes for v in fields
+                   if not isinstance(v, (float, BatchSolution)))
 
-        se, test, tangent, state = run()
-        assert state.solution.curvature is None
+    @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+    def test_sandwich_and_glrt_of_a_backfitting_fit(self, family):
+        # a backfitting fit's states carry no derivative: inference solves
+        # the final state again at its beta, with the derivative
+        design, data, cfg, _ = _design_fit(family, 131)
+        cfg = FitConfig(smoothing=cfg.smoothing, algorithm="backfitting")
+        res = g.fit(family, data, cfg)
+        assert res.state.solution.derivative is None
+        cov = g.sandwich_covariance(res)
+        engine = ProfileEngine(family, data, cfg.smoothing)
+        state = engine.state(res.beta)
+        psi = engine.score_vectors(state)
+        meat = psi.T @ psi / data.n - np.outer(psi.mean(axis=0), psi.mean(axis=0))
+        inv_bread = np.linalg.inv(engine.hessian(state))
+        np.testing.assert_allclose(cov.se, np.sqrt(np.diag(data.n * inv_bread @ meat
+                                                           @ inv_bread.T)), rtol=1e-8)
 
-        def keep_curvature(engine, state):
-            if state._dcoef is None:
-                state._dcoef = engine.fitter.coefficient_derivative(state.solution,
-                                                                    engine.data.z)
-            return state._dcoef
-
-        monkeypatch.setattr(ProfileEngine, "_coefficient_derivative", keep_curvature)
-        kept_se, kept_test, kept_tangent, kept_state = run()
-        assert sum(c.shape[0] for c in kept_state.solution.curvature) == kept_state.fitted.size
-        assert se.tobytes() == kept_se.tobytes()
-        assert test.statistic == kept_test.statistic
-        assert test.beta_null.tobytes() == kept_test.beta_null.tobytes()
-        assert tangent.tobytes() == kept_tangent.tobytes()
+        # the null fit from the tangent start agrees with one from cold starts
+        constraint = g.make_constraint(np.eye(design.p_dim)[6:])
+        test = g.glrt(family, data, constraint, cfg, fit_alt=res)
+        cold, _, _, _ = _newton_fit(engine, cfg, constraint.b @ res.beta, basis=constraint.b)
+        assert test.loglik_alt == res.profile_loglik
+        assert test.loglik_null == pytest.approx(cold.loglik, rel=1e-10)
+        np.testing.assert_allclose(test.beta_null, cold.beta, rtol=1e-6, atol=1e-8)
 
     def test_glrt_rejects_fit_with_other_smoothing(self):
         design, data, cfg, fit_alt = _design_fit("poisson", 109)

@@ -1,8 +1,9 @@
-"""The local Newton solve's family passes and the curvature it returns.
+"""The local Newton solve's family passes and the derivative it returns.
 
 Each trial predictor gets one family pass, (Q, q_1, q_2) together, and an
-accepted trial's q_1 and q_2 serve the next iterate; the final q_2 is carried
-on the solution, so ``alpha_prime`` evaluates no family at all.
+accepted trial's q_1 and q_2 serve the next iterate; each group's final q_2
+is differentiated inside the solve, so the derivative evaluates no family at
+all.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import gvcplm as g
 from gvcplm import CurveFitter, SmoothingParams, smoothing
 from gvcplm.smoothing import MAX_HALVINGS, MAX_LOCAL_ITERS
 
-from test_bands import _problem_arrays, _tile_predictors, _tile_rows, _tiles_in_groups
+from test_bands import _dense_systems, _problem_arrays
 
 
 def _count_calls(fitter):
@@ -63,20 +64,26 @@ def test_one_family_pass_per_objective(family, start):
     assert calls["objectives"] > sol.iterations.max() + (start == "warm")
     assert calls["family"] == calls["objectives"]
 
+    # the derivative adds no family pass
+    passes = dict(calls)
     calls.update(family=0, objectives=0)
-    fitter.alpha_prime(sol, data.z)
-    assert calls == {"family": 0, "objectives": 0}
+    fitter.solve(offsets, z=data.z, **kwargs)
+    assert calls == passes
 
 
-def _assert_carried_curvature(fitter, u, offsets, sol):
-    """Each group's curvature is q_2 at the returned coefficients, to
-    rounding: the reference predictors come from every point's own dense
-    design."""
-    lins = _tile_predictors(fitter, u, sol.coefficients, offsets)
-    assert len(sol.curvature) == len(fitter.groups)
-    for (tile, curvature), lin in zip(_tiles_in_groups(fitter, sol.curvature), lins):
-        expected = fitter.family.q(2, lin, fitter.y[_tile_rows(fitter, tile)[1]])
-        np.testing.assert_allclose(curvature, expected, rtol=1e-12, atol=0)
+def _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol):
+    """The derivative is the one of q_2 at the returned coefficients, to
+    rounding: it solves the dense systems S1 d = -S2 that every point's own
+    design builds from them.  The check bounds the residual by |S1| |d| +
+    |S2|, so it holds also where S1 is ill-conditioned, as at abandoned and
+    saturated points.  Where q_2 underflows to 0 over a whole window, S1 and
+    S2 are 0 and define no derivative, and the point is not checked."""
+    s1, s2 = _dense_systems(fitter.family, u, fitter.x, fitter.y, z, offsets,
+                            fitter.points, fitter.smoothing, sol.coefficients)
+    derivative = np.swapaxes(sol.derivative, 1, 2)
+    residual = s1 @ derivative + s2
+    solved = np.abs(residual) <= 1e-10 * (np.abs(s1) @ np.abs(derivative) + np.abs(s2))
+    assert np.all(solved[np.any(s1, axis=(1, 2))])
 
 
 @pytest.mark.parametrize("family", ("gaussian", "poisson", "bernoulli"))
@@ -88,9 +95,9 @@ def test_curvature_is_q2_at_returned_coefficients(family, start):
         fitter = CurveFitter("gaussian", x, y, u, SmoothingParams(h=0.2), u)
     else:
         data, fitter = _simulated_problem(family)
-        u, offsets = data.u, data.z @ np.full(data.n_linear, 0.1)
-    sol = fitter.solve(offsets, **_starts(fitter, offsets)[start])
-    _assert_carried_curvature(fitter, u, offsets, sol)
+        u, z, offsets = data.u, data.z, data.z @ np.full(data.n_linear, 0.1)
+    sol = fitter.solve(offsets, z=z, **_starts(fitter, offsets)[start])
+    _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol)
 
 
 def test_curvature_of_an_abandoned_point():
@@ -102,9 +109,9 @@ def test_curvature_of_an_abandoned_point():
     fitter = CurveFitter("bernoulli", x, y, u, sm, np.array([0.0]))
     warm = fitter.initial_coefficients(offsets)
     warm[:, 0] -= 8.0
-    sol = fitter.solve(offsets, warm=warm)
+    sol = fitter.solve(offsets, warm=warm, z=z)
     assert not sol.converged[0] and sol.iterations[0] < 50
-    _assert_carried_curvature(fitter, u, offsets, sol)
+    _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol)
 
 
 def test_profile_state_reads_the_triple_at_fitted():
@@ -119,12 +126,12 @@ def test_profile_state_reads_the_triple_at_fitted():
 
 def _saturated_solve(push):
     """Every bernoulli window's start pushed up by push: (fitter, offsets,
-    warm, u)."""
+    warm, data)."""
     data, fitter = _simulated_problem("bernoulli", n=200)
     offsets = data.z @ np.full(data.n_linear, 0.1)
     warm = fitter.solve(offsets).coefficients
     warm[:, 0] += push
-    return fitter, offsets, warm, data.u
+    return fitter, offsets, warm, data
 
 
 @pytest.mark.parametrize("push", (40.0, 800.0))
@@ -132,11 +139,11 @@ def test_saturated_start_is_abandoned_where_it_stands(push):
     # every window saturated: q_2 is about e^-40, or underflows to zero at
     # 800, so each Newton step is far too long; Q keeps its slope beyond any
     # clip, so no such step is accepted and the points stop at their start
-    fitter, offsets, warm, u = _saturated_solve(push)
-    sol = fitter.solve(offsets, warm=warm)
+    fitter, offsets, warm, data = _saturated_solve(push)
+    sol = fitter.solve(offsets, warm=warm, z=data.z)
     assert not sol.converged.any()
     assert np.array_equal(sol.coefficients, warm)
-    _assert_carried_curvature(fitter, u, offsets, sol)
+    _assert_derivative_at_returned_coefficients(fitter, data.u, data.z, offsets, sol)
 
 
 @pytest.mark.parametrize("push", (40.0, 800.0))

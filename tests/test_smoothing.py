@@ -177,8 +177,8 @@ class TestAlphaPrime:
         data = _tiny_poisson_dataset()
         sm = SmoothingParams(h=0.6, delta=0.1)
         fitter = g.CurveFitter("poisson", data.x, data.y, data.u, sm, [0.3, 0.5, 0.7])
-        sol = fitter.solve(data.z @ np.array([0.4]))
-        assert fitter.alpha_prime(sol, data.z).shape == (3, 1, 1)
+        sol = fitter.solve(data.z @ np.array([0.4]), z=data.z)
+        assert fitter.alpha_prime(sol).shape == (3, 1, 1)
 
 
 class TestSmoothingParams:
