@@ -8,6 +8,12 @@ functions, three Newton-type profile maximizers for beta (backfitting,
 accelerated, full) started from a difference-based estimate, sandwich
 standard errors, likelihood ratio tests of linear hypotheses, K-fold
 bandwidth selection and a reproducible Monte Carlo study harness.
+
+The smoothing machinery is built once per dataset: ``CurveFitter`` solves
+the local fits, and their derivative in beta, at fixed points, and
+``ProfileEngine`` evaluates the profile objective, gradient and Hessian at
+any beta from one fitter at the observations.  ``fit_curve`` gives the
+coefficient functions on a display grid.
 """
 
 from .crossval import CvReport, cross_validate, default_h_grid, default_smoothing_grid
@@ -51,9 +57,6 @@ from .profile import (
     FitResult,
     ProfileEngine,
     fit,
-    modified_hessian,
-    profile_gradient,
-    profile_objective,
 )
 from .simulate import (
     SimDesign,
@@ -70,12 +73,9 @@ from .simulate import (
 from .smoothing import (
     CurveEstimate,
     CurveFitter,
-    LocalFit,
     SmoothingParams,
     default_grid,
-    estimate_alpha_prime,
     fit_curve,
-    fit_local,
 )
 from .studies import run_table
 
@@ -102,7 +102,6 @@ __all__ = [
     "GlrtResult",
     "GvcplmError",
     "KernelSpec",
-    "LocalFit",
     "MetricSummary",
     "POISSON",
     "ParameterError",
@@ -122,13 +121,11 @@ __all__ = [
     "default_smoothing_grid",
     "design_moment",
     "difference_weights",
-    "estimate_alpha_prime",
     "eval_q",
     "eval_quasi_loglik",
     "fit",
     "fit_curve",
     "fit_dbe",
-    "fit_local",
     "generate",
     "get_family",
     "glrt",
@@ -137,12 +134,9 @@ __all__ = [
     "make_constraint",
     "make_design",
     "metrics",
-    "modified_hessian",
     "parametric_dimension",
     "poisson_design",
     "preset_smoothing",
-    "profile_gradient",
-    "profile_objective",
     "rase",
     "replicate_seed",
     "run_table",

@@ -108,12 +108,12 @@ class SandwichCov:
 def sandwich_covariance(fit_result: FitResult) -> SandwichCov:
     """Sandwich covariance of the fitted parametric coefficients.
 
-    The per-observation scores and the curvature are read from the fit's
-    final state at fit_result.beta, differentiated, on the engine that
-    produced it.
+    The per-observation scores and the curvature are read from
+    fit_result.differentiated_state, the fit's final state at its beta with
+    the curve's derivative, on the engine that produced it.
     """
     engine = fit_result.engine
-    state = engine.differentiated(fit_result.state)
+    state = fit_result.differentiated_state
     psi = engine.score_vectors(state)                    # (n, p)
     n = engine.data.n
     mean_psi = psi.mean(axis=0)
@@ -208,7 +208,7 @@ def glrt(
     been fitted to this data, family and config.smoothing.  The constrained
     fit runs on the unconstrained fit's engine from the projection B'B beta
     of its estimate onto the null space, warm-starts the local fits from
-    tangent_start(differentiated(fit_alt.state), B'B beta), and runs the
+    tangent_start(fit_alt.differentiated_state, B'B beta), and runs the
     same Newton configuration in the reduced coordinates.
     """
     if fit_alt is None:
@@ -219,8 +219,7 @@ def glrt(
         raise ParameterError("fit_alt was fitted to other data, family or smoothing "
                              "than given to glrt")
     gamma0 = constraint.b @ fit_alt.beta
-    warm = engine.tangent_start(engine.differentiated(fit_alt.state),
-                                constraint.b.T @ gamma0)
+    warm = engine.tangent_start(fit_alt.differentiated_state, constraint.b.T @ gamma0)
     state_null, _, _, _ = _newton_fit(engine, config, gamma0, basis=constraint.b,
                                       warm=warm)
     raw = 2.0 * (fit_alt.profile_loglik - state_null.loglik)

@@ -32,11 +32,17 @@ Each trial's local fits, halvings included, start from the accepted iterate:
 ``accelerated`` and ``full`` from its tangent prediction (predictor-corrector
 continuation), since their gradient already holds every local coefficient's
 beta-derivative, and ``backfitting`` from its local coefficients.
+
+``ProfileEngine`` builds the smoother of one dataset once.  The objective,
+its gradient and the accelerated Hessian at any beta are then
+``state(beta, differentiate=False).loglik``, ``gradient(state(beta))`` and
+``hessian(state(beta), "accelerated")``.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,8 +104,9 @@ class FitResult:
     arrays, w the kernel window width: its fitter holds the kernel weights of
     each group of tiles, at most n (w + 32) values in all.  The state pins
     the (n, p, d) derivative of the local coefficients, except after a
-    backfitting fit, whose states are not differentiated.  Code that needs
-    only beta should drop the result.
+    backfitting fit, whose states are not differentiated; inference reads
+    ``differentiated_state`` instead.  Code that needs only beta should drop
+    the result.
     """
 
     beta: np.ndarray
@@ -111,6 +118,13 @@ class FitResult:
     fitted: np.ndarray
     engine: ProfileEngine = field(repr=False, compare=False)
     state: _State = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def differentiated_state(self) -> _State:
+        """The final state with its derivative: the state itself, or, after a
+        backfitting fit, its one re-solve (``ProfileEngine.differentiated``),
+        made on first use and kept for every later reader."""
+        return self.engine.differentiated(self.state)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -283,34 +297,6 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm
             converged = True
             break
     return state, tuple(trace), converged, len(trace) - 1
-
-
-def profile_objective(family, data: Dataset, beta, smoothing: SmoothingParams) -> float:
-    """Profile quasi-likelihood at beta (curves refitted at every call)."""
-    engine = ProfileEngine(family, data, smoothing)
-    return engine.state(beta, differentiate=False).loglik
-
-
-def profile_gradient(family, data: Dataset, beta, smoothing: SmoothingParams) -> np.ndarray:
-    """Gradient of the profile objective, using the closed-form curve derivative."""
-    engine = ProfileEngine(family, data, smoothing)
-    return engine.gradient(engine.state(beta))
-
-
-def modified_hessian(family, data: Dataset, beta, smoothing: SmoothingParams) -> np.ndarray:
-    """Outer-product curvature sum_i q2_i (z_i + alpha'x_i)(z_i + alpha'x_i)'.
-
-    This drops the term carrying the curve's second derivative; q_2 < 0 makes
-    it negative definite, which is asserted before returning.
-    """
-    engine = ProfileEngine(family, data, smoothing)
-    hess = engine.hessian(engine.state(beta), "accelerated")
-    ev = np.linalg.eigvalsh(hess)
-    if ev[-1] >= 0:
-        raise ConditioningError(
-            f"modified Hessian is not negative definite (max eigenvalue {ev[-1]:.3e})"
-        )
-    return hess
 
 
 def fit(

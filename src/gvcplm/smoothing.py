@@ -16,7 +16,8 @@ every point's iteration, ridge and step halvings are its own, so batching
 changes cost, not results beyond rounding.  ``CurveFitter`` precomputes the
 kernel weights once per (data, bandwidth, points) triple; repeated solves at
 nearby beta values (the inner loop of profile estimation) then reuse them and
-warm-start from nearby coefficients.
+warm-start from nearby coefficients.  A fit at one point u is a fitter with
+points [u]; ``fit_curve`` fits the curves on a display grid.
 
 The kernel has compact support, so only observations with
 |u_i - u| <= support_radius * h carry weight at u.  With the observations
@@ -136,21 +137,6 @@ class SmoothingParams:
 
 
 @dataclass(frozen=True)
-class LocalFit:
-    """Solution of one local polynomial problem.
-
-    a0 is the fitted coefficient-function value; higher_coefs stacks the
-    derivative blocks a_1 .. a_p (already including the 1/r! scaling of the
-    design, so row r estimates the r-th derivative of alpha at u).
-    """
-
-    a0: np.ndarray
-    higher_coefs: np.ndarray
-    converged: bool
-    newton_iters: int
-
-
-@dataclass(frozen=True)
 class CurveEstimate:
     """Fitted coefficient functions on a grid: values[k] is alpha_hat(grid[k])
     (length q)."""
@@ -195,10 +181,12 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
     mats has shape (m, d, d) and is expected symmetric positive definite;
     rhs is (m, d) or (m, d, r).  A row climbs the ridge ladder
     ``_RIDGE_LADDER`` (relative to its largest diagonal entry) until its
-    eigenvalues show a condition number under ``_CONDITION_LIMIT``.  Rows
-    whose Cholesky factor already proves that bound with 100-fold headroom
-    skip the eigenvalues and keep a zero ridge, the level the ladder would
-    give them, so every ridge and every result is the ladder's own.  Raises
+    eigenvalues show a condition number under ``_CONDITION_LIMIT``; a row
+    with no positive diagonal entry, such as an all-zero one, gets no ridge
+    at any level, so it ends in the error below.  Rows whose Cholesky factor
+    already proves that bound with 100-fold headroom skip the eigenvalues
+    and keep a zero ridge, the level the ladder would give them, so every
+    ridge and every result is the ladder's own.  Raises
     SingularityError, naming the first such row, when a row has a NaN or
     infinite entry (checked before anything else) or when the ladder cannot
     bring a row under the limit.  Errors name row k as points[k], the
@@ -216,7 +204,7 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
             f"{points[np.argmin(finite)]} has a non-finite entry"
         )
     eye = np.eye(mats.shape[-1])
-    scale = np.maximum(mats.diagonal(axis1=-2, axis2=-1).max(axis=-1), 1e-300)
+    scale = np.maximum(mats.diagonal(axis1=-2, axis2=-1).max(axis=-1), 0.0)
     lam = np.zeros(mats.shape[0])
     rows = np.flatnonzero(~(_log_condition_bound(mats) <= _LOG_CLEARED))
     level = 0
@@ -666,7 +654,7 @@ class CurveFitter:
 
 
 # ---------------------------------------------------------------------------
-# convenience wrappers
+# curves on a display grid
 
 
 def _offsets(data: Dataset, beta) -> np.ndarray:
@@ -678,27 +666,6 @@ def _offsets(data: Dataset, beta) -> np.ndarray:
     if not np.all(np.isfinite(beta)):
         raise ParameterError("beta must be finite")
     return data.z @ beta
-
-
-def fit_local(
-    family,
-    data: Dataset,
-    beta,
-    u: float,
-    smoothing: SmoothingParams,
-) -> LocalFit:
-    """Fit the local polynomial coefficients at a single point u."""
-    fam = get_family(family)
-    data.validate_response(fam)
-    fitter = CurveFitter(fam, data.x, data.y, data.u, smoothing, [u])
-    sol = fitter.solve(_offsets(data, beta))
-    q = data.n_curves
-    return LocalFit(
-        a0=sol.coefficients[0, :q].copy(),
-        higher_coefs=sol.coefficients[0, q:].reshape(smoothing.degree, q).copy(),
-        converged=bool(sol.converged[0]),
-        newton_iters=int(sol.iterations[0]),
-    )
 
 
 def default_grid(data: Dataset) -> np.ndarray:
@@ -726,20 +693,3 @@ def fit_curve(
     sol = fitter.solve(_offsets(data, beta))
     return CurveEstimate(grid=grid, values=fitter.curve_values(sol).copy())
 
-
-def estimate_alpha_prime(
-    family,
-    data: Dataset,
-    beta,
-    u: float,
-    smoothing: SmoothingParams,
-) -> np.ndarray:
-    """Closed-form derivative of the fitted curve at u with respect to beta.
-
-    Returns a (p, q) matrix whose (j, r) entry is d alpha_hat_r(u) / d beta_j.
-    """
-    fam = get_family(family)
-    data.validate_response(fam)
-    fitter = CurveFitter(fam, data.x, data.y, data.u, smoothing, [u])
-    sol = fitter.solve(_offsets(data, beta), z=data.z)
-    return fitter.alpha_prime(sol)[0]

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 import gvcplm as g
-from gvcplm import Dataset, FitConfig, SmoothingParams
+from gvcplm import CurveFitter, Dataset, FitConfig, ProfileEngine, SmoothingParams
 
 from conftest import make_gaussian_dataset
 from oracles import fd_gradient, gaussian_profile_wls
@@ -85,19 +85,21 @@ def test_criterion_2_derivative_consistency():
         data = g.generate(design, seed=g.replicate_seed(MASTER_SEED, 0))
         sm = SmoothingParams(h=h, delta=delta)
         beta = 0.9 * design.beta0
-        grad = g.profile_gradient(family, data, beta, sm)
-        fd = fd_gradient(lambda b: g.profile_objective(family, data, b, sm),
+        engine = ProfileEngine(family, data, sm)
+        grad = engine.gradient(engine.state(beta))
+        fd = fd_gradient(lambda b: engine.state(b, differentiate=False).loglik,
                          beta, eps=1e-5)
         rel = np.abs(grad - fd) / (1.0 + np.abs(fd))
         worst_grad = max(worst_grad, float(rel.max()))
         for u in (0.3, 0.7):
-            ap = g.estimate_alpha_prime(family, data, beta, u, sm)
+            fitter = CurveFitter(family, data.x, data.y, data.u, sm, [u])
+            ap = fitter.alpha_prime(fitter.solve(data.z @ beta, z=data.z))[0]
             fd_ap = np.zeros_like(ap)
             for j in range(5):
                 e = np.zeros(5)
                 e[j] = 1e-4
-                hi = g.fit_local(family, data, beta + e, u, sm).a0
-                lo = g.fit_local(family, data, beta - e, u, sm).a0
+                hi = fitter.curve_values(fitter.solve(data.z @ (beta + e)))[0]
+                lo = fitter.curve_values(fitter.solve(data.z @ (beta - e)))[0]
                 fd_ap[j] = (hi - lo) / 2e-4
             worst_ap = max(worst_ap, float(np.abs(ap - fd_ap).max()))
     _verdict(2, "derivative consistency",

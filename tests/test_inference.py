@@ -407,6 +407,30 @@ class TestInferenceReadsFitState:
         assert test.loglik_null == pytest.approx(cold.loglik, rel=1e-10)
         np.testing.assert_allclose(test.beta_null, cold.beta, rtol=1e-6, atol=1e-8)
 
+    def test_backfitting_fit_is_differentiated_once_for_inference(self, monkeypatch):
+        # the backfitting ascent never differentiates, so every differentiated
+        # state is a re-solve of the fit's final state for inference
+        design, data, cfg, _ = _design_fit("poisson", 131)
+        cfg = FitConfig(smoothing=cfg.smoothing, algorithm="backfitting")
+        constraint = g.make_constraint(np.eye(design.p_dim)[6:])
+        alone_cov = g.sandwich_covariance(g.fit("poisson", data, cfg))
+        alone_test = g.glrt("poisson", data, constraint, cfg,
+                            fit_alt=g.fit("poisson", data, cfg))
+        resolves = []
+        state = ProfileEngine.state
+
+        def counted(self, beta, warm=None, differentiate=True):
+            resolves.append(differentiate)
+            return state(self, beta, warm, differentiate)
+
+        monkeypatch.setattr(ProfileEngine, "state", counted)
+        res = g.fit("poisson", data, cfg)
+        cov = g.sandwich_covariance(res)
+        test = g.glrt("poisson", data, constraint, cfg, fit_alt=res)
+        assert resolves.count(True) == 1
+        np.testing.assert_array_equal(cov.se, alone_cov.se)
+        assert test.statistic == alone_test.statistic
+
     def test_glrt_rejects_fit_with_other_smoothing(self):
         design, data, cfg, fit_alt = _design_fit("poisson", 109)
         other = FitConfig(smoothing=SmoothingParams(h=0.2, delta=0.1))

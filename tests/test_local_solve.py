@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gvcplm as g
-from gvcplm import CurveFitter, SmoothingParams, smoothing
+from gvcplm import CurveFitter, SingularityError, SmoothingParams, smoothing
 from gvcplm.smoothing import MAX_HALVINGS, MAX_LOCAL_ITERS
 
 from test_bands import _dense_systems, _problem_arrays
@@ -76,14 +76,14 @@ def _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol):
     rounding: it solves the dense systems S1 d = -S2 that every point's own
     design builds from them.  The check bounds the residual by |S1| |d| +
     |S2|, so it holds also where S1 is ill-conditioned, as at abandoned and
-    saturated points.  Where q_2 underflows to 0 over a whole window, S1 and
-    S2 are 0 and define no derivative, and the point is not checked."""
+    saturated points.  (Where q_2 underflows to 0 over a whole window, S1 is
+    0 and the solve raises instead.)"""
     s1, s2 = _dense_systems(fitter.family, u, fitter.x, fitter.y, z, offsets,
                             fitter.points, fitter.smoothing, sol.coefficients)
     derivative = np.swapaxes(sol.derivative, 1, 2)
     residual = s1 @ derivative + s2
-    solved = np.abs(residual) <= 1e-10 * (np.abs(s1) @ np.abs(derivative) + np.abs(s2))
-    assert np.all(solved[np.any(s1, axis=(1, 2))])
+    assert np.all(np.abs(residual)
+                  <= 1e-10 * (np.abs(s1) @ np.abs(derivative) + np.abs(s2)))
 
 
 @pytest.mark.parametrize("family", ("gaussian", "poisson", "bernoulli"))
@@ -134,12 +134,25 @@ def _saturated_solve(push):
     return fitter, offsets, warm, data
 
 
+def _assert_zero_curvature_raises(fitter, offsets, warm, **kwargs):
+    """At a push of 800, q_2 underflows to zero over every window: the
+    first Newton step's information matrix is zero, a typed error naming
+    the lowest point, the first of the first group."""
+    message = (f"local Newton: information matrix at point index "
+               f"{fitter.point_order[0]} stayed ill-conditioned after ridge escalation")
+    with pytest.raises(SingularityError, match=message):
+        fitter.solve(offsets, warm=warm, **kwargs)
+
+
 @pytest.mark.parametrize("push", (40.0, 800.0))
 def test_saturated_start_is_abandoned_where_it_stands(push):
-    # every window saturated: q_2 is about e^-40, or underflows to zero at
-    # 800, so each Newton step is far too long; Q keeps its slope beyond any
-    # clip, so no such step is accepted and the points stop at their start
+    # every window saturated: q_2 is about e^-40, so each Newton step is far
+    # too long; Q keeps its slope beyond any clip, so no such step is
+    # accepted and the points stop at their start
     fitter, offsets, warm, data = _saturated_solve(push)
+    if push == 800.0:
+        _assert_zero_curvature_raises(fitter, offsets, warm, z=data.z)
+        return
     sol = fitter.solve(offsets, warm=warm, z=data.z)
     assert not sol.converged.any()
     assert np.array_equal(sol.coefficients, warm)
@@ -149,6 +162,9 @@ def test_saturated_start_is_abandoned_where_it_stands(push):
 @pytest.mark.parametrize("push", (40.0, 800.0))
 def test_unconverged_points_are_reported_once(push, caplog):
     fitter, offsets, warm, _ = _saturated_solve(push)
+    if push == 800.0:
+        _assert_zero_curvature_raises(fitter, offsets, warm)
+        return
     with caplog.at_level(logging.DEBUG, logger="gvcplm"):
         sol = fitter.solve(offsets, warm=warm)
     reports = [r for r in caplog.records if "unconverged" in r.getMessage()]
@@ -159,8 +175,7 @@ def test_unconverged_points_are_reported_once(push, caplog):
         f"local Newton: 200 of 200 points unconverged (200 abandoned after "
         f"{MAX_HALVINGS} step halvings, 0 out of the {MAX_LOCAL_ITERS}-iteration "
         f"budget); largest gradient norm {largest:.3g}")
-    if push == 40.0:   # at 800 the zero curvature is also ridged, and logged
-        assert len(caplog.records) == 1
+    assert len(caplog.records) == 1
 
 
 def test_points_out_of_budget_are_reported(caplog, monkeypatch):

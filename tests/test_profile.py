@@ -14,13 +14,18 @@ def _small_design(family, n, p=5, seed=2):
     return g.SimDesign(family, n, p, design.beta0[:p], design.alpha_funcs, seed=seed)
 
 
+def _objective(engine, beta):
+    return engine.state(beta, differentiate=False).loglik
+
+
 class TestProfileObjective:
     def test_matches_closed_form_gaussian_profiling(self):
         data, beta0, _ = make_gaussian_dataset(n=120, q=1, p=3, seed=7)
         sm = SmoothingParams(h=0.3)
+        engine = ProfileEngine("gaussian", data, sm)
         for scale in (0.0, 0.7, 1.0, 1.3):
             beta = scale * beta0
-            ours = g.profile_objective("gaussian", data, beta, sm)
+            ours = _objective(engine, beta)
             oracle = gaussian_profile_sse(data, sm, beta)
             assert ours == pytest.approx(oracle, abs=1e-8 * (1 + abs(oracle)))
 
@@ -30,19 +35,21 @@ class TestProfileObjective:
         res = g.fit("gaussian", data, FitConfig(smoothing=sm, max_steps=20))
         assert res.converged
         base = res.profile_loglik
+        engine = ProfileEngine("gaussian", data, sm)
         for j in range(4):
             for sign in (1.0, -1.0):
                 beta = res.beta.copy()
                 beta[j] += sign * 0.01
-                assert g.profile_objective("gaussian", data, beta, sm) <= base + 1e-9
+                assert _objective(engine, beta) <= base + 1e-9
 
     def test_truth_beats_zero_on_poisson_replicates(self):
         design = g.poisson_design(200)
         sm = SmoothingParams(h=0.1, delta=0.1)
         for rep in range(20):
             data = g.generate(design, seed=g.replicate_seed(17, rep))
-            at_truth = g.profile_objective("poisson", data, design.beta0, sm)
-            at_zero = g.profile_objective("poisson", data, np.zeros(design.p_dim), sm)
+            engine = ProfileEngine("poisson", data, sm)
+            at_truth = _objective(engine, design.beta0)
+            at_zero = _objective(engine, np.zeros(design.p_dim))
             assert at_truth > at_zero
 
 
@@ -53,7 +60,8 @@ class TestProfileGradient:
         _, resid_y, resid_z = gaussian_profile_wls(data, sm)
         beta = 0.8 * beta0
         expected = resid_z.T @ (resid_y - resid_z @ beta)
-        ours = g.profile_gradient("gaussian", data, beta, sm)
+        engine = ProfileEngine("gaussian", data, sm)
+        ours = engine.gradient(engine.state(beta))
         np.testing.assert_allclose(ours, expected, atol=1e-8 * (1 + np.abs(expected).max()))
 
     @pytest.mark.parametrize("family,h,delta", [
@@ -70,8 +78,9 @@ class TestProfileGradient:
             beta0 = design.beta0
         sm = SmoothingParams(h=h, delta=delta)
         beta = 0.9 * beta0
-        grad = g.profile_gradient(family, data, beta, sm)
-        fd = fd_gradient(lambda b: g.profile_objective(family, data, b, sm), beta)
+        engine = ProfileEngine(family, data, sm)
+        grad = engine.gradient(engine.state(beta))
+        fd = fd_gradient(lambda b: _objective(engine, b), beta)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-5)
 
     def test_small_at_converged_fit(self):
@@ -81,23 +90,33 @@ class TestProfileGradient:
         cfg = FitConfig(smoothing=sm, max_steps=30, step_tol=1e-8)
         res = g.fit("poisson", data, cfg)
         assert res.converged
-        grad = g.profile_gradient("poisson", data, res.beta, sm)
+        engine = ProfileEngine("poisson", data, sm)
+        grad = engine.gradient(engine.state(res.beta))
         assert np.abs(grad).max() < 10 * cfg.step_tol * data.n
 
 
 class TestModifiedHessian:
+    """The accelerated Hessian, the outer-product curvature
+    sum_i q2_i (z_i + alpha'x_i)(z_i + alpha'x_i)' without the curve's second
+    derivative."""
+
+    @staticmethod
+    def _hessian(family, data, beta, smoothing):
+        engine = ProfileEngine(family, data, smoothing)
+        return engine.hessian(engine.state(beta), "accelerated")
+
     def test_gaussian_equals_exact_profiled_hessian(self):
         data, _, _ = make_gaussian_dataset(n=120, q=1, p=3, seed=7)
         sm = SmoothingParams(h=0.3)
         _, _, resid_z = gaussian_profile_wls(data, sm)
         expected = -resid_z.T @ resid_z
-        ours = g.modified_hessian("gaussian", data, np.zeros(3), sm)
+        ours = self._hessian("gaussian", data, np.zeros(3), sm)
         np.testing.assert_allclose(ours, expected, atol=1e-8 * np.abs(expected).max())
 
     def test_gaussian_outer_product_structure(self):
         data, _, _ = make_gaussian_dataset(n=100, p=4, seed=5)
         sm = SmoothingParams(h=0.3)
-        hess = g.modified_hessian("gaussian", data, np.zeros(4), sm)
+        hess = self._hessian("gaussian", data, np.zeros(4), sm)
         np.testing.assert_allclose(hess, hess.T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(hess) < 0)
 
@@ -106,7 +125,7 @@ class TestModifiedHessian:
         sm = SmoothingParams(h=0.25, delta=0.1)
         for rep in range(5):
             data = g.generate(design, seed=g.replicate_seed(37, rep))
-            hess = g.modified_hessian("poisson", data, design.beta0, sm)
+            hess = self._hessian("poisson", data, design.beta0, sm)
             assert np.all(np.linalg.eigvalsh(hess) < 0)
 
 

@@ -27,7 +27,7 @@ def _ladder_reference(mats, rhs, context):
     mats = np.ascontiguousarray(mats)
     d = mats.shape[-1]
     eye = np.eye(d)
-    scale = np.maximum(mats.diagonal(axis1=-2, axis2=-1).max(axis=-1), 1e-300)
+    scale = np.maximum(mats.diagonal(axis1=-2, axis2=-1).max(axis=-1), 0.0)
     lam = np.zeros(mats.shape[0])
     for step, next_lam in enumerate(_RIDGE_LADDER):
         ridged = mats + (lam * scale)[:, None, None] * eye
@@ -68,11 +68,13 @@ def _batches(draw):
     mats = np.empty((m, d, d))
     for e in range(m):
         ev = _spectrum(d, draw(st.floats(0.0, 17.0)), 10.0 ** draw(st.floats(-6.0, 6.0)))
-        kind = draw(st.sampled_from(["spd"] * 8 + ["indefinite", "singular"]))
+        kind = draw(st.sampled_from(["spd"] * 8 + ["indefinite", "singular", "zero"]))
         if kind == "singular":
             ev[-1] = 0.0
         elif kind == "indefinite":
             ev[-1] *= -draw(st.floats(0.0, 1.0))
+        elif kind == "zero":
+            ev[:] = 0.0
         mats[e] = _symmetric(gen, ev)
     cols = draw(st.sampled_from([None, 1, 3]))
     rhs = gen.normal(size=(m, d) if cols is None else (m, d, cols))
@@ -135,6 +137,17 @@ def test_nan_row_raises_like_the_reference():
         # rows named in the caller's numbering
         with pytest.raises(SingularityError, match=f"point index {40 + row} has"):
             _ridged_solve(mats, rhs, "ctx", np.arange(40, 43))
+
+
+def test_zero_row_raises_naming_its_point():
+    # an all-zero system has no diagonal to scale a ridge by, so it ends in
+    # the ladder's error and not in a NaN solution
+    mats = np.tile(np.eye(4), (3, 1, 1))
+    mats[1] = 0.0
+    message = ("ctx: information matrix at point index 41 stayed ill-conditioned "
+               "after ridge escalation")
+    with pytest.raises(SingularityError, match=message):
+        _ridged_solve(mats, np.ones((3, 4)), "ctx", np.arange(40, 43))
 
 
 def test_row_failing_cholesky_leaves_the_others_unchanged():

@@ -35,7 +35,15 @@ def _tiny_poisson_dataset():
     return Dataset(u=u, x=x, z=z, y=y)
 
 
+def _fit_at(family, data, beta, u, smoothing, z=None):
+    """(fitter, solution) of the local fit at the single point u."""
+    fitter = g.CurveFitter(family, data.x, data.y, data.u, smoothing, [u])
+    return fitter, fitter.solve(data.z @ beta, z=z)
+
+
 class TestFitLocal:
+    """The local fit at one point, a CurveFitter with points [u]."""
+
     def test_constant_response_gives_constant_level(self):
         n = 60
         data = Dataset(
@@ -46,9 +54,9 @@ class TestFitLocal:
         )
         sm = SmoothingParams(h=0.3, degree=0)
         for u in (0.1, 0.5, 0.9):
-            fit = g.fit_local("gaussian", data, np.zeros(1), u, sm)
-            assert fit.a0[0] == pytest.approx(2.5, abs=1e-10)
-            assert fit.converged
+            _, sol = _fit_at("gaussian", data, np.zeros(1), u, sm)
+            assert sol.coefficients[0, 0] == pytest.approx(2.5, abs=1e-10)
+            assert sol.converged[0]
 
     def test_gaussian_equals_weighted_least_squares(self, rng):
         n = 50
@@ -61,17 +69,17 @@ class TestFitLocal:
         beta = np.array([0.3, -0.2])
         sm = SmoothingParams(h=0.35, degree=1)
         for u in (0.2, 0.5, 0.8):
-            fit = g.fit_local("gaussian", data, beta, u, sm)
+            _, sol = _fit_at("gaussian", data, beta, u, sm)
             oracle = _local_wls_oracle(data, beta, u, sm)
-            np.testing.assert_allclose(fit.a0, oracle[:1], atol=1e-10)
-            np.testing.assert_allclose(fit.higher_coefs, oracle[1:].reshape(1, 1), atol=1e-10)
-            assert fit.converged
+            np.testing.assert_allclose(sol.coefficients[0, :1], oracle[:1], atol=1e-10)
+            np.testing.assert_allclose(sol.coefficients[0, 1:], oracle[1:], atol=1e-10)
+            assert sol.converged[0]
 
     def test_poisson_matches_grid_search_oracle(self):
         data = _tiny_poisson_dataset()
         beta = np.array([0.4])
         sm = SmoothingParams(h=0.5, delta=0.1, degree=1)
-        fit = g.fit_local("poisson", data, beta, 0.5, sm)
+        _, sol = _fit_at("poisson", data, beta, 0.5, sm)
 
         w = g.kernel_weight(sm.kernel, data.u - 0.5, sm.h)
         off = data.z @ beta
@@ -81,8 +89,8 @@ class TestFitLocal:
             return float(np.sum(w * (data.y * lp - np.exp(lp))))
 
         best = local_grid_search(objective, ((-5.0, 5.0), (-5.0, 5.0)))
-        assert fit.a0[0] == pytest.approx(best[0], abs=2e-3)
-        assert fit.higher_coefs[0, 0] == pytest.approx(best[1], abs=2e-3)
+        assert sol.coefficients[0, 0] == pytest.approx(best[0], abs=2e-3)
+        assert sol.coefficients[0, 1] == pytest.approx(best[1], abs=2e-3)
 
     def test_warm_start_agrees_with_cold_start(self, rng):
         data = _tiny_poisson_dataset()
@@ -102,7 +110,7 @@ class TestFitLocal:
             y=np.zeros(n),
         )
         with pytest.raises(EffectiveSampleError):
-            g.fit_local("gaussian", data, np.zeros(1), 0.5, SmoothingParams(h=1e-4))
+            _fit_at("gaussian", data, np.zeros(1), 0.5, SmoothingParams(h=1e-4))
 
 
 class TestFitCurve:
@@ -110,9 +118,9 @@ class TestFitCurve:
         data = _tiny_poisson_dataset()
         sm = SmoothingParams(h=0.5, delta=0.1)
         beta = np.array([0.4])
-        local = g.fit_local("poisson", data, beta, 0.5, sm)
+        _, local = _fit_at("poisson", data, beta, 0.5, sm)
         curve = g.fit_curve("poisson", data, beta, sm, grid=[0.5])
-        np.testing.assert_allclose(curve.values[0], local.a0, atol=1e-9)
+        np.testing.assert_allclose(curve.values[0], local.coefficients[0, :1], atol=1e-9)
 
     def test_recovers_linear_curve_noise_free(self):
         # alpha(u) = u, noise-free: local linear fit is exact up to O(h^2)
@@ -133,7 +141,8 @@ class TestAlphaPrime:
         data = _tiny_poisson_dataset()
         data = Dataset(u=data.u, x=data.x, z=np.zeros((data.n, 1)), y=data.y)
         sm = SmoothingParams(h=0.5, delta=0.1)
-        ap = g.estimate_alpha_prime("poisson", data, np.zeros(1), 0.5, sm)
+        fitter, sol = _fit_at("poisson", data, np.zeros(1), 0.5, sm, z=data.z)
+        ap = fitter.alpha_prime(sol)[0]
         np.testing.assert_allclose(ap, 0.0, atol=1e-12)
 
     def test_gaussian_local_constant_reduces_to_weighted_mean(self, rng):
@@ -146,7 +155,8 @@ class TestAlphaPrime:
         )
         sm = SmoothingParams(h=0.3, degree=0)
         u = 0.4
-        ap = g.estimate_alpha_prime("gaussian", data, np.zeros(3), u, sm)
+        fitter, sol = _fit_at("gaussian", data, np.zeros(3), u, sm, z=data.z)
+        ap = fitter.alpha_prime(sol)[0]
         w = g.kernel_weight(sm.kernel, data.u - u, sm.h)
         expected = -(w @ data.z) / w.sum()
         np.testing.assert_allclose(ap[:, 0], expected, atol=1e-10)
@@ -163,13 +173,14 @@ class TestAlphaPrime:
         beta = design.beta0.copy()
         eps = 1e-4
         for u in (0.3, 0.6):
-            ap = g.estimate_alpha_prime(family, data, beta, u, sm)
+            fitter = g.CurveFitter(family, data.x, data.y, data.u, sm, [u])
+            ap = fitter.alpha_prime(fitter.solve(data.z @ beta, z=data.z))[0]
             fd = np.zeros_like(ap)
             for j in range(beta.size):
                 e = np.zeros_like(beta)
                 e[j] = eps
-                hi = g.fit_local(family, data, beta + e, u, sm).a0
-                lo = g.fit_local(family, data, beta - e, u, sm).a0
+                hi = fitter.curve_values(fitter.solve(data.z @ (beta + e)))[0]
+                lo = fitter.curve_values(fitter.solve(data.z @ (beta - e)))[0]
                 fd[j] = (hi - lo) / (2 * eps)
             assert np.max(np.abs(ap - fd)) < 5e-3
 
@@ -193,4 +204,4 @@ class TestSmoothingParams:
     def test_delta_required_for_poisson_cold_start(self):
         data = _tiny_poisson_dataset()
         with pytest.raises(g.ParameterError):
-            g.fit_local("poisson", data, np.array([0.0]), 0.5, SmoothingParams(h=0.5))
+            _fit_at("poisson", data, np.array([0.0]), 0.5, SmoothingParams(h=0.5))
