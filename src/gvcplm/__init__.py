@@ -50,7 +50,6 @@ from .inference import (
     make_constraint,
     sandwich_covariance,
 )
-from .kernels import EPANECHNIKOV, KernelSpec, kernel_weight
 from .metrics import MetricSummary, ar1_moment, gmse, rase, sd_mad
 from .profile import (
     FitConfig,
@@ -93,7 +92,6 @@ __all__ = [
     "Dataset",
     "DbeResult",
     "DomainError",
-    "EPANECHNIKOV",
     "EffectiveSampleError",
     "FamilySpec",
     "FitConfig",
@@ -101,7 +99,6 @@ __all__ = [
     "GAUSSIAN",
     "GlrtResult",
     "GvcplmError",
-    "KernelSpec",
     "MetricSummary",
     "POISSON",
     "ParameterError",
@@ -130,7 +127,6 @@ __all__ = [
     "get_family",
     "glrt",
     "gmse",
-    "kernel_weight",
     "make_constraint",
     "make_design",
     "metrics",

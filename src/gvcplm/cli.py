@@ -108,6 +108,20 @@ _OPTIONS = (
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON type a config file must give each option whose flag text is read
+# by int, float, bool or _floats, which would coerce 1.5 to 1 or "no" to True
+_JSON_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    _floats: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
+}
+
+
 def _parse(opt: _Option, value, name: str):
     """value read as opt says; ParameterError naming name (flag or key) if not."""
     try:
@@ -479,10 +493,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(cfg.setdefault(block, {}), dict):
             raise ParameterError(f"config block {block!r} must be a JSON object")
     for opt in _OPTIONS:
+        block, _, name = opt.key.rpartition(".")
+        section = cfg[block] if block else cfg
         value = getattr(args, opt.key, None)
         if value is not None and opt.key != "config":
-            block, _, name = opt.key.rpartition(".")
-            (cfg[block] if block else cfg)[name] = _parse(opt, value, opt.flag)
+            section[name] = _parse(opt, value, opt.flag)
+        elif section.get(name) is not None and opt.parse in _JSON_TYPES:
+            what, valid = _JSON_TYPES[opt.parse]
+            if not valid(section[name]):
+                raise ParameterError(f"{opt.key}: expected {what}, got "
+                                     f"{json.dumps(section[name])}")
     return cfg
 
 

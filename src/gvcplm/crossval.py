@@ -60,17 +60,17 @@ class CvReport:
     reasons: tuple
 
 
-def default_h_grid(data: Dataset, size: int = 10) -> np.ndarray:
-    """Log-spaced bandwidths around the n^(-1/5) rule of thumb."""
+def default_h_grid(data: Dataset) -> np.ndarray:
+    """Ten log-spaced bandwidths around the n^(-1/5) rule of thumb."""
     span = float(data.u.max() - data.u.min())
     rot = span * data.n ** (-0.2)
-    return np.exp(np.linspace(np.log(0.5 * rot), np.log(2.0 * rot), size))
+    return np.exp(np.linspace(np.log(0.5 * rot), np.log(2.0 * rot), 10))
 
 
-def default_smoothing_grid(family, data: Dataset, n_h: int = 10):
+def default_smoothing_grid(family, data: Dataset):
     """Cartesian (delta, h) grid; gaussian families only vary h."""
     fam = get_family(family)
-    hs = default_h_grid(data, n_h)
+    hs = default_h_grid(data)
     deltas = DEFAULT_DELTA_GRID if fam.needs_delta else (None,)
     return [(d, float(h)) for d in deltas for h in hs]
 
@@ -87,7 +87,7 @@ def cross_validate(
 
     Folds come from a seeded permutation and differ in size by at most one.
     Ties in the score break toward larger h, then larger delta.  config, when
-    given, supplies the algorithm, step counts, kernel and degree; its h and
+    given, supplies the algorithm, step counts and degree; its h and
     delta are replaced cell by cell.
     """
     fam = get_family(family)

@@ -151,7 +151,6 @@ class ProfileEngine:
 
     def __init__(self, family, data: Dataset, smoothing: SmoothingParams):
         self.family = get_family(family)
-        data.validate_response(self.family)
         self.data = data
         self.smoothing = smoothing
         self.fitter = CurveFitter(

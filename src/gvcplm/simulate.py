@@ -75,8 +75,8 @@ def _pad(values, p_dim: int) -> np.ndarray:
     return np.concatenate([values, np.zeros(p_dim - values.size)])
 
 
-def poisson_design(n: int, seed: int = 0, p_dim=None) -> SimDesign:
-    p = parametric_dimension(n) if p_dim is None else int(p_dim)
+def poisson_design(n: int, seed: int = 0) -> SimDesign:
+    p = parametric_dimension(n)
     return SimDesign(
         family_name="poisson",
         n=n,
@@ -90,8 +90,8 @@ def poisson_design(n: int, seed: int = 0, p_dim=None) -> SimDesign:
     )
 
 
-def bernoulli_design(n: int, seed: int = 0, p_dim=None) -> SimDesign:
-    p = parametric_dimension(n) if p_dim is None else int(p_dim)
+def bernoulli_design(n: int, seed: int = 0) -> SimDesign:
+    p = parametric_dimension(n)
     return SimDesign(
         family_name="bernoulli",
         n=n,

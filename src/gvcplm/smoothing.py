@@ -19,17 +19,18 @@ nearby beta values (the inner loop of profile estimation) then reuse them and
 warm-start from nearby coefficients.  A fit at one point u is a fitter with
 points [u]; ``fit_curve`` fits the curves on a display grid.
 
-The kernel has compact support, so only observations with
-|u_i - u| <= support_radius * h carry weight at u.  With the observations
-sorted by u, that window is a contiguous run.  ``CurveFitter`` sorts the
-points by u and cuts them into tiles of consecutive points, and the tiles
-into groups of consecutive tiles.  A tile's columns are a contiguous run of
-the u-sorted observations that holds the union of its points' windows,
-padded to the widest union of its group; a group stores its points' kernel
-weights over their tiles' columns, (b_g, width), zero outside each point's
-own window, so the estimator is the one defined by the full kernel sums
-above.  Responses, offsets, x and z are read, when needed, as a tile's
-contiguous slice of the u-sorted arrays.
+The kernel is Epanechnikov's, K(z) = 0.75 (1 - z^2)_+, the optimal kernel
+for local polynomial fits (Fan and Gijbels, 1996, chapter 3).  It has
+compact support, so only observations with |u_i - u| <= h carry weight at u.
+With the observations sorted by u, that window is a contiguous run.
+``CurveFitter`` sorts the points by u and cuts them into tiles of
+consecutive points, and the tiles into groups of consecutive tiles.  A
+tile's columns are a contiguous run of the u-sorted observations that holds
+the union of its points' windows, padded to the widest union of its group; a
+group stores its points' kernel weights over their tiles' columns, (b_g,
+width), zero outside each point's own window, so the estimator is the one
+defined by the full kernel sums above.  Responses, offsets, x and z are
+read, when needed, as a tile's contiguous slice of the u-sorted arrays.
 
 A tile shares one basis across its points (Fan and Gijbels, Local Polynomial
 Modelling, 1996, section 3): the Taylor re-expansion of the local polynomial
@@ -103,7 +104,6 @@ import numpy as np
 from .data import Dataset
 from .errors import EffectiveSampleError, ParameterError, SingularityError
 from .families import FamilySpec, get_family
-from .kernels import EPANECHNIKOV, KernelSpec, kernel_weight
 
 MAX_LOCAL_ITERS = 50
 LOCAL_TOL = 1e-8
@@ -120,11 +120,10 @@ _log = logging.getLogger("gvcplm")
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Smoothing configuration: bandwidth, transform offset, kernel, degree."""
+    """Smoothing configuration: bandwidth, transform offset, polynomial degree."""
 
     h: float
     delta: Optional[float] = None
-    kernel: KernelSpec = EPANECHNIKOV
     degree: int = 1
 
     def __post_init__(self):
@@ -231,6 +230,12 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
     if rhs.ndim == mats.ndim - 1:
         return np.linalg.solve(ridged, rhs[..., None])[..., 0]
     return np.linalg.solve(ridged, rhs)
+
+
+def _epanechnikov(t, h: float):
+    """Rescaled kernel weight K(t / h) / h at distance(s) t, h > 0."""
+    z = t / h
+    return 0.75 * np.clip(1.0 - z * z, 0.0, None) / h
 
 
 def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float):
@@ -362,15 +367,14 @@ class CurveFitter:
         self.smoothing = smoothing
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
+        self.family.validate_response(self.y)
         u = np.asarray(u, dtype=float)
         self.points = np.atleast_1d(np.asarray(points, dtype=float))
         q = self.x.shape[1]
         self.n_curves = q
         self.n_coef = (smoothing.degree + 1) * q
 
-        self.order, lo, hi = _kernel_windows(
-            u, self.points, smoothing.kernel.support_radius * smoothing.h
-        )
+        self.order, lo, hi = _kernel_windows(u, self.points, smoothing.h)
         self.point_order = np.argsort(self.points, kind="stable")
         points = self.points[self.point_order]
         lo, hi = lo[self.point_order], hi[self.point_order]
@@ -389,9 +393,8 @@ class CurveFitter:
             for a, b in tiles[first:stop]:
                 lo_t = min(int(lo[a]), u.size - width)
                 tile = Tile(slice(a, b), lo_t, lo_t + width, 0.5 * (points[a] + points[b - 1]))
-                weights[a - rows.start:b - rows.start] = kernel_weight(
-                    smoothing.kernel, self._u[tile.lo:tile.hi] - points[a:b, None],
-                    smoothing.h)
+                weights[a - rows.start:b - rows.start] = _epanechnikov(
+                    self._u[tile.lo:tile.hi] - points[a:b, None], smoothing.h)
                 self._shift[a:b] = points[a:b] - tile.centre
                 self.tiles.append(tile)
             counts[self.point_order[rows]] = np.count_nonzero(weights, axis=1)
@@ -685,7 +688,6 @@ def fit_curve(
     range.
     """
     fam = get_family(family)
-    data.validate_response(fam)
     if grid is None:
         grid = default_grid(data)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))

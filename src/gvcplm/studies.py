@@ -59,6 +59,7 @@ DEFAULT_REPS = {
 }
 GLRT_LEVELS = (0.10, 0.05, 0.01)
 POWER_GAMMAS = (0.0, 0.05, 0.10, 0.15, 0.20)
+_H_MULTIPLIERS = (0.66, 1.0, 1.5)   # table3's bandwidths, times the preset h
 MAX_FAILURE_RATE = 0.10
 
 _SE_DISPLAY_COORDS = {"poisson": (1, 3), "bernoulli": (2, 4)}  # 1-based
@@ -97,7 +98,7 @@ def _run_replicates(reps: int, seed: int, worker):
 # individual studies
 
 
-def _study_table1(family, n, reps, seed, smoothing, full_steps=50):
+def _study_table1(family, n, reps, seed, smoothing):
     # time_<algorithm> covers ProfileEngine construction plus the damped
     # Newton ascent from the shared difference-based start.  The start, the
     # oracle curve fit and the display-grid curve evaluation are the same
@@ -110,8 +111,7 @@ def _study_table1(family, n, reps, seed, smoothing, full_steps=50):
                                  max_steps=3),
         "accelerated": FitConfig(smoothing=smoothing, algorithm="accelerated",
                                  max_steps=3),
-        "full": FitConfig(smoothing=smoothing, algorithm="full",
-                          max_steps=full_steps),
+        "full": FitConfig(smoothing=smoothing, algorithm="full", max_steps=50),
     }
 
     def worker(rep, rng_seed):
@@ -181,7 +181,7 @@ def _study_table2(family, n, reps, seed, smoothing):
     return rows, summary, failures, {}
 
 
-def _study_table3(family, n, reps, seed, smoothing, multipliers=(0.66, 1.0, 1.5)):
+def _study_table3(family, n, reps, seed, smoothing):
     design = make_design(family, n)
     moment = design_moment(design)
 
@@ -189,7 +189,7 @@ def _study_table3(family, n, reps, seed, smoothing, multipliers=(0.66, 1.0, 1.5)
         data = generate(design, rng_seed)
         init = fit_dbe(family, data, smoothing.delta).beta0
         row = {"rep": rep}
-        for mult in multipliers:
+        for mult in _H_MULTIPLIERS:
             scaled = dataclasses.replace(smoothing, h=mult * smoothing.h)
             cfg = FitConfig(smoothing=scaled, max_steps=1)
             beta = profile_fit(family, data, cfg, init=init).beta
@@ -200,7 +200,7 @@ def _study_table3(family, n, reps, seed, smoothing, multipliers=(0.66, 1.0, 1.5)
 
     rows, failures = _run_replicates(reps, seed, worker)
     summary = {}
-    for mult in multipliers:
+    for mult in _H_MULTIPLIERS:
         tag = f"{mult:g}"
         summary[f"gmse_h{tag}"] = MetricSummary.from_samples(
             [r[f"gmse_h{tag}"] for r in rows]).as_dict()

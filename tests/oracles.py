@@ -10,7 +10,12 @@ import math
 
 import numpy as np
 
-from gvcplm import kernel_weight
+
+def epanechnikov(t, h):
+    """Rescaled Epanechnikov weight K(t / h) / h at distance(s) t, with
+    K(z) = 3 (1 - z^2) / 4 on |z| <= 1 and 0 beyond."""
+    z = np.asarray(t, dtype=float) / h
+    return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0) / h
 
 
 def gaussian_profile_wls(data, smoothing):
@@ -26,7 +31,7 @@ def gaussian_profile_wls(data, smoothing):
     smoothed = np.zeros_like(targets)
     for i in range(data.n):
         t = data.u - data.u[i]
-        w = kernel_weight(smoothing.kernel, t, smoothing.h)
+        w = epanechnikov(t, smoothing.h)
         blocks = [data.x * (t[:, None] ** r / math.factorial(r)) for r in range(deg + 1)]
         design = np.hstack(blocks)
         lhs = design.T @ (w[:, None] * design)

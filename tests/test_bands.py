@@ -8,6 +8,7 @@ they check that neither the dropped zero-weight entries nor the shared basis
 changes the local fits and their beta-derivative beyond rounding.
 """
 
+import dataclasses
 import math
 import re
 
@@ -20,6 +21,8 @@ import gvcplm as g
 from gvcplm import CurveFitter, EffectiveSampleError, SmoothingParams, smoothing
 from gvcplm.smoothing import LOCAL_TOL, MAX_LOCAL_ITERS
 
+from oracles import epanechnikov
+
 
 def _dense_design(u, x, point, degree):
     """(n, d) local polynomial design at one point, blocks r = 0..degree."""
@@ -28,7 +31,7 @@ def _dense_design(u, x, point, degree):
 
 
 def _dense_weights(u, points, smoothing):
-    return g.kernel_weight(smoothing.kernel, u[None, :] - points[:, None], smoothing.h)
+    return epanechnikov(u[None, :] - points[:, None], smoothing.h)
 
 
 def _dense_local_fit(family, u, x, y, offsets, point, smoothing):
@@ -37,7 +40,7 @@ def _dense_local_fit(family, u, x, y, offsets, point, smoothing):
     while they lower the objective, until the score is below LOCAL_TOL."""
     fam = g.get_family(family)
     design = _dense_design(u, x, point, smoothing.degree)
-    w = g.kernel_weight(smoothing.kernel, u - point, smoothing.h)
+    w = epanechnikov(u - point, smoothing.h)
     resid = fam.transform(y, smoothing.delta) - offsets
     coef = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * resid))
 
@@ -89,7 +92,13 @@ def banded_problems(draw):
     return family, degree, u, points, h, seed
 
 
+# bernoulli responses in (0, 1) keep every local fit finite; the check for 0/1
+# responses is not under test with them
+FRACTIONAL_BERNOULLI = dataclasses.replace(g.BERNOULLI, validate_response=lambda y: None)
+
+
 def _problem_arrays(family, u, seed):
+    """(family to fit with, x, z, y, offsets) of a problem at u."""
     gen = np.random.default_rng(seed)
     n = u.size
     x = np.column_stack([np.ones(n), gen.normal(size=n)])
@@ -101,7 +110,8 @@ def _problem_arrays(family, u, seed):
         y = gen.poisson(3.0, size=n) + 0.5   # positive, so every local fit is finite
     else:
         y = gen.uniform(0.1, 0.9, size=n)    # inside (0, 1), same reason
-    return x, z, y, offsets
+        family = FRACTIONAL_BERNOULLI
+    return family, x, z, y, offsets
 
 
 @settings(max_examples=150, deadline=None,
@@ -109,7 +119,7 @@ def _problem_arrays(family, u, seed):
 @given(banded_problems())
 def test_band_solves_dense_problem(problem):
     family, degree, u, points, h, seed = problem
-    x, z, y, offsets = _problem_arrays(family, u, seed)
+    family, x, z, y, offsets = _problem_arrays(family, u, seed)
     sm = SmoothingParams(h=h, delta=0.1, degree=degree)
     fitter = CurveFitter(family, x, y, u, sm, points)
     sol = fitter.solve(offsets, z=z)
@@ -156,7 +166,7 @@ _HALVING_DRAW = (("poisson", 1, np.arange(0, 41, 2) / 40.0, np.array([0.3, 0.5, 
 @example(_HALVING_DRAW)
 def test_warm_solve_with_converged_points(draw):
     (family, degree, u, points, h, seed), done, push, must_halve = draw
-    x, z, y, offsets = _problem_arrays(family, u, seed)
+    family, x, z, y, offsets = _problem_arrays(family, u, seed)
     sm = SmoothingParams(h=h, delta=0.1, degree=degree)
     fitter = CurveFitter(family, x, y, u, sm, points)
     first = fitter.solve(offsets)
@@ -266,10 +276,6 @@ def _assert_close_where_well_conditioned(got, expected, cond, tol=1e-10):
 # ---------------------------------------------------------------------------
 # property: every stage of the tiled solver against the dense reference
 
-GAUSS = g.KernelSpec("gauss", lambda z: np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi),
-                     support_radius=math.inf)
-
-
 @st.composite
 def tiled_problems(draw):
     family = draw(st.sampled_from(["poisson", "bernoulli"]))
@@ -293,21 +299,20 @@ def tiled_problems(draw):
     widest = np.abs(u[None, :] - points[:, None]).max()
     low, top = 1.01 * feasible, max(1.01 * widest, 1.02 * feasible)
     h = low * (top / low) ** draw(st.floats(0.0, 1.0))
-    kernel = draw(st.sampled_from([g.EPANECHNIKOV, GAUSS]))
     # tiles of one point, a few points, or as many as the default allows,
     # and with a span of 0 or 3, narrow tiles in groups of several
     elements = draw(st.sampled_from([1, 64, 1 << 15]))
     span = draw(st.sampled_from([0, 3, 32]))
-    return family, degree, u, points, where, h, kernel, elements, span, draw(
+    return family, degree, u, points, where, h, elements, span, draw(
         st.integers(0, 2 ** 32 - 1))
 
 
 # narrow tiles, several to a group: every point's own tile but one
 _GROUPED_DRAWS = [
     ("poisson", 1, np.arange(41) / 40.0, np.arange(41) / 40.0, "observations", 0.3,
-     g.EPANECHNIKOV, 1 << 15, 0, 3),
+     1 << 15, 0, 3),
     ("bernoulli", 2, np.arange(41) / 40.0, np.linspace(0.0, 1.0, 12), "grid", 0.4,
-     g.EPANECHNIKOV, 1 << 15, 3, 5),
+     1 << 15, 3, 5),
 ]
 
 
@@ -317,9 +322,9 @@ _GROUPED_DRAWS = [
 @example(_GROUPED_DRAWS[0])
 @example(_GROUPED_DRAWS[1])
 def test_tiles_agree_with_dense_reference(problem):
-    family, degree, u, points, where, h, kernel, elements, span, seed = problem
-    x, z, y, offsets = _problem_arrays(family, u, seed)
-    sm = SmoothingParams(h=h, delta=0.1, kernel=kernel, degree=degree)
+    family, degree, u, points, where, h, elements, span, seed = problem
+    family, x, z, y, offsets = _problem_arrays(family, u, seed)
+    sm = SmoothingParams(h=h, delta=0.1, degree=degree)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(g.smoothing, "_BLOCK_ELEMENTS", elements)
         patch.setattr(g.smoothing, "_TILE_SPAN", span)
@@ -347,9 +352,6 @@ def test_tiles_agree_with_dense_reference(problem):
         _assert_close_where_well_conditioned(cold.derivative, derivative, cond)
 
         if where == "observations":
-            # bernoulli responses in (0, 1) keep every local fit finite; the
-            # engine's check for 0/1 responses is not under test here
-            patch.setattr(g.Dataset, "validate_response", lambda data, family: None)
             data = g.Dataset(u=u, x=x, z=z, y=y)
             engine = g.ProfileEngine(family, data, sm)
             beta = np.array([0.3, -0.2, 0.1])
@@ -378,7 +380,7 @@ class TestBandedWindows:
         # fewer than n observations
         _, data = _poisson_data()
         sm = SmoothingParams(h=0.05, delta=0.1)
-        radius = sm.kernel.support_radius * sm.h
+        radius = sm.h
         grid = g.default_grid(data)
         for points in (data.u, grid):
             fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, points)
@@ -443,13 +445,6 @@ class TestBandedWindows:
         fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, data.u)
         assert [(t.lo, t.hi) for t in fitter.tiles] == [(0, data.n)] * len(fitter.tiles)
         assert np.all(_scattered_weights(fitter) > 0)
-
-    def test_unbounded_kernel_keeps_every_observation(self):
-        _, data = _poisson_data(n=100)
-        sm = SmoothingParams(h=0.1, delta=0.1, kernel=GAUSS)
-        fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, [0.5, 3.0])
-        assert [w.shape for w in fitter.weights] == [(2, data.n)]
-        assert [(t.lo, t.hi) for t in fitter.tiles] == [(0, data.n)]
 
 
 @pytest.mark.parametrize("family", ["poisson", "bernoulli"])

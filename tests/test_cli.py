@@ -452,7 +452,46 @@ FLAG_SAMPLES = {
 }
 
 
+# per case: a command, a config key it reads and a value of another JSON type
+# than the key takes, which int, float or bool would have coerced
+WRONG_JSON_TYPES = [
+    ("fit", "smoothing.degree", 1.5),
+    ("fit", "fit.max_steps", True),
+    ("fit", "cv.k", "5"),
+    ("fit", "smoothing.h", True),
+    ("fit", "smoothing.delta", "0.1"),
+    ("fit", "fit.tol", False),
+    ("fit", "intercept", "false"),
+    ("cv", "cv.h_grid", [0.1, True]),
+    ("cv", "cv.delta_grid", "0.1"),
+    ("simulate", "seed", 2.0),
+    ("simulate", "simulate.reps", 1.5),
+    ("simulate", "simulate.n", "200"),
+    ("simulate", "simulate.emit_csv", 1),
+    ("simulate", "simulate.use_cv", "no"),
+]
+
+
 class TestOptionTable:
+    @pytest.mark.parametrize("command, key, value", WRONG_JSON_TYPES)
+    def test_config_value_of_another_json_type_exits_2(self, tmp_path, capsys,
+                                                       command, key, value):
+        # emit_csv keeps a simulate run short wherever the key is not rejected
+        cfg = {"out": str(tmp_path / "out"), "simulate": {"emit_csv": True, "reps": 1}}
+        block, _, name = key.rpartition(".")
+        (cfg.setdefault(block, {}) if block else cfg)[name] = value
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli(command, "--config", str(config)) == 2
+        assert f"config error: {key}: expected" in capsys.readouterr().err
+
+    def test_integer_config_value_of_a_number_key_is_read_as_float(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"smoothing": {"h": 1}, "cv": {"h_grid": [1, 0.5]}}))
+        cfg = cli._merge_config(cli.build_parser().parse_args(["fit", "--config", str(config)]))
+        assert cli._read(cfg, "smoothing.h") == 1.0
+        assert cli._read(cfg, "cv.h_grid") == [1.0, 0.5]
+
     @pytest.mark.parametrize("flag", sorted(FLAG_SAMPLES))
     def test_flag_and_config_key_merge_alike(self, tmp_path, flag):
         assert {o.flag for o in cli._OPTIONS} == {"--config", *FLAG_SAMPLES}

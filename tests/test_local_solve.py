@@ -91,7 +91,7 @@ def _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol):
 def test_curvature_is_q2_at_returned_coefficients(family, start):
     if family == "gaussian":
         u = np.linspace(0.0, 1.0, 60)
-        x, z, y, offsets = _problem_arrays("gaussian", u, 11)
+        _, x, z, y, offsets = _problem_arrays("gaussian", u, 11)
         fitter = CurveFitter("gaussian", x, y, u, SmoothingParams(h=0.2), u)
     else:
         data, fitter = _simulated_problem(family)
@@ -104,9 +104,9 @@ def test_curvature_of_an_abandoned_point():
     # a three-observation bernoulli window started 8 below the cold start:
     # the first step saturates the window, and 20 halvings cannot recover
     u = np.array([0.0, 0.0, 0.025])
-    x, z, y, offsets = _problem_arrays("bernoulli", u, 16)
+    family, x, z, y, offsets = _problem_arrays("bernoulli", u, 16)
     sm = SmoothingParams(h=0.02525, delta=0.1, degree=0)
-    fitter = CurveFitter("bernoulli", x, y, u, sm, np.array([0.0]))
+    fitter = CurveFitter(family, x, y, u, sm, np.array([0.0]))
     warm = fitter.initial_coefficients(offsets)
     warm[:, 0] -= 8.0
     sol = fitter.solve(offsets, warm=warm, z=z)

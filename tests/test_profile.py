@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvcplm as g
 from gvcplm import CurveFitter, FitConfig, ParameterError, SmoothingParams
@@ -261,3 +265,24 @@ class TestTangentStart:
         assert calls == [] and res.state.solution.derivative is None
         g.fit("poisson", data, FitConfig(smoothing=sm))
         assert calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["poisson", "bernoulli"]), seed=st.integers(0, 2 ** 16),
+       j=st.integers(0, 9), log2_c=st.floats(-6.0, 6.0))
+def test_scaling_a_z_column_rescales_its_coefficient(family, seed, j, log2_c):
+    # the default accelerated fit is equivariant in the scale of each linear
+    # covariate: z_j -> c z_j maps beta_j to beta_j / c and leaves the rest,
+    # to rounding relative to the largest coefficient (an estimate near a
+    # zero true coefficient is itself near 0, so its own relative error
+    # measures that rounding over a small number)
+    c = 2.0 ** log2_c
+    data = g.generate(g.make_design(family, 200), seed=g.replicate_seed(seed, 0))
+    delta, h = g.preset_smoothing(family, 200)
+    config = FitConfig(SmoothingParams(h=h, delta=delta))
+    z = data.z.copy()
+    z[:, j] *= c
+    beta = g.fit(family, data, config).beta
+    scaled = g.fit(family, dataclasses.replace(data, z=z), config).beta
+    scaled[j] *= c
+    np.testing.assert_allclose(scaled, beta, rtol=0, atol=1e-12 * np.abs(beta).max())

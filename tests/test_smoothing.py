@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ import pytest
 import gvcplm as g
 from gvcplm import Dataset, EffectiveSampleError, SmoothingParams
 
-from oracles import local_grid_search
+from oracles import epanechnikov, local_grid_search
 
 
 def _local_wls_oracle(data, beta, u, smoothing):
     """Direct weighted polynomial least squares at one point (gaussian)."""
     t = data.u - u
-    w = g.kernel_weight(smoothing.kernel, t, smoothing.h)
+    w = epanechnikov(t, smoothing.h)
     blocks = [
         data.x * (t[:, None] ** r / math.factorial(r))
         for r in range(smoothing.degree + 1)
@@ -81,7 +82,7 @@ class TestFitLocal:
         sm = SmoothingParams(h=0.5, delta=0.1, degree=1)
         _, sol = _fit_at("poisson", data, beta, 0.5, sm)
 
-        w = g.kernel_weight(sm.kernel, data.u - 0.5, sm.h)
+        w = epanechnikov(data.u - 0.5, sm.h)
         off = data.z @ beta
 
         def objective(a0, a1):
@@ -157,7 +158,7 @@ class TestAlphaPrime:
         u = 0.4
         fitter, sol = _fit_at("gaussian", data, np.zeros(3), u, sm, z=data.z)
         ap = fitter.alpha_prime(sol)[0]
-        w = g.kernel_weight(sm.kernel, data.u - u, sm.h)
+        w = epanechnikov(data.u - u, sm.h)
         expected = -(w @ data.z) / w.sum()
         np.testing.assert_allclose(ap[:, 0], expected, atol=1e-10)
 
@@ -194,8 +195,9 @@ class TestAlphaPrime:
 
 class TestSmoothingParams:
     def test_invalid_bandwidth(self):
-        with pytest.raises(g.ParameterError):
-            SmoothingParams(h=0.0)
+        for h in (0.0, -0.2):
+            with pytest.raises(g.ParameterError):
+                SmoothingParams(h=h)
 
     def test_invalid_degree(self):
         with pytest.raises(g.ParameterError):
@@ -205,3 +207,14 @@ class TestSmoothingParams:
         data = _tiny_poisson_dataset()
         with pytest.raises(g.ParameterError):
             _fit_at("poisson", data, np.array([0.0]), 0.5, SmoothingParams(h=0.5))
+
+
+@pytest.mark.parametrize("family, bad", [("poisson", -1.0), ("bernoulli", 0.5)])
+def test_fitter_checks_the_response_against_its_family(family, bad):
+    n = 30
+    y = np.ones(n)
+    y[1] = bad
+    with pytest.raises(g.DomainError, match=re.escape(f"{family} response must be")
+                       + ".*" + re.escape(f"; y[1] = {bad}")):
+        g.CurveFitter(family, np.ones((n, 1)), y, np.linspace(0.0, 1.0, n),
+                      SmoothingParams(h=0.3, delta=0.1), [0.5])
