@@ -234,6 +234,8 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
 
 def _epanechnikov(t, h: float):
     """Rescaled kernel weight K(t / h) / h at distance(s) t, h > 0."""
+    if not h > 0:
+        raise ParameterError(f"bandwidth must be positive, got {h}")
     z = t / h
     return 0.75 * np.clip(1.0 - z * z, 0.0, None) / h
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from gvcplm import ParameterError
 from gvcplm.smoothing import _epanechnikov
 
 
@@ -28,3 +29,8 @@ class TestEpanechnikov:
         for h in (1.0, 0.3):
             val, _ = integrate.quad(lambda t: _epanechnikov(t, h), -h, h)
             assert val == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("h", (0.0, -0.2))
+    def test_bad_bandwidth(self, h):
+        with pytest.raises(ParameterError):
+            _epanechnikov(0.1, h)
