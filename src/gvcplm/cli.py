@@ -113,8 +113,12 @@ def _number(value) -> bool:
 
 
 # the JSON type a config file must give each option whose flag text is read
-# by int, float, bool or _floats, which would coerce 1.5 to 1 or "no" to True
+# by str, _names, int, float, bool or _floats, which would coerce 5 to "5",
+# 1.5 to 1 or "no" to True
 _JSON_TYPES = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    _names: ("a string or a list of strings", lambda v: isinstance(v, str) or (
+        isinstance(v, list) and all(isinstance(s, str) for s in v))),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a number", _number),
     bool: ("true or false", lambda v: isinstance(v, bool)),
@@ -327,7 +331,7 @@ def _run_config(cfg: dict, family, data: Dataset) -> FitConfig:
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out", "."))
+    out = Path(_read(cfg, "out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -493,10 +497,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(cfg.setdefault(block, {}), dict):
             raise ParameterError(f"config block {block!r} must be a JSON object")
     for opt in _OPTIONS:
+        if opt.key == "config":   # names the file itself, not a key in it
+            continue
         block, _, name = opt.key.rpartition(".")
         section = cfg[block] if block else cfg
         value = getattr(args, opt.key, None)
-        if value is not None and opt.key != "config":
+        if value is not None:
             section[name] = _parse(opt, value, opt.flag)
         elif section.get(name) is not None and opt.parse in _JSON_TYPES:
             what, valid = _JSON_TYPES[opt.parse]

@@ -13,9 +13,10 @@ likelihood ratio statistic
     T = 2 ( sup Qp(beta) - sup_{A beta = 0} Qp(beta) ),
 
 whose null distribution is chi-square with l = rank(A) degrees of freedom,
-free of the nuisance curves.  The constrained maximization runs in the
-reduced coordinates beta = B' gamma, where B spans the orthogonal complement
-of the rows of A.
+free of the nuisance curves.  The constrained maximization is an ordinary
+profile fit in the reduced coordinates gamma, beta = B' gamma, where B (k, p)
+spans the orthogonal complement of the rows of A: its linear covariates are
+z B', so it differentiates the local fits in k = p - l directions, not p.
 
 The module needs numpy and the standard library only: the chi-square tail at
 the integer df = rank(A) has the closed form of Abramowitz & Stegun (1964)
@@ -206,10 +207,12 @@ def glrt(
 
     The unconstrained fit may be supplied to avoid refitting; it must have
     been fitted to this data, family and config.smoothing.  The constrained
-    fit runs on the unconstrained fit's engine from the projection B'B beta
-    of its estimate onto the null space, warm-starts the local fits from
-    tangent_start(fit_alt.differentiated_state, B'B beta), and runs the
-    same Newton configuration in the reduced coordinates.
+    fit runs the same Newton configuration on the unconstrained fit's
+    smoother, reparametrized to gamma (``ProfileEngine.reparametrized``), so
+    its states carry (n, k, d) derivatives.  It starts from gamma0 = B
+    beta_hat, the projection of the estimate onto the null space, with the
+    local fits warm-started from tangent_start(fit_alt.differentiated_state,
+    B' gamma0); beta_null is B' gamma_hat.
     """
     if fit_alt is None:
         fit_alt = profile_fit(family, data, config)
@@ -218,10 +221,11 @@ def glrt(
             and engine.smoothing == config.smoothing):
         raise ParameterError("fit_alt was fitted to other data, family or smoothing "
                              "than given to glrt")
-    gamma0 = constraint.b @ fit_alt.beta
-    warm = engine.tangent_start(fit_alt.differentiated_state, constraint.b.T @ gamma0)
-    state_null, _, _, _ = _newton_fit(engine, config, gamma0, basis=constraint.b,
-                                      warm=warm)
+    b = constraint.b
+    gamma0 = b @ fit_alt.beta
+    warm = engine.tangent_start(fit_alt.differentiated_state, b.T @ gamma0)
+    state_null, _, _, _ = _newton_fit(engine.reparametrized(b), config, gamma0, warm=warm)
+    beta_null = b.T @ state_null.beta
     raw = 2.0 * (fit_alt.profile_loglik - state_null.loglik)
     statistic = max(raw, 0.0)
     df = constraint.df
@@ -237,7 +241,7 @@ def glrt(
         statistic=float(statistic),
         df=df,
         p_value=p_value,
-        beta_null=np.asarray(state_null.beta, dtype=float).copy(),
+        beta_null=beta_null,
         beta_alt=fit_alt.beta.copy(),
         statistic_raw=float(raw),
         loglik_alt=fit_alt.profile_loglik,

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -132,8 +132,8 @@ class _State:
     """Curve fit and derived quantities at one beta (q1, q2 at fitted).
 
     solution.derivative is the (n, p, d) beta-derivative of the local
-    coefficients, or None for a state evaluated without it
-    (``ProfileEngine.state``).
+    coefficients, p the columns of its engine's z, or None for a state
+    evaluated without it (``ProfileEngine.state``).
     """
 
     beta: np.ndarray
@@ -162,6 +162,15 @@ class ProfileEngine:
         other = copy.copy(self)
         other.fitter = self.fitter.with_delta(delta)
         other.smoothing = other.fitter.smoothing
+        return other
+
+    def reparametrized(self, basis) -> ProfileEngine:
+        """Engine on this one's smoother in the coordinates gamma of
+        beta = B' gamma, B = basis (k, p): its linear covariates are z B', so
+        its states, derivatives and Hessians have k columns, not p."""
+        other = copy.copy(self)
+        other.data = replace(self.data, z=self.data.z @ np.asarray(basis, dtype=float).T,
+                             z_names=None)
         return other
 
     def state(self, beta, warm=None, differentiate=True) -> _State:
@@ -248,40 +257,29 @@ def _solve_descent(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
                                 "ill-conditioned after ridge escalation") from exc
 
 
-def _newton_fit(engine: ProfileEngine, config: FitConfig, init, basis=None, warm=None):
+def _newton_fit(engine: ProfileEngine, config: FitConfig, init, warm=None):
     """Damped Newton ascent of the profile objective.
 
-    With ``basis`` B (rows orthonormal), the iteration runs in the reduced
-    coordinates gamma with beta = B' gamma, which is how linear null
-    hypotheses are fitted.  The first state's local fits start from warm (cold
-    when None), every trial's from the accepted iterate (module docstring).
-    Every state is differentiated, except in the backfitting ascent, which
-    never reads the curve's derivative.
+    The first state's local fits start from warm (cold when None), every
+    trial's from the accepted iterate (module docstring).  Every state is
+    differentiated, except in the backfitting ascent, which never reads the
+    curve's derivative.
 
     Returns (final state, trace, converged flag, accepted step count).
     """
     current = np.asarray(init, dtype=float).copy()
-    if basis is None:
-        to_beta = lambda v: v
-    else:
-        basis = np.asarray(basis, dtype=float)
-        to_beta = lambda v: basis.T @ v
     differentiate = config.algorithm != "backfitting"
-    state = engine.state(to_beta(current), warm, differentiate)
+    state = engine.state(current, warm, differentiate)
     trace = [(0.0, state.loglik)]
     converged = False
     for _ in range(config.max_steps):
         grad = engine.gradient(state, config.algorithm)
         hess = engine.hessian(state, config.algorithm)
-        if basis is not None:
-            grad = basis @ grad
-            hess = basis @ hess @ basis.T
         step = _solve_descent(hess, grad)
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = current + scale * step
-            beta = to_beta(candidate)
-            trial = engine.state(beta, engine.tangent_start(state, beta)
+            trial = engine.state(candidate, engine.tangent_start(state, candidate)
                                  if differentiate else state.solution.coefficients,
                                  differentiate)
             if trial.loglik >= state.loglik - 1e-9 * (1.0 + abs(state.loglik)):

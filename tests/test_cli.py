@@ -453,7 +453,8 @@ FLAG_SAMPLES = {
 
 
 # per case: a command, a config key it reads and a value of another JSON type
-# than the key takes, which int, float or bool would have coerced
+# than the key takes, which str, int, float or bool would have coerced (5 to
+# "5") or failed on past the config check
 WRONG_JSON_TYPES = [
     ("fit", "smoothing.degree", 1.5),
     ("fit", "fit.max_steps", True),
@@ -469,6 +470,17 @@ WRONG_JSON_TYPES = [
     ("simulate", "simulate.n", "200"),
     ("simulate", "simulate.emit_csv", 1),
     ("simulate", "simulate.use_cv", "no"),
+    ("fit", "out", 5),
+    ("simulate", "out", ["out"]),
+    ("fit", "dataset", 1),
+    ("cv", "family", 0),
+    ("fit", "columns.u", 5),
+    ("fit", "columns.y", True),
+    ("fit", "columns.x", 5),
+    ("cv", "columns.z", ["z1", 2]),
+    ("test", "columns.z", {"z1": "z1"}),
+    ("fit", "fit.algorithm", 1),
+    ("test", "test", ["z7=0"]),
 ]
 
 

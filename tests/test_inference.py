@@ -10,6 +10,7 @@ from scipy import special
 
 import gvcplm as g
 from gvcplm import (
+    CurveFitter,
     Dataset,
     FitConfig,
     ParameterError,
@@ -402,10 +403,12 @@ class TestInferenceReadsFitState:
         # the null fit from the tangent start agrees with one from cold starts
         constraint = g.make_constraint(np.eye(design.p_dim)[6:])
         test = g.glrt(family, data, constraint, cfg, fit_alt=res)
-        cold, _, _, _ = _newton_fit(engine, cfg, constraint.b @ res.beta, basis=constraint.b)
+        cold, _, _, _ = _newton_fit(engine.reparametrized(constraint.b), cfg,
+                                    constraint.b @ res.beta)
         assert test.loglik_alt == res.profile_loglik
         assert test.loglik_null == pytest.approx(cold.loglik, rel=1e-10)
-        np.testing.assert_allclose(test.beta_null, cold.beta, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(test.beta_null, constraint.b.T @ cold.beta,
+                                   rtol=1e-6, atol=1e-8)
 
     def test_backfitting_fit_is_differentiated_once_for_inference(self, monkeypatch):
         # the backfitting ascent never differentiates, so every differentiated
@@ -430,6 +433,34 @@ class TestInferenceReadsFitState:
         assert resolves.count(True) == 1
         np.testing.assert_array_equal(cov.se, alone_cov.se)
         assert test.statistic == alone_test.statistic
+
+    @pytest.mark.parametrize("algorithm, df", (("accelerated", 4), ("accelerated", 1),
+                                               ("full", 4)))
+    def test_null_fit_differentiates_in_k_directions(self, monkeypatch, algorithm, df):
+        # the null fit is a profile fit in gamma on the alternative's
+        # smoother: no smoother is built, and every state it solves is
+        # differentiated against z B', (n, k) with k = p - df
+        design, data, cfg, _ = _design_fit("poisson", 139)
+        cfg = FitConfig(smoothing=cfg.smoothing, algorithm=algorithm, max_steps=2)
+        res = g.fit("poisson", data, cfg)
+        p = design.p_dim
+        constraint = g.make_constraint(np.eye(p)[p - df:])
+        shapes = []
+        solve = CurveFitter.solve
+
+        def spied(self, offsets, warm=None, z=None):
+            shapes.append(None if z is None else np.shape(z))
+            return solve(self, offsets, warm, z)
+
+        def unbuilt(self, *args, **kwargs):
+            raise AssertionError("glrt built a smoother")
+
+        monkeypatch.setattr(CurveFitter, "solve", spied)
+        monkeypatch.setattr(CurveFitter, "__init__", unbuilt)
+        monkeypatch.setattr(ProfileEngine, "__init__", unbuilt)
+        test = g.glrt("poisson", data, constraint, cfg, fit_alt=res)
+        assert shapes and set(shapes) == {(data.n, p - df)}
+        assert np.all(np.abs(test.beta_null[p - df:]) < 1e-10)
 
     def test_glrt_rejects_fit_with_other_smoothing(self):
         design, data, cfg, fit_alt = _design_fit("poisson", 109)

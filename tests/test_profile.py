@@ -286,3 +286,25 @@ def test_scaling_a_z_column_rescales_its_coefficient(family, seed, j, log2_c):
     scaled = g.fit(family, dataclasses.replace(data, z=z), config).beta
     scaled[j] *= c
     np.testing.assert_allclose(scaled, beta, rtol=0, atol=1e-12 * np.abs(beta).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["poisson", "bernoulli"]), seed=st.integers(0, 2 ** 16),
+       a=st.floats(-100.0, 100.0), log10_s=st.floats(-1.0, 1.0))
+def test_an_affine_map_of_u_leaves_beta_unchanged(family, seed, a, log10_s):
+    """Fitting on a + s u with bandwidth s h gives the same beta_hat.
+
+    The estimator is invariant, but the fit agrees to the local Newton
+    tolerance, not to rounding: LOCAL_TOL is absolute in gradient units, and
+    the kernel weights K(t / h) / h, and with them the local gradients, scale
+    with 1 / s, so the local fits stop at other points of their tolerance.
+    1e-9 of the largest coefficient bounds that (a translation alone agrees
+    to rounding).
+    """
+    s = 10.0 ** log10_s
+    data = g.generate(g.make_design(family, 200), seed=g.replicate_seed(seed, 0))
+    delta, h = g.preset_smoothing(family, 200)
+    beta = g.fit(family, data, FitConfig(SmoothingParams(h=h, delta=delta))).beta
+    moved = g.fit(family, dataclasses.replace(data, u=a + s * data.u),
+                  FitConfig(SmoothingParams(h=s * h, delta=delta))).beta
+    np.testing.assert_allclose(moved, beta, rtol=0, atol=1e-9 * np.abs(beta).max())
