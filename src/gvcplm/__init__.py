@@ -36,10 +36,7 @@ from .families import (
     GAUSSIAN,
     POISSON,
     FamilySpec,
-    eval_q,
-    eval_quasi_loglik,
     get_family,
-    transform_response,
 )
 from .inference import (
     ConstraintSpec,
@@ -118,8 +115,6 @@ __all__ = [
     "default_smoothing_grid",
     "design_moment",
     "difference_weights",
-    "eval_q",
-    "eval_quasi_loglik",
     "fit",
     "fit_curve",
     "fit_dbe",
@@ -138,6 +133,5 @@ __all__ = [
     "run_table",
     "sandwich_covariance",
     "sd_mad",
-    "transform_response",
     "with_beta",
 ]

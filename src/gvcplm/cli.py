@@ -1,11 +1,12 @@
 """Command-line interface: fit, test, cv, simulate.
 
 A run is described by a JSON config document; every flag mirrors a config
-key and flags override file values.  The option table ``_OPTIONS`` is the
-one record of which flag sets which key, how its value is read and which
-commands read it; a command accepts only the flags it reads.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numerical failure or out
-of memory (a diagnostic JSON is printed on stderr for the latter).
+key, a config file holds no other key, and flags override file values.  The
+option table ``_OPTIONS`` is the one record of which flag sets which key, how
+its value is read and which commands read it; a command accepts only the
+flags it reads.  Exit codes: 0 success, 2 configuration error, 3 data error,
+4 numerical failure or out of memory (a diagnostic JSON is printed on stderr
+for the latter).
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ _OPTIONS = (
             "choose (delta, h) by CV on the first replicate"),
 )
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
+_BLOCKS = ("columns", "smoothing", "fit", "cv", "simulate")
+# each (block, name) a config file may hold, block "" being the top level:
+# the blocks, and every option's key but config, which names the file itself
+_FILE_KEYS = {("", block) for block in _BLOCKS} | {
+    tuple(opt.key.rpartition(".")[::2]) for opt in _OPTIONS if opt.key != "config"}
 
 
 def _number(value) -> bool:
@@ -281,8 +287,8 @@ def _load(cfg: dict) -> tuple:
     family = get_family(_read(cfg, "family"))
     cols = {key: _read(cfg, f"columns.{key}") for key in ("u", "y", "x", "z")}
     for key, value in cols.items():
-        if value is None:
-            raise ParameterError(f"config is missing columns.{key}")
+        if not value:
+            raise ParameterError(f"config names no columns.{key}")
     roles = [cols["u"], cols["y"], *cols["x"], *cols["z"]]
     if len(set(roles)) != len(roles):
         raise ParameterError("column roles overlap; u, y, x, z must be disjoint")
@@ -291,7 +297,7 @@ def _load(cfg: dict) -> tuple:
         raise ParameterError("config is missing the dataset path")
     data = read_dataset_csv(path, cols["u"], cols["y"], cols["x"], cols["z"],
                             intercept=bool(_read(cfg, "intercept")))
-    data.validate_response(family)
+    family.validate_response(data.y)
     return family, data
 
 
@@ -493,9 +499,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ParameterError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ParameterError("config file must hold a JSON object")
-    for block in ("columns", "smoothing", "fit", "cv", "simulate"):
+    for block in _BLOCKS:
         if not isinstance(cfg.setdefault(block, {}), dict):
             raise ParameterError(f"config block {block!r} must be a JSON object")
+    for block in ("", *_BLOCKS):
+        for name in cfg[block] if block else cfg:
+            if (block, name) not in _FILE_KEYS:
+                key = f"{block}.{name}" if block else name
+                raise ParameterError(f"unknown config key {key!r}")
     for opt in _OPTIONS:
         if opt.key == "config":   # names the file itself, not a key in it
             continue

@@ -91,7 +91,7 @@ def cross_validate(
     delta are replaced cell by cell.
     """
     fam = get_family(family)
-    data.validate_response(fam)
+    fam.validate_response(data.y)
     if not 2 <= k <= data.n:
         raise ParameterError(f"cross-validation needs 2 <= k <= n = {data.n}, got k = {k}")
     if grid is None:
@@ -138,7 +138,7 @@ def cross_validate(
                     continue
                 mhat = (np.einsum("iq,iq->i", held_out.curve_values(sol), data.x[fold])
                         + data.z[fold] @ beta)
-                totals[cell] += float(np.sum(fam.quasi_loglik(mhat, data.y[fold])))
+                totals[cell] += float(np.sum(fam.q012(mhat, data.y[fold])[0]))
                 betas[cell].append(beta)
     failed = np.array([r is not None for r in reasons])
     scores = np.where(failed, np.nan, totals)

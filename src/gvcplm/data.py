@@ -74,6 +74,3 @@ class Dataset:
     def n_linear(self) -> int:
         """Dimension of the parametric coefficient vector (columns of z)."""
         return self.z.shape[1]
-
-    def validate_response(self, family) -> None:
-        family.validate_response(self.y)

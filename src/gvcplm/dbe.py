@@ -77,7 +77,7 @@ def fit_dbe(family, data: Dataset, delta=None) -> DbeResult:
     solves an ordinary least squares problem on the n - q starred rows.
     """
     fam = get_family(family)
-    data.validate_response(fam)
+    fam.validate_response(data.y)
     n, q, p = data.n, data.n_curves, data.n_linear
     n_starred = n - q
     if n <= 3 * q + 1 + p:

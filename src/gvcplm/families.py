@@ -2,22 +2,21 @@
 
 A family bundles the quasi-log-likelihood
 ``Q(mu, y) = int_mu^y (s - y) / V(s) ds`` of its canonical link g and variance
-function V, expressed on the linear-predictor scale, and the first four
+function V, expressed on the linear-predictor scale, and the first two
 derivatives ``q_l(x, y)`` of ``Q(g^{-1}(x), y)`` with respect to the linear
 predictor x.  With cumulant function b, Q = y*x - b(x), q_1 = y - b'(x) = y - mu
-and q_l = -b^(l)(x) for l >= 2, so q_2 = -V(mu) (McCullagh & Nelder, 1989).
-These derivatives drive every Newton update; strict negativity of ``q_2`` keeps
-the local and profile curvature matrices negative definite.  Closed forms
-(constants in y dropped, since only differences of Q matter):
+and q_2 = -b''(x) = -V(mu) (McCullagh & Nelder, 1989).  These derivatives drive
+every Newton update; strict negativity of ``q_2`` keeps the local and profile
+curvature matrices negative definite.  Closed forms (constants in y dropped,
+since only differences of Q matter):
 
-========== =========== ================== =================================
-family     b(x)        Q(x, y)            q_1 .. q_4
-========== =========== ================== =================================
-gaussian   x^2 / 2     -(y - x)^2 / 2     y - x, -1, 0, 0
-poisson    e^x         y*x - e^x          y - e^x, then -e^x for l = 2, 3, 4
-bernoulli  log(1+e^x)  y*x - log(1+e^x)   y - p, -p(1-p), -p(1-p)(1-2p),
-                                          -p(1-p)(1 - 6p(1-p)),  p = expit(x)
-========== =========== ================== =================================
+========== =========== ================== ================================
+family     b(x)        Q(x, y)            q_1, q_2
+========== =========== ================== ================================
+gaussian   x^2 / 2     -(y - x)^2 / 2     y - x, -1
+poisson    e^x         y*x - e^x          y - e^x, -e^x
+bernoulli  log(1+e^x)  y*x - log(1+e^x)   y - p, -p(1-p),  p = expit(x)
+========== =========== ================== ================================
 
 ``FamilySpec.q012`` returns (Q, q_1, q_2) from one transcendental pass.  The
 gaussian Q keeps the residual form, since y*x - x^2/2 - y^2/2 cancels.  The
@@ -54,11 +53,6 @@ def _gauss_q012(x, y):
     return -0.5 * resid ** 2, resid, np.full(resid.shape, -1.0)
 
 
-def _gauss_q34(x, y):
-    zero = np.zeros(_operands(x, y)[0].shape)
-    return zero, zero
-
-
 # ---------------------------------------------------------------------------
 # poisson / log
 
@@ -71,11 +65,6 @@ def _pois_q012(x, y):
     q *= y
     q -= mu
     return q, y - mu, -mu
-
-
-def _pois_q34(x, y):
-    q2 = _pois_q012(x, y)[2]    # every derivative of e^x is e^x
-    return q2, q2
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +91,6 @@ def _bern_q012(x, y):
     q1 = y - p
     del e, p
     return q, q1, -s
-
-
-def _bern_q34(x, y):
-    _, p, s = _logistic(_operands(x, y)[0])
-    return -s * (1.0 - 2.0 * p), -s * (1.0 - 6.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +146,21 @@ class FamilySpec:
 
     name: str
     q012: Callable                     # (x, y) -> (Q, q_1, q_2), one pass
-    q34: Callable                      # (x, y) -> (q_3, q_4)
-    response_transform: Callable       # (y, delta) -> transformed response
-    validate_response: Callable
+    transform: Callable                # (y, delta) -> transformed response
+    validate_response: Callable        # y -> None, or DomainError
     needs_delta: bool
 
-    def quasi_loglik(self, x, y):
-        """Q(g^{-1}(x), y) on the linear-predictor scale."""
-        return self.q012(x, y)[0]
-
     def q(self, order: int, x, y):
-        """Derivative q_order(x, y) of Q(g^{-1}(x), y), order in 1..4."""
-        if order not in (1, 2, 3, 4):
-            raise ParameterError(f"derivative order must be in 1..4, got {order}")
-        return self.q012(x, y)[order] if order <= 2 else self.q34(x, y)[order - 3]
-
-    def transform(self, y, delta=None):
-        return self.response_transform(y, delta)
+        """Derivative q_order(x, y) of Q(g^{-1}(x), y), order 1 or 2."""
+        if order not in (1, 2):
+            raise ParameterError(f"derivative order must be 1 or 2, got {order}")
+        return self.q012(x, y)[order]
 
 
 GAUSSIAN = FamilySpec(
     name="gaussian",
     q012=_gauss_q012,
-    q34=_gauss_q34,
-    response_transform=_identity_transform,
+    transform=_identity_transform,
     validate_response=_validate_gaussian,
     needs_delta=False,
 )
@@ -193,8 +168,7 @@ GAUSSIAN = FamilySpec(
 POISSON = FamilySpec(
     name="poisson",
     q012=_pois_q012,
-    q34=_pois_q34,
-    response_transform=_log_transform,
+    transform=_log_transform,
     validate_response=_validate_poisson,
     needs_delta=True,
 )
@@ -202,8 +176,7 @@ POISSON = FamilySpec(
 BERNOULLI = FamilySpec(
     name="bernoulli",
     q012=_bern_q012,
-    q34=_bern_q34,
-    response_transform=_logit_transform,
+    transform=_logit_transform,
     validate_response=_validate_bernoulli,
     needs_delta=True,
 )
@@ -221,33 +194,3 @@ def get_family(name) -> FamilySpec:
         raise ParameterError(
             f"unknown family {name!r}; choose from gaussian, poisson, bernoulli"
         ) from None
-
-
-def eval_quasi_loglik(family, x, y):
-    """Quasi-log-likelihood Q(g^{-1}(x), y) at linear predictor x.
-
-    Validates that y lies in the family's response domain; raises
-    :class:`DomainError` naming the first offending index otherwise.
-    """
-    fam = get_family(family)
-    fam.validate_response(y)
-    return fam.quasi_loglik(x, y)
-
-
-def eval_q(family, order: int, x, y):
-    """Derivative q_order(x, y) of the quasi-log-likelihood, order in 1..4."""
-    fam = get_family(family)
-    fam.validate_response(y)
-    return fam.q(order, x, y)
-
-
-def transform_response(family, y, delta=None):
-    """Transform a response onto the linear-predictor scale.
-
-    Identity for the gaussian family (delta ignored); log(y + delta) for
-    poisson; log((y + delta) / (1 - y + delta)) for bernoulli.  delta must be
-    positive for the non-gaussian families.
-    """
-    fam = get_family(family)
-    fam.validate_response(y)
-    return fam.transform(y, delta)

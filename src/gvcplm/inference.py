@@ -54,7 +54,7 @@ class ConstraintSpec:
         return self.a.shape[0]
 
 
-def make_constraint(rows, p_dim: Optional[int] = None) -> ConstraintSpec:
+def make_constraint(rows) -> ConstraintSpec:
     """Build a ConstraintSpec from user hypothesis rows.
 
     Rows are orthonormalized without changing their span, so the tested
@@ -67,8 +67,6 @@ def make_constraint(rows, p_dim: Optional[int] = None) -> ConstraintSpec:
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     l, p = rows.shape
-    if p_dim is not None and p != p_dim:
-        raise ParameterError(f"hypothesis rows have length {p}, expected {p_dim}")
     if l >= p:
         raise ParameterError(
             f"hypothesis has {l} rows but beta has only {p} coordinates"

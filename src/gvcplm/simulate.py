@@ -39,6 +39,9 @@ PRESET_H = {
 }
 PRESET_DELTA = {"poisson": 0.1, "bernoulli": 0.005}
 
+# (z, x2) has covariance COV_RHO^|i-j|
+COV_RHO = 0.5
+
 
 def parametric_dimension(n: int) -> int:
     """Growing parametric dimension floor(1.8 n^(1/3))."""
@@ -54,7 +57,6 @@ class SimDesign:
     p_dim: int
     beta0: np.ndarray
     alpha_funcs: Tuple[Callable, Callable]
-    cov_rho: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -132,7 +134,7 @@ def with_beta(design: SimDesign, **coordinate_values) -> SimDesign:
 
 def design_moment(design: SimDesign) -> np.ndarray:
     """Population moment matrix E[z z'] of the design's linear covariates."""
-    return ar1_moment(design.p_dim, design.cov_rho)
+    return ar1_moment(design.p_dim, COV_RHO)
 
 
 def generate(design: SimDesign, seed=None) -> Dataset:
@@ -152,7 +154,7 @@ def generate(design: SimDesign, seed=None) -> Dataset:
     rng = np.random.default_rng(seed)
     n, p = design.n, design.p_dim
     u = rng.uniform(0.0, 1.0, size=n)
-    chol = np.linalg.cholesky(ar1_moment(p + 1, design.cov_rho))
+    chol = np.linalg.cholesky(ar1_moment(p + 1, COV_RHO))
     zx = rng.standard_normal((n, p + 1)) @ chol.T
     z = zx[:, :p]
     x2 = zx[:, p]

@@ -479,12 +479,7 @@ class CurveFitter:
 
     def _transformed_residuals(self, offsets):
         """u-sorted transformed response minus offsets (the cold start's)."""
-        fam = self.family
-        if fam.needs_delta and self.smoothing.delta is None:
-            raise ParameterError(
-                f"smoothing delta is required for the {fam.name} family"
-            )
-        return (fam.transform(self.y, self.smoothing.delta) - offsets)[self.order]
+        return (self.family.transform(self.y, self.smoothing.delta) - offsets)[self.order]
 
     def _cold(self, group, local, weights, resid):
         """Weighted least squares on the group's transformed residuals (b_g, d)."""

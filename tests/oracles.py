@@ -98,13 +98,6 @@ def fd_derivative(f, x, eps=1e-5):
     return (f(x + eps) - f(x - eps)) / (2.0 * eps)
 
 
-def fd_third_derivative(f, x, eps=1e-3):
-    """Central third difference."""
-    return (f(x + 2 * eps) - 2 * f(x + eps) + 2 * f(x - eps) - f(x - 2 * eps)) / (
-        2.0 * eps ** 3
-    )
-
-
 def fd_gradient(f, beta, eps=1e-5):
     """Central-difference gradient of a scalar function of a vector."""
     beta = np.asarray(beta, dtype=float)

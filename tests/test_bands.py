@@ -45,7 +45,7 @@ def _dense_local_fit(family, u, x, y, offsets, point, smoothing):
     coef = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * resid))
 
     def objective(c):
-        return float(w @ fam.quasi_loglik(design @ c + offsets, y))
+        return float(w @ fam.q012(design @ c + offsets, y)[0])
 
     for _ in range(MAX_LOCAL_ITERS):
         lin = design @ coef + offsets

@@ -484,7 +484,52 @@ WRONG_JSON_TYPES = [
 ]
 
 
+# per case: a (block, name) that no option names, block "" being the top level
+UNKNOWN_KEYS = [
+    ("smoothing", "bandwith"),
+    ("fit", "max_step"),
+    ("columns", "w"),
+    ("", "fitt"),
+    ("", "smoothing.h"),    # a dotted name is read from its block only
+    ("", "config"),         # names the file, not a key in it
+]
+
+
 class TestOptionTable:
+    @pytest.mark.parametrize("block, name", UNKNOWN_KEYS)
+    def test_config_key_that_no_option_names_exits_2(self, tmp_path, capsys, block, name):
+        # an emit_csv simulate run that exits 0 when the key is ignored
+        cfg = {"out": str(tmp_path / "out"), "simulate": {"emit_csv": True, "reps": 1}}
+        (cfg.setdefault(block, {}) if block else cfg)[name] = 0.1
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(config)) == 2
+        key = f"{block}.{name}" if block else name
+        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_config_keys_the_command_does_not_read_are_allowed(self, tmp_path):
+        cfg = {"out": str(tmp_path / "out"), "simulate": {"emit_csv": True, "reps": 1},
+               "test": "z7=0", "columns": {"u": "u"}, "fit": {"max_steps": 1},
+               "cv": {"k": 3}}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(config)) == 0
+
+    @pytest.mark.parametrize("key", ("x", "z"))
+    @pytest.mark.parametrize("source", ("flag", "flag --intercept", "config"))
+    def test_empty_column_list_exits_2(self, tmp_path, capsys, key, source):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        at = args.index(f"--{key}")
+        if source == "config":
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"columns": {key: []}}))
+            args[at:at + 2] = ["--config", str(config)]
+        else:
+            args[at + 1] = ""
+            args += source.split()[1:]
+        assert run_cli("fit", *args, "--h", "0.1", "--delta", "0.1") == 2
+        assert f"config names no columns.{key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, key, value", WRONG_JSON_TYPES)
     def test_config_value_of_another_json_type_exits_2(self, tmp_path, capsys,
                                                        command, key, value):

@@ -20,7 +20,7 @@ from test_bands import _dense_systems, _problem_arrays
 
 
 def _count_calls(fitter):
-    """Wrap the fitter's family functions and its _objectives with counters."""
+    """Wrap the fitter's family evaluator and its _objectives with counters."""
     calls = {"family": 0, "objectives": 0}
 
     def counted(func, key):
@@ -30,8 +30,7 @@ def _count_calls(fitter):
         return wrapper
 
     fam = fitter.family
-    fitter.family = dataclasses.replace(
-        fam, q012=counted(fam.q012, "family"), q34=counted(fam.q34, "family"))
+    fitter.family = dataclasses.replace(fam, q012=counted(fam.q012, "family"))
     fitter._objectives = counted(fitter._objectives, "objectives")
     return calls
 
@@ -121,7 +120,7 @@ def test_profile_state_reads_the_triple_at_fitted():
     fam = engine.family
     assert np.array_equal(state.q1, fam.q(1, state.fitted, data.y))
     assert np.array_equal(state.q2, fam.q(2, state.fitted, data.y))
-    assert state.loglik == float(np.sum(fam.quasi_loglik(state.fitted, data.y)))
+    assert state.loglik == float(np.sum(fam.q012(state.fitted, data.y)[0]))
 
 
 def _saturated_solve(push):

@@ -18,6 +18,18 @@ def _small_design(family, n, p=5, seed=2):
     return g.SimDesign(family, n, p, design.beta0[:p], design.alpha_funcs, seed=seed)
 
 
+def _quasi_separated_bernoulli(seed, n=200):
+    """y = 1{z_1 > 0} but on 5 rows with z_1 = 0 and a random y: the
+    likelihood keeps rising along beta_1, so it has no maximizer."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, n)
+    z = rng.standard_normal((n, 3))
+    y = (z[:, 0] > 0).astype(float)
+    z[:5, 0] = 0.0
+    y[:5] = rng.integers(0, 2, 5)
+    return g.Dataset(u=u, x=np.ones(n), z=z, y=y)
+
+
 def _objective(engine, beta):
     return engine.state(beta, differentiate=False).loglik
 
@@ -199,6 +211,16 @@ class TestFit:
         assert np.all(np.isfinite(curve.values))
         assert np.all(np.diff(curve.grid) > 0)
 
+    @pytest.mark.parametrize("algorithm", ("backfitting", "accelerated", "full"))
+    def test_quasi_separated_bernoulli_is_flagged_or_a_typed_error(self, algorithm):
+        cfg = FitConfig(SmoothingParams(h=0.3, delta=0.005), algorithm=algorithm,
+                        max_steps=50)
+        for seed in range(4):
+            try:
+                res = g.fit("bernoulli", _quasi_separated_bernoulli(seed), cfg)
+            except g.GvcplmError:
+                continue
+            assert not res.converged, seed
 
     def test_builds_one_smoother(self, fitter_sizes):
         # the estimate needs the smoother at the observations only

@@ -93,7 +93,7 @@ def _expit_reference_generate(design, seed):
     rng = np.random.default_rng(seed)
     n, p = design.n, design.p_dim
     u = rng.uniform(0.0, 1.0, size=n)
-    chol = np.linalg.cholesky(g.ar1_moment(p + 1, design.cov_rho))
+    chol = np.linalg.cholesky(g.ar1_moment(p + 1, simulate.COV_RHO))
     zx = rng.standard_normal((n, p + 1)) @ chol.T
     z, x2 = zx[:, :p], zx[:, p]
     alpha1, alpha2 = design.alpha_funcs
