@@ -14,6 +14,12 @@ the local fits, and their derivative in beta, at fixed points, and
 ``ProfileEngine`` evaluates the profile objective, gradient and Hessian at
 any beta from one fitter at the observations.  ``fit_curve`` gives the
 coefficient functions on a display grid.
+
+Importing the package changes two process-wide parameters of glibc's
+malloc, ``M_MMAP_THRESHOLD`` (to 32 MiB) and ``M_TRIM_THRESHOLD`` (to 64
+MiB), so that the local solver's freed temporaries stay mapped between
+passes; nothing changes off glibc or where ``GLIBC_TUNABLES`` or a
+``MALLOC_*`` variable is set (``gvcplm.smoothing``).
 """
 
 from .crossval import CvReport, cross_validate, default_h_grid, default_smoothing_grid

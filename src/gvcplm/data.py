@@ -34,6 +34,10 @@ class Dataset:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         x = np.asarray(self.x, dtype=float)
         z = np.asarray(self.z, dtype=float)
+        for label, arr, most in (("u", u, 1), ("y", y, 1), ("x", x, 2), ("z", z, 2)):
+            if not 1 <= arr.ndim <= most:
+                allowed = "1-D" if most == 1 else "1-D or 2-D"
+                raise DataError(f"{label} must be {allowed}, got shape {arr.shape}")
         if x.ndim == 1:
             x = x[:, None]
         if z.ndim == 1:

@@ -57,6 +57,8 @@ from .smoothing import (
     BatchSolution,
     CurveFitter,
     SmoothingParams,
+    _checked_beta,
+    _is_integer,
     _ridged_solve,
 )
 
@@ -86,8 +88,8 @@ class FitConfig:
                 f"backfitting, accelerated, full"
             )
         object.__setattr__(self, "algorithm", _ALGORITHMS[self.algorithm])
-        if self.max_steps < 1:
-            raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not _is_integer(self.max_steps) or self.max_steps < 1:
+            raise ParameterError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if not self.step_tol > 0:
             raise ParameterError(f"step_tol must be positive, got {self.step_tol}")
 
@@ -319,6 +321,8 @@ def fit(
         raise ParameterError("engine was built for other data, family or smoothing")
     if init is None:
         init = fit_dbe(fam, data, config.smoothing.delta).beta0
+    else:
+        init = _checked_beta(data, init, "init")
     state, trace, converged, n_steps = _newton_fit(engine, config, init)
     return FitResult(
         beta=state.beta.copy(),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ class TestFit:
         res = g.fit("poisson", data, FitConfig(smoothing=sm, max_steps=1))
         assert res.n_steps == 1
         assert len(res.trace) == 2
+
+    def test_non_integer_max_steps(self):
+        sm = SmoothingParams(h=0.25, delta=0.1)
+        with pytest.raises(ParameterError, match="max_steps must be an integer"):
+            FitConfig(smoothing=sm, max_steps=2.5)
+
+    @pytest.mark.parametrize("init, message", [
+        (np.zeros(5), re.escape("init has shape (5,), expected (3,)")),
+        (np.array([0.1, np.nan, 0.2]), "init must be finite"),
+    ], ids=["wrong-length", "nan"])
+    def test_rejects_a_bad_init(self, init, message):
+        data, _, _ = make_gaussian_dataset(n=120, q=1, p=3, seed=7)
+        config = FitConfig(smoothing=SmoothingParams(h=0.3), max_steps=1)
+        with pytest.raises(ParameterError, match=message):
+            g.fit("gaussian", data, config, init=init)
 
     def test_monotone_ascent_trace(self):
         design = g.poisson_design(200)

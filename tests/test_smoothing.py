@@ -137,6 +137,16 @@ class TestFitCurve:
         assert err.max() < 0.05
 
 
+    @pytest.mark.parametrize("grid", [[0.3, math.nan, 0.6], [0.3, math.inf],
+                                      [[0.3, 0.5], [0.6, 0.7]]],
+                             ids=["nan", "inf", "2-D"])
+    def test_rejects_a_non_finite_or_multidimensional_grid(self, grid):
+        data = _tiny_poisson_dataset()
+        with pytest.raises(g.ParameterError, match="evaluation points must be a finite 1-D"):
+            g.fit_curve("poisson", data, np.array([0.4]), SmoothingParams(h=0.5, delta=0.1),
+                        grid=grid)
+
+
 class TestAlphaPrime:
     def test_zero_when_z_is_zero(self):
         data = _tiny_poisson_dataset()
@@ -202,6 +212,18 @@ class TestSmoothingParams:
     def test_invalid_degree(self):
         with pytest.raises(g.ParameterError):
             SmoothingParams(h=0.1, degree=-1)
+
+    def test_infinite_bandwidth(self):
+        with pytest.raises(g.ParameterError, match="bandwidth must be positive and finite"):
+            SmoothingParams(h=math.inf)
+
+    def test_infinite_delta(self):
+        with pytest.raises(g.ParameterError, match="delta must be positive and finite"):
+            SmoothingParams(h=0.1, delta=math.inf)
+
+    def test_non_integer_degree(self):
+        with pytest.raises(g.ParameterError, match="degree must be an integer"):
+            SmoothingParams(h=0.1, degree=1.5)
 
     def test_delta_required_for_poisson_cold_start(self):
         data = _tiny_poisson_dataset()
