@@ -128,9 +128,11 @@ def cross_validate(
                                                smoothing, points=data.u[fold])
                     if delta not in starts:
                         starts[delta] = fit_dbe(fam, train, delta).beta0
-                    # keep beta only: the fit result pins the training engine
+                    # keep beta only: the fit result pins the training engine,
+                    # and nothing reads its last step's derivative
                     beta = profile_fit(fam, train, cfg, init=starts[delta],
-                                       engine=engine.with_delta(delta)).beta
+                                       engine=engine.with_delta(delta),
+                                       differentiate_last=False).beta
                     sol = held_out.with_delta(delta).solve(train.z @ beta)
                 except (EffectiveSampleError, SingularityError, ConditioningError,
                         np.linalg.LinAlgError) as exc:

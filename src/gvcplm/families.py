@@ -72,25 +72,37 @@ def _pois_q012(x, y):
 
 
 def _logistic(x):
-    """e = exp(-|x|), p = expit(x) and p(1-p), finite for every finite x."""
-    e = np.exp(-np.abs(x))
-    r = 1.0 / (1.0 + e)
-    s = e * r
-    p = np.where(x >= 0.0, r, s)
+    """e = exp(-|x|), p = expit(x) and p(1-p), finite for every finite x.
+
+    With r = 1/(1+e), p is r where x >= 0 and e r elsewhere, formed as
+    max([x >= 0], e) r: 1 r = r and e r are the very products a select
+    would pick (e <= 1), and a NaN x gives a NaN p either way.
+    """
+    # explicit outputs, so that a 0-d x gives 0-d arrays, not scalars
+    e = np.abs(x, out=np.empty(x.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    r = np.add(e, 1.0, out=np.empty(x.shape))
+    np.divide(1.0, r, out=r)
+    p = np.greater_equal(x, 0.0, out=np.empty(x.shape))
+    np.maximum(p, e, out=p)
+    p *= r
+    s = np.multiply(e, r, out=np.empty(x.shape))
     s *= r
     return e, p, s
 
 
 def _bern_q012(x, y):
-    # in place, and operands dropped once used, to hold fewer arrays at once
+    # in place, e, p and s becoming log1p(e), q_1 and q_2, to hold fewer arrays
     x, y = _operands(x, y)
     e, p, s = _logistic(x)
     q = y * x
     q -= np.maximum(x, 0.0)
-    q -= np.log1p(e)
-    q1 = y - p
-    del e, p
-    return q, q1, -s
+    np.log1p(e, out=e)
+    q -= e
+    np.subtract(y, p, out=p)
+    np.negative(s, out=s)
+    return q, p, s
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,13 @@ def glrt(
     been fitted to this data, family and config.smoothing.  The constrained
     fit runs the same Newton configuration on the unconstrained fit's
     smoother, reparametrized to gamma (``ProfileEngine.reparametrized``), so
-    its states carry (n, k, d) derivatives.  It starts from gamma0 = B
-    beta_hat, the projection of the estimate onto the null space, with the
-    local fits warm-started from tangent_start(fit_alt.differentiated_state,
-    B' gamma0); beta_null is B' gamma_hat.
+    its states carry (n, k, d) derivatives, except the trials of its last
+    allowed step: only beta_null and the objective are kept, so nothing
+    reads their derivative (``differentiate_last=False``).  It starts from
+    gamma0 = B beta_hat, the projection of the estimate onto the null space,
+    with the local fits warm-started from
+    tangent_start(fit_alt.differentiated_state, B' gamma0); beta_null is B'
+    gamma_hat.
     """
     if fit_alt is None:
         fit_alt = profile_fit(family, data, config)
@@ -222,7 +225,8 @@ def glrt(
     b = constraint.b
     gamma0 = b @ fit_alt.beta
     warm = engine.tangent_start(fit_alt.differentiated_state, b.T @ gamma0)
-    state_null, _, _, _ = _newton_fit(engine.reparametrized(b), config, gamma0, warm=warm)
+    state_null, _, _, _ = _newton_fit(engine.reparametrized(b), config, gamma0, warm=warm,
+                                      differentiate_last=False)
     beta_null = b.T @ state_null.beta
     raw = 2.0 * (fit_alt.profile_loglik - state_null.loglik)
     statistic = max(raw, 0.0)

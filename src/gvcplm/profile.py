@@ -31,7 +31,12 @@ does not decrease, so the accepted trace of Qp values is nondecreasing.
 Each trial's local fits, halvings included, start from the accepted iterate:
 ``accelerated`` and ``full`` from its tangent prediction (predictor-corrector
 continuation), since their gradient already holds every local coefficient's
-beta-derivative, and ``backfitting`` from its local coefficients.
+beta-derivative, and ``backfitting`` from its local coefficients.  A state's
+derivative is read only by the next step (its gradient, Hessian and tangent
+starts) and by inference at the final beta, so a caller that keeps only the
+estimate, such as a cross-validation training fit or the likelihood ratio
+test's null fit, solves the trials of the last allowed step without it
+(``fit(..., differentiate_last=False)``).
 
 ``ProfileEngine`` builds the smoother of one dataset once.  The objective,
 its gradient and the accelerated Hessian at any beta are then
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -59,6 +65,7 @@ from .smoothing import (
     SmoothingParams,
     _checked_beta,
     _is_integer,
+    _is_real,
     _ridged_solve,
 )
 
@@ -90,8 +97,10 @@ class FitConfig:
         object.__setattr__(self, "algorithm", _ALGORITHMS[self.algorithm])
         if not _is_integer(self.max_steps) or self.max_steps < 1:
             raise ParameterError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if not self.step_tol > 0:
-            raise ParameterError(f"step_tol must be positive, got {self.step_tol}")
+        if not (_is_real(self.step_tol) and self.step_tol > 0
+                and math.isfinite(self.step_tol)):
+            raise ParameterError(
+                f"step_tol must be a positive finite number, got {self.step_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +115,10 @@ class FitResult:
     arrays, w the kernel window width: its fitter holds the kernel weights of
     each group of tiles, at most n (w + 32) values in all.  The state pins
     the (n, p, d) derivative of the local coefficients, except after a
-    backfitting fit, whose states are not differentiated; inference reads
-    ``differentiated_state`` instead.  Code that needs only beta should drop
-    the result.
+    backfitting fit, whose states are not differentiated, and after a fit
+    whose last step went without it (``fit(..., differentiate_last=False)``);
+    inference reads ``differentiated_state`` instead.  Code that needs only
+    beta should drop the result.
     """
 
     beta: np.ndarray
@@ -123,9 +133,10 @@ class FitResult:
 
     @functools.cached_property
     def differentiated_state(self) -> _State:
-        """The final state with its derivative: the state itself, or, after a
-        backfitting fit, its one re-solve (``ProfileEngine.differentiated``),
-        made on first use and kept for every later reader."""
+        """The final state with its derivative: the state itself, or, when it
+        was solved without one, its one re-solve
+        (``ProfileEngine.differentiated``), made on first use and kept for
+        every later reader."""
         return self.engine.differentiated(self.state)
 
 
@@ -190,9 +201,10 @@ class ProfileEngine:
         return _State(beta, sol, fitted, float(np.sum(q)), q1, q2)
 
     def differentiated(self, state: _State) -> _State:
-        """state when it has its derivative; otherwise (a backfitting fit's
-        state) the state re-solved at its beta from its own local
-        coefficients, with the derivative."""
+        """state when it has its derivative; otherwise (the final state of a
+        backfitting fit, or of a fit without differentiate_last) the state
+        re-solved at its beta from its own local coefficients, with the
+        derivative."""
         if state.solution.derivative is not None:
             return state
         return self.state(state.beta, state.solution.coefficients)
@@ -259,13 +271,16 @@ def _solve_descent(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
                                 "ill-conditioned after ridge escalation") from exc
 
 
-def _newton_fit(engine: ProfileEngine, config: FitConfig, init, warm=None):
+def _newton_fit(engine: ProfileEngine, config: FitConfig, init, warm=None, *,
+                differentiate_last=True):
     """Damped Newton ascent of the profile objective.
 
     The first state's local fits start from warm (cold when None), every
     trial's from the accepted iterate (module docstring).  Every state is
     differentiated, except in the backfitting ascent, which never reads the
-    curve's derivative.
+    curve's derivative, and, without differentiate_last, the trials of the
+    last allowed step: nothing in the ascent reads their derivative, so it
+    is for a caller of the final state alone.
 
     Returns (final state, trace, converged flag, accepted step count).
     """
@@ -274,16 +289,18 @@ def _newton_fit(engine: ProfileEngine, config: FitConfig, init, warm=None):
     state = engine.state(current, warm, differentiate)
     trace = [(0.0, state.loglik)]
     converged = False
-    for _ in range(config.max_steps):
+    for k in range(config.max_steps):
         grad = engine.gradient(state, config.algorithm)
         hess = engine.hessian(state, config.algorithm)
         step = _solve_descent(hess, grad)
         scale = 1.0
+        # an accepted trial of the last allowed step ends the ascent
+        with_z = differentiate and (differentiate_last or k < config.max_steps - 1)
         for _ in range(MAX_HALVINGS + 1):
             candidate = current + scale * step
             trial = engine.state(candidate, engine.tangent_start(state, candidate)
                                  if differentiate else state.solution.coefficients,
-                                 differentiate)
+                                 with_z)
             if trial.loglik >= state.loglik - 1e-9 * (1.0 + abs(state.loglik)):
                 break
             scale *= 0.5
@@ -304,14 +321,20 @@ def fit(
     config: FitConfig,
     init=None,
     engine: Optional[ProfileEngine] = None,
+    *,
+    differentiate_last: bool = True,
 ) -> FitResult:
     """Maximize the profile quasi-likelihood over beta.
 
     init defaults to the difference-based estimate.  engine, a ProfileEngine
     for (family, data, config.smoothing), is reused; the local fits still
-    start cold, so the result is the one a new engine gives.  The coefficient
-    functions on a display grid are a separate fit: ``fit_curve`` at the
-    returned beta.
+    start cold, so the result is the one a new engine gives.  With
+    differentiate_last False the last allowed step's trials are solved
+    without the curve's derivative (``_newton_fit``), for a caller that
+    keeps only beta: beta is the same to the bit, and a final state left
+    undifferentiated is differentiated on first read of
+    ``FitResult.differentiated_state``.  The coefficient functions on a
+    display grid are a separate fit: ``fit_curve`` at the returned beta.
     """
     fam = get_family(family)
     if engine is None:
@@ -323,7 +346,8 @@ def fit(
         init = fit_dbe(fam, data, config.smoothing.delta).beta0
     else:
         init = _checked_beta(data, init, "init")
-    state, trace, converged, n_steps = _newton_fit(engine, config, init)
+    state, trace, converged, n_steps = _newton_fit(engine, config, init,
+                                                   differentiate_last=differentiate_last)
     return FitResult(
         beta=state.beta.copy(),
         profile_loglik=state.loglik,

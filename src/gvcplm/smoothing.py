@@ -63,10 +63,14 @@ q2 the local curvature at the returned coefficients,
 
     d a / d beta' = -[sum_i q2_i D_i D_i' W_i]^{-1} [sum_i q2_i D_i z_i' W_i],
 
-both sums one product per tile against its basis.  Each group is
-differentiated right after its Newton loop, from the bases it was solved on
-and its last q2, which is then dropped, so no solution holds the (b_g,
-width) curvature.  The derivative's leading q rows (``alpha_prime``) give
+both sums one product per tile against its basis.  With S1 the first sum,
+the second is M_e T_e, T_e the (d, p) product of q2 W, the tile's basis and
+z, so the derivative is computed as -(S1^{-1} M_e) T_e: the solve takes the
+d columns of M_e as right-hand sides, not the p of M_e T_e, and only the
+last, batched product grows with p.  Each group is differentiated right
+after its Newton loop, from the bases it was solved on and its last q2,
+which is then dropped, so no solution holds the (b_g, width) curvature.
+The derivative's leading q rows (``alpha_prime``) give
 d alpha(u) / d beta, which the profile gradient and Hessian need; all rows
 predict the local fit at a nearby beta.  For degree 0 this is the familiar
 ratio of kernel-weighted moment matrices; for degree >= 1 it is the exact
@@ -161,6 +165,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SmoothingParams:
     """Smoothing configuration: bandwidth, transform offset, polynomial degree."""
@@ -170,6 +178,10 @@ class SmoothingParams:
     degree: int = 1
 
     def __post_init__(self):
+        if not _is_real(self.h):
+            raise ParameterError(f"bandwidth h must be a real number, got {self.h!r}")
+        if self.delta is not None and not _is_real(self.delta):
+            raise ParameterError(f"offset delta must be a real number or None, got {self.delta!r}")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ParameterError(f"bandwidth must be positive and finite, got {self.h}")
         if not _is_integer(self.degree) or self.degree < 0:
@@ -234,7 +246,7 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
     bring a row under the limit.  Errors name row k as points[k], the
     evaluation point's index in the caller's numbering (k itself when points
     is None).  A batch that needed any ridge is reported by one debug record
-    on the ``gvcplm`` logger.
+    on the ``gvcplm`` logger; a batch that needed none is solved as given.
     """
     mats = np.ascontiguousarray(mats)
     if points is None:
@@ -245,10 +257,11 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
             f"{context}: information matrix at point index "
             f"{points[np.argmin(finite)]} has a non-finite entry"
         )
-    eye = np.eye(mats.shape[-1])
-    scale = np.maximum(mats.diagonal(axis1=-2, axis2=-1).max(axis=-1), 0.0)
-    lam = np.zeros(mats.shape[0])
     rows = np.flatnonzero(~(_log_condition_bound(mats) <= _LOG_CLEARED))
+    if rows.size:
+        eye = np.eye(mats.shape[-1])
+        scale = np.maximum(mats.diagonal(axis1=-2, axis2=-1).max(axis=-1), 0.0)
+        lam = np.zeros(mats.shape[0])
     level = 0
     while rows.size:
         ridge = (lam[rows] * scale[rows])[:, None, None]
@@ -266,13 +279,14 @@ def _ridged_solve(mats: np.ndarray, rhs: np.ndarray, context: str,
             )
         level += 1
         lam[rows] = _RIDGE_LADDER[level]
-    if level and _log.isEnabledFor(logging.DEBUG):
-        _log.debug("%s: ridged %d of %d systems, up to ladder level %d (ridge %g)",
-                   context, np.count_nonzero(lam), lam.size, level, _RIDGE_LADDER[level])
-    ridged = mats + (lam * scale)[:, None, None] * eye
+    if level:   # otherwise no row is ridged: solve mats itself
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("%s: ridged %d of %d systems, up to ladder level %d (ridge %g)",
+                       context, np.count_nonzero(lam), lam.size, level, _RIDGE_LADDER[level])
+        mats = mats + (lam * scale)[:, None, None] * eye
     if rhs.ndim == mats.ndim - 1:
-        return np.linalg.solve(ridged, rhs[..., None])[..., 0]
-    return np.linalg.solve(ridged, rhs)
+        return np.linalg.solve(mats, rhs[..., None])[..., 0]
+    return np.linalg.solve(mats, rhs)
 
 
 def _epanechnikov(t, h: float):
@@ -671,20 +685,23 @@ class CurveFitter:
         It is the closed-form implicit derivative -S1^{-1} S2 of the local
         score equation (module docstring), with no family evaluation.  Both
         sums are one product per tile against its basis: S1 as in the Newton
-        Hessian, S2 = M_e [(W q2)(B x z)]_e with B x z the (width, d p)
-        products of the basis's columns with the tile's contiguous rows of
-        the u-sorted z, zs.
+        Hessian, S2 = M_e T_e with T_e = [(W q2)(B x z)]_e and B x z the
+        (width, d p) products of the basis's columns with the tile's
+        contiguous rows of the u-sorted z, zs.  So the derivative is
+        -(S1^{-1} M_e) T_e: one solve with the d columns of M_e as
+        right-hand sides, whatever p is, then one batched product with T_e.
+        The ridge ladder decides on S1 alone, as for any right-hand side.
         """
         d, p = self.n_coef, zs.shape[1]
         s1 = -self._weighted_gram(local, slice(None), wq2)
-        s2 = np.empty((wq2.shape[0], d * p))
+        tz = np.empty((wq2.shape[0], d * p))
         bounds = local.bounds.tolist()
         for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
                                      self.tiles[group.tiles]):
             kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
-            np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=s2[a:b])
-        s2 = local.shift @ s2.reshape(-1, d, p)
-        return _ridged_solve(s1, s2, "curve derivative", local.index)
+            np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=tz[a:b])
+        return _ridged_solve(s1, local.shift, "curve derivative", local.index) \
+            @ tz.reshape(-1, d, p)
 
     # -- derived quantities ---------------------------------------------------
 

@@ -121,6 +121,51 @@ class TestOrderIndependence:
             for got, want in zip(report.fold_betas[cell], alone.fold_betas[0]):
                 assert np.array_equal(got, want)
 
+    def test_no_training_fit_differentiates_its_last_step(self, monkeypatch):
+        # a training fit keeps beta only: the trials of its last allowed step
+        # are solved without z, every other solve of the fit with it
+        events = []
+        newton_fit, solve_descent = g.profile._newton_fit, g.profile._solve_descent
+        solve = g.CurveFitter.solve
+
+        def fit_spy(*args, **kwargs):
+            events.append("fit")
+            result = newton_fit(*args, **kwargs)
+            events.append("end")
+            return result
+
+        def step_spy(*args):
+            events.append("step")
+            return solve_descent(*args)
+
+        def solve_spy(self, offsets, warm=None, z=None):
+            events.append(z is not None)
+            return solve(self, offsets, warm, z)
+
+        monkeypatch.setattr(g.profile, "_newton_fit", fit_spy)
+        monkeypatch.setattr(g.profile, "_solve_descent", step_spy)
+        monkeypatch.setattr(g.CurveFitter, "solve", solve_spy)
+        config = FitConfig(SmoothingParams(h=1.0), max_steps=2)
+        g.cross_validate("poisson", _poisson_data(), grid=[(0.1, 0.12), (0.05, 0.2)],
+                         k=3, seed=3, config=config)
+        # per fit: the solves before its first step, then each step's trials
+        fits, inside = [], False
+        for event in events:
+            if event == "fit":
+                fits.append([[]])
+                inside = True
+            elif event == "end":
+                inside = False
+            elif event == "step":
+                fits[-1].append([])
+            elif inside:
+                fits[-1][-1].append(event)
+        assert len(fits) == 6
+        for start, *steps in fits:
+            assert start == [True] and len(steps) == config.max_steps
+            assert all(all(step) for step in steps[:-1])
+            assert steps[-1] and not any(steps[-1])
+
     def test_dbe_start_once_per_fold_and_delta(self, monkeypatch):
         # the grid fits deltas 0.1, 0.2 and 0.05 at h = 0.12 and two of them
         # again at h = 0.2 (the cell at h = 1e-5 fails before any fit)

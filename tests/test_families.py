@@ -215,3 +215,37 @@ def test_fused_triple_and_derivative_ladder(point):
         fd = fd_derivative(lambda t: below(order, t), x)
         exact = fam.q(order, x, y)
         assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact)), (order, exact, fd)
+
+
+def _bern_q012_with_a_select(x, y):
+    """The bernoulli (Q, q_1, q_2) with p = expit(x) picked by np.where."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    e = np.exp(-np.abs(x))
+    r = 1.0 / (1.0 + e)
+    s = e * r
+    p = np.where(x >= 0.0, r, s)
+    s *= r
+    return y * x - np.maximum(x, 0.0) - np.log1p(e), y - p, -s
+
+
+# signed zeros, where e = exp(-|x|) is subnormal or 0, NaN, and a grid
+_EDGES = (0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.nan, *np.linspace(-40.0, 40.0, 161))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.one_of(st.sampled_from(_EDGES), st.floats(-40.0, 40.0), st.floats()),
+                  min_size=1, max_size=40),
+       y=st.sampled_from((0.0, 1.0, None)), scalar=st.booleans())
+def test_bernoulli_pass_is_the_select_form_bit_for_bit(xs, y, scalar):
+    # p = max([x >= 0], e) r picks r or e r as the select did, with the same
+    # rounding; a NaN predictor gives NaN in both
+    x = np.float64(xs[0]) if scalar else np.array(xs + list(_EDGES))
+    if y is None:   # responses 0, 1, 0, ...
+        y = (np.arange(np.size(x)) % 2.0).reshape(np.shape(x))
+    with np.errstate(invalid="ignore"):   # Q at an infinite x is NaN
+        got, want = g.get_family("bernoulli").q012(x, y), _bern_q012_with_a_select(x, y)
+    for a, b in zip(map(np.asarray, got), map(np.asarray, want)):
+        assert a.shape == b.shape
+        nan = np.isnan(b)
+        assert np.array_equal(np.isnan(a), nan)
+        assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))

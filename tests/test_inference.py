@@ -438,8 +438,10 @@ class TestInferenceReadsFitState:
                                                ("full", 4)))
     def test_null_fit_differentiates_in_k_directions(self, monkeypatch, algorithm, df):
         # the null fit is a profile fit in gamma on the alternative's
-        # smoother: no smoother is built, and every state it solves is
-        # differentiated against z B', (n, k) with k = p - df
+        # smoother: no smoother is built, every state it differentiates is
+        # differentiated against z B', (n, k) with k = p - df, and the
+        # trials of its last step, whose derivative nothing reads, are
+        # solved without z
         design, data, cfg, _ = _design_fit("poisson", 139)
         cfg = FitConfig(smoothing=cfg.smoothing, algorithm=algorithm, max_steps=2)
         res = g.fit("poisson", data, cfg)
@@ -459,7 +461,9 @@ class TestInferenceReadsFitState:
         monkeypatch.setattr(CurveFitter, "__init__", unbuilt)
         monkeypatch.setattr(ProfileEngine, "__init__", unbuilt)
         test = g.glrt("poisson", data, constraint, cfg, fit_alt=res)
-        assert shapes and set(shapes) == {(data.n, p - df)}
+        last = shapes.index(None)
+        assert last >= 2 and set(shapes[:last]) == {(data.n, p - df)}
+        assert set(shapes[last:]) == {None}
         assert np.all(np.abs(test.beta_null[p - df:]) < 1e-10)
 
     def test_glrt_rejects_fit_with_other_smoothing(self):

@@ -203,3 +203,50 @@ def test_converged_and_one_step_solves_report_nothing(caplog, monkeypatch):
     monkeypatch.setattr(smoothing._log, "debug", None)
     with caplog.at_level(logging.INFO, logger="gvcplm"):
         assert not fitter.solve(offsets, warm=warm).converged.any()
+
+
+def _differentiate_with_p_right_hand_sides(fitter, group, local, wq2, zs):
+    """The derivative as S1^{-1} (M_e T_e): M_e T_e formed first, then one
+    solve with its p columns as right-hand sides."""
+    d, p = fitter.n_coef, zs.shape[1]
+    s1 = -fitter._weighted_gram(local, slice(None), wq2)
+    s2 = np.empty((wq2.shape[0], d * p))
+    bounds = local.bounds.tolist()
+    for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
+                                 fitter.tiles[group.tiles]):
+        kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
+        np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=s2[a:b])
+    return smoothing._ridged_solve(s1, local.shift @ s2.reshape(-1, d, p),
+                                   "curve derivative", local.index)
+
+
+@pytest.mark.parametrize("family, x_scale", [("poisson", 1.0), ("bernoulli", 1.0),
+                                             ("poisson", 1e5)],
+                         ids=["poisson", "bernoulli", "ridged"])
+def test_derivative_agrees_with_the_p_right_hand_side_form(family, x_scale, caplog):
+    # S1^{-1} M_e, d right-hand sides, times T_e is (S1^{-1} M_e T_e) to
+    # rounding.  A varying coefficient's x scaled by 1e5 makes S1's
+    # condition number exceed 1e12, so every system is ridged; its spread is
+    # one of scale, not of collinearity, so both forms still agree to rounding
+    data = g.generate(g.make_design(family, 300), seed=g.replicate_seed(3, 1))
+    x = data.x.copy()
+    x[:, 1] *= x_scale
+    delta, h = (0.1, 0.1) if family == "poisson" else (0.005, 0.4)
+    fitter = CurveFitter(family, x, data.y, data.u, SmoothingParams(h=h, delta=delta), data.u)
+    differentiate, groups = fitter._differentiate, []
+
+    def compared(group, local, wq2, zs):
+        got = differentiate(group, local, wq2, zs)
+        want = _differentiate_with_p_right_hand_sides(fitter, group, local, wq2, zs)
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        groups.append(group)
+        return got
+
+    fitter._differentiate = compared
+    with caplog.at_level(logging.DEBUG, logger="gvcplm"):
+        fitter.solve(data.z @ np.full(data.n_linear, 0.1), z=data.z)
+    assert len(groups) == len(fitter.groups)
+    ridged = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("curve derivative: ridged")]
+    assert bool(ridged) == (x_scale != 1.0)

@@ -182,6 +182,50 @@ class TestFit:
         with pytest.raises(ParameterError, match="max_steps must be an integer"):
             FitConfig(smoothing=sm, max_steps=2.5)
 
+    @pytest.mark.parametrize("step_tol", [np.inf, -np.inf, np.nan, 0.0, -1e-6, "1e-6", True],
+                             ids=["inf", "-inf", "nan", "zero", "negative", "string", "bool"])
+    def test_rejects_a_step_tol_that_is_not_positive_and_finite(self, step_tol):
+        # an infinite tolerance would call the first step converged
+        sm = SmoothingParams(h=0.25, delta=0.1)
+        with pytest.raises(ParameterError, match="step_tol must be a positive finite number"):
+            FitConfig(smoothing=sm, step_tol=step_tol)
+
+    @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+    def test_last_step_without_the_derivative(self, family, monkeypatch):
+        # a default fit ends on a differentiated state; without
+        # differentiate_last the last step's trials are solved without z,
+        # beta and the trace are the same to the bit, and the final state is
+        # differentiated on first read
+        data = g.generate(g.make_design(family, 200), seed=g.replicate_seed(47, 0))
+        delta, h = g.preset_smoothing(family, 200)
+        cfg = FitConfig(SmoothingParams(h=h, delta=delta), max_steps=2)
+        default = g.fit(family, data, cfg)
+        assert default.n_steps == 2 and not default.converged
+        assert default.state.solution.derivative is not None
+        assert default.differentiated_state is default.state
+
+        solved = []
+        solve = CurveFitter.solve
+
+        def spied(self, offsets, warm=None, z=None):
+            solved.append(z is not None)
+            return solve(self, offsets, warm, z)
+
+        monkeypatch.setattr(CurveFitter, "solve", spied)
+        lean = g.fit(family, data, cfg, differentiate_last=False)
+        # the start and step 1's trials with z, step 2's without
+        first = solved.index(False)
+        assert first >= 2 and not any(solved[first:])
+        assert np.array_equal(lean.beta, default.beta) and lean.trace == default.trace
+        assert lean.state.solution.derivative is None
+        np.testing.assert_array_equal(lean.state.solution.coefficients,
+                                      default.state.solution.coefficients)
+        before = len(solved)
+        state = lean.differentiated_state
+        assert solved[before:] == [True] and lean.differentiated_state is state
+        np.testing.assert_allclose(state.solution.derivative,
+                                   default.state.solution.derivative, rtol=1e-6, atol=1e-9)
+
     @pytest.mark.parametrize("init, message", [
         (np.zeros(5), re.escape("init has shape (5,), expected (3,)")),
         (np.array([0.1, np.nan, 0.2]), "init must be finite"),

@@ -240,3 +240,15 @@ def test_fitter_checks_the_response_against_its_family(family, bad):
                        + ".*" + re.escape(f"; y[1] = {bad}")):
         g.CurveFitter(family, np.ones((n, 1)), y, np.linspace(0.0, 1.0, n),
                       SmoothingParams(h=0.3, delta=0.1), [0.5])
+
+
+
+@pytest.mark.parametrize("field, value", [("h", "0.1"), ("h", None), ("h", [0.1]),
+                                          ("h", True), ("delta", "0.1"), ("delta", [0.1]),
+                                          ("delta", 1j)],
+                         ids=["h-str", "h-None", "h-list", "h-bool", "delta-str", "delta-list",
+                              "delta-complex"])
+def test_smoothing_params_reject_a_value_that_is_not_a_number(field, value):
+    name = {"h": "bandwidth h", "delta": "offset delta"}[field]
+    with pytest.raises(g.ParameterError, match=f"{name} must be a real number"):
+        SmoothingParams(**{"h": 0.1, "delta": 0.1, field: value})
