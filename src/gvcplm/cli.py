@@ -456,6 +456,8 @@ def _cmd_cv(cfg: dict) -> int:
 def _cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     run = _set(cfg, family="family", n="simulate.n", seed="seed", reps="simulate.reps")
+    if run.get("reps", 1) < 1:
+        raise ParameterError(f"simulate.reps: must be at least 1, got {run['reps']}")
     if _read(cfg, "simulate.emit_csv"):
         from .simulate import generate, make_design, replicate_seed
 

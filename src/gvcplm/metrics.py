@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -51,14 +52,21 @@ def sd_mad(samples) -> float:
     return float((q75 - q25) / 1.349)
 
 
+def sample_sd(samples) -> Optional[float]:
+    """Sample standard deviation (ddof 1); None for fewer than two samples,
+    which carry no spread."""
+    samples = np.asarray(samples, dtype=float)
+    return float(np.std(samples, ddof=1)) if samples.size > 1 else None
+
+
 @dataclass(frozen=True)
 class MetricSummary:
-    """Replicate summary of one metric."""
+    """Replicate summary of one metric; sd is None for a single sample."""
 
     median: float
     sd_mad: float
     mean: float
-    sd: float
+    sd: Optional[float]
 
     @classmethod
     def from_samples(cls, samples) -> "MetricSummary":
@@ -67,7 +75,7 @@ class MetricSummary:
             median=float(np.median(samples)),
             sd_mad=sd_mad(samples),
             mean=float(np.mean(samples)),
-            sd=float(np.std(samples, ddof=1)) if samples.size > 1 else 0.0,
+            sd=sample_sd(samples),
         )
 
     def as_dict(self) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -110,6 +111,9 @@ def bernoulli_design(n: int, seed: int = 0) -> SimDesign:
 
 
 def make_design(family: str, n: int, seed: int = 0) -> SimDesign:
+    """The benchmark design of family at sample size n, an integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"sample size n must be an integer >= 1, got {n!r}")
     if family == "poisson":
         return poisson_design(n, seed)
     if family == "bernoulli":

@@ -1,10 +1,13 @@
 """Monte Carlo experiment drivers for the benchmark designs.
 
-Each study draws replicate datasets from a benchmark design with
-deterministic per-replicate random streams, runs the configured estimators
-and writes per-replicate rows, a summary and (for the test studies)
-plot-data files.  Replicates that fail numerically are logged and excluded;
-a study aborts if more than 10 percent of its replicates fail.
+A study is its arms, a worker and a summary.  An arm is a (design, seed
+offset, row fields) triple whose replicate k draws generate(design,
+replicate_seed(seed + offset, k)); the worker turns that dataset into one
+record, kept as the row {"rep": k, **fields, **record}; the summary reduces
+the rows to the study's summary and any plot data.  Replicates that fail
+numerically are logged and excluded; a study aborts if more than 10 percent
+of one arm's replicates fail.  With one replicate, a statistic that needs
+two (an SD, a kernel density) is written as JSON null or an empty CSV cell.
 
 Available studies:
 
@@ -19,7 +22,8 @@ Available studies:
 * ``table3``      sensitivity of the one-step estimate to bandwidth scaling.
 * ``table4``      Monte Carlo SD versus sandwich standard errors.
 * ``fig1_null``   null distribution of the likelihood ratio statistic.
-* ``fig1_power``  rejection rates along a sequence of alternatives.
+* ``fig1_power``  rejection rates along a sequence of alternatives, one arm
+                  per gamma, the g-th at seed offset 1000 g.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from pathlib import Path
 
@@ -35,7 +40,7 @@ import numpy as np
 from .dbe import fit_dbe
 from .errors import GvcplmError, StudyError
 from .inference import chi2_upper_tail, glrt, make_constraint, sandwich_covariance
-from .metrics import MetricSummary, gmse, rase, sd_mad
+from .metrics import MetricSummary, gmse, rase, sample_sd, sd_mad
 from .profile import FitConfig, fit as profile_fit
 from .simulate import (
     design_moment,
@@ -65,12 +70,13 @@ MAX_FAILURE_RATE = 0.10
 _SE_DISPLAY_COORDS = {"poisson": (1, 3), "bernoulli": (2, 4)}  # 1-based
 
 
-def _smoothing_for(family: str, n: int, h, delta, use_cv: bool, seed: int) -> SmoothingParams:
-    """Given h and delta, else cross-validated over the axes not given (with
-    use_cv), else the presets."""
-    preset_delta, preset_h = preset_smoothing(family, n)
+def _smoothing_for(design, h, delta, use_cv: bool, seed: int) -> SmoothingParams:
+    """Given h and delta, else cross-validated on the design's first replicate
+    over the axes not given (with use_cv), else the presets."""
+    family = design.family_name
+    preset_delta, preset_h = preset_smoothing(family, design.n)
     if use_cv and (h is None or delta is None):
-        data = generate(make_design(family, n), replicate_seed(seed, 0))
+        data = generate(design, replicate_seed(seed, 0))
         grid = [(d if delta is None else delta, hh if h is None else h)
                 for d, hh in default_smoothing_grid(family, data)]
         return cross_validate(family, data, grid=list(dict.fromkeys(grid)), seed=seed).best
@@ -78,33 +84,43 @@ def _smoothing_for(family: str, n: int, h, delta, use_cv: bool, seed: int) -> Sm
                            delta=preset_delta if delta is None else delta)
 
 
-def _run_replicates(reps: int, seed: int, worker):
-    """Run worker(rep, seed_sequence) over replicates, collecting failures."""
+def _run_replicates(arms, reps: int, seed: int, worker):
+    """Rows and failures of reps replicates of each (design, seed offset,
+    row fields) arm, bounding the failures per arm."""
     rows, failures = [], []
-    for rep in range(reps):
-        try:
-            rows.append(worker(rep, replicate_seed(seed, rep)))
-        except (GvcplmError, np.linalg.LinAlgError) as exc:
-            failures.append({"rep": rep, "error": f"{type(exc).__name__}: {exc}"})
-    if len(failures) > MAX_FAILURE_RATE * reps:
-        raise StudyError(
-            f"{len(failures)} of {reps} replicates failed "
-            f"(limit {MAX_FAILURE_RATE:.0%}); first: {failures[0]['error']}"
-        )
+    for design, offset, fields in arms:
+        lost = []
+        for rep in range(reps):
+            try:
+                record = worker(generate(design, replicate_seed(seed + offset, rep)))
+            except (GvcplmError, np.linalg.LinAlgError) as exc:
+                lost.append({"rep": rep, "error": f"{type(exc).__name__}: {exc}"})
+            else:
+                rows.append({"rep": rep, **fields, **record})
+        if len(lost) > MAX_FAILURE_RATE * reps:
+            raise StudyError(
+                f"{len(lost)} of {reps} replicates failed "
+                f"(limit {MAX_FAILURE_RATE:.0%}); first: {lost[0]['error']}"
+            )
+        failures.extend(lost)
     return rows, failures
 
 
+def _metric(rows, key: str, scale: float = 1.0) -> dict:
+    """MetricSummary of scale times the rows' key column, as a dict."""
+    return MetricSummary.from_samples([scale * r[key] for r in rows]).as_dict()
+
+
 # ---------------------------------------------------------------------------
-# individual studies
+# individual studies: (family, design, smoothing) -> (arms, worker, summarize)
 
 
-def _study_table1(family, n, reps, seed, smoothing):
+def _study_table1(family, design, smoothing):
     # time_<algorithm> covers ProfileEngine construction plus the damped
     # Newton ascent from the shared difference-based start.  The start, the
     # oracle curve fit and the display-grid curve evaluation are the same
     # work for every algorithm, so they stay outside the timer; counting them
     # would add one constant to each time and pull the ratios toward 1.
-    design = make_design(family, n)
     moment = design_moment(design)
     configs = {
         "backfitting": FitConfig(smoothing=smoothing, algorithm="backfitting",
@@ -114,45 +130,41 @@ def _study_table1(family, n, reps, seed, smoothing):
         "full": FitConfig(smoothing=smoothing, algorithm="full", max_steps=50),
     }
 
-    def worker(rep, rng_seed):
-        data = generate(design, rng_seed)
+    def worker(data):
         init = fit_dbe(family, data, smoothing.delta).beta0
-        row = {"rep": rep}
+        row = {}
         oracle = fit_curve(family, data, design.beta0, smoothing)
         rase_oracle = rase(oracle, design.alpha_funcs)
         for name, cfg in configs.items():
             t0 = time.perf_counter()
             beta = profile_fit(family, data, cfg, init=init).beta
-            elapsed = time.perf_counter() - t0
+            row[f"time_{name}"] = time.perf_counter() - t0
             curve = fit_curve(family, data, beta, smoothing)
-            row[f"time_{name}"] = elapsed
             row[f"gmse_{name}"] = gmse(beta, design.beta0, moment)
             row[f"rase_ratio_{name}"] = rase_oracle / rase(curve, design.alpha_funcs)
         row["rase_oracle"] = rase_oracle
         return row
 
-    rows, failures = _run_replicates(reps, seed, worker)
-    summary = {}
-    for name in configs:
-        summary[f"time_{name}"] = MetricSummary.from_samples(
-            [r[f"time_{name}"] for r in rows]).as_dict()
-        summary[f"gmse_{name}_x1e4"] = MetricSummary.from_samples(
-            [1e4 * r[f"gmse_{name}"] for r in rows]).as_dict()
-        summary[f"rase_ratio_{name}_median"] = float(
-            np.median([r[f"rase_ratio_{name}"] for r in rows]))
-    summary["time_ratio_full_over_accelerated_median"] = float(np.median(
-        [r["time_full"] / r["time_accelerated"] for r in rows]))
-    return rows, summary, failures, {}
+    def summarize(rows):
+        summary = {}
+        for name in configs:
+            summary[f"time_{name}"] = _metric(rows, f"time_{name}")
+            summary[f"gmse_{name}_x1e4"] = _metric(rows, f"gmse_{name}", 1e4)
+            summary[f"rase_ratio_{name}_median"] = float(
+                np.median([r[f"rase_ratio_{name}"] for r in rows]))
+        summary["time_ratio_full_over_accelerated_median"] = float(np.median(
+            [r["time_full"] / r["time_accelerated"] for r in rows]))
+        return summary, {}
+
+    return [(design, 0, {})], worker, summarize
 
 
-def _study_table2(family, n, reps, seed, smoothing):
-    design = make_design(family, n)
+def _study_table2(family, design, smoothing):
     moment = design_moment(design)
     cfg_3s = FitConfig(smoothing=smoothing, max_steps=3)
     cfg_af = FitConfig(smoothing=smoothing, max_steps=50)
 
-    def worker(rep, rng_seed):
-        data = generate(design, rng_seed)
+    def worker(data):
         init = fit_dbe(family, data, smoothing.delta).beta0
         g_dbe = gmse(init, design.beta0, moment)
         # one engine for both fits: it keeps no state between them
@@ -161,7 +173,6 @@ def _study_table2(family, n, reps, seed, smoothing):
         g_3s = gmse(res_3s.beta, design.beta0, moment)
         g_af = gmse(beta_af, design.beta0, moment)
         return {
-            "rep": rep,
             "gmse_dbe": g_dbe,
             "gmse_3s": g_3s,
             "gmse_af": g_af,
@@ -169,26 +180,22 @@ def _study_table2(family, n, reps, seed, smoothing):
             "ratio_af_3s_pct": 100.0 * g_af / g_3s,
         }
 
-    rows, failures = _run_replicates(reps, seed, worker)
-    summary = {
-        "ratio_af_dbe_pct": MetricSummary.from_samples(
-            [r["ratio_af_dbe_pct"] for r in rows]).as_dict(),
-        "ratio_af_3s_pct": MetricSummary.from_samples(
-            [r["ratio_af_3s_pct"] for r in rows]).as_dict(),
-        "gmse_af_x1e4": MetricSummary.from_samples(
-            [1e4 * r["gmse_af"] for r in rows]).as_dict(),
-    }
-    return rows, summary, failures, {}
+    def summarize(rows):
+        return {
+            "ratio_af_dbe_pct": _metric(rows, "ratio_af_dbe_pct"),
+            "ratio_af_3s_pct": _metric(rows, "ratio_af_3s_pct"),
+            "gmse_af_x1e4": _metric(rows, "gmse_af", 1e4),
+        }, {}
+
+    return [(design, 0, {})], worker, summarize
 
 
-def _study_table3(family, n, reps, seed, smoothing):
-    design = make_design(family, n)
+def _study_table3(family, design, smoothing):
     moment = design_moment(design)
 
-    def worker(rep, rng_seed):
-        data = generate(design, rng_seed)
+    def worker(data):
         init = fit_dbe(family, data, smoothing.delta).beta0
-        row = {"rep": rep}
+        row = {}
         for mult in _H_MULTIPLIERS:
             scaled = dataclasses.replace(smoothing, h=mult * smoothing.h)
             cfg = FitConfig(smoothing=scaled, max_steps=1)
@@ -198,116 +205,110 @@ def _study_table3(family, n, reps, seed, smoothing):
             row[f"beta5_h{tag}"] = float(beta[4])
         return row
 
-    rows, failures = _run_replicates(reps, seed, worker)
-    summary = {}
-    for mult in _H_MULTIPLIERS:
-        tag = f"{mult:g}"
-        summary[f"gmse_h{tag}"] = MetricSummary.from_samples(
-            [r[f"gmse_h{tag}"] for r in rows]).as_dict()
-        beta5 = np.array([r[f"beta5_h{tag}"] for r in rows])
-        summary[f"beta5_h{tag}"] = MetricSummary.from_samples(beta5).as_dict()
-        summary[f"mse_beta5_h{tag}"] = float(np.mean((beta5 - design.beta0[4]) ** 2))
-    return rows, summary, failures, {}
+    def summarize(rows):
+        summary = {}
+        for mult in _H_MULTIPLIERS:
+            tag = f"{mult:g}"
+            summary[f"gmse_h{tag}"] = _metric(rows, f"gmse_h{tag}")
+            beta5 = np.array([r[f"beta5_h{tag}"] for r in rows])
+            summary[f"beta5_h{tag}"] = MetricSummary.from_samples(beta5).as_dict()
+            summary[f"mse_beta5_h{tag}"] = float(np.mean((beta5 - design.beta0[4]) ** 2))
+        return summary, {}
+
+    return [(design, 0, {})], worker, summarize
 
 
-def _study_table4(family, n, reps, seed, smoothing):
-    design = make_design(family, n)
+def _study_table4(family, design, smoothing):
     cfg = FitConfig(smoothing=smoothing, max_steps=1)
 
-    def worker(rep, rng_seed):
-        data = generate(design, rng_seed)
+    def worker(data):
         res = profile_fit(family, data, cfg)
         cov = sandwich_covariance(res)
-        row = {"rep": rep}
+        row = {}
         for j in range(design.p_dim):
             row[f"beta_{j + 1}"] = float(res.beta[j])
             row[f"se_{j + 1}"] = float(cov.se[j])
         return row
 
-    rows, failures = _run_replicates(reps, seed, worker)
-    summary = {}
-    for j in range(design.p_dim):
-        betas = np.array([r[f"beta_{j + 1}"] for r in rows])
-        ses = np.array([r[f"se_{j + 1}"] for r in rows])
-        summary[f"beta_{j + 1}"] = {
-            "mc_sd": float(np.std(betas, ddof=1)),
-            "se_median": float(np.median(ses)),
-            "se_sd_mad": sd_mad(ses),
+    def summarize(rows):
+        summary = {}
+        for j in range(design.p_dim):
+            betas = np.array([r[f"beta_{j + 1}"] for r in rows])
+            ses = np.array([r[f"se_{j + 1}"] for r in rows])
+            summary[f"beta_{j + 1}"] = {
+                "mc_sd": sample_sd(betas),
+                "se_median": float(np.median(ses)),
+                "se_sd_mad": sd_mad(ses),
+            }
+        summary["display_coordinates"] = list(_SE_DISPLAY_COORDS.get(family, ()))
+        return summary, {}
+
+    return [(design, 0, {})], worker, summarize
+
+
+def _glrt_setup(family, design, smoothing):
+    """fig1's test, coordinates 7 .. p = 0 from one Newton step: its degrees
+    of freedom, and the function from a dataset to its GlrtResult."""
+    constraint = make_constraint(np.eye(design.p_dim)[6:])
+    cfg = FitConfig(smoothing=smoothing, max_steps=1)
+    return constraint.df, lambda data: glrt(family, data, constraint, cfg)
+
+
+def _study_fig1_null(family, design, smoothing):
+    df, test = _glrt_setup(family, design, smoothing)
+
+    def worker(data):
+        result = test(data)
+        return {"t_stat": result.statistic, "p_value": result.p_value}
+
+    def summarize(rows):
+        t_vals = np.array([r["t_stat"] for r in rows])
+        summary = {
+            "df": df,
+            "t_stat": MetricSummary.from_samples(t_vals).as_dict(),
+            "rejection_rates": {
+                f"{level:g}": float(np.mean([
+                    chi2_upper_tail(t, df) < level for t in t_vals
+                ]))
+                for level in GLRT_LEVELS
+            },
         }
-    summary["display_coordinates"] = list(_SE_DISPLAY_COORDS.get(family, ()))
-    return rows, summary, failures, {}
+        grid = np.linspace(0.0, max(float(t_vals.max()) * 1.05, df * 3.0), 200)
+        curves = {
+            "t_grid": grid,
+            "empirical_density": (_gaussian_kde(t_vals, grid) if t_vals.size > 1
+                                  else [None] * grid.size),
+            "chi2_density": _chi2_pdf(grid, df),
+        }
+        return summary, {"curves": curves}
+
+    return [(design, 0, {})], worker, summarize
 
 
-def _null_constraint(p_dim: int):
-    rows = np.eye(p_dim)[6:]  # coordinates 7 .. p
-    return make_constraint(rows)
+def _study_fig1_power(family, design, smoothing, gammas=POWER_GAMMAS):
+    df, test = _glrt_setup(family, design, smoothing)
+    arms = [(with_beta(design, b7=gamma, b8=gamma), 1000 * gi, {"gamma": gamma})
+            for gi, gamma in enumerate(gammas)]
 
-
-def _study_fig1_null(family, n, reps, seed, smoothing):
-    design = make_design(family, n)
-    constraint = _null_constraint(design.p_dim)
-    cfg = FitConfig(smoothing=smoothing, max_steps=1)
-
-    def worker(rep, rng_seed):
-        data = generate(design, rng_seed)
-        result = glrt(family, data, constraint, cfg)
-        return {"rep": rep, "t_stat": result.statistic, "p_value": result.p_value}
-
-    rows, failures = _run_replicates(reps, seed, worker)
-    t_vals = np.array([r["t_stat"] for r in rows])
-    df = constraint.df
-    summary = {
-        "df": df,
-        "t_stat": MetricSummary.from_samples(t_vals).as_dict(),
-        "rejection_rates": {
-            f"{level:g}": float(np.mean([
-                chi2_upper_tail(t, df) < level for t in t_vals
-            ]))
-            for level in GLRT_LEVELS
-        },
-    }
-    grid = np.linspace(0.0, max(float(t_vals.max()) * 1.05, df * 3.0), 200)
-    curves = {
-        "t_grid": grid,
-        "empirical_density": _gaussian_kde(t_vals, grid),
-        "chi2_density": _chi2_pdf(grid, df),
-    }
-    return rows, summary, failures, {"curves": curves}
-
-
-def _study_fig1_power(family, n, reps, seed, smoothing, gammas=POWER_GAMMAS):
-    base = make_design(family, n)
-    constraint = _null_constraint(base.p_dim)
-    cfg = FitConfig(smoothing=smoothing, max_steps=1)
-
-    rows_all, failures_all = [], []
-    power = {level: [] for level in GLRT_LEVELS}
-    for gi, gamma in enumerate(gammas):
-        design = with_beta(base, b7=gamma, b8=gamma)
-
-        def worker(rep, rng_seed, design=design, gamma=gamma):
-            data = generate(design, rng_seed)
-            result = glrt(family, data, constraint, cfg)
-            row = {"rep": rep, "gamma": gamma, "t_stat": result.statistic}
-            for level in GLRT_LEVELS:
-                row[f"reject_{level:g}"] = int(result.p_value < level)
-            return row
-
-        rows, failures = _run_replicates(reps, seed + 1000 * gi, worker)
-        rows_all.extend(rows)
-        failures_all.extend(failures)
+    def worker(data):
+        result = test(data)
+        row = {"t_stat": result.statistic}
         for level in GLRT_LEVELS:
-            power[level].append(float(np.mean([r[f"reject_{level:g}"] for r in rows])))
+            row[f"reject_{level:g}"] = int(result.p_value < level)
+        return row
 
-    summary = {
-        "gammas": list(gammas),
-        "power": {f"{level:g}": power[level] for level in GLRT_LEVELS},
-        "df": constraint.df,
-    }
-    curves = {"gamma": np.asarray(gammas)}
-    for level in GLRT_LEVELS:
-        curves[f"power_alpha_{level:g}"] = np.asarray(power[level])
-    return rows_all, summary, failures_all, {"power_curves": curves}
+    def summarize(rows):
+        curves = {"gamma": np.asarray(gammas)}
+        for level in GLRT_LEVELS:
+            curves[f"power_alpha_{level:g}"] = np.array([
+                np.mean([r[f"reject_{level:g}"] for r in rows if r["gamma"] == gamma])
+                for gamma in gammas])
+        power = {f"{level:g}": curves[f"power_alpha_{level:g}"].tolist()
+                 for level in GLRT_LEVELS}
+        summary = {"gammas": list(gammas), "power": power, "df": df}
+        return summary, {"power_curves": curves}
+
+    return arms, worker, summarize
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +374,22 @@ def run_table(
     """
     if study not in _STUDY_FUNCS:
         raise StudyError(f"unknown study {study!r}; choose from {STUDIES}")
-    reps = DEFAULT_REPS[study] if reps is None else int(reps)
-    if reps < 1:
-        raise StudyError("reps must be >= 1")
-    smoothing = _smoothing_for(family, n, h, delta, use_cv, seed)
-    rows, summary, failures, extras = _STUDY_FUNCS[study](
-        family, n, reps, seed, smoothing, **study_kwargs
-    )
+    reps = DEFAULT_REPS[study] if reps is None else reps
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+        raise StudyError(f"reps must be an integer >= 1, got {reps!r}")
+    unknown = sorted(set(study_kwargs) - ({"gammas"} if study == "fig1_power" else set()))
+    if unknown:
+        raise StudyError(f"study {study!r} takes no argument {', '.join(unknown)}")
+    design = make_design(family, n)
+    smoothing = _smoothing_for(design, h, delta, use_cv, seed)
+    arms, worker, summarize = _STUDY_FUNCS[study](family, design, smoothing, **study_kwargs)
+    rows, failures = _run_replicates(arms, reps, seed, worker)
+    summary, extras = summarize(rows)
     report = {
         "study": study,
         "family": family,
         "n": n,
-        "reps": reps,
+        "reps": int(reps),
         "seed": seed,
         "smoothing": {"h": smoothing.h, "delta": smoothing.delta,
                       "degree": smoothing.degree},
@@ -395,16 +400,14 @@ def run_table(
     report.update(extras)
     report["replicates"] = rows
     if out_dir is not None:
-        _write_report(Path(out_dir), report)
+        _write_report(Path(out_dir), report, extras)
     return report
 
 
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):   # bool is an int
         return str(int(value))
     return repr(float(value))
 
@@ -418,7 +421,7 @@ def write_csv(path, header, rows_of_values) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_report(out_dir: Path, report: dict) -> None:
+def _write_report(out_dir: Path, report: dict, extras: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     study = report["study"]
     rows = report["replicates"]
@@ -426,16 +429,12 @@ def _write_report(out_dir: Path, report: dict) -> None:
         header = sorted(rows[0].keys())
         write_csv(out_dir / f"{study}_replicates.csv", header,
                   ([row[k] for k in header] for row in rows))
-    meta = {k: v for k, v in report.items()
-            if k not in ("replicates", "curves", "power_curves")}
+    meta = {k: v for k, v in report.items() if k != "replicates" and k not in extras}
     (out_dir / f"{study}_summary.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2, default=float) + "\n",
         encoding="utf-8",
     )
-    for key in ("curves", "power_curves"):
-        if key in report:
-            table = report[key]
-            names = list(table.keys())
-            columns = [np.asarray(table[name]) for name in names]
-            write_csv(out_dir / f"{study}_{key}.csv", names,
-                      (list(vals) for vals in zip(*columns)))
+    for key, table in extras.items():
+        columns = [np.asarray(column) for column in table.values()]
+        write_csv(out_dir / f"{study}_{key}.csv", list(table),
+                  (list(vals) for vals in zip(*columns)))

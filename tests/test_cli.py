@@ -422,6 +422,22 @@ class TestSimulateCommand:
         assert payload["reps"] == 2
         assert (tmp_path / "table2_replicates.csv").exists()
 
+    @pytest.mark.parametrize("args", [("--family", "gaussian"), ("--n", "0"), ("--n", "-5")])
+    def test_no_design_exits_2(self, tmp_path, capsys, args):
+        code = run_cli("simulate", "--study", "table4", "--reps", "2", *args,
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_zero_reps_exit_2_naming_the_key(self, tmp_path, capsys, given):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"simulate": {"reps": 0}}))
+        args = ("--reps", "0") if given == "flag" else ("--config", str(config))
+        code = run_cli("simulate", "--study", "table2", *args, "--out", str(tmp_path))
+        assert code == 2
+        assert "simulate.reps" in capsys.readouterr().err
+
 
 # per flag: its command-line text and the JSON value a config file holds for it
 FLAG_SAMPLES = {

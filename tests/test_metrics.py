@@ -77,6 +77,10 @@ class TestSummaries:
         assert s.sd == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
         assert s.as_dict()["median"] == pytest.approx(2.5)
 
+    def test_single_sample_has_no_sd(self):
+        s = g.MetricSummary.from_samples([3.0])
+        assert (s.median, s.sd_mad, s.mean, s.sd) == (3.0, 0.0, 3.0, None)
+
     def test_ar1_moment(self):
         m = g.ar1_moment(3, 0.5)
         np.testing.assert_allclose(

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 from pathlib import Path
@@ -105,6 +106,25 @@ class TestRunTableSmoke:
         with pytest.raises(StudyError):
             g.run_table("table2", reps=0)
 
+    @pytest.mark.parametrize("reps", [2.7, True])
+    def test_reps_not_an_integer(self, reps):
+        with pytest.raises(StudyError, match="reps must be an integer"):
+            g.run_table("table2", reps=reps)
+
+    def test_argument_of_another_study_named(self):
+        with pytest.raises(StudyError, match="'table4' takes no argument gammas"):
+            g.run_table("table4", reps=1, gammas=(0.1,))
+
+    @pytest.mark.parametrize("study, family, n", [
+        ("table4", "gaussian", 200),   # no simulation design
+        ("table4", "poisson", 0),
+        ("table4", "poisson", -5),
+        ("table2", "poisson", 200.0),
+    ])
+    def test_no_design_ends_in_parameter_error(self, study, family, n):
+        with pytest.raises(g.ParameterError):
+            g.run_table(study, reps=2, family=family, n=n)
+
 
 class TestDeterminism:
     def test_identical_seed_identical_bytes(self, tmp_path):
@@ -130,6 +150,96 @@ class TestDeterminism:
         assert payload["study"] == "table2"
         assert payload["reps"] == 2
         assert payload["n_failures"] == 0
+
+
+def _strict_json(path):
+    """The JSON in path; NaN or Infinity in it fails the test."""
+    def reject(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestOneReplicate:
+    """With one replicate, a statistic that needs two is null, not NaN."""
+
+    @pytest.mark.parametrize("study", studies.STUDIES)
+    def test_summary_is_strict_json(self, tmp_path, study):
+        kwargs = {"gammas": (0.0, 0.2)} if study == "fig1_power" else {}
+        g.run_table(study, reps=1, seed=1, family="poisson", n=200, out_dir=tmp_path,
+                    **kwargs)
+        payload = _strict_json(tmp_path / f"{study}_summary.json")
+        assert (payload["reps"], payload["n_failures"]) == (1, 0)
+
+    def test_sds_and_density_are_empty(self, tmp_path):
+        g.run_table("table4", reps=1, seed=1, family="poisson", n=200, out_dir=tmp_path)
+        g.run_table("fig1_null", reps=1, seed=1, family="poisson", n=200, out_dir=tmp_path)
+        table4 = _strict_json(tmp_path / "table4_summary.json")["summary"]
+        assert {table4[f"beta_{j}"]["mc_sd"] for j in range(1, 11)} == {None}
+        assert _strict_json(tmp_path / "fig1_null_summary.json")["summary"]["t_stat"]["sd"] is None
+        with open(tmp_path / "fig1_null_curves.csv", newline="") as handle:
+            cells = list(csv.DictReader(handle))
+        assert len(cells) == 200
+        assert {row["empirical_density"] for row in cells} == {""}
+        assert all(float(row["chi2_density"]) >= 0.0 for row in cells)
+
+
+class TestReplicateStreams:
+    """Each row is the direct computation on its arm's replicate dataset."""
+
+    @staticmethod
+    def _setup(report):
+        sm = g.SmoothingParams(h=report["smoothing"]["h"],
+                               delta=report["smoothing"]["delta"])
+        return sm, g.make_design("poisson", 200)
+
+    def test_power_rows_are_direct_glrts(self):
+        gammas = (0.0, 0.2)
+        report = g.run_table("fig1_power", reps=2, seed=6, family="poisson", n=200,
+                             gammas=gammas)
+        sm, design = self._setup(report)
+        constraint = g.make_constraint(np.eye(design.p_dim)[6:])
+        cfg = g.FitConfig(smoothing=sm, max_steps=1)
+        rows = report["replicates"]
+        assert [(r["gamma"], r["rep"]) for r in rows] == [(0.0, 0), (0.0, 1), (0.2, 0), (0.2, 1)]
+        for row in rows:
+            gi = gammas.index(row["gamma"])
+            arm = g.with_beta(design, b7=row["gamma"], b8=row["gamma"])
+            data = g.generate(arm, g.replicate_seed(6 + 1000 * gi, row["rep"]))
+            assert row["t_stat"] == g.glrt("poisson", data, constraint, cfg).statistic
+
+    def test_null_rows_are_the_power_rows_at_gamma_zero(self):
+        null = g.run_table("fig1_null", reps=3, seed=7, family="poisson", n=200)
+        power = g.run_table("fig1_power", reps=3, seed=7, family="poisson", n=200,
+                            gammas=(0.0,))
+        assert len(null["replicates"]) == 3
+        for a, b in zip(null["replicates"], power["replicates"], strict=True):
+            assert (a["rep"], a["t_stat"]) == (b["rep"], b["t_stat"])
+            assert b["reject_0.05"] == int(a["p_value"] < 0.05)
+
+    def test_table3_rows_are_direct_fits(self):
+        report = g.run_table("table3", reps=2, seed=3, family="poisson", n=200)
+        sm, design = self._setup(report)
+        moment = g.design_moment(design)
+        for row in report["replicates"]:
+            data = g.generate(design, g.replicate_seed(3, row["rep"]))
+            init = g.fit_dbe("poisson", data, sm.delta).beta0
+            for mult, tag in ((0.66, "0.66"), (1.0, "1"), (1.5, "1.5")):
+                scaled = g.SmoothingParams(h=mult * sm.h, delta=sm.delta)
+                beta = g.fit("poisson", data, g.FitConfig(smoothing=scaled, max_steps=1),
+                             init=init).beta
+                assert row[f"gmse_h{tag}"] == g.gmse(beta, design.beta0, moment)
+                assert row[f"beta5_h{tag}"] == float(beta[4])
+
+    def test_table4_rows_are_direct_fits(self):
+        report = g.run_table("table4", reps=2, seed=4, family="poisson", n=200)
+        sm, design = self._setup(report)
+        for row in report["replicates"]:
+            data = g.generate(design, g.replicate_seed(4, row["rep"]))
+            res = g.fit("poisson", data, g.FitConfig(smoothing=sm, max_steps=1))
+            se = g.sandwich_covariance(res).se
+            coords = range(1, design.p_dim + 1)
+            assert [row[f"beta_{j}"] for j in coords] == res.beta.tolist()
+            assert [row[f"se_{j}"] for j in coords] == se.tolist()
 
 
 class TestBenchmarkBehavior:
@@ -169,6 +279,38 @@ class TestFailureAccounting:
         monkeypatch.setattr(studies, "fit_dbe", boom)
         with pytest.raises(StudyError):
             g.run_table("table2", reps=3, seed=1, family="poisson", n=200)
+
+    @staticmethod
+    def _fail_power_replicate(monkeypatch, seed, rep):
+        """studies.glrt raises on replicate rep of fig1_power's gamma = 0.2 arm,
+        the second arm, drawn at seed offset 1000."""
+        arm = g.with_beta(g.make_design("poisson", 200), b7=0.2, b8=0.2)
+        target = g.generate(arm, g.replicate_seed(seed + 1000, rep)).u
+        glrt = studies.glrt
+
+        def flaky(family, data, *args, **kwargs):
+            if np.array_equal(data.u, target):
+                raise g.SingularityError("forced failure")
+            return glrt(family, data, *args, **kwargs)
+
+        monkeypatch.setattr(studies, "glrt", flaky)
+
+    def test_failures_bounded_per_arm(self, monkeypatch):
+        # 1 of the arm's 5 replicates is 20%, over the limit, although 1 of
+        # the study's 10 is not
+        self._fail_power_replicate(monkeypatch, seed=8, rep=2)
+        with pytest.raises(StudyError, match="1 of 5 replicates failed"):
+            g.run_table("fig1_power", reps=5, seed=8, family="poisson", n=200,
+                        gammas=(0.0, 0.2))
+
+    def test_failure_logged_and_its_row_left_out(self, monkeypatch):
+        self._fail_power_replicate(monkeypatch, seed=8, rep=3)
+        report = g.run_table("fig1_power", reps=10, seed=8, family="poisson", n=200,
+                             gammas=(0.0, 0.2))
+        assert report["failures"] == [{"rep": 3, "error": "SingularityError: forced failure"}]
+        assert report["n_failures"] == 1
+        assert [(r["gamma"], r["rep"]) for r in report["replicates"]] == (
+            [(0.0, k) for k in range(10)] + [(0.2, k) for k in range(10) if k != 3])
 
 
 class TestCrossValidatedSmoothing:
