@@ -11,7 +11,7 @@ import numpy as np
 
 import gvcplm as g
 
-design = g.poisson_design(n=200, seed=7)
+design = g.make_design("poisson", 200, seed=7)
 data = g.generate(design)
 print(f"n = {data.n}, curve covariates q = {data.n_curves}, "
       f"linear covariates p = {design.p_dim}")

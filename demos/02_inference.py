@@ -10,7 +10,7 @@ import numpy as np
 
 import gvcplm as g
 
-design = g.bernoulli_design(n=400, seed=3)
+design = g.make_design("bernoulli", 400, seed=3)
 data = g.generate(design)
 delta, h = g.preset_smoothing("bernoulli", 400)
 smoothing = g.SmoothingParams(h=h, delta=delta)

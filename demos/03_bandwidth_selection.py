@@ -10,7 +10,7 @@ import numpy as np
 
 import gvcplm as g
 
-design = g.poisson_design(n=200, seed=11)
+design = g.make_design("poisson", 200, seed=11)
 data = g.generate(design)
 
 grid = [(delta, h) for delta in (0.05, 0.1) for h in (0.05, 0.1, 0.2, 0.4)]

@@ -62,12 +62,10 @@ from .profile import (
 )
 from .simulate import (
     SimDesign,
-    bernoulli_design,
     design_moment,
     generate,
     make_design,
     parametric_dimension,
-    poisson_design,
     preset_smoothing,
     replicate_seed,
     with_beta,
@@ -113,7 +111,6 @@ __all__ = [
     "SmoothingParams",
     "StudyError",
     "ar1_moment",
-    "bernoulli_design",
     "chi2_upper_tail",
     "cross_validate",
     "default_grid",
@@ -132,7 +129,6 @@ __all__ = [
     "make_design",
     "metrics",
     "parametric_dimension",
-    "poisson_design",
     "preset_smoothing",
     "rase",
     "replicate_seed",

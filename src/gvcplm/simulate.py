@@ -1,10 +1,16 @@
 """Data generators for the benchmark simulation designs.
 
-Both designs share the covariate law: u uniform on (0, 1); the linear
+Every design shares the covariate law: u uniform on (0, 1); the linear
 covariates z and the second curve covariate x2 jointly normal with mean zero
 and covariance 0.5^|i-j| (z first, x2 last); x1 identically one.  The
 parametric dimension grows with the sample size as floor(1.8 n^(1/3)), and
 the true coefficient vector is padded with zeros to that length.
+
+The designs are one table, _DESIGNS, read only through the checked lookup
+_design: per family, the leading beta, (alpha1, alpha2) and the response
+draw (rng, linear predictor) -> y.  make_design, generate and
+preset_smoothing all go through it, so a new design is one record plus its
+PRESET_H and PRESET_DELTA entries.
 
 Poisson design:   log mu = alpha1(u) + alpha2(u) x2 + z' beta,
                   alpha1(u) = 4 + sin(2 pi u), alpha2(u) = 2 u (1 - u),
@@ -19,18 +25,53 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ParameterError
 from .metrics import ar1_moment
+from .smoothing import _is_integer
 
-_POISSON_BETA = (0.5, 0.3, -0.5, 1.0, 0.1, -0.25)
-_BERNOULLI_BETA = (3.0, 1.0, -2.0, 0.5, 2.0, -2.0)
+
+class _Design(NamedTuple):
+    beta: Tuple[float, ...]   # leading coefficients; the rest of beta0 is zero
+    alpha_funcs: Tuple[Callable, Callable]
+    draw: Callable            # (rng, linear predictor) -> y
+
+
+_DESIGNS = {
+    "poisson": _Design(
+        beta=(0.5, 0.3, -0.5, 1.0, 0.1, -0.25),
+        alpha_funcs=(
+            lambda u: 4.0 + np.sin(2.0 * np.pi * np.asarray(u, float)),
+            lambda u: 2.0 * np.asarray(u, float) * (1.0 - np.asarray(u, float)),
+        ),
+        draw=lambda rng, lp: rng.poisson(np.exp(np.clip(lp, None, 30.0))),
+    ),
+    "bernoulli": _Design(
+        beta=(3.0, 1.0, -2.0, 0.5, 2.0, -2.0),
+        alpha_funcs=(
+            lambda u: 2.0 * (np.asarray(u, float) ** 3
+                             + 2.0 * np.asarray(u, float) ** 2
+                             - 2.0 * np.asarray(u, float)),
+            lambda u: 2.0 * np.cos(2.0 * np.pi * np.asarray(u, float)),
+        ),
+        draw=lambda rng, lp: rng.binomial(1, _expit(lp)),
+    ),
+}
+
+
+def _design(family: str, n) -> _Design:
+    """The table's record of family, once n is an integer >= 1."""
+    if not _is_integer(n) or n < 1:
+        raise ParameterError(f"sample size n must be an integer >= 1, got {n!r}")
+    if not isinstance(family, str) or family not in _DESIGNS:
+        raise ParameterError(f"no simulation design for family {family!r}")
+    return _DESIGNS[family]
+
 
 # bandwidths and transform offsets selected by 5-fold cross-validation for
 # the benchmark designs; studies use them directly unless CV is re-enabled
@@ -69,56 +110,16 @@ class SimDesign:
         object.__setattr__(self, "beta0", beta0)
 
 
-def _pad(values, p_dim: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.size > p_dim:
-        raise ParameterError(
-            f"design needs p >= {values.size}, got {p_dim} (sample size too small)"
-        )
-    return np.concatenate([values, np.zeros(p_dim - values.size)])
-
-
-def poisson_design(n: int, seed: int = 0) -> SimDesign:
-    p = parametric_dimension(n)
-    return SimDesign(
-        family_name="poisson",
-        n=n,
-        p_dim=p,
-        beta0=_pad(_POISSON_BETA, p),
-        alpha_funcs=(
-            lambda u: 4.0 + np.sin(2.0 * np.pi * np.asarray(u, float)),
-            lambda u: 2.0 * np.asarray(u, float) * (1.0 - np.asarray(u, float)),
-        ),
-        seed=seed,
-    )
-
-
-def bernoulli_design(n: int, seed: int = 0) -> SimDesign:
-    p = parametric_dimension(n)
-    return SimDesign(
-        family_name="bernoulli",
-        n=n,
-        p_dim=p,
-        beta0=_pad(_BERNOULLI_BETA, p),
-        alpha_funcs=(
-            lambda u: 2.0 * (np.asarray(u, float) ** 3
-                             + 2.0 * np.asarray(u, float) ** 2
-                             - 2.0 * np.asarray(u, float)),
-            lambda u: 2.0 * np.cos(2.0 * np.pi * np.asarray(u, float)),
-        ),
-        seed=seed,
-    )
-
-
 def make_design(family: str, n: int, seed: int = 0) -> SimDesign:
     """The benchmark design of family at sample size n, an integer >= 1."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ParameterError(f"sample size n must be an integer >= 1, got {n!r}")
-    if family == "poisson":
-        return poisson_design(n, seed)
-    if family == "bernoulli":
-        return bernoulli_design(n, seed)
-    raise ParameterError(f"no simulation design for family {family!r}")
+    record = _design(family, n)
+    p = parametric_dimension(n)
+    if len(record.beta) > p:
+        raise ParameterError(
+            f"design needs p >= {len(record.beta)}, got {p} (sample size too small)"
+        )
+    beta0 = np.concatenate([record.beta, np.zeros(p - len(record.beta))])
+    return SimDesign(family, n, p, beta0, record.alpha_funcs, seed)
 
 
 def with_beta(design: SimDesign, **coordinate_values) -> SimDesign:
@@ -153,6 +154,7 @@ def generate(design: SimDesign, seed=None) -> Dataset:
     normal arguments (38,656 of 2,000,000 at sd 4, on AVX-512), and a mean
     one ulp off can flip a draw.
     """
+    record = _design(design.family_name, design.n)
     if seed is None:
         seed = design.seed
     rng = np.random.default_rng(seed)
@@ -165,12 +167,7 @@ def generate(design: SimDesign, seed=None) -> Dataset:
     x = np.column_stack([np.ones(n), x2])
     alpha1, alpha2 = design.alpha_funcs
     lp = alpha1(u) + alpha2(u) * x2 + z @ design.beta0
-    if design.family_name == "poisson":
-        y = rng.poisson(np.exp(np.clip(lp, None, 30.0))).astype(float)
-    elif design.family_name == "bernoulli":
-        y = rng.binomial(1, _expit(lp)).astype(float)
-    else:
-        raise ParameterError(f"cannot sample family {design.family_name!r}")
+    y = record.draw(rng, lp).astype(float)
     return Dataset(u=u, x=x, z=z, y=y)
 
 
@@ -189,7 +186,10 @@ def _expit_scalar(v: float) -> float:
 
 
 def replicate_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
-    """Counter-based child stream: serial and parallel runs see identical data."""
+    """Counter-based child stream: serial and parallel runs see identical data.
+    master_seed must be an integer >= 0."""
+    if not _is_integer(master_seed) or master_seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {master_seed!r}")
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,))
 
 
@@ -199,6 +199,7 @@ def preset_smoothing(family: str, n: int):
     Sample sizes without a recorded bandwidth fall back to n^(-1/5) scaling
     from the nearest recorded size.
     """
+    _design(family, n)
     table = PRESET_H[family]
     delta = PRESET_DELTA[family]
     if n in table:

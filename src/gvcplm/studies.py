@@ -31,15 +31,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import time
 from pathlib import Path
 
 import numpy as np
 
 from .dbe import fit_dbe
-from .errors import GvcplmError, StudyError
-from .inference import chi2_upper_tail, glrt, make_constraint, sandwich_covariance
+from .errors import GvcplmError, ParameterError, StudyError
+from .inference import glrt, make_constraint, sandwich_covariance
 from .metrics import MetricSummary, gmse, rase, sample_sd, sd_mad
 from .profile import FitConfig, fit as profile_fit
 from .simulate import (
@@ -50,7 +49,7 @@ from .simulate import (
     replicate_seed,
     with_beta,
 )
-from .smoothing import SmoothingParams, fit_curve
+from .smoothing import SmoothingParams, _is_integer, fit_curve
 from .crossval import cross_validate, default_smoothing_grid
 
 STUDIES = ("table1", "table2", "table3", "table4", "fig1_null", "fig1_power")
@@ -267,9 +266,7 @@ def _study_fig1_null(family, design, smoothing):
             "df": df,
             "t_stat": MetricSummary.from_samples(t_vals).as_dict(),
             "rejection_rates": {
-                f"{level:g}": float(np.mean([
-                    chi2_upper_tail(t, df) < level for t in t_vals
-                ]))
+                f"{level:g}": float(np.mean([r["p_value"] < level for r in rows]))
                 for level in GLRT_LEVELS
             },
         }
@@ -375,11 +372,13 @@ def run_table(
     if study not in _STUDY_FUNCS:
         raise StudyError(f"unknown study {study!r}; choose from {STUDIES}")
     reps = DEFAULT_REPS[study] if reps is None else reps
-    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+    if not _is_integer(reps) or reps < 1:
         raise StudyError(f"reps must be an integer >= 1, got {reps!r}")
     unknown = sorted(set(study_kwargs) - ({"gammas"} if study == "fig1_power" else set()))
     if unknown:
         raise StudyError(f"study {study!r} takes no argument {', '.join(unknown)}")
+    if not _is_integer(seed) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     design = make_design(family, n)
     smoothing = _smoothing_for(design, h, delta, use_cv, seed)
     arms, worker, summarize = _STUDY_FUNCS[study](family, design, smoothing, **study_kwargs)

@@ -189,7 +189,7 @@ class TestCriterion8Properties:
                  f"max mean-score norm {worst:.3f} < {bound:.3f}")
 
     def test_glrt_rowspace_invariance(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         data = g.generate(design, seed=g.replicate_seed(MASTER_SEED, 1))
         cfg = FitConfig(smoothing=SmoothingParams(h=0.1, delta=0.1), max_steps=30)
         fit_alt = g.fit("poisson", data, cfg)
@@ -204,7 +204,7 @@ class TestCriterion8Properties:
                  f"|T - T_remixed| = {gap:.2e}")
 
     def test_monotone_ascent_trace(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         data = g.generate(design, seed=g.replicate_seed(MASTER_SEED, 2))
         ok = True
         for alg in ("backfitting", "accelerated", "full"):
@@ -238,7 +238,7 @@ class TestCriterion8Properties:
                  f"max annihilation residual {worst:.1e}, permutation gap {gap:.1e}")
 
     def test_cv_determinism(self):
-        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(MASTER_SEED, 3))
+        data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(MASTER_SEED, 3))
         grid = [(0.1, 0.08), (0.1, 0.15)]
         a = g.cross_validate("poisson", data, grid=grid, k=4, seed=17)
         b = g.cross_validate("poisson", data, grid=grid, k=4, seed=17)

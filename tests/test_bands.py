@@ -369,7 +369,7 @@ def test_tiles_agree_with_dense_reference(problem):
 
 
 def _poisson_data(n=400, seed=5):
-    design = g.poisson_design(n)
+    design = g.make_design("poisson", n)
     return design, g.generate(design, seed=g.replicate_seed(seed, 1))
 
 

@@ -29,7 +29,7 @@ def _numeric_table_of(path):
 
 class TestDatasetCsv:
     def test_roundtrip_is_bit_exact(self, tmp_path):
-        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(71, 0))
+        data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(71, 0))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
         back = read_dataset_csv(path, "u", "y",
@@ -72,7 +72,7 @@ class TestDatasetCsv:
     def test_numeric_table_is_the_cell_reader_bit_for_bit(self, tmp_path, monkeypatch):
         # a plain table of numbers is parsed in one pass; the cell-by-cell
         # reader, forced by a table parser that never takes, is the reference
-        data = g.generate(g.poisson_design(1500), seed=g.replicate_seed(73, 0))
+        data = g.generate(g.make_design("poisson", 1500), seed=g.replicate_seed(73, 0))
         table = np.column_stack([data.u, data.x, data.z, data.y])
         header = ["u", "x1", "x2", *(f"z{j+1}" for j in range(data.n_linear)), "y"]
         path = tmp_path / "d.csv"
@@ -151,7 +151,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_numerical_failure_exits_4(self, tmp_path, capsys):
-        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(73, 0))
+        data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(73, 0))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
         code = run_cli("fit", "--data", str(path), "--family", "poisson",
@@ -182,7 +182,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch):
-        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(73, 0))
+        data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(73, 0))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
 
@@ -262,7 +262,7 @@ class TestCommandsReadFitState:
 
 class TestFitCommand:
     def test_fit_on_generated_poisson_csv(self, tmp_path):
-        design = g.poisson_design(400)
+        design = g.make_design("poisson", 400)
         data = g.generate(design, seed=g.replicate_seed(79, 2))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
@@ -285,7 +285,7 @@ class TestFitCommand:
         assert len(curve_lines) == 201
 
     def test_roundtrip_matches_in_process_fit(self, tmp_path):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         data = g.generate(design, seed=g.replicate_seed(83, 0))
         out = tmp_path / "sim"
         code = run_cli("simulate", "--family", "poisson", "--n", "200",
@@ -321,7 +321,7 @@ class TestFitCommand:
 
 class TestTestCommand:
     def test_reports_glrt_payload(self, tmp_path):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         data = g.generate(design, seed=g.replicate_seed(89, 0))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
@@ -341,7 +341,7 @@ class TestTestCommand:
 
 class TestCvCommand:
     def test_writes_report_and_scores(self, tmp_path):
-        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(97, 0))
+        data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(97, 0))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
         znames = ",".join(f"z{j+1}" for j in range(10))
@@ -368,7 +368,7 @@ class TestCvCommand:
         assert report["best"]["delta"] == 0.05
 
     def test_report_names_failure_reason(self, tmp_path):
-        data = g.generate(g.poisson_design(200), seed=g.replicate_seed(97, 0))
+        data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(97, 0))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data)
         znames = ",".join(f"z{j+1}" for j in range(10))
@@ -393,6 +393,14 @@ class TestCvCommand:
                 (tmp_path / "cv_scores.csv").read_text().splitlines()[1:]]
         assert [row[0] for row in rows] == ["0.05"] * 10
         assert [float(row[1]) for row in rows] == list(g.default_h_grid(data))
+
+    # fit cross-validates when no h is given, with the same fold seed
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        code = run_cli(command, *args, "--h-grid", "0.08", "--delta", "0.1", "--seed", "-1")
+        assert code == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
     def test_cells_fit_with_the_run_settings(self, tmp_path, monkeypatch):
         _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
@@ -428,6 +436,14 @@ class TestSimulateCommand:
                        "--out", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("emit", [(), ("--emit-csv",)], ids=["study", "emit-csv"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, emit):
+        code = run_cli("simulate", "--study", "table2", "--reps", "1", "--seed", "-1",
+                       *emit, "--out", str(tmp_path))
+        assert code == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_zero_reps_exit_2_naming_the_key(self, tmp_path, capsys, given):

@@ -7,7 +7,7 @@ from gvcplm.smoothing import SmoothingParams
 
 
 def _poisson_data(n=200, rep=0):
-    return g.generate(g.poisson_design(n), seed=g.replicate_seed(61, rep))
+    return g.generate(g.make_design("poisson", n), seed=g.replicate_seed(61, rep))
 
 
 class TestCrossValidate:
@@ -63,7 +63,7 @@ class TestCrossValidate:
     def test_parameter_error_is_raised_not_recorded(self):
         # a delta-less bernoulli grid is a configuration mistake, not a
         # failed cell
-        data = g.generate(g.bernoulli_design(200), seed=g.replicate_seed(67, 0))
+        data = g.generate(g.make_design("bernoulli", 200), seed=g.replicate_seed(67, 0))
         with pytest.raises(ParameterError, match="delta"):
             g.cross_validate("bernoulli", data, grid=[(None, 0.3), (None, 0.5)],
                              k=3, seed=1)
@@ -77,6 +77,12 @@ class TestCrossValidate:
         data = _poisson_data()
         with pytest.raises(ParameterError):
             g.cross_validate("poisson", data, grid=[(0.1, 0.1)], k=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_seed_not_a_count(self, seed):
+        data = _poisson_data()
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            g.cross_validate("poisson", data, grid=[(0.1, 0.1)], k=3, seed=seed)
 
     def test_more_folds_than_observations(self):
         # k > n would leave a fold empty and spend a fit on the full data
@@ -203,7 +209,7 @@ class TestSelectedBandwidthBands:
         hits = 0
         reps = 20
         for rep in range(reps):
-            data = g.generate(g.bernoulli_design(400), seed=g.replicate_seed(67, rep))
+            data = g.generate(g.make_design("bernoulli", 400), seed=g.replicate_seed(67, rep))
             report = g.cross_validate("bernoulli", data, grid=grid, k=5, seed=rep)
             if 0.4 / 1.5 <= report.best.h <= 0.4 * 1.5:
                 hits += 1

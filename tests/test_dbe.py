@@ -68,7 +68,7 @@ class TestFitDbe:
     def test_gaussian_benchmark_design_beats_noise_floor(self):
         # gaussian variant of the benchmark design: the converged fit should
         # reduce the difference-based GMSE by far more than half
-        design = g.poisson_design(400)
+        design = g.make_design("poisson", 400)
         gen = np.random.default_rng(9)
         u = gen.uniform(0, 1, 400)
         chol = np.linalg.cholesky(g.ar1_moment(design.p_dim + 1))
@@ -91,7 +91,7 @@ class TestFitDbe:
     def test_poisson_initializer_is_consistent_enough(self):
         # calibration run: the start lands within Euclidean distance 1.5 of
         # the truth in at least 90% of replicates
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         hits = 0
         reps = 50
         for rep in range(reps):

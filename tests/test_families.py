@@ -148,7 +148,7 @@ class TestBartlettMeanScore:
             assert self._mean_score_norm("gaussian", data, beta0, sm) < bound
 
     def test_bernoulli_design(self):
-        design = g.bernoulli_design(200)
+        design = g.make_design("bernoulli", 200)
         bound = 5.0 * np.sqrt(design.p_dim / design.n)
         sm = g.SmoothingParams(h=0.45, delta=0.005)
         for rep in range(20):

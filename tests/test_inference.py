@@ -223,7 +223,7 @@ class TestGlrt:
         np.testing.assert_allclose(con.a @ res.beta_null, 0.0, atol=1e-10)
 
     def test_statistic_nonnegative_and_invariant_to_row_mixing(self, rng):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         data = g.generate(design, seed=g.replicate_seed(53, 0))
         cfg = FitConfig(smoothing=SmoothingParams(h=0.1, delta=0.1), max_steps=30)
         fit_alt = g.fit("poisson", data, cfg)
@@ -248,7 +248,7 @@ class TestGlrt:
         assert res.p_value_one_sided == pytest.approx(res.p_value / 2)
 
     def test_null_estimate_satisfies_constraint(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         data = g.generate(design, seed=g.replicate_seed(59, 0))
         cfg = FitConfig(smoothing=SmoothingParams(h=0.1, delta=0.1), max_steps=3)
         con = g.make_constraint(np.eye(design.p_dim)[6:])

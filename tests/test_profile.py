@@ -60,7 +60,7 @@ class TestProfileObjective:
                 assert _objective(engine, beta) <= base + 1e-9
 
     def test_truth_beats_zero_on_poisson_replicates(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         sm = SmoothingParams(h=0.1, delta=0.1)
         for rep in range(20):
             data = g.generate(design, seed=g.replicate_seed(17, rep))
@@ -237,7 +237,7 @@ class TestFit:
             g.fit("gaussian", data, config, init=init)
 
     def test_monotone_ascent_trace(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         sm = SmoothingParams(h=0.1, delta=0.1)
         for alg in ("backfitting", "accelerated", "full"):
             cfg = FitConfig(smoothing=sm, algorithm=alg, max_steps=5)
@@ -249,7 +249,7 @@ class TestFit:
             assert res.algorithm_used == alg
 
     def test_algorithm_agreement_on_benchmark_poisson(self):
-        design = g.poisson_design(400)
+        design = g.make_design("poisson", 400)
         data = g.generate(design, seed=g.replicate_seed(47, 0))
         sm = SmoothingParams(h=0.08, delta=0.1)
         accel = g.fit("poisson", data, FitConfig(smoothing=sm, max_steps=50))

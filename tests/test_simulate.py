@@ -15,28 +15,28 @@ class TestParametricDimension:
 
 class TestDesigns:
     def test_poisson_beta_padding(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         assert design.p_dim == 10
         np.testing.assert_allclose(design.beta0[:6],
                                    [0.5, 0.3, -0.5, 1.0, 0.1, -0.25])
         np.testing.assert_allclose(design.beta0[6:], 0.0)
 
     def test_bernoulli_beta_padding(self):
-        design = g.bernoulli_design(400)
+        design = g.make_design("bernoulli", 400)
         assert design.p_dim == 13
         np.testing.assert_allclose(design.beta0[:6], [3, 1, -2, 0.5, 2, -2])
 
     def test_alpha_functions(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         a1, a2 = design.alpha_funcs
         assert a1(0.25) == pytest.approx(5.0)
         assert a2(0.5) == pytest.approx(0.5)
-        b1, b2 = g.bernoulli_design(200).alpha_funcs
+        b1, b2 = g.make_design("bernoulli", 200).alpha_funcs
         assert b1(1.0) == pytest.approx(2.0)
         assert b2(0.5) == pytest.approx(-2.0)
 
     def test_with_beta_replaces_coordinates(self):
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         alt = g.with_beta(design, b7=0.2, b8=0.2)
         assert alt.beta0[6] == alt.beta0[7] == 0.2
         assert design.beta0[6] == 0.0
@@ -44,50 +44,23 @@ class TestDesigns:
     def test_with_beta_rejects_missing_coordinate(self):
         # b8 needs p >= 8; n = 60 gives p = 7
         with pytest.raises(ParameterError, match="b8"):
-            g.with_beta(g.poisson_design(60), b7=0.1, b8=0.1)
+            g.with_beta(g.make_design("poisson", 60), b7=0.1, b8=0.1)
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             g.make_design("gamma", 200)
 
-
-class TestGenerate:
-    def test_reproducible(self):
-        design = g.poisson_design(200)
-        a = g.generate(design, seed=g.replicate_seed(3, 0))
-        b = g.generate(design, seed=g.replicate_seed(3, 0))
-        np.testing.assert_array_equal(a.y, b.y)
-        np.testing.assert_array_equal(a.z, b.z)
-        c = g.generate(design, seed=g.replicate_seed(3, 1))
-        assert not np.array_equal(a.y, c.y)
-
-    def test_shapes_and_domains(self):
-        design = g.bernoulli_design(400)
-        data = g.generate(design, seed=1)
-        assert data.x.shape == (400, 2)
-        assert data.z.shape == (400, 13)
-        np.testing.assert_allclose(data.x[:, 0], 1.0)
-        assert set(np.unique(data.y)) <= {0.0, 1.0}
-        assert data.u.min() >= 0.0 and data.u.max() <= 1.0
-
-    def test_covariate_covariance_matches_target(self):
-        design = g.poisson_design(200)
-        big = g.SimDesign("poisson", 10000, design.p_dim, design.beta0,
-                          design.alpha_funcs, seed=0)
-        data = g.generate(big, seed=12345)
-        joint = np.column_stack([data.z, data.x[:, 1]])
-        emp = np.cov(joint, rowvar=False)
-        target = g.ar1_moment(design.p_dim + 1)
-        assert np.max(np.abs(emp - target)) < 0.05
-
-    def test_poisson_responses_nonnegative_integers(self):
-        data = g.generate(g.poisson_design(200), seed=7)
-        assert np.all(data.y >= 0)
-        np.testing.assert_array_equal(data.y, np.round(data.y))
+    def test_generate_rejects_a_family_with_no_design(self):
+        design = g.make_design("poisson", 200)
+        gaussian = g.SimDesign("gaussian", 200, design.p_dim, design.beta0,
+                               design.alpha_funcs)
+        with pytest.raises(ParameterError, match="gaussian"):
+            g.generate(gaussian, seed=1)
 
 
-def _expit_reference_generate(design, seed):
-    """The generator with scipy.special.expit for the bernoulli means."""
+def _reference_generate(design, seed):
+    """The generator written out per family: scipy.special.expit for the
+    bernoulli means, exp clipped at 30 for the poisson means."""
     from scipy import special
 
     rng = np.random.default_rng(seed)
@@ -98,8 +71,60 @@ def _expit_reference_generate(design, seed):
     z, x2 = zx[:, :p], zx[:, p]
     alpha1, alpha2 = design.alpha_funcs
     lp = alpha1(u) + alpha2(u) * x2 + z @ design.beta0
-    y = rng.binomial(1, special.expit(lp)).astype(float)
+    if design.family_name == "bernoulli":
+        y = rng.binomial(1, special.expit(lp)).astype(float)
+    else:
+        y = rng.poisson(np.exp(np.clip(lp, None, 30.0))).astype(float)
     return u, np.column_stack([np.ones(n), x2]), z, y
+
+
+class TestGenerate:
+    def test_reproducible(self):
+        design = g.make_design("poisson", 200)
+        a = g.generate(design, seed=g.replicate_seed(3, 0))
+        b = g.generate(design, seed=g.replicate_seed(3, 0))
+        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a.z, b.z)
+        c = g.generate(design, seed=g.replicate_seed(3, 1))
+        assert not np.array_equal(a.y, c.y)
+
+    def test_shapes_and_domains(self):
+        design = g.make_design("bernoulli", 400)
+        data = g.generate(design, seed=1)
+        assert data.x.shape == (400, 2)
+        assert data.z.shape == (400, 13)
+        np.testing.assert_allclose(data.x[:, 0], 1.0)
+        assert set(np.unique(data.y)) <= {0.0, 1.0}
+        assert data.u.min() >= 0.0 and data.u.max() <= 1.0
+
+    def test_covariate_covariance_matches_target(self):
+        design = g.make_design("poisson", 200)
+        big = g.SimDesign("poisson", 10000, design.p_dim, design.beta0,
+                          design.alpha_funcs, seed=0)
+        data = g.generate(big, seed=12345)
+        joint = np.column_stack([data.z, data.x[:, 1]])
+        emp = np.cov(joint, rowvar=False)
+        target = g.ar1_moment(design.p_dim + 1)
+        assert np.max(np.abs(emp - target)) < 0.05
+
+    def test_poisson_responses_nonnegative_integers(self):
+        data = g.generate(g.make_design("poisson", 200), seed=7)
+        assert np.all(data.y >= 0)
+        np.testing.assert_array_equal(data.y, np.round(data.y))
+
+    # the draws are the ones of the generator written out per family
+    @pytest.mark.parametrize("family,n", [(family, n) for family in ("bernoulli", "poisson")
+                                          for n in (60, 200, 1500)])
+    def test_draws_match_a_reference_generator(self, family, n):
+        design = g.make_design(family, n)
+        for rep in range(20):
+            seed = g.replicate_seed(20260, rep)
+            data = g.generate(design, seed)
+            u, x, z, y = _reference_generate(design, seed)
+            assert np.array_equal(data.u, u)
+            assert np.array_equal(data.x, x)
+            assert np.array_equal(data.z, z)
+            assert np.array_equal(data.y, y)
 
 
 class TestBernoulliMeans:
@@ -124,18 +149,6 @@ class TestBernoulliMeans:
         assert np.array_equal(got, special.expit(values))
         assert got[-1] == got[-2] == 0.0 and got[0] == got[5] == 0.5
 
-    @pytest.mark.parametrize("n", (60, 200, 1500))
-    def test_draws_match_an_expit_generator(self, n):
-        design = g.bernoulli_design(n)
-        for rep in range(20):
-            seed = g.replicate_seed(20260, rep)
-            data = g.generate(design, seed)
-            u, x, z, y = _expit_reference_generate(design, seed)
-            assert np.array_equal(data.u, u)
-            assert np.array_equal(data.x, x)
-            assert np.array_equal(data.z, z)
-            assert np.array_equal(data.y, y)
-
 
 class TestPresets:
     def test_recorded_values(self):
@@ -147,3 +160,24 @@ class TestPresets:
         delta, h = g.preset_smoothing("poisson", 600)
         assert delta == 0.1
         assert 0.06 < h < 0.09
+
+    @pytest.mark.parametrize("family,n", [
+        ("gaussian", 200),   # no simulation design
+        ("poisson", 0),
+        ("poisson", 200.0),
+        ("poisson", True),
+    ])
+    def test_rejects_what_has_no_design(self, family, n):
+        with pytest.raises(ParameterError):
+            g.preset_smoothing(family, n)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", (-1, 1.5, "3", True, None))
+    def test_replicate_seed_rejects_a_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            g.replicate_seed(seed, 0)
+
+    def test_replicate_seed_takes_numpy_integers(self):
+        assert (g.replicate_seed(np.int64(7), 2).generate_state(4).tolist()
+                == g.replicate_seed(7, 2).generate_state(4).tolist())

@@ -125,6 +125,19 @@ class TestRunTableSmoke:
         with pytest.raises(g.ParameterError):
             g.run_table(study, reps=2, family=family, n=n)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_seed_not_a_count_ends_in_parameter_error(self, monkeypatch, seed):
+        # the check comes before the first replicate, so a bad seed is not
+        # logged as failed replicates
+        import gvcplm.studies as studies
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(studies, "generate", no_draws)
+        with pytest.raises(g.ParameterError, match="seed must be an integer >= 0"):
+            g.run_table("table4", reps=1, seed=seed)
+
 
 class TestDeterminism:
     def test_identical_seed_identical_bytes(self, tmp_path):
@@ -254,7 +267,7 @@ class TestBenchmarkBehavior:
     def test_oracle_rase_dominance(self):
         # curves at the estimated beta cannot beat curves at the true beta
         # by more than Monte Carlo slack: median oracle/fit ratio <= 1.05
-        design = g.poisson_design(200)
+        design = g.make_design("poisson", 200)
         sm = g.SmoothingParams(h=0.1, delta=0.1)
         cfg = g.FitConfig(smoothing=sm, max_steps=3)
         ratios = []
