@@ -23,13 +23,21 @@ gaussian Q keeps the residual form, since y*x - x^2/2 - y^2/2 cancels.  The
 bernoulli forms use only e = exp(-|x|), as Q = y*x - max(x, 0) - log1p(e) and
 p = 1/(1+e) or e/(1+e): finite for every finite x, with no clip.  Only e^x
 overflows, so only the poisson predictor is clipped, to +/- LINEAR_PREDICTOR_MAX
-and inside the evaluation; stored parameters are never clipped.
+and inside the evaluation; stored parameters are never clipped.  Beyond the
+clip the poisson Q is flat while q_1 = y - e^{+/-30} is not, so q_1 is Q's
+derivative only for |x| <= ``FamilySpec.clip``.
+
+``q012(x, y, objective=False)`` returns (None, q_1, q_2): the same pass
+without the log1p and the assembly of Q, with q_1 and q_2 bit-equal to the
+full call's.  The local Newton solve evaluates every trial this way and asks
+for Q only where a step's ascent cannot be certified from q_1 (see
+``gvcplm.smoothing``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,6 +48,9 @@ LINEAR_PREDICTOR_MAX = 30.0
 
 def _operands(x, y):
     """x and y as float arrays of their common broadcast shape."""
+    if (type(x) is np.ndarray and type(y) is np.ndarray and x.dtype == np.float64
+            and y.dtype == np.float64 and x.shape == y.shape):
+        return x, y   # what broadcast_arrays returns for them, without its overhead
     return np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
 
 
@@ -47,21 +58,23 @@ def _operands(x, y):
 # gaussian / identity
 
 
-def _gauss_q012(x, y):
+def _gauss_q012(x, y, objective=True):
     x, y = _operands(x, y)
     resid = y - x
-    return -0.5 * resid ** 2, resid, np.full(resid.shape, -1.0)
+    return (-0.5 * resid ** 2 if objective else None), resid, np.full(resid.shape, -1.0)
 
 
 # ---------------------------------------------------------------------------
 # poisson / log
 
 
-def _pois_q012(x, y):
+def _pois_q012(x, y, objective=True):
     # in place where an operand is not needed again, to hold fewer arrays
     x, y = _operands(x, y)
     q = np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX)
     mu = np.exp(q)
+    if not objective:
+        return None, y - mu, -mu
     q *= y
     q -= mu
     return q, y - mu, -mu
@@ -92,14 +105,16 @@ def _logistic(x):
     return e, p, s
 
 
-def _bern_q012(x, y):
+def _bern_q012(x, y, objective=True):
     # in place, e, p and s becoming log1p(e), q_1 and q_2, to hold fewer arrays
     x, y = _operands(x, y)
     e, p, s = _logistic(x)
-    q = y * x
-    q -= np.maximum(x, 0.0)
-    np.log1p(e, out=e)
-    q -= e
+    q = None
+    if objective:
+        q = y * x
+        q -= np.maximum(x, 0.0)
+        np.log1p(e, out=e)
+        q -= e
     np.subtract(y, p, out=p)
     np.negative(s, out=s)
     return q, p, s
@@ -157,16 +172,18 @@ class FamilySpec:
     """
 
     name: str
-    q012: Callable                     # (x, y) -> (Q, q_1, q_2), one pass
+    q012: Callable                     # (x, y, objective=True) -> (Q, q_1, q_2), one pass
     transform: Callable                # (y, delta) -> transformed response
     validate_response: Callable        # y -> None, or DomainError
     needs_delta: bool
+    # |x| beyond which Q is flat and q_1 no longer its derivative; None if never
+    clip: Optional[float] = None
 
     def q(self, order: int, x, y):
         """Derivative q_order(x, y) of Q(g^{-1}(x), y), order 1 or 2."""
         if order not in (1, 2):
             raise ParameterError(f"derivative order must be 1 or 2, got {order}")
-        return self.q012(x, y)[order]
+        return self.q012(x, y, objective=False)[order]
 
 
 GAUSSIAN = FamilySpec(
@@ -183,6 +200,7 @@ POISSON = FamilySpec(
     transform=_log_transform,
     validate_response=_validate_poisson,
     needs_delta=True,
+    clip=LINEAR_PREDICTOR_MAX,
 )
 
 BERNOULLI = FamilySpec(

@@ -19,6 +19,22 @@ nearby beta values (the inner loop of profile estimation) then reuse them and
 warm-start from nearby coefficients.  A fit at one point u is a fitter with
 points [u]; ``fit_curve`` fits the curves on a display grid.
 
+A Newton trial is accepted on a certificate where it can be, without Q.
+Along a step s from a, phi(t) = sum_i W_i Q(eta_i(a + t s)) is concave, since
+q_2 <= 0, so phi(1) - phi(0) >= phi'(1) = score(a + s) . s (the
+curvature-condition argument of Nocedal and Wright, Numerical Optimization,
+2006, section 3.1).  A row whose phi'(1) >= -1e-10 thus has phi(1) >= phi(0)
+- 1e-10 >= phi(0) - 1e-10 (1 + |phi(0)|), the acceptance test, which leaves
+1e-10 |phi(0)| for the rounding of its two sums.  So each trial gets one
+family pass for q_1 and q_2 only, and its score, which the next convergence
+test needs anyway, certifies it.  Q is evaluated, at a row's current and
+trial coefficients, only where the bound fails, and on poisson rows whose
+current or trial predictor leaves +/- LINEAR_PREDICTOR_MAX: beyond the clip
+Q is flat and q_1 not its derivative, while between two predictors inside it
+phi stays concave.  Those rows run the acceptance test and its step halvings
+as before.  The certificate holds only where the test passes, so every
+accepted step, halving, iteration count and result is the test's own.
+
 The kernel is Epanechnikov's, K(z) = 0.75 (1 - z^2)_+, the optimal kernel
 for local polynomial fits (Fan and Gijbels, 1996, chapter 3).  It has
 compact support, so only observations with |u_i - u| <= h carry weight at u.
@@ -517,6 +533,20 @@ class CurveFitter:
         q, q1, q2 = self.family.q012(linpred, y)
         return np.einsum("ei,ei->e", weights, q), q1, q2
 
+    def _outside(self, linpred):
+        """(rows,) whether a row's predictor leaves the family's clip."""
+        clip = self.family.clip
+        if clip is None:
+            return np.zeros(linpred.shape[0], dtype=bool)
+        return (linpred.max(axis=1) > clip) | (linpred.min(axis=1) < -clip)
+
+    def _derivatives(self, linpred, y):
+        """q_1 and q_2 (rows, width), one family pass without Q, and which
+        rows' predictors leave the family's clip.  The predictor is freed on
+        return."""
+        _, q1, q2 = self.family.q012(linpred, y, objective=False)
+        return q1, q2, self._outside(linpred)
+
     @staticmethod
     def _linpred(local, sel, coefs, offsets):
         """Predictors (rows, width) of rows sel: (M_e' a_e)' B + o."""
@@ -618,62 +648,102 @@ class CurveFitter:
         converged and iters are its views of the solution arrays, updated in
         place.  Steps, ridges, halvings and convergence are decided on the
         points' own coefficients a_e (the local design D_e = M_e B), as for
-        a per-point solve.  Each trial predictor gets one family pass
-        (``_objectives``); an accepted trial's q_1 and q_2 serve the next
-        iterate, and the last q_2 (b_g, width), the group's curvature, is
-        returned for ``_differentiate``.  Once a point converges or stalls
-        only active rows are gathered.
+        a per-point solve.  Each trial predictor gets one family pass for
+        q_1 and q_2 only, and is freed after it; the trial's score, taken
+        once, serves both the certificate and the next convergence test.
+        With phi(t) the local objective along the step, concavity gives
+        phi(1) - phi(0) >= phi'(1) = score(trial) . step, so a row whose
+        phi'(1) >= -1e-10 has phi(1) >= phi(0) - 1e-10 >= phi(0) - 1e-10 (1 +
+        |phi(0)|), the acceptance test, and is accepted without Q.  Only the
+        other rows, and rows whose current or trial predictor leaves the
+        family's clip (where q_1 is not Q's derivative), get sum W Q at
+        their current and trial coefficients, the predictors rebuilt for
+        them alone, and the acceptance test with its halvings; where a step
+        is halved, the score of every active row is taken again, as the
+        next convergence test would take it.  An accepted trial's q_1 and
+        q_2 serve the next iterate, and the last q_2 (b_g, width), the
+        group's curvature, is returned for ``_differentiate``.  Rows that
+        converge or stall leave the active rows, whose w, y and offsets are
+        compacted once when they do.
         """
         m = coefs.shape[0]
         every = slice(None)
-        obj, q1, q2 = self._objectives(self._linpred(local, every, coefs, offsets), y, w)
+        q1, q2, outside = self._derivatives(self._linpred(local, every, coefs, offsets), y)
         curvature = q2
+        grad = self._score(local, every, w * q1)
+        del q1
 
         active = np.arange(m)
         while True:
-            # q1 and q2 hold the active rows
+            # grad, q2, outside, w, y and offsets hold the active rows
             sel = every if active.size == m else active
-            grad = self._score(local, sel, w[sel] * q1)
             gn = np.abs(grad).max(axis=1)
             gnorm[sel] = gn
             done = gn < LOCAL_TOL
             converged[active[done]] = True
             if done.any():
-                active, grad, q2 = active[~done], grad[~done], q2[~done]
+                keep = ~done
+                active, grad, q2, outside, w, y, offsets = (
+                    a[keep] for a in (active, grad, q2, outside, w, y, offsets))
                 sel = active
             if active.size == 0 or iters[sel].min() >= MAX_LOCAL_ITERS:
                 # points that exhausted the budget stay converged=False
                 break
 
-            hess = self._weighted_gram(local, sel, w[sel] * q2)
+            hess = self._weighted_gram(local, sel, w * q2)
+            del q2   # held on only as curvature
             step = _ridged_solve(-hess, grad, "local Newton", local.index[active])
 
-            lam = np.ones(active.size)
             trial_c = coefs[sel] + step
-            trial_obj, trial_q1, trial_q2 = self._objectives(
-                self._linpred(local, sel, trial_c, offsets[sel]), y[sel], w[sel])
-            tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
-            bad = ~(trial_obj >= obj[sel] - tol_obj)   # a NaN objective is no ascent
-            for _ in range(MAX_HALVINGS):
-                if not bad.any():
-                    break
-                lam[bad] *= 0.5
-                idx = active[bad]
-                trial_c[bad] = coefs[idx] + lam[bad, None] * step[bad]
-                trial_obj[bad], trial_q1[bad], trial_q2[bad] = self._objectives(
-                    self._linpred(local, idx, trial_c[bad], offsets[idx]), y[idx], w[idx])
-                bad = ~(trial_obj >= obj[sel] - tol_obj)
-            if bad.any():
+            trial_q1, trial_q2, trial_outside = self._derivatives(
+                self._linpred(local, sel, trial_c, offsets), y)
+            grad = self._score(local, sel, w * trial_q1)
+            certified = np.einsum("er,er->e", grad, step) >= -1e-10   # a NaN slope is not
+            rows = np.flatnonzero(~certified | outside | trial_outside)
+            stalled = rows[:0]
+            if rows.size:
+                # views, not copies, where every active row is uncertified
+                part = every if rows.size == active.size else rows
+                at = sel if part is every else active[rows]
+                obj = self._objectives(self._linpred(local, at, coefs[at], offsets[part]),
+                                       y[part], w[part])[0]
+                trial_obj = self._objectives(
+                    self._linpred(local, at, trial_c[part], offsets[part]), y[part], w[part])[0]
+                tol_obj = 1e-10 * (1.0 + np.abs(obj))
+                bad = ~(trial_obj >= obj - tol_obj)   # a NaN objective is no ascent
+                if bad.any():   # the score of a halved trial is taken again below
+                    grad = None
+                lam = np.ones(rows.size)
+                for _ in range(MAX_HALVINGS):
+                    if not bad.any():
+                        break
+                    lam[bad] *= 0.5
+                    r = rows[bad]
+                    trial_c[r] = coefs[active[r]] + lam[bad, None] * step[r]
+                    linpred = self._linpred(local, active[r], trial_c[r], offsets[r])
+                    trial_outside[r] = self._outside(linpred)
+                    trial_obj[bad], trial_q1[r], trial_q2[r] = self._objectives(
+                        linpred, y[r], w[r])
+                    del linpred
+                    bad = ~(trial_obj >= obj - tol_obj)
+                stalled = rows[bad]
+            if stalled.size:
                 # stalled points (no ascent after max halvings) are abandoned
-                active, trial_c, trial_obj, trial_q1, trial_q2 = (a[~bad] for a in (
-                    active, trial_c, trial_obj, trial_q1, trial_q2))
+                keep = np.ones(active.size, dtype=bool)
+                keep[stalled] = False
+                active, trial_c, trial_q1, trial_q2, trial_outside, w, y, offsets = (
+                    a[keep] for a in (active, trial_c, trial_q1, trial_q2, trial_outside,
+                                      w, y, offsets))
                 sel = active
-            coefs[sel], obj[sel] = trial_c, trial_obj
+            coefs[sel] = trial_c
             if active.size == m:   # rebound, not copied: frees the last q_2
                 curvature = trial_q2
             else:
                 curvature[sel] = trial_q2
-            q1, q2 = trial_q1, trial_q2
+            q2, outside = trial_q2, trial_outside
+            if grad is None:
+                grad = self._score(local, sel, w * trial_q1)
+            del trial_q1
             iters[sel] += 1
 
         return curvature
@@ -695,11 +765,13 @@ class CurveFitter:
         d, p = self.n_coef, zs.shape[1]
         s1 = -self._weighted_gram(local, slice(None), wq2)
         tz = np.empty((wq2.shape[0], d * p))
+        kron = np.empty((group.width, d * p))   # C order, so no reshape copies it
         bounds = local.bounds.tolist()
         for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
                                      self.tiles[group.tiles]):
-            kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
-            np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=tz[a:b])
+            np.multiply(basis.T[:, :, None], zs[tile.lo:tile.hi, None, :],
+                        out=kron.reshape(group.width, d, p))
+            np.matmul(wq2[a:b], kron, out=tz[a:b])
         return _ridged_solve(s1, local.shift, "curve derivative", local.index) \
             @ tz.reshape(-1, d, p)
 

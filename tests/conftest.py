@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gvcplm import CurveFitter, Dataset
+from gvcplm.families import LINEAR_PREDICTOR_MAX
 
 
 @pytest.fixture
@@ -47,3 +50,56 @@ def make_gaussian_dataset(n=300, q=2, p=6, seed=0, noise=1.0, alpha_linear=False
     signal = np.einsum("iq,iq->i", alpha, x) + z @ beta
     y = signal + noise * gen.normal(size=n)
     return Dataset(u=u, x=x, z=z, y=y), beta, alpha
+
+
+def log_passes(fitter):
+    """Log the fitter's local Newton work, in call order, into the returned
+    list: ("group",) as each group's loop starts, ("pass", objective, rows,
+    beyond) per family pass, beyond telling whether a predictor has |x| >
+    LINEAR_PREDICTOR_MAX, and ("score", grad) per local score."""
+    log = []
+    family, solve_group, score = fitter.family, fitter._solve_group, fitter._score
+
+    def q012(x, y, objective=True):
+        beyond = bool(np.any(np.abs(x) > LINEAR_PREDICTOR_MAX))
+        log.append(("pass", objective, x.shape[0], beyond))
+        return family.q012(x, y, objective=objective)
+
+    def logged_group(*args):
+        log.append(("group",))
+        return solve_group(*args)
+
+    def logged_score(local, sel, weighted):
+        grad = score(local, sel, weighted)
+        log.append(("score", grad))
+        return grad
+
+    fitter.family = dataclasses.replace(family, q012=q012)
+    fitter._solve_group, fitter._score = logged_group, logged_score
+    return log
+
+
+def trials(log):
+    """The Newton trials of a ``log_passes`` log, one dict each: its rows, its
+    step and score when logged ("step" entries, if any, precede their trial),
+    whether a predictor left the clip, and the rows of each Q pass (objective
+    evaluated) that followed it."""
+    out, current, start, step = [], None, False, None
+    for entry in log:
+        if entry[0] == "group":
+            current, start = None, True
+        elif entry[0] == "step":
+            step = entry[1]
+        elif entry[0] == "pass" and not entry[1]:
+            if start:   # the group's first pass, at its start
+                start = False
+                continue
+            current = {"rows": entry[2], "beyond": entry[3], "step": step,
+                       "grad": None, "q_passes": []}
+            out.append(current)
+        elif entry[0] == "pass":
+            current["q_passes"].append(entry[2])
+            current["beyond"] |= entry[3]
+        elif current is not None and current["grad"] is None:
+            current["grad"] = entry[1]
+    return out

@@ -3,12 +3,16 @@
 Everything here is deliberately written from first principles (direct
 smoother-row construction, series/continued fractions, brute-force sums and
 finite differences) and shares no code path with the package internals it
-checks.
+checks, except ``QEveryTrialFitter``: the local Newton loop as it was before
+its steps were certified, kept to check the certified loop against.
 """
 
 import math
 
 import numpy as np
+
+from gvcplm.smoothing import (LOCAL_TOL, MAX_HALVINGS, MAX_LOCAL_ITERS, CurveFitter,
+                              _ridged_solve)
 
 
 def epanechnikov(t, h):
@@ -147,3 +151,66 @@ def local_grid_search(objective, bounds, coarse=41, refinements=4):
         lo0, hi0 = best[0] - span0, best[0] + span0
         lo1, hi1 = best[1] - span1, best[1] + span1
     return best
+
+
+class QEveryTrialFitter(CurveFitter):
+    """A CurveFitter whose local Newton loop evaluates Q at every trial.
+
+    Each trial predictor gets one full family pass (Q, q_1, q_2), and every
+    step is accepted by the test sum W Q(trial) >= sum W Q(current) - 1e-10
+    (1 + |sum W Q(current)|), halving the step where it fails.  The
+    certified loop must reach the same coefficients, iterations and flags
+    bit for bit.
+    """
+
+    def _solve_group(self, local, w, offsets, y, coefs, gnorm, converged, iters):
+        m = coefs.shape[0]
+        every = slice(None)
+        obj, q1, q2 = self._objectives(self._linpred(local, every, coefs, offsets), y, w)
+        curvature = q2
+
+        active = np.arange(m)
+        while True:
+            sel = every if active.size == m else active
+            grad = self._score(local, sel, w[sel] * q1)
+            gn = np.abs(grad).max(axis=1)
+            gnorm[sel] = gn
+            done = gn < LOCAL_TOL
+            converged[active[done]] = True
+            if done.any():
+                active, grad, q2 = active[~done], grad[~done], q2[~done]
+                sel = active
+            if active.size == 0 or iters[sel].min() >= MAX_LOCAL_ITERS:
+                break
+
+            hess = self._weighted_gram(local, sel, w[sel] * q2)
+            step = _ridged_solve(-hess, grad, "local Newton", local.index[active])
+
+            lam = np.ones(active.size)
+            trial_c = coefs[sel] + step
+            trial_obj, trial_q1, trial_q2 = self._objectives(
+                self._linpred(local, sel, trial_c, offsets[sel]), y[sel], w[sel])
+            tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
+            bad = ~(trial_obj >= obj[sel] - tol_obj)
+            for _ in range(MAX_HALVINGS):
+                if not bad.any():
+                    break
+                lam[bad] *= 0.5
+                idx = active[bad]
+                trial_c[bad] = coefs[idx] + lam[bad, None] * step[bad]
+                trial_obj[bad], trial_q1[bad], trial_q2[bad] = self._objectives(
+                    self._linpred(local, idx, trial_c[bad], offsets[idx]), y[idx], w[idx])
+                bad = ~(trial_obj >= obj[sel] - tol_obj)
+            if bad.any():
+                active, trial_c, trial_obj, trial_q1, trial_q2 = (a[~bad] for a in (
+                    active, trial_c, trial_obj, trial_q1, trial_q2))
+                sel = active
+            coefs[sel], obj[sel] = trial_c, trial_obj
+            if active.size == m:
+                curvature = trial_q2
+            else:
+                curvature[sel] = trial_q2
+            q1, q2 = trial_q1, trial_q2
+            iters[sel] += 1
+
+        return curvature

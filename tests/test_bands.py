@@ -21,6 +21,7 @@ import gvcplm as g
 from gvcplm import CurveFitter, EffectiveSampleError, SmoothingParams, smoothing
 from gvcplm.smoothing import LOCAL_TOL, MAX_LOCAL_ITERS
 
+from conftest import log_passes, trials
 from oracles import epanechnikov
 
 
@@ -175,13 +176,11 @@ def test_warm_solve_with_converged_points(draw):
     warm[:, 0] += push
     warm[done] = first.coefficients[done]
 
-    calls = []
-    objectives = fitter._objectives
-    fitter._objectives = lambda *args: calls.append(1) or objectives(*args)
+    log = log_passes(fitter)
     sol = fitter.solve(offsets, warm=warm)
-    # one objective call to start and one per Newton iteration; the rest
-    # are step halvings
-    halvings = len(calls) - 1 - int(sol.iterations.max(initial=0))
+    # a trial's Q passes beyond the two of its uncertified rows (at their
+    # current and trial coefficients) are step halvings
+    halvings = sum(max(len(run["q_passes"]) - 2, 0) for run in trials(log))
     event(f"step halvings: {'some' if halvings else 'none'}")
     if must_halve:
         assert halvings > 0

@@ -249,3 +249,42 @@ def test_bernoulli_pass_is_the_select_form_bit_for_bit(xs, y, scalar):
         nan = np.isnan(b)
         assert np.array_equal(np.isnan(a), nan)
         assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+# signed zeros, both sides of the poisson clip, where e = exp(-|x|) is
+# subnormal or 0, and NaN
+_DERIVATIVE_EDGES = (0.0, -0.0, 30.5, -30.5, 745.0, -745.0, 800.0, -800.0, np.nan)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(np.isnan(a), nan)
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(FAMILIES),
+       xs=st.lists(st.one_of(st.sampled_from(_DERIVATIVE_EDGES), st.floats(-50.0, 50.0)),
+                   min_size=1, max_size=30),
+       shape=st.sampled_from(("scalar", "0-d", "row", "grid", "broadcast")))
+def test_derivatives_without_the_objective_are_the_full_calls_bit_for_bit(family, xs, shape):
+    # objective=False drops Q and nothing else: q_1 and q_2 keep every bit,
+    # NaN stays NaN, and operands that need broadcasting still broadcast
+    fam = g.get_family(family)
+    x = np.array(xs + list(_DERIVATIVE_EDGES))
+    y = np.array(_Y_SAMPLES[family])[np.arange(x.size) % len(_Y_SAMPLES[family])]
+    if shape == "scalar":
+        x, y = float(x[0]), float(y[0])
+    elif shape == "0-d":
+        x, y = np.array(x[0]), np.array(y[0])
+    elif shape == "grid":
+        x, y = x.reshape(1, -1).repeat(2, axis=0), y.reshape(1, -1).repeat(2, axis=0)
+    elif shape == "broadcast":   # (k, 1) against (k,)
+        x, y = x[:, None], y
+    full = fam.q012(x, y)
+    q, q1, q2 = fam.q012(x, y, objective=False)
+    assert q is None
+    assert full[0].shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+    assert _same_bits(q1, full[1]) and _same_bits(q2, full[2])
+    assert _same_bits(fam.q(1, x, y), full[1]) and _same_bits(fam.q(2, x, y), full[2])

@@ -1,38 +1,28 @@
 """The local Newton solve's family passes and the derivative it returns.
 
-Each trial predictor gets one family pass, (Q, q_1, q_2) together, and an
-accepted trial's q_1 and q_2 serve the next iterate; each group's final q_2
-is differentiated inside the solve, so the derivative evaluates no family at
-all.
+Each trial predictor gets one family pass for q_1 and q_2, and its score
+certifies the step where score . step >= -1e-10; only the other rows get Q,
+at their current and trial coefficients, and their halvings.  An accepted
+trial's q_1 and q_2 serve the next iterate; each group's final q_2 is
+differentiated inside the solve, so the derivative evaluates no family at
+all.  The loop that evaluates Q at every trial (``QEveryTrialFitter``) is
+the oracle the certified loop must match bit for bit.
 """
 
-import dataclasses
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import gvcplm as g
 from gvcplm import CurveFitter, SingularityError, SmoothingParams, smoothing
-from gvcplm.smoothing import MAX_HALVINGS, MAX_LOCAL_ITERS
+from gvcplm.smoothing import MAX_HALVINGS, MAX_LOCAL_ITERS, BatchSolution
 
+from conftest import log_passes, trials
+from oracles import QEveryTrialFitter
 from test_bands import _dense_systems, _problem_arrays
-
-
-def _count_calls(fitter):
-    """Wrap the fitter's family evaluator and its _objectives with counters."""
-    calls = {"family": 0, "objectives": 0}
-
-    def counted(func, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    fam = fitter.family
-    fitter.family = dataclasses.replace(fam, q012=counted(fam.q012, "family"))
-    fitter._objectives = counted(fitter._objectives, "objectives")
-    return calls
 
 
 def _simulated_problem(family, n=300, seed=3):
@@ -53,21 +43,57 @@ def _starts(fitter, offsets):
 
 @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
 @pytest.mark.parametrize("start", ("cold", "warm"))
-def test_one_family_pass_per_objective(family, start):
+def test_one_family_pass_per_objective(family, start, monkeypatch):
     data, fitter = _simulated_problem(family)
     offsets = data.z @ np.full(data.n_linear, 0.1)
     kwargs = _starts(fitter, offsets)[start]
-    calls = _count_calls(fitter)
+    log = log_passes(fitter)
+    ridged_solve = smoothing._ridged_solve
+
+    def logged_solve(mats, rhs, context, points=None):
+        out = ridged_solve(mats, rhs, context, points)
+        if context == "local Newton":
+            log.append(("step", out))
+        return out
+
+    monkeypatch.setattr(smoothing, "_ridged_solve", logged_solve)
     sol = fitter.solve(offsets, **kwargs)
-    # one objective call to start and one per iteration; the rest are halvings
-    assert calls["objectives"] > sol.iterations.max() + (start == "warm")
-    assert calls["family"] == calls["objectives"]
+    assert sol.converged.all()   # so every group runs as many trials as its points' most
+    passes = [entry for entry in log if entry[0] == "pass"]
+    # poisson rows whose predictor leaves the clip take the Q path too; a
+    # start 8 below sends some there, so the count of Q rows is a bound
+    guarded = fitter.family.clip is not None and any(beyond for *_, beyond in passes)
+    assert guarded == (family == "poisson" and start == "warm")
+
+    # q_1 and q_2 only: one pass per group to start and one per trial
+    runs = trials(log)
+    group_iterations = sum(int(sol.iterations[fitter.point_order[group.points]].max())
+                           for group in fitter.groups)
+    assert sum(not objective for _, objective, *_ in passes) == \
+        len(fitter.groups) + group_iterations == len(fitter.groups) + len(runs)
+    # Q only for the rows whose step the score does not certify: at their
+    # current and trial coefficients, then at each halving of the rows still
+    # short of the acceptance test
+    for run in runs:
+        uncertified = np.count_nonzero(
+            ~(np.einsum("er,er->e", run["grad"], run["step"]) >= -1e-10))
+        if not run["q_passes"]:
+            assert uncertified == 0
+            continue
+        first, second, *halvings = run["q_passes"]
+        assert first == second
+        assert uncertified <= first <= run["rows"] if guarded else first == uncertified
+        assert halvings == sorted(halvings, reverse=True) and all(h <= first for h in halvings)
+    certified = sum(run["rows"] for run in runs) - sum(run["q_passes"][0] for run in runs
+                                                       if run["q_passes"])
+    assert certified > 0
+    if start == "warm":   # a start 8 below overshoots, and its steps are halved
+        assert any(len(run["q_passes"]) > 2 for run in runs)
 
     # the derivative adds no family pass
-    passes = dict(calls)
-    calls.update(family=0, objectives=0)
+    del log[:]
     fitter.solve(offsets, z=data.z, **kwargs)
-    assert calls == passes
+    assert [entry for entry in log if entry[0] == "pass"] == passes
 
 
 def _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol):
@@ -250,3 +276,102 @@ def test_derivative_agrees_with_the_p_right_hand_side_form(family, x_scale, capl
     ridged = [r.getMessage() for r in caplog.records
               if r.getMessage().startswith("curve derivative: ridged")]
     assert bool(ridged) == (x_scale != 1.0)
+
+
+_PUSHES = {
+    "gaussian": (0.0, 1.0, -1.0, 3.0, -3.0, 8.0, -8.0),
+    "poisson": (0.0, 1.0, -1.0, 3.0, -3.0, 8.0, -8.0),
+    "bernoulli": (0.0, 1.0, -1.0, 3.0, -3.0, 8.0, -8.0, 40.0, -40.0, 800.0),
+}
+# added to the offsets a warm poisson start was made for, so that its
+# predictors, or its trials', pass the clip at +/-30
+_POISSON_SHIFTS = (0.0, 26.0, -26.0, 29.0, -29.0, 33.0)
+
+
+@st.composite
+def _oracle_problems(draw):
+    family = draw(st.sampled_from(("gaussian", "poisson", "bernoulli")))
+    warm = draw(st.booleans())
+    return dict(
+        family=family, degree=draw(st.integers(0, 2)), tied=draw(st.booleans()),
+        n=draw(st.integers(60, 120)), seed=draw(st.integers(0, 2 ** 16)), warm=warm,
+        push=draw(st.sampled_from(_PUSHES[family])) if warm else 0.0,
+        shift=draw(st.sampled_from(_POISSON_SHIFTS)) if warm and family == "poisson" else 0.0,
+        with_z=draw(st.booleans()))
+
+
+def _oracle_data(family, tied, n, seed):
+    """(x, z, y, u, offsets) drawn from the family at a varying-coefficient
+    predictor; tied u take 11 distinct values."""
+    gen = np.random.default_rng(seed)
+    u = gen.uniform(size=n)
+    if tied:
+        u = np.round(u * 10.0) / 10.0
+    x = np.column_stack([np.ones(n), gen.normal(size=n)])
+    z = gen.normal(size=(n, 3))
+    offsets = z @ np.array([0.3, -0.2, 0.1])
+    eta = np.sin(2 * np.pi * u) + 0.5 * x[:, 1] * u + offsets
+    if family == "gaussian":
+        y = eta + gen.normal(size=n)
+    elif family == "poisson":
+        y = gen.poisson(np.exp(eta)).astype(float)
+    else:
+        y = (gen.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return x, z, y, u, offsets
+
+
+def _outcome(cls, problem):
+    """A fitter's solution on the problem, or its error as (type, message),
+    with its family passes logged."""
+    family = problem["family"]
+    x, z, y, u, offsets = _oracle_data(family, problem["tied"], problem["n"], problem["seed"])
+    sm = SmoothingParams(h=0.3, delta=0.1, degree=problem["degree"])
+    fitter = cls(family, x, y, u, sm, np.linspace(0.0, 1.0, 12))
+    kwargs = {"z": z} if problem["with_z"] else {}
+    if problem["warm"]:
+        warm = fitter.initial_coefficients(offsets)
+        warm[:, 0] += problem["push"]
+        kwargs["warm"] = warm
+    log = log_passes(fitter)
+    try:
+        result = fitter.solve(offsets + problem["shift"], **kwargs)
+    except SingularityError as exc:
+        result = (type(exc), str(exc))
+    return result, log
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_problems())
+def test_certified_loop_is_the_q_every_trial_loop(problem):
+    got, log = _outcome(CurveFitter, problem)
+    want, _ = _outcome(QEveryTrialFitter, problem)
+    runs = trials(log)
+    if any(run["rows"] > (run["q_passes"] or [0])[0] for run in runs):
+        event("certified rows")
+    if any(run["q_passes"] for run in runs):
+        event("overshoot rows")
+    if problem["family"] == "poisson" and any(run["beyond"] for run in runs):
+        event("clip guard")
+    if not isinstance(want, BatchSolution):
+        event("SingularityError")
+        assert got == want
+        return
+    assert isinstance(got, BatchSolution)
+    for name in BatchSolution._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None) == (name == "derivative" and not problem["with_z"])
+        if a is not None:
+            assert np.array_equal(a, b, equal_nan=True), name
+
+
+@pytest.mark.parametrize("with_z", (False, True))
+def test_zero_curvature_raises_as_the_q_every_trial_loop(with_z):
+    fitter, offsets, warm, data = _saturated_solve(800.0)
+    oracle = QEveryTrialFitter(fitter.family, data.x, data.y, data.u, fitter.smoothing, data.u)
+    kwargs = {"warm": warm, "z": data.z} if with_z else {"warm": warm}
+    messages = []
+    for solver in (fitter, oracle):
+        with pytest.raises(SingularityError) as raised:
+            solver.solve(offsets, **kwargs)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
