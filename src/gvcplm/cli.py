@@ -4,9 +4,10 @@ A run is described by a JSON config document; every flag mirrors a config
 key, a config file holds no other key, and flags override file values.  The
 option table ``_OPTIONS`` is the one record of which flag sets which key, how
 its value is read and which commands read it; a command accepts only the
-flags it reads.  Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure or out of memory (a diagnostic JSON is printed on stderr
-for the latter).
+flags it reads.  ``_merge_config`` parses each value once, into the flat
+{dotted key: value} mapping the commands read.  Exit codes: 0 success, 2
+configuration error, 3 data error, 4 numerical failure or out of memory (a
+diagnostic JSON is printed on stderr for the latter).
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ _OPTIONS = (
 )
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 _BLOCKS = ("columns", "smoothing", "fit", "cv", "simulate")
-# each (block, name) a config file may hold, block "" being the top level:
-# the blocks, and every option's key but config, which names the file itself
-_FILE_KEYS = {("", block) for block in _BLOCKS} | {
-    tuple(opt.key.rpartition(".")[::2]) for opt in _OPTIONS if opt.key != "config"}
 
 
 def _number(value) -> bool:
@@ -140,17 +137,9 @@ def _parse(opt: _Option, value, name: str):
         raise ParameterError(f"{name}: cannot read {value!r} ({exc})") from None
 
 
-def _read(cfg: dict, key: str):
-    """The value of a dotted config key, read as its option says; None if unset."""
-    block, _, name = key.rpartition(".")
-    value = (cfg[block] if block else cfg).get(name)
-    return None if value is None else _parse(_BY_KEY[key], value, key)
-
-
 def _set(cfg: dict, **keys) -> dict:
     """{argument: value} for each argument whose config key is set."""
-    values = {arg: _read(cfg, key) for arg, key in keys.items()}
-    return {arg: value for arg, value in values.items() if value is not None}
+    return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
 
 
 def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dataset:
@@ -284,19 +273,19 @@ def _parse_constraint(spec: str, z_names) -> np.ndarray:
 
 def _load(cfg: dict) -> tuple:
     """The run's family and dataset, with the response checked against the family."""
-    family = get_family(_read(cfg, "family"))
-    cols = {key: _read(cfg, f"columns.{key}") for key in ("u", "y", "x", "z")}
+    family = get_family(cfg.get("family"))
+    cols = {key: cfg.get(f"columns.{key}") for key in ("u", "y", "x", "z")}
     for key, value in cols.items():
         if not value:
             raise ParameterError(f"config names no columns.{key}")
     roles = [cols["u"], cols["y"], *cols["x"], *cols["z"]]
     if len(set(roles)) != len(roles):
         raise ParameterError("column roles overlap; u, y, x, z must be disjoint")
-    path = _read(cfg, "dataset")
+    path = cfg.get("dataset")
     if path is None:
         raise ParameterError("config is missing the dataset path")
     data = read_dataset_csv(path, cols["u"], cols["y"], cols["x"], cols["z"],
-                            intercept=bool(_read(cfg, "intercept")))
+                            intercept=bool(cfg.get("intercept")))
     family.validate_response(data.y)
     return family, data
 
@@ -317,10 +306,10 @@ def _cross_validate(cfg: dict, family, data: Dataset):
     that, the delta axis is smoothing.delta.  Failing both, each axis is the
     one default_smoothing_grid uses.
     """
-    deltas = _read(cfg, "cv.delta_grid") or [_read(cfg, "smoothing.delta")]
+    deltas = cfg.get("cv.delta_grid") or [cfg.get("smoothing.delta")]
     if deltas == [None] and family.needs_delta:
         deltas = DEFAULT_DELTA_GRID
-    hs = _read(cfg, "cv.h_grid") or default_h_grid(data)
+    hs = cfg.get("cv.h_grid") or default_h_grid(data)
     grid = [(d, float(h)) for d in deltas for h in hs]
     return cross_validate(family, data, grid=grid, config=_fit_config(cfg, grid[0][1]),
                           **_set(cfg, k="cv.k", seed="seed"))
@@ -329,7 +318,7 @@ def _cross_validate(cfg: dict, family, data: Dataset):
 def _run_config(cfg: dict, family, data: Dataset) -> FitConfig:
     """fit and test: the run's FitConfig; without smoothing.h, at the best
     cell of _cross_validate."""
-    h = _read(cfg, "smoothing.h")
+    h = cfg.get("smoothing.h")
     if h is not None:
         return _fit_config(cfg, h)
     best = _cross_validate(cfg, family, data).best
@@ -337,7 +326,7 @@ def _run_config(cfg: dict, family, data: Dataset) -> FitConfig:
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(_read(cfg, "out") or ".")
+    out = Path(cfg.get("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -409,7 +398,7 @@ def _cmd_fit(cfg: dict) -> int:
 
 def _cmd_test(cfg: dict) -> int:
     family, data = _load(cfg)
-    spec = _read(cfg, "test")
+    spec = cfg.get("test")
     if not spec:
         raise ParameterError("test command requires a constraint, e.g. "
                              "--test 'z7=0,z8=0'")
@@ -458,7 +447,7 @@ def _cmd_simulate(cfg: dict) -> int:
     run = _set(cfg, family="family", n="simulate.n", seed="seed", reps="simulate.reps")
     if run.get("reps", 1) < 1:
         raise ParameterError(f"simulate.reps: must be at least 1, got {run['reps']}")
-    if _read(cfg, "simulate.emit_csv"):
+    if cfg.get("simulate.emit_csv"):
         from .simulate import generate, make_design, replicate_seed
 
         design = make_design(run.get("family", "poisson"), run.get("n", 200))
@@ -466,7 +455,7 @@ def _cmd_simulate(cfg: dict) -> int:
             data = generate(design, replicate_seed(run.get("seed", 0), rep))
             write_dataset_csv(out / f"dataset_rep{rep:03d}.csv", data)
         return EXIT_OK
-    studies.run_table(_read(cfg, "simulate.study") or "table2", out_dir=out, **run,
+    studies.run_table(cfg.get("simulate.study") or "table2", out_dir=out, **run,
                       **_set(cfg, use_cv="simulate.use_cv", h="smoothing.h",
                              delta="smoothing.delta"))
     return EXIT_OK
@@ -490,38 +479,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = {}
+    """The run's settings, {dotted key: value} for each key that a flag or the
+    config file sets, each parsed once: a flag's text, else a file value after
+    its JSON type check, also where the command does not read the key."""
+    file = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ParameterError(f"config file not found: {path}")
         try:
-            cfg = json.loads(path.read_text(encoding="utf-8"))
+            file = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
+    if not isinstance(file, dict):
         raise ParameterError("config file must hold a JSON object")
+    sections = {"": {k: v for k, v in file.items() if k not in _BLOCKS},
+                **{block: file.get(block, {}) for block in _BLOCKS}}
     for block in _BLOCKS:
-        if not isinstance(cfg.setdefault(block, {}), dict):
+        if not isinstance(sections[block], dict):
             raise ParameterError(f"config block {block!r} must be a JSON object")
-    for block in ("", *_BLOCKS):
-        for name in cfg[block] if block else cfg:
-            if (block, name) not in _FILE_KEYS:
-                key = f"{block}.{name}" if block else name
+    for block, section in sections.items():
+        for name in section:
+            key = f"{block}.{name}" if block else name
+            # config names the file itself, not a key in it
+            if key not in _BY_KEY or key == "config" or "." in name:
                 raise ParameterError(f"unknown config key {key!r}")
+    cfg = {}
     for opt in _OPTIONS:
-        if opt.key == "config":   # names the file itself, not a key in it
-            continue
         block, _, name = opt.key.rpartition(".")
-        section = cfg[block] if block else cfg
-        value = getattr(args, opt.key, None)
-        if value is not None:
-            section[name] = _parse(opt, value, opt.flag)
-        elif section.get(name) is not None and opt.parse in _JSON_TYPES:
-            what, valid = _JSON_TYPES[opt.parse]
-            if not valid(section[name]):
-                raise ParameterError(f"{opt.key}: expected {what}, got "
-                                     f"{json.dumps(section[name])}")
+        flag, value = getattr(args, opt.key, None), sections[block].get(name)
+        if flag is not None and opt.key != "config":
+            cfg[opt.key] = _parse(opt, flag, opt.flag)
+        elif value is not None:
+            what, valid = _JSON_TYPES.get(opt.parse, (None, None))
+            if valid and not valid(value):
+                raise ParameterError(f"{opt.key}: expected {what}, got {json.dumps(value)}")
+            cfg[opt.key] = _parse(opt, value, opt.key)
     return cfg
 
 

@@ -569,8 +569,8 @@ class CurveFitter:
         return shift @ gram @ np.swapaxes(shift, 1, 2)
 
     def _transformed_residuals(self, offsets):
-        """u-sorted transformed response minus offsets (the cold start's)."""
-        return (self.family.transform(self.y, self.smoothing.delta) - offsets)[self.order]
+        """u-sorted transformed response minus u-sorted offsets (the cold start's)."""
+        return self.family.transform(self.y, self.smoothing.delta)[self.order] - offsets
 
     def _cold(self, group, local, weights, resid):
         """Weighted least squares on the group's transformed residuals (b_g, d)."""
@@ -581,7 +581,7 @@ class CurveFitter:
 
     def initial_coefficients(self, offsets) -> np.ndarray:
         """Weighted least squares on the transformed response (cold start)."""
-        resid = self._transformed_residuals(np.asarray(offsets, dtype=float))
+        resid = self._transformed_residuals(np.asarray(offsets, dtype=float)[self.order])
         coefs = np.empty((self.points.size, self.n_coef))
         for group, weights in zip(self.groups, self.weights):
             coefs[group.points] = self._cold(group, self._local(group), weights, resid)
@@ -594,23 +594,22 @@ class CurveFitter:
 
         The groups are solved one after another (``_solve_group``), each from
         its cold start when warm is None, and, given z, differentiated
-        (``_differentiate``) before the next.  A solve that leaves points
-        unconverged reports them in one debug record on the ``gvcplm``
-        logger.
+        (``_differentiate``) before the next.  A warm-started point abandoned
+        short of the iteration budget takes the result of its group's solve
+        from the cold start instead.  A solve that leaves points unconverged
+        reports them in one debug record on the ``gvcplm`` logger.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
             warm: optional (m, d) starting coefficients.
             z: optional (n, p) linear covariates, for the derivative.
         """
-        offsets = np.asarray(offsets, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)[self.order]
         m = self.points.size
-        if warm is None:
-            coefs = np.empty((m, self.n_coef))
-            resid = self._transformed_residuals(offsets)
-        else:
-            coefs = np.array(warm, dtype=float)[self.point_order]
-        offsets = offsets[self.order]
+        coefs = (np.empty((m, self.n_coef)) if warm is None
+                 else np.array(warm, dtype=float)[self.point_order])
+        # the cold start's residuals; from a warm start, computed if a point stalls
+        resid = self._transformed_residuals(offsets) if warm is None else None
         converged = np.zeros(m, dtype=bool)
         iters = np.zeros(m, dtype=int)
         gnorm = np.full(m, np.inf)
@@ -621,9 +620,18 @@ class CurveFitter:
             local, rows = self._local(group), group.points
             if warm is None:
                 coefs[rows] = self._cold(group, local, weights, resid)
-            q2 = self._solve_group(
-                local, weights, self._rows(group, offsets), self._rows(group, self._y),
-                coefs[rows], gnorm[rows], converged[rows], iters[rows])
+            solution = (coefs[rows], gnorm[rows], converged[rows], iters[rows])   # views
+            q2 = self._solve_group(local, weights, self._rows(group, offsets),
+                                   self._rows(group, self._y), *solution)
+            stalled = ~solution[2] & (solution[3] < MAX_LOCAL_ITERS)
+            if warm is not None and stalled.any():
+                resid = self._transformed_residuals(offsets) if resid is None else resid
+                cold = (self._cold(group, local, weights, resid),
+                        *(np.zeros_like(a) for a in solution[1:]))
+                cold += (self._solve_group(local, weights, self._rows(group, offsets),
+                                           self._rows(group, self._y), *cold),)
+                for out, new in zip((*solution, q2), cold):
+                    out[stalled] = new[stalled]
             if z is not None:
                 derivative[local.index] = self._differentiate(group, local, weights * q2, zs)
         coefs, gnorm, converged, iters = (

@@ -9,7 +9,9 @@ numerically are logged and excluded; a study aborts if more than 10 percent
 of one arm's replicates fail.  With one replicate, a statistic that needs
 two (an SD, a kernel density) is written as JSON null or an empty CSV cell.
 
-Available studies:
+``_STUDIES`` maps each study to its builder, (family, design, smoothing,
+its own keyword arguments, such as fig1_power's gammas) -> (arms, worker,
+summary), and its default replicate count.  Available studies:
 
 * ``table1``      timing and accuracy of the three algorithms against the
                   oracle curve fit (true beta).  ``time_<algorithm>`` covers
@@ -29,6 +31,7 @@ Available studies:
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import time
@@ -52,15 +55,6 @@ from .simulate import (
 from .smoothing import SmoothingParams, _is_integer, fit_curve
 from .crossval import cross_validate, default_smoothing_grid
 
-STUDIES = ("table1", "table2", "table3", "table4", "fig1_null", "fig1_power")
-DEFAULT_REPS = {
-    "table1": 50,
-    "table2": 400,
-    "table3": 400,
-    "table4": 400,
-    "fig1_null": 400,
-    "fig1_power": 400,
-}
 GLRT_LEVELS = (0.10, 0.05, 0.01)
 POWER_GAMMAS = (0.0, 0.05, 0.10, 0.15, 0.20)
 _H_MULTIPLIERS = (0.66, 1.0, 1.5)   # table3's bandwidths, times the preset h
@@ -340,14 +334,15 @@ def _chi2_pdf(x: np.ndarray, df: int) -> np.ndarray:
     return np.exp(power - x / 2.0 - math.lgamma(k) - k * math.log(2.0))
 
 
-_STUDY_FUNCS = {
-    "table1": _study_table1,
-    "table2": _study_table2,
-    "table3": _study_table3,
-    "table4": _study_table4,
-    "fig1_null": _study_fig1_null,
-    "fig1_power": _study_fig1_power,
+_STUDIES = {
+    "table1": (_study_table1, 50),
+    "table2": (_study_table2, 400),
+    "table3": (_study_table3, 400),
+    "table4": (_study_table4, 400),
+    "fig1_null": (_study_fig1_null, 400),
+    "fig1_power": (_study_fig1_power, 400),
 }
+STUDIES = tuple(_STUDIES)
 
 
 def run_table(
@@ -369,19 +364,21 @@ def run_table(
     and any plot data are also written as CSV/JSON files whose bytes are
     reproducible for a fixed seed (timing columns excepted).
     """
-    if study not in _STUDY_FUNCS:
+    if study not in _STUDIES:
         raise StudyError(f"unknown study {study!r}; choose from {STUDIES}")
-    reps = DEFAULT_REPS[study] if reps is None else reps
+    build, default_reps = _STUDIES[study]
+    reps = default_reps if reps is None else reps
     if not _is_integer(reps) or reps < 1:
         raise StudyError(f"reps must be an integer >= 1, got {reps!r}")
-    unknown = sorted(set(study_kwargs) - ({"gammas"} if study == "fig1_power" else set()))
+    # a study's own arguments are its builder's beyond (family, design, smoothing)
+    unknown = sorted(set(study_kwargs) - set(list(inspect.signature(build).parameters)[3:]))
     if unknown:
         raise StudyError(f"study {study!r} takes no argument {', '.join(unknown)}")
     if not _is_integer(seed) or seed < 0:
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     design = make_design(family, n)
     smoothing = _smoothing_for(design, h, delta, use_cv, seed)
-    arms, worker, summarize = _STUDY_FUNCS[study](family, design, smoothing, **study_kwargs)
+    arms, worker, summarize = build(family, design, smoothing, **study_kwargs)
     rows, failures = _run_replicates(arms, reps, seed, worker)
     summary, extras = summarize(rows)
     report = {

@@ -149,8 +149,9 @@ def partly_converged(draw):
     done = draw(st.lists(st.booleans(), min_size=problem[3].size,
                          max_size=problem[3].size))
     # the unconverged points start this far below the cold start on the a_0
-    # intercept; much further, a saturated bernoulli window can overshoot to
-    # |eta| ~ 25, where q_2 ~ 1e-11 and 20 halvings cannot undo the next step
+    # intercept; a saturated bernoulli window can overshoot to |eta| ~ 25,
+    # where q_2 ~ 1e-11 and 20 halvings cannot undo the next step, and such a
+    # point is solved again from its cold start
     push = draw(st.sampled_from([0.0, -1.0, -3.0]))
     return problem, np.array(done), push, False
 
@@ -161,10 +162,19 @@ _HALVING_DRAW = (("poisson", 1, np.arange(0, 41, 2) / 40.0, np.array([0.3, 0.5, 
                   0.3, 7), np.array([True, False, False]), -8.0, True)
 
 
+# a bernoulli window of two observations for two coefficients, started 3
+# below: two Newton steps take one predictor to -24, the third step is about
+# 1.5e10 long and 20 halvings find no ascent, so the warm start stalls and
+# every point is solved again from its cold start
+_STALLING_DRAW = (("bernoulli", 0, np.array([2, 1, 3, 0, 2, 2, 2, 2, 2, 2]) / 40.0,
+                   np.zeros(5), 0.02525, 1), np.zeros(5, dtype=bool), -3.0, False)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(partly_converged())
 @example(_HALVING_DRAW)
+@example(_STALLING_DRAW)
 def test_warm_solve_with_converged_points(draw):
     (family, degree, u, points, h, seed), done, push, must_halve = draw
     family, x, z, y, offsets = _problem_arrays(family, u, seed)

@@ -574,12 +574,39 @@ class TestOptionTable:
         assert run_cli(command, "--config", str(config)) == 2
         assert f"config error: {key}: expected" in capsys.readouterr().err
 
+    def test_value_the_command_does_not_read_is_still_parsed(self, tmp_path, capsys):
+        # a config file's values are all read once, before the command runs
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"simulate": {"study": "table9"}}))
+        assert run_cli("fit", *args, "--h", "0.1", "--delta", "0.1",
+                       "--config", str(config)) == 2
+        assert "config error: simulate.study: cannot read 'table9'" in capsys.readouterr().err
+
+    def test_each_value_is_parsed_once(self, tmp_path, monkeypatch):
+        # flags and file values together, a flag overriding one file value
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 97)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"smoothing": {"h": 0.2, "delta": 0.1, "degree": 1},
+                                      "fit": {"max_steps": 2}, "seed": 3}))
+        parse, calls = cli._parse, []
+
+        def counted(opt, value, name):
+            calls.append(opt.key)
+            return parse(opt, value, name)
+
+        monkeypatch.setattr(cli, "_parse", counted)
+        assert run_cli("fit", *args, "--h", "0.1", "--config", str(config)) == 0
+        assert sorted(calls) == sorted({
+            "dataset", "family", "columns.u", "columns.y", "columns.x", "columns.z", "out",
+            "smoothing.h", "smoothing.delta", "smoothing.degree", "fit.max_steps", "seed"})
+
     def test_integer_config_value_of_a_number_key_is_read_as_float(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"smoothing": {"h": 1}, "cv": {"h_grid": [1, 0.5]}}))
         cfg = cli._merge_config(cli.build_parser().parse_args(["fit", "--config", str(config)]))
-        assert cli._read(cfg, "smoothing.h") == 1.0
-        assert cli._read(cfg, "cv.h_grid") == [1.0, 0.5]
+        assert cfg["smoothing.h"] == 1.0
+        assert cfg["cv.h_grid"] == [1.0, 0.5]
 
     @pytest.mark.parametrize("flag", sorted(FLAG_SAMPLES))
     def test_flag_and_config_key_merge_alike(self, tmp_path, flag):

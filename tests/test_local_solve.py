@@ -6,7 +6,8 @@ at their current and trial coefficients, and their halvings.  An accepted
 trial's q_1 and q_2 serve the next iterate; each group's final q_2 is
 differentiated inside the solve, so the derivative evaluates no family at
 all.  The loop that evaluates Q at every trial (``QEveryTrialFitter``) is
-the oracle the certified loop must match bit for bit.
+the oracle the certified loop must match bit for bit.  A warm-started point
+that stalls takes its group's solve from the cold start.
 """
 
 import logging
@@ -125,15 +126,43 @@ def test_curvature_is_q2_at_returned_coefficients(family, start):
     _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol)
 
 
-def test_curvature_of_an_abandoned_point():
-    # a three-observation bernoulli window started 8 below the cold start:
-    # the first step saturates the window, and 20 halvings cannot recover
+def _stalling_cold_start(monkeypatch, fitter, warm):
+    """Make the fitter's cold start the warm start, so that a point whose warm
+    start stalls stalls again when its group is solved from the cold start."""
+    monkeypatch.setattr(fitter, "_cold", lambda group, local, *_: warm[local.index])
+
+
+def _assert_cold_solve(sol, cold):
+    """sol is the cold solve, cold, bit for bit."""
+    for name in BatchSolution._fields:
+        a, b = getattr(sol, name), getattr(cold, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+def _stalling_window():
+    """A three-observation bernoulli window started 8 below the cold start:
+    the first step saturates the window, and 20 halvings cannot recover.
+    (fitter, u, z, offsets, warm)."""
     u = np.array([0.0, 0.0, 0.025])
     family, x, z, y, offsets = _problem_arrays("bernoulli", u, 16)
     sm = SmoothingParams(h=0.02525, delta=0.1, degree=0)
     fitter = CurveFitter(family, x, y, u, sm, np.array([0.0]))
     warm = fitter.initial_coefficients(offsets)
     warm[:, 0] -= 8.0
+    return fitter, u, z, offsets, warm
+
+
+def test_stalled_warm_start_takes_the_cold_solve():
+    fitter, u, z, offsets, warm = _stalling_window()
+    sol = fitter.solve(offsets, warm=warm, z=z)
+    assert sol.converged[0]
+    _assert_cold_solve(sol, fitter.solve(offsets, z=z))
+
+
+def test_curvature_of_an_abandoned_point(monkeypatch):
+    # the window's cold start stalls as well, so the point is abandoned
+    fitter, u, z, offsets, warm = _stalling_window()
+    _stalling_cold_start(monkeypatch, fitter, warm)
     sol = fitter.solve(offsets, warm=warm, z=z)
     assert not sol.converged[0] and sol.iterations[0] < 50
     _assert_derivative_at_returned_coefficients(fitter, u, z, offsets, sol)
@@ -169,15 +198,41 @@ def _assert_zero_curvature_raises(fitter, offsets, warm, **kwargs):
         fitter.solve(offsets, warm=warm, **kwargs)
 
 
+def test_saturated_warm_start_takes_the_cold_solve():
+    # every point of the saturated start stalls, so every group is solved
+    # again from its cold start, and the solve is the cold one
+    fitter, offsets, warm, data = _saturated_solve(40.0)
+    _assert_cold_solve(fitter.solve(offsets, warm=warm, z=data.z),
+                       fitter.solve(offsets, z=data.z))
+
+
+def test_stalled_points_of_a_group_take_the_cold_solve():
+    # every other point starts at its solution and keeps it; the saturated
+    # rest stall, and take their group's solve from the cold start
+    fitter, offsets, warm, data = _saturated_solve(40.0)
+    cold = fitter.solve(offsets, z=data.z)
+    kept = np.arange(data.n) % 2 == 0
+    warm[kept] = cold.coefficients[kept]
+    sol = fitter.solve(offsets, warm=warm, z=data.z)
+    mixed = [kept[fitter.point_order[group.points]] for group in fitter.groups]
+    assert any(k.any() and not k.all() for k in mixed) and sol.converged.all()
+    assert np.all(sol.iterations[kept] == 0)
+    for name in ("coefficients", "gradient_norm", "iterations"):
+        assert np.array_equal(getattr(sol, name)[~kept], getattr(cold, name)[~kept]), name
+    _assert_derivative_at_returned_coefficients(fitter, data.u, data.z, offsets, sol)
+
+
 @pytest.mark.parametrize("push", (40.0, 800.0))
-def test_saturated_start_is_abandoned_where_it_stands(push):
+def test_saturated_start_is_abandoned_where_it_stands(push, monkeypatch):
     # every window saturated: q_2 is about e^-40, so each Newton step is far
     # too long; Q keeps its slope beyond any clip, so no such step is
-    # accepted and the points stop at their start
+    # accepted and the points stop at their start, which is here their cold
+    # start too
     fitter, offsets, warm, data = _saturated_solve(push)
     if push == 800.0:
         _assert_zero_curvature_raises(fitter, offsets, warm, z=data.z)
         return
+    _stalling_cold_start(monkeypatch, fitter, warm)
     sol = fitter.solve(offsets, warm=warm, z=data.z)
     assert not sol.converged.any()
     assert np.array_equal(sol.coefficients, warm)
@@ -185,11 +240,12 @@ def test_saturated_start_is_abandoned_where_it_stands(push):
 
 
 @pytest.mark.parametrize("push", (40.0, 800.0))
-def test_unconverged_points_are_reported_once(push, caplog):
+def test_unconverged_points_are_reported_once(push, caplog, monkeypatch):
     fitter, offsets, warm, _ = _saturated_solve(push)
     if push == 800.0:
         _assert_zero_curvature_raises(fitter, offsets, warm)
         return
+    _stalling_cold_start(monkeypatch, fitter, warm)
     with caplog.at_level(logging.DEBUG, logger="gvcplm"):
         sol = fitter.solve(offsets, warm=warm)
     reports = [r for r in caplog.records if "unconverged" in r.getMessage()]
@@ -224,8 +280,14 @@ def test_converged_and_one_step_solves_report_nothing(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="gvcplm"):
         assert fitter.solve(offsets).converged.all()
     assert caplog.records == []
-    # with DEBUG off the saturated solve builds no record
+    # a warm start that stalls and is solved again from its cold start
+    # converges, and reports nothing
     fitter, offsets, warm, _ = _saturated_solve(40.0)
+    with caplog.at_level(logging.DEBUG, logger="gvcplm"):
+        assert fitter.solve(offsets, warm=warm).converged.all()
+    assert caplog.records == []
+    # with DEBUG off the abandoned solve builds no record
+    _stalling_cold_start(monkeypatch, fitter, warm)
     monkeypatch.setattr(smoothing._log, "debug", None)
     with caplog.at_level(logging.INFO, logger="gvcplm"):
         assert not fitter.solve(offsets, warm=warm).converged.any()

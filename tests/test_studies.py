@@ -111,6 +111,23 @@ class TestRunTableSmoke:
         with pytest.raises(StudyError, match="reps must be an integer"):
             g.run_table("table2", reps=reps)
 
+    @pytest.mark.parametrize("study", studies.STUDIES)
+    def test_default_reps_reach_the_replicate_loop(self, monkeypatch, study):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def loop(arms, reps, seed, worker):
+            seen.append(reps)
+            raise Stop
+
+        monkeypatch.setattr(studies, "_run_replicates", loop)
+        with pytest.raises(Stop):
+            g.run_table(study)
+        # the table of studies is the record of each default
+        assert seen == [studies._STUDIES[study][1]] == [50 if study == "table1" else 400]
+
     def test_argument_of_another_study_named(self):
         with pytest.raises(StudyError, match="'table4' takes no argument gammas"):
             g.run_table("table4", reps=1, gammas=(0.1,))
