@@ -18,20 +18,23 @@ poisson    e^x         y*x - e^x          y - e^x, -e^x
 bernoulli  log(1+e^x)  y*x - log(1+e^x)   y - p, -p(1-p),  p = expit(x)
 ========== =========== ================== ================================
 
-``FamilySpec.q012`` returns (Q, q_1, q_2) from one transcendental pass.  The
-gaussian Q keeps the residual form, since y*x - x^2/2 - y^2/2 cancels.  The
-bernoulli forms use only e = exp(-|x|), as Q = y*x - max(x, 0) - log1p(e) and
-p = 1/(1+e) or e/(1+e): finite for every finite x, with no clip.  Only e^x
-overflows, so only the poisson predictor is clipped, to +/- LINEAR_PREDICTOR_MAX
-and inside the evaluation; stored parameters are never clipped.  Beyond the
-clip the poisson Q is flat while q_1 = y - e^{+/-30} is not, so q_1 is Q's
-derivative only for |x| <= ``FamilySpec.clip``.
+Each family has one evaluator, ``FamilySpec.evaluate(x, y, w, objective)``
+-> (Q or None, w q_1, w b''): one transcendental pass, in place on the
+predictor's buffer x, with b'' = -q_2 >= 0 the variance function and w the
+kernel weights (an array of x's shape, or a scalar); no output aliases y or
+w.  Without objective it skips the log1p and the assembly of Q, which the
+local Newton solve (``gvcplm.smoothing``) needs only where a step's ascent
+cannot be certified.  ``FamilySpec.q012(x, y, objective=True)`` -> (Q, q_1,
+q_2) is the pass on a copy of x at w = 1, its w b'' negated: multiplying by
+1 and negating are exact, so q012 rounds as the evaluator does.
 
-``q012(x, y, objective=False)`` returns (None, q_1, q_2): the same pass
-without the log1p and the assembly of Q, with q_1 and q_2 bit-equal to the
-full call's.  The local Newton solve evaluates every trial this way and asks
-for Q only where a step's ascent cannot be certified from q_1 (see
-``gvcplm.smoothing``).
+The gaussian Q keeps the residual form, since y*x - x^2/2 - y^2/2 cancels.
+The bernoulli forms use only e = exp(-|x|), as Q = y*x - max(x, 0) -
+log1p(e) and p = 1/(1+e) or e/(1+e): finite for every finite x, with no
+clip.  Only e^x overflows, so only the poisson predictor is clipped, to +/-
+LINEAR_PREDICTOR_MAX and inside the evaluation; stored parameters are never
+clipped.  Beyond the clip the poisson Q is flat while q_1 = y - e^{+/-30} is
+not, so q_1 is Q's derivative only for |x| <= ``FamilySpec.clip``.
 """
 
 from __future__ import annotations
@@ -58,66 +61,63 @@ def _operands(x, y):
 # gaussian / identity
 
 
-def _gauss_q012(x, y, objective=True):
-    x, y = _operands(x, y)
-    resid = y - x
-    return (-0.5 * resid ** 2 if objective else None), resid, np.full(resid.shape, -1.0)
+def _gauss_pass(x, y, w, objective):
+    np.subtract(y, x, out=x)   # the residual, q_1
+    q = None
+    if objective:
+        q = np.square(x, out=np.empty(x.shape))
+        q *= -0.5
+    x *= w
+    return q, x, np.multiply(w, 1.0, out=np.empty(x.shape))   # w b'', b'' = 1
 
 
 # ---------------------------------------------------------------------------
 # poisson / log
 
 
-def _pois_q012(x, y, objective=True):
-    # in place where an operand is not needed again, to hold fewer arrays
-    x, y = _operands(x, y)
-    q = np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX)
-    mu = np.exp(q)
-    if not objective:
-        return None, y - mu, -mu
-    q *= y
-    q -= mu
-    return q, y - mu, -mu
+def _pois_pass(x, y, w, objective):
+    np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX, out=x)
+    mu = np.exp(x, out=np.empty(x.shape))
+    q = None
+    if objective:   # y*x - mu, in x
+        q = np.multiply(x, y, out=x)
+        q -= mu
+    wq1 = np.subtract(y, mu, out=np.empty(x.shape) if objective else x)
+    wq1 *= w
+    mu *= w
+    return q, wq1, mu
 
 
 # ---------------------------------------------------------------------------
 # bernoulli / logit
 
 
-def _logistic(x):
-    """e = exp(-|x|), p = expit(x) and p(1-p), finite for every finite x.
-
-    With r = 1/(1+e), p is r where x >= 0 and e r elsewhere, formed as
-    max([x >= 0], e) r: 1 r = r and e r are the very products a select
-    would pick (e <= 1), and a NaN x gives a NaN p either way.
-    """
+def _bern_pass(x, y, w, objective):
+    """With e = exp(-|x|) and r = 1/(1+e), p = expit(x) is r where x >= 0
+    and e r elsewhere, formed as max([x >= 0], e) r: 1 r = r and e r are the
+    very products a select would pick (e <= 1), and a NaN x gives a NaN p
+    either way.  b'' = p(1-p) = e r r."""
     # explicit outputs, so that a 0-d x gives 0-d arrays, not scalars
     e = np.abs(x, out=np.empty(x.shape))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    r = np.add(e, 1.0, out=np.empty(x.shape))
-    np.divide(1.0, r, out=r)
-    p = np.greater_equal(x, 0.0, out=np.empty(x.shape))
-    np.maximum(p, e, out=p)
-    p *= r
-    s = np.multiply(e, r, out=np.empty(x.shape))
-    s *= r
-    return e, p, s
-
-
-def _bern_q012(x, y, objective=True):
-    # in place, e, p and s becoming log1p(e), q_1 and q_2, to hold fewer arrays
-    x, y = _operands(x, y)
-    e, p, s = _logistic(x)
+    t = np.empty(x.shape)
     q = None
     if objective:
-        q = y * x
-        q -= np.maximum(x, 0.0)
-        np.log1p(e, out=e)
-        q -= e
-    np.subtract(y, p, out=p)
-    np.negative(s, out=s)
-    return q, p, s
+        q = np.multiply(y, x, out=np.empty(x.shape))
+        q -= np.maximum(x, 0.0, out=t)
+        q -= np.log1p(e, out=t)
+    r = np.add(e, 1.0, out=t)
+    np.divide(1.0, r, out=r)
+    p = np.greater_equal(x, 0.0, out=x)
+    np.maximum(p, e, out=p)
+    p *= r
+    wq1 = np.subtract(y, p, out=p)
+    wq1 *= w
+    e *= r
+    e *= r
+    e *= w
+    return q, wq1, e
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +172,20 @@ class FamilySpec:
     """
 
     name: str
-    q012: Callable                     # (x, y, objective=True) -> (Q, q_1, q_2), one pass
+    # (x, y, w, objective) -> (Q or None, w q_1, w b''), one pass overwriting x
+    evaluate: Callable
     transform: Callable                # (y, delta) -> transformed response
     validate_response: Callable        # y -> None, or DomainError
     needs_delta: bool
     # |x| beyond which Q is flat and q_1 no longer its derivative; None if never
     clip: Optional[float] = None
+
+    def q012(self, x, y, objective=True):
+        """(Q, q_1, q_2) at (x, y), or (None, q_1, q_2) without objective:
+        the evaluator on a copy of x at w = 1, its w b'' negated."""
+        x, y = _operands(x, y)
+        q, q1, b2 = self.evaluate(x.copy(), y, 1.0, objective)
+        return q, q1, np.negative(b2, out=b2)
 
     def q(self, order: int, x, y):
         """Derivative q_order(x, y) of Q(g^{-1}(x), y), order 1 or 2."""
@@ -188,7 +196,7 @@ class FamilySpec:
 
 GAUSSIAN = FamilySpec(
     name="gaussian",
-    q012=_gauss_q012,
+    evaluate=_gauss_pass,
     transform=_identity_transform,
     validate_response=_validate_gaussian,
     needs_delta=False,
@@ -196,7 +204,7 @@ GAUSSIAN = FamilySpec(
 
 POISSON = FamilySpec(
     name="poisson",
-    q012=_pois_q012,
+    evaluate=_pois_pass,
     transform=_log_transform,
     validate_response=_validate_poisson,
     needs_delta=True,
@@ -205,7 +213,7 @@ POISSON = FamilySpec(
 
 BERNOULLI = FamilySpec(
     name="bernoulli",
-    q012=_bern_q012,
+    evaluate=_bern_pass,
     transform=_logit_transform,
     validate_response=_validate_bernoulli,
     needs_delta=True,

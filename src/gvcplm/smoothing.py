@@ -57,16 +57,25 @@ about the tile's centre c,
 makes point e's local design D_e = M_e B, with B the (d, width) basis of
 rows (u_i - c)^r / r! * x_ij and M_e unit lower triangular, M_e[r, s] =
 (-(u_e - c))^(r-s) / (r-s)! (times the q x q identity).  So every kernel sum
-of a tile is one matrix product against B: the predictors (M_e' a_e)' B + o,
-the score M_e [(W q_1) B']_e, and the Hessian M_e [(W q_2) P]_e M_e' with P
-the (width, d^2) products of B's rows, per observation.  Everything else (the
-family pass, the ridged Newton steps, halvings and convergence, decided on
-each point's own coefficients a_e) runs once per group.
+of a tile is one matrix product against B: the score M_e [(W q_1) B']_e, and
+the information M_e [(W b'') P]_e M_e' with P the (width, d^2) products of
+B's rows, per observation.  Each solve appends the tile's slice of the
+u-sorted offsets o to B as a last row, so the predictors (M_e' a_e)' B + o
+are one product too, of (M_e' a_e, 1) with that (d + 1)-row basis.
+Everything else (the family pass, the ridged Newton steps, halvings and
+convergence, decided on each point's own coefficients a_e) runs once per
+group.
 
-Two bounds size them.  A tile's union may exceed its widest window by at
-most _TILE_SPAN = 32 observations, so a point's sums run over few
-observations beyond its own window.  A group's (b_g, width) arrays, and a
-tile's, hold at most _BLOCK_ELEMENTS = 2^15 (point, observation) pairs
+The solver carries W q_1 and W b'' >= 0 (b'' = -q_2, the variance function)
+as the family's one pass returns them (``FamilySpec.evaluate``), and solves
+each Newton step on the Gram matrix of W b'', the negated Hessian.  Rounding
+is sign-symmetric, so each such sum is exactly the negated sum of W q_2, but
+for the sign of an exact zero.
+
+Two bounds size the tiles and groups.  A tile's union may exceed its
+widest window by at most _TILE_SPAN = 32 observations, so a point's sums run
+over few observations beyond its own window.  A group's (b_g, width) arrays,
+and a tile's, hold at most _BLOCK_ELEMENTS = 2^15 (point, observation) pairs
 unless a single tile is wider, so the temporaries of every stage stay
 bounded whatever m is.  Nothing of size (m, d, w) is stored: the bases and
 their products are rebuilt per call from O(n) arrays, at about the cost of
@@ -81,11 +90,12 @@ q2 the local curvature at the returned coefficients,
 
 both sums one product per tile against its basis.  With S1 the first sum,
 the second is M_e T_e, T_e the (d, p) product of q2 W, the tile's basis and
-z, so the derivative is computed as -(S1^{-1} M_e) T_e: the solve takes the
-d columns of M_e as right-hand sides, not the p of M_e T_e, and only the
-last, batched product grows with p.  Each group is differentiated right
-after its Newton loop, from the bases it was solved on and its last q2,
-which is then dropped, so no solution holds the (b_g, width) curvature.
+z, so the derivative is computed as -(S1^{-1} M_e) T_e, from the sums of
+W b'' = -W q2 and negated once at the end: the solve takes the d columns of
+M_e as right-hand sides, not the p of M_e T_e, and only the last, batched
+product grows with p.  Each group is differentiated right after its Newton
+loop, from the bases it was solved on and its last W b'', which is then
+dropped, so no solution holds the (b_g, width) curvature.
 The derivative's leading q rows (``alpha_prime``) give
 d alpha(u) / d beta, which the profile gradient and Hessian need; all rows
 predict the local fit at a nearby beta.  For degree 0 this is the familiar
@@ -389,7 +399,8 @@ class Group(NamedTuple):
 class _Local(NamedTuple):
     """A group's tile bases, built per call from O(n) arrays."""
 
-    bases: np.ndarray    # (tiles, d, width) rows (u_i - centre)^r / r! * x_ij
+    # (tiles, d + 1, width) rows (u_i - centre)^r / r! * x_ij, then the offsets
+    bases: np.ndarray
     pairs: np.ndarray    # (tiles, width, d * d) products of a basis's rows
     bounds: np.ndarray   # (tiles + 1,) the tiles' first rows in the group, then b
     shift: np.ndarray    # (b, d, d) M_e: point e's local design is M_e times its basis
@@ -433,8 +444,9 @@ class CurveFitter:
     ``point_order``, the tiles and groups, the u-sorted u, x and y, and each
     point's shift from its tile's centre.  Every method runs group by group
     (module docstring), reading a tile's responses, offsets, z and x as
-    contiguous slices of the u-sorted arrays.  One instance is reused for
-    every beta the profile optimizer visits.
+    contiguous slices of the u-sorted arrays; the offsets enter as the last
+    row of each tile's basis.  One instance is reused for every beta the
+    profile optimizer visits.
     """
 
     def __init__(self, family: FamilySpec, x, y, u, smoothing: SmoothingParams, points):
@@ -493,24 +505,25 @@ class CurveFitter:
         other.smoothing = replace(self.smoothing, delta=delta)
         return other
 
-    def _local(self, group: Group) -> _Local:
-        """The group's tile bases, their column pair products and its points'
-        maps."""
+    def _local(self, group: Group, offsets) -> _Local:
+        """The group's tile bases, each ending in its slice of the u-sorted
+        offsets, their column pair products and its points' maps."""
         tiles = self.tiles[group.tiles]
         columns = np.array([t.lo for t in tiles])[:, None] + np.arange(group.width)
         du = self._u[columns] - np.array([t.centre for t in tiles])[:, None]  # (T, width)
         x = self._xt[:, columns].swapaxes(0, 1)                              # (T, q, width)
-        degree = self.smoothing.degree
-        bases = np.empty((len(tiles), degree + 1) + x.shape[1:])
-        bases[:, 0] = x
+        degree, q, d = self.smoothing.degree, self.n_curves, self.n_coef
+        bases = np.empty((len(tiles), d + 1, group.width))
+        bases[:, :q] = x
         power = np.ones_like(du)
         for r in range(1, degree + 1):
             power = power * du / r
-            np.multiply(power[:, None, :], x, out=bases[:, r])
-        bases = bases.reshape(len(tiles), self.n_coef, group.width)
-        pairs = bases.swapaxes(1, 2)[:, :, :, None] * bases.swapaxes(1, 2)[:, :, None, :]
+            np.multiply(power[:, None, :], x, out=bases[:, r * q:(r + 1) * q])
+        bases[:, d] = offsets[columns]
+        design = bases[:, :d].swapaxes(1, 2)
+        pairs = design[:, :, :, None] * design[:, :, None, :]
         bounds = [0] + [t.points.stop - group.points.start for t in tiles]
-        shift = _shift_matrices(self._shift[group.points], degree, self.n_curves)
+        shift = _shift_matrices(self._shift[group.points], degree, q)
         return _Local(bases, pairs.reshape(len(tiles), group.width, -1), np.array(bounds),
                       shift, self.point_order[group.points])
 
@@ -528,11 +541,6 @@ class CurveFitter:
 
     # -- elementary pieces, on one group's rows -------------------------------
 
-    def _objectives(self, linpred, y, weights):
-        """Local objectives (rows,) with q_1 and q_2 (rows, width), one family pass."""
-        q, q1, q2 = self.family.q012(linpred, y)
-        return np.einsum("ei,ei->e", weights, q), q1, q2
-
     def _outside(self, linpred):
         """(rows,) whether a row's predictor leaves the family's clip."""
         clip = self.family.clip
@@ -540,26 +548,32 @@ class CurveFitter:
             return np.zeros(linpred.shape[0], dtype=bool)
         return (linpred.max(axis=1) > clip) | (linpred.min(axis=1) < -clip)
 
-    def _derivatives(self, linpred, y):
-        """q_1 and q_2 (rows, width), one family pass without Q, and which
-        rows' predictors leave the family's clip.  The predictor is freed on
-        return."""
-        _, q1, q2 = self.family.q012(linpred, y, objective=False)
-        return q1, q2, self._outside(linpred)
+    def _pass(self, linpred, y, w, objective=False):
+        """One family pass, which overwrites the predictors (rows, width):
+        the local objectives sum W Q (rows,), None without objective, W q_1
+        and W b'' (rows, width), and which rows' predictors leave the
+        family's clip, read before the pass."""
+        outside = self._outside(linpred)
+        q, wq1, wb = self.family.evaluate(linpred, y, w, objective)
+        return None if q is None else np.einsum("ei,ei->e", w, q), wq1, wb, outside
 
     @staticmethod
-    def _linpred(local, sel, coefs, offsets):
-        """Predictors (rows, width) of rows sel: (M_e' a_e)' B + o."""
-        out = _products(local, sel, np.einsum("ers,er->es", local.shift[sel], coefs),
-                        local.bases)
-        out += offsets
-        return out
+    def _linpred(local, sel, coefs):
+        """Predictors (rows, width) of rows sel: (M_e' a_e, 1)' times the
+        basis with its offsets row, (M_e' a_e)' B + o.  Where BLAS sums the
+        inner dimension in order, as OpenBLAS's matrix product does, this is
+        the d-row product plus o bit for bit; at odd d its one-row product
+        (matrix-vector) sums otherwise and may differ in the last bit."""
+        shift = local.shift[sel]
+        c = np.ones((shift.shape[0], shift.shape[1] + 1))
+        c[:, :-1] = np.einsum("ers,er->es", shift, coefs)
+        return _products(local, sel, c, local.bases)
 
     @staticmethod
     def _score(local, sel, weighted):
         """sum_i weighted_ei D_ei per row, (rows, d): M_e (weighted B')_e."""
         return np.einsum("ers,es->er", local.shift[sel],
-                         _products(local, sel, weighted, local.bases.swapaxes(1, 2)))
+                         _products(local, sel, weighted, local.bases[:, :-1].swapaxes(1, 2)))
 
     @staticmethod
     def _weighted_gram(local, sel, weighted):
@@ -581,10 +595,11 @@ class CurveFitter:
 
     def initial_coefficients(self, offsets) -> np.ndarray:
         """Weighted least squares on the transformed response (cold start)."""
-        resid = self._transformed_residuals(np.asarray(offsets, dtype=float)[self.order])
+        offsets = np.asarray(offsets, dtype=float)[self.order]
+        resid = self._transformed_residuals(offsets)
         coefs = np.empty((self.points.size, self.n_coef))
         for group, weights in zip(self.groups, self.weights):
-            coefs[group.points] = self._cold(group, self._local(group), weights, resid)
+            coefs[group.points] = self._cold(group, self._local(group, offsets), weights, resid)
         return self._unsorted(coefs)
 
     # -- Newton iteration ---------------------------------------------------
@@ -617,23 +632,21 @@ class CurveFitter:
             zs = np.asarray(z, dtype=float)[self.order]
             derivative = np.empty((m, self.n_coef, zs.shape[1]))
         for group, weights in zip(self.groups, self.weights):
-            local, rows = self._local(group), group.points
+            local, rows = self._local(group, offsets), group.points
             if warm is None:
                 coefs[rows] = self._cold(group, local, weights, resid)
             solution = (coefs[rows], gnorm[rows], converged[rows], iters[rows])   # views
-            q2 = self._solve_group(local, weights, self._rows(group, offsets),
-                                   self._rows(group, self._y), *solution)
+            wb = self._solve_group(local, weights, self._rows(group, self._y), *solution)
             stalled = ~solution[2] & (solution[3] < MAX_LOCAL_ITERS)
             if warm is not None and stalled.any():
                 resid = self._transformed_residuals(offsets) if resid is None else resid
                 cold = (self._cold(group, local, weights, resid),
                         *(np.zeros_like(a) for a in solution[1:]))
-                cold += (self._solve_group(local, weights, self._rows(group, offsets),
-                                           self._rows(group, self._y), *cold),)
-                for out, new in zip((*solution, q2), cold):
+                cold += (self._solve_group(local, weights, self._rows(group, self._y), *cold),)
+                for out, new in zip((*solution, wb), cold):
                     out[stalled] = new[stalled]
             if z is not None:
-                derivative[local.index] = self._differentiate(group, local, weights * q2, zs)
+                derivative[local.index] = self._differentiate(group, local, wb, zs)
         coefs, gnorm, converged, iters = (
             self._unsorted(a) for a in (coefs, gnorm, converged, iters))
         if _log.isEnabledFor(logging.DEBUG) and not converged.all():
@@ -649,41 +662,43 @@ class CurveFitter:
         return BatchSolution(coefs, None if z is None else np.swapaxes(derivative, 1, 2),
                              gnorm, converged, iters)
 
-    def _solve_group(self, local, w, offsets, y, coefs, gnorm, converged, iters):
+    def _solve_group(self, local, w, y, coefs, gnorm, converged, iters):
         """Damped Newton iteration of one group's points, in place.
 
-        offsets and y are the group's (b_g, width) rows; coefs, gnorm,
-        converged and iters are its views of the solution arrays, updated in
-        place.  Steps, ridges, halvings and convergence are decided on the
-        points' own coefficients a_e (the local design D_e = M_e B), as for
-        a per-point solve.  Each trial predictor gets one family pass for
-        q_1 and q_2 only, and is freed after it; the trial's score, taken
-        once, serves both the certificate and the next convergence test.
-        With phi(t) the local objective along the step, concavity gives
-        phi(1) - phi(0) >= phi'(1) = score(trial) . step, so a row whose
-        phi'(1) >= -1e-10 has phi(1) >= phi(0) - 1e-10 >= phi(0) - 1e-10 (1 +
-        |phi(0)|), the acceptance test, and is accepted without Q.  Only the
-        other rows, and rows whose current or trial predictor leaves the
-        family's clip (where q_1 is not Q's derivative), get sum W Q at
-        their current and trial coefficients, the predictors rebuilt for
-        them alone, and the acceptance test with its halvings; where a step
-        is halved, the score of every active row is taken again, as the
-        next convergence test would take it.  An accepted trial's q_1 and
-        q_2 serve the next iterate, and the last q_2 (b_g, width), the
-        group's curvature, is returned for ``_differentiate``.  Rows that
-        converge or stall leave the active rows, whose w, y and offsets are
-        compacted once when they do.
+        w and y are the group's (b_g, width) kernel weights and responses,
+        read and never written; the predictors come from the group's bases,
+        which end in the offsets.  coefs, gnorm, converged and iters are its
+        views of the solution arrays, updated in place.  Steps, ridges,
+        halvings and convergence are decided on the points' own coefficients
+        a_e (the local design D_e = M_e B), as for a per-point solve.  Each
+        trial predictor gets one family pass for W q_1 and W b'' only, which
+        overwrites it; the trial's score, taken once, serves both the
+        certificate and the next convergence test.  With phi(t) the local
+        objective along the step, concavity gives phi(1) - phi(0) >= phi'(1)
+        = score(trial) . step, so a row whose phi'(1) >= -1e-10 has phi(1) >=
+        phi(0) - 1e-10 >= phi(0) - 1e-10 (1 + |phi(0)|), the acceptance test,
+        and is accepted without Q.  Only the other rows, and rows whose
+        current or trial predictor leaves the family's clip (where q_1 is
+        not Q's derivative), get sum W Q at their current and trial
+        coefficients, the predictors rebuilt for them alone, and the
+        acceptance test with its halvings; where a step is halved, the score
+        of every active row is taken again, as the next convergence test
+        would take it.  An accepted trial's W q_1 and W b'' serve the next
+        iterate; the Gram matrix of W b'' is the negated Hessian, solved as
+        it is.  The last W b'' (b_g, width), the group's curvature, is
+        returned for ``_differentiate``.  Rows that converge or stall leave
+        the active rows, whose w and y are compacted once when they do.
         """
         m = coefs.shape[0]
         every = slice(None)
-        q1, q2, outside = self._derivatives(self._linpred(local, every, coefs, offsets), y)
-        curvature = q2
-        grad = self._score(local, every, w * q1)
-        del q1
+        _, wq1, wb, outside = self._pass(self._linpred(local, every, coefs), y, w)
+        curvature = wb
+        grad = self._score(local, every, wq1)
+        del wq1
 
         active = np.arange(m)
         while True:
-            # grad, q2, outside, w, y and offsets hold the active rows
+            # grad, wb, outside, w and y hold the active rows
             sel = every if active.size == m else active
             gn = np.abs(grad).max(axis=1)
             gnorm[sel] = gn
@@ -691,21 +706,21 @@ class CurveFitter:
             converged[active[done]] = True
             if done.any():
                 keep = ~done
-                active, grad, q2, outside, w, y, offsets = (
-                    a[keep] for a in (active, grad, q2, outside, w, y, offsets))
+                active, grad, wb, outside, w, y = (
+                    a[keep] for a in (active, grad, wb, outside, w, y))
                 sel = active
             if active.size == 0 or iters[sel].min() >= MAX_LOCAL_ITERS:
                 # points that exhausted the budget stay converged=False
                 break
 
-            hess = self._weighted_gram(local, sel, w * q2)
-            del q2   # held on only as curvature
-            step = _ridged_solve(-hess, grad, "local Newton", local.index[active])
+            information = self._weighted_gram(local, sel, wb)   # minus the Hessian
+            del wb   # held on only as curvature
+            step = _ridged_solve(information, grad, "local Newton", local.index[active])
 
             trial_c = coefs[sel] + step
-            trial_q1, trial_q2, trial_outside = self._derivatives(
-                self._linpred(local, sel, trial_c, offsets), y)
-            grad = self._score(local, sel, w * trial_q1)
+            _, trial_wq1, trial_wb, trial_outside = self._pass(
+                self._linpred(local, sel, trial_c), y, w)
+            grad = self._score(local, sel, trial_wq1)
             certified = np.einsum("er,er->e", grad, step) >= -1e-10   # a NaN slope is not
             rows = np.flatnonzero(~certified | outside | trial_outside)
             stalled = rows[:0]
@@ -713,10 +728,9 @@ class CurveFitter:
                 # views, not copies, where every active row is uncertified
                 part = every if rows.size == active.size else rows
                 at = sel if part is every else active[rows]
-                obj = self._objectives(self._linpred(local, at, coefs[at], offsets[part]),
-                                       y[part], w[part])[0]
-                trial_obj = self._objectives(
-                    self._linpred(local, at, trial_c[part], offsets[part]), y[part], w[part])[0]
+                obj = self._pass(self._linpred(local, at, coefs[at]), y[part], w[part], True)[0]
+                trial_obj = self._pass(self._linpred(local, at, trial_c[part]),
+                                       y[part], w[part], True)[0]
                 tol_obj = 1e-10 * (1.0 + np.abs(obj))
                 bad = ~(trial_obj >= obj - tol_obj)   # a NaN objective is no ascent
                 if bad.any():   # the score of a halved trial is taken again below
@@ -728,60 +742,61 @@ class CurveFitter:
                     lam[bad] *= 0.5
                     r = rows[bad]
                     trial_c[r] = coefs[active[r]] + lam[bad, None] * step[r]
-                    linpred = self._linpred(local, active[r], trial_c[r], offsets[r])
-                    trial_outside[r] = self._outside(linpred)
-                    trial_obj[bad], trial_q1[r], trial_q2[r] = self._objectives(
-                        linpred, y[r], w[r])
-                    del linpred
+                    trial_obj[bad], trial_wq1[r], trial_wb[r], trial_outside[r] = self._pass(
+                        self._linpred(local, active[r], trial_c[r]), y[r], w[r], True)
                     bad = ~(trial_obj >= obj - tol_obj)
                 stalled = rows[bad]
             if stalled.size:
                 # stalled points (no ascent after max halvings) are abandoned
                 keep = np.ones(active.size, dtype=bool)
                 keep[stalled] = False
-                active, trial_c, trial_q1, trial_q2, trial_outside, w, y, offsets = (
-                    a[keep] for a in (active, trial_c, trial_q1, trial_q2, trial_outside,
-                                      w, y, offsets))
+                active, trial_c, trial_wq1, trial_wb, trial_outside, w, y = (
+                    a[keep] for a in (active, trial_c, trial_wq1, trial_wb, trial_outside,
+                                      w, y))
                 sel = active
             coefs[sel] = trial_c
-            if active.size == m:   # rebound, not copied: frees the last q_2
-                curvature = trial_q2
+            if active.size == m:   # rebound, not copied: frees the last W b''
+                curvature = trial_wb
             else:
-                curvature[sel] = trial_q2
-            q2, outside = trial_q2, trial_outside
+                curvature[sel] = trial_wb
+            wb, outside = trial_wb, trial_outside
             if grad is None:
-                grad = self._score(local, sel, w * trial_q1)
-            del trial_q1
+                grad = self._score(local, sel, trial_wq1)
+            del trial_wq1
             iters[sel] += 1
 
         return curvature
 
-    def _differentiate(self, group, local, wq2, zs) -> np.ndarray:
+    def _differentiate(self, group, local, wb, zs) -> np.ndarray:
         """(b_g, d, p) derivative of the group's local coefficients with
-        respect to beta, from wq2 = W q2 (b_g, width) at its solution.
+        respect to beta, from wb = W b'' = -W q_2 (b_g, width) at its
+        solution, which is only read.
 
         It is the closed-form implicit derivative -S1^{-1} S2 of the local
         score equation (module docstring), with no family evaluation.  Both
-        sums are one product per tile against its basis: S1 as in the Newton
-        Hessian, S2 = M_e T_e with T_e = [(W q2)(B x z)]_e and B x z the
-        (width, d p) products of the basis's columns with the tile's
+        sums are one product per tile against its basis's leading d rows,
+        taken with W b'', so each is the negated sum with W q_2: -S1 as in
+        the Newton step, -S2 = M_e T_e with T_e = [(W b'')(B x z)]_e and B x
+        z the (width, d p) products of the basis's columns with the tile's
         contiguous rows of the u-sorted z, zs.  So the derivative is
-        -(S1^{-1} M_e) T_e: one solve with the d columns of M_e as
-        right-hand sides, whatever p is, then one batched product with T_e.
-        The ridge ladder decides on S1 alone, as for any right-hand side.
+        (-S1)^{-1} M_e T_e, negated once at the end: one solve with the d
+        columns of M_e as right-hand sides, whatever p is, then one batched
+        product with T_e.  The ridge ladder decides on -S1 alone, as for any
+        right-hand side.
         """
         d, p = self.n_coef, zs.shape[1]
-        s1 = -self._weighted_gram(local, slice(None), wq2)
-        tz = np.empty((wq2.shape[0], d * p))
+        information = self._weighted_gram(local, slice(None), wb)
+        tz = np.empty((wb.shape[0], d * p))
         kron = np.empty((group.width, d * p))   # C order, so no reshape copies it
         bounds = local.bounds.tolist()
-        for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
+        for a, b, basis, tile in zip(bounds, bounds[1:], local.bases[:, :-1],
                                      self.tiles[group.tiles]):
             np.multiply(basis.T[:, :, None], zs[tile.lo:tile.hi, None, :],
                         out=kron.reshape(group.width, d, p))
-            np.matmul(wq2[a:b], kron, out=tz[a:b])
-        return _ridged_solve(s1, local.shift, "curve derivative", local.index) \
+            np.matmul(wb[a:b], kron, out=tz[a:b])
+        out = _ridged_solve(information, local.shift, "curve derivative", local.index) \
             @ tz.reshape(-1, d, p)
+        return np.negative(out, out=out)
 
     # -- derived quantities ---------------------------------------------------
 

@@ -60,10 +60,10 @@ def log_passes(fitter):
     log = []
     family, solve_group, score = fitter.family, fitter._solve_group, fitter._score
 
-    def q012(x, y, objective=True):
-        beyond = bool(np.any(np.abs(x) > LINEAR_PREDICTOR_MAX))
+    def evaluate(x, y, w, objective):
+        beyond = bool(np.any(np.abs(x) > LINEAR_PREDICTOR_MAX))   # before x is overwritten
         log.append(("pass", objective, x.shape[0], beyond))
-        return family.q012(x, y, objective=objective)
+        return family.evaluate(x, y, w, objective)
 
     def logged_group(*args):
         log.append(("group",))
@@ -74,7 +74,7 @@ def log_passes(fitter):
         log.append(("score", grad))
         return grad
 
-    fitter.family = dataclasses.replace(family, q012=q012)
+    fitter.family = dataclasses.replace(family, evaluate=evaluate)
     fitter._solve_group, fitter._score = logged_group, logged_score
     return log
 

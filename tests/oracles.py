@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from gvcplm.smoothing import (LOCAL_TOL, MAX_HALVINGS, MAX_LOCAL_ITERS, CurveFitter,
-                              _ridged_solve)
+                              _products, _ridged_solve)
 
 
 def epanechnikov(t, h):
@@ -153,20 +153,40 @@ def local_grid_search(objective, bounds, coarse=41, refinements=4):
     return best
 
 
+def _q_every_trial_objectives(family, linpred, y, w):
+    """Local objectives sum W Q (rows,) with the unweighted q_1 and q_2 (rows,
+    width), from one ``q012`` pass."""
+    q, q1, q2 = family.q012(linpred, y)
+    return np.einsum("ei,ei->e", w, q), q1, q2
+
+
+def _q_every_trial_linpred(local, sel, coefs, offsets):
+    """Predictors (rows, width) of rows sel: the product with the basis's d
+    leading rows, then the offsets added."""
+    out = _products(local, sel, np.einsum("ers,er->es", local.shift[sel], coefs),
+                    local.bases[:, :-1])
+    out += offsets
+    return out
+
+
 class QEveryTrialFitter(CurveFitter):
     """A CurveFitter whose local Newton loop evaluates Q at every trial.
 
-    Each trial predictor gets one full family pass (Q, q_1, q_2), and every
-    step is accepted by the test sum W Q(trial) >= sum W Q(current) - 1e-10
-    (1 + |sum W Q(current)|), halving the step where it fails.  The
-    certified loop must reach the same coefficients, iterations and flags
-    bit for bit.
+    Each trial predictor is the product with the basis's d leading rows plus
+    the offsets, and gets one full ``q012`` pass (Q, q_1, q_2); the score is
+    taken with W q_1, the Newton step solves the negated Gram matrix of W q_2,
+    and every step is accepted by the test sum W Q(trial) >= sum W Q(current)
+    - 1e-10 (1 + |sum W Q(current)|), halving the step where it fails.  It
+    returns -(W q_2) as the curvature.  The certified loop must reach the
+    same coefficients, iterations and flags bit for bit.
     """
 
-    def _solve_group(self, local, w, offsets, y, coefs, gnorm, converged, iters):
+    def _solve_group(self, local, w, y, coefs, gnorm, converged, iters):
         m = coefs.shape[0]
         every = slice(None)
-        obj, q1, q2 = self._objectives(self._linpred(local, every, coefs, offsets), y, w)
+        offsets = np.repeat(local.bases[:, -1], np.diff(local.bounds), axis=0)
+        obj, q1, q2 = _q_every_trial_objectives(
+            self.family, _q_every_trial_linpred(local, every, coefs, offsets), y, w)
         curvature = q2
 
         active = np.arange(m)
@@ -188,8 +208,9 @@ class QEveryTrialFitter(CurveFitter):
 
             lam = np.ones(active.size)
             trial_c = coefs[sel] + step
-            trial_obj, trial_q1, trial_q2 = self._objectives(
-                self._linpred(local, sel, trial_c, offsets[sel]), y[sel], w[sel])
+            trial_obj, trial_q1, trial_q2 = _q_every_trial_objectives(
+                self.family, _q_every_trial_linpred(local, sel, trial_c, offsets[sel]),
+                y[sel], w[sel])
             tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
             bad = ~(trial_obj >= obj[sel] - tol_obj)
             for _ in range(MAX_HALVINGS):
@@ -198,8 +219,9 @@ class QEveryTrialFitter(CurveFitter):
                 lam[bad] *= 0.5
                 idx = active[bad]
                 trial_c[bad] = coefs[idx] + lam[bad, None] * step[bad]
-                trial_obj[bad], trial_q1[bad], trial_q2[bad] = self._objectives(
-                    self._linpred(local, idx, trial_c[bad], offsets[idx]), y[idx], w[idx])
+                trial_obj[bad], trial_q1[bad], trial_q2[bad] = _q_every_trial_objectives(
+                    self.family, _q_every_trial_linpred(local, idx, trial_c[bad], offsets[idx]),
+                    y[idx], w[idx])
                 bad = ~(trial_obj >= obj[sel] - tol_obj)
             if bad.any():
                 active, trial_c, trial_obj, trial_q1, trial_q2 = (a[~bad] for a in (
@@ -213,4 +235,4 @@ class QEveryTrialFitter(CurveFitter):
             q1, q2 = trial_q1, trial_q2
             iters[sel] += 1
 
-        return curvature
+        return -(w * curvature)

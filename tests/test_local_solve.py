@@ -1,11 +1,11 @@
 """The local Newton solve's family passes and the derivative it returns.
 
-Each trial predictor gets one family pass for q_1 and q_2, and its score
-certifies the step where score . step >= -1e-10; only the other rows get Q,
-at their current and trial coefficients, and their halvings.  An accepted
-trial's q_1 and q_2 serve the next iterate; each group's final q_2 is
-differentiated inside the solve, so the derivative evaluates no family at
-all.  The loop that evaluates Q at every trial (``QEveryTrialFitter``) is
+Each trial predictor gets one family pass for W q_1 and W b'' = -W q_2, and
+its score certifies the step where score . step >= -1e-10; only the other
+rows get Q, at their current and trial coefficients, and their halvings.  An
+accepted trial's W q_1 and W b'' serve the next iterate; each group's final
+W b'' is differentiated inside the solve, so the derivative evaluates no
+family at all.  The loop that evaluates Q at every trial (``QEveryTrialFitter``) is
 the oracle the certified loop must match bit for bit.  A warm-started point
 that stalls takes its group's solve from the cold start.
 """
@@ -293,19 +293,20 @@ def test_converged_and_one_step_solves_report_nothing(caplog, monkeypatch):
         assert not fitter.solve(offsets, warm=warm).converged.any()
 
 
-def _differentiate_with_p_right_hand_sides(fitter, group, local, wq2, zs):
-    """The derivative as S1^{-1} (M_e T_e): M_e T_e formed first, then one
-    solve with its p columns as right-hand sides."""
+def _differentiate_with_p_right_hand_sides(fitter, group, local, wb, zs):
+    """The derivative as -S1^{-1} (M_e T_e): with W b'' = -W q_2, -S1 and
+    M_e T_e = -S2 formed first, then one solve with its p columns as
+    right-hand sides, negated."""
     d, p = fitter.n_coef, zs.shape[1]
-    s1 = -fitter._weighted_gram(local, slice(None), wq2)
-    s2 = np.empty((wq2.shape[0], d * p))
+    information = fitter._weighted_gram(local, slice(None), wb)
+    tz = np.empty((wb.shape[0], d * p))
     bounds = local.bounds.tolist()
-    for a, b, basis, tile in zip(bounds, bounds[1:], local.bases,
+    for a, b, basis, tile in zip(bounds, bounds[1:], local.bases[:, :-1],
                                  fitter.tiles[group.tiles]):
         kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
-        np.matmul(wq2[a:b], kron.reshape(group.width, -1), out=s2[a:b])
-    return smoothing._ridged_solve(s1, local.shift @ s2.reshape(-1, d, p),
-                                   "curve derivative", local.index)
+        np.matmul(wb[a:b], kron.reshape(group.width, -1), out=tz[a:b])
+    return -smoothing._ridged_solve(information, local.shift @ tz.reshape(-1, d, p),
+                                    "curve derivative", local.index)
 
 
 @pytest.mark.parametrize("family, x_scale", [("poisson", 1.0), ("bernoulli", 1.0),
@@ -323,9 +324,9 @@ def test_derivative_agrees_with_the_p_right_hand_side_form(family, x_scale, capl
     fitter = CurveFitter(family, x, data.y, data.u, SmoothingParams(h=h, delta=delta), data.u)
     differentiate, groups = fitter._differentiate, []
 
-    def compared(group, local, wq2, zs):
-        got = differentiate(group, local, wq2, zs)
-        want = _differentiate_with_p_right_hand_sides(fitter, group, local, wq2, zs)
+    def compared(group, local, wb, zs):
+        got = differentiate(group, local, wb, zs)
+        want = _differentiate_with_p_right_hand_sides(fitter, group, local, wb, zs)
         scale = np.abs(want).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
         groups.append(group)
