@@ -31,16 +31,23 @@ q_2) is the pass on a copy of x at w = 1, its w b'' negated: multiplying by
 The gaussian Q keeps the residual form, since y*x - x^2/2 - y^2/2 cancels.
 The bernoulli forms use only e = exp(-|x|), as Q = y*x - max(x, 0) -
 log1p(e) and p = 1/(1+e) or e/(1+e): finite for every finite x, with no
-clip.  Only e^x overflows, so only the poisson predictor is clipped, to +/-
-LINEAR_PREDICTOR_MAX and inside the evaluation; stored parameters are never
-clipped.  Beyond the clip the poisson Q is flat while q_1 = y - e^{+/-30} is
-not, so q_1 is Q's derivative only for |x| <= ``FamilySpec.clip``.
+clip.  Only e^x overflows, so only the poisson exponent is capped, at c =
+clip(x, +/- LINEAR_PREDICTOR_MAX) inside the evaluation (stored parameters
+are never clipped): mu = e^c, q_1 = y - e^c, q_2 = -e^c, and Q is extended
+linearly from the cap, Q(x) = Q(c) + q_1(c) (x - c), which is y*x - e^x bit
+for bit where |x| <= 30.  So q_1 is Q's derivative for every x, and Q is
+concave and C^1 everywhere; q_2 keeps the curvature at the cap.  (The form
+y*x - e^c (1 + x - c) would give inf - inf at an infinite x.)  At y = 0 the
+slope past -30 is -e^{-30}, so Q rises about 1e-13 per unit as x -> -inf,
+as the true Q nears its supremum 0; past +30 it is y - e^30, so counts y >
+e^30 are rejected, for Q has no maximum.  Counts near e^30 may still leave
+fitted predictors past +/-30.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -76,13 +83,17 @@ def _gauss_pass(x, y, w, objective):
 
 
 def _pois_pass(x, y, w, objective):
-    np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX, out=x)
-    mu = np.exp(x, out=np.empty(x.shape))
-    q = None
-    if objective:   # y*x - mu, in x
-        q = np.multiply(x, y, out=x)
-        q -= mu
+    c = np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX,
+                out=np.empty(x.shape) if objective else x)
+    mu = np.exp(c, out=np.empty(x.shape))
     wq1 = np.subtract(y, mu, out=np.empty(x.shape) if objective else x)
+    q = None
+    if objective:   # Q(c) + q_1 (x - c), in x
+        x -= c
+        x *= wq1
+        c *= y
+        c -= mu
+        q = np.add(c, x, out=x)
     wq1 *= w
     mu *= w
     return q, wq1, mu
@@ -150,10 +161,11 @@ def _validate_gaussian(y):
 
 
 def _validate_poisson(y):
-    bad = ~(np.asarray(y) >= 0)
+    arr = np.asarray(y)   # a mean past e^30 is out of the capped exponent's reach
+    bad = ~((arr >= 0) & (arr <= np.exp(LINEAR_PREDICTOR_MAX)))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"poisson response must be nonnegative; y[{i}] = {np.asarray(y).ravel()[i]}")
+        raise DomainError(f"poisson response must be in [0, e^30]; y[{i}] = {arr.ravel()[i]}")
 
 
 def _validate_bernoulli(y):
@@ -177,8 +189,6 @@ class FamilySpec:
     transform: Callable                # (y, delta) -> transformed response
     validate_response: Callable        # y -> None, or DomainError
     needs_delta: bool
-    # |x| beyond which Q is flat and q_1 no longer its derivative; None if never
-    clip: Optional[float] = None
 
     def q012(self, x, y, objective=True):
         """(Q, q_1, q_2) at (x, y), or (None, q_1, q_2) without objective:
@@ -208,7 +218,6 @@ POISSON = FamilySpec(
     transform=_log_transform,
     validate_response=_validate_poisson,
     needs_delta=True,
-    clip=LINEAR_PREDICTOR_MAX,
 )
 
 BERNOULLI = FamilySpec(

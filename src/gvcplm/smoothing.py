@@ -27,11 +27,11 @@ curvature-condition argument of Nocedal and Wright, Numerical Optimization,
 - 1e-10 >= phi(0) - 1e-10 (1 + |phi(0)|), the acceptance test, which leaves
 1e-10 |phi(0)| for the rounding of its two sums.  So each trial gets one
 family pass for q_1 and q_2 only, and its score, which the next convergence
-test needs anyway, certifies it.  Q is evaluated, at a row's current and
-trial coefficients, only where the bound fails, and on poisson rows whose
-current or trial predictor leaves +/- LINEAR_PREDICTOR_MAX: beyond the clip
-Q is flat and q_1 not its derivative, while between two predictors inside it
-phi stays concave.  Those rows run the acceptance test and its step halvings
+test needs anyway, certifies it.  Every family's Q is concave and q_1 its
+derivative for every predictor (the poisson Q is extended linearly past its
+exponent cap, ``gvcplm.families``), so the certificate covers every row.  Q
+is evaluated, at a row's current and trial coefficients, only where the
+bound fails, and those rows run the acceptance test and its step halvings
 as before.  The certificate holds only where the test passes, so every
 accepted step, halving, iteration count and result is the test's own.
 
@@ -541,21 +541,12 @@ class CurveFitter:
 
     # -- elementary pieces, on one group's rows -------------------------------
 
-    def _outside(self, linpred):
-        """(rows,) whether a row's predictor leaves the family's clip."""
-        clip = self.family.clip
-        if clip is None:
-            return np.zeros(linpred.shape[0], dtype=bool)
-        return (linpred.max(axis=1) > clip) | (linpred.min(axis=1) < -clip)
-
     def _pass(self, linpred, y, w, objective=False):
         """One family pass, which overwrites the predictors (rows, width):
-        the local objectives sum W Q (rows,), None without objective, W q_1
-        and W b'' (rows, width), and which rows' predictors leave the
-        family's clip, read before the pass."""
-        outside = self._outside(linpred)
+        the local objectives sum W Q (rows,), None without objective, then W
+        q_1 and W b'' (rows, width)."""
         q, wq1, wb = self.family.evaluate(linpred, y, w, objective)
-        return None if q is None else np.einsum("ei,ei->e", w, q), wq1, wb, outside
+        return None if q is None else np.einsum("ei,ei->e", w, q), wq1, wb
 
     @staticmethod
     def _linpred(local, sel, coefs):
@@ -677,28 +668,28 @@ class CurveFitter:
         objective along the step, concavity gives phi(1) - phi(0) >= phi'(1)
         = score(trial) . step, so a row whose phi'(1) >= -1e-10 has phi(1) >=
         phi(0) - 1e-10 >= phi(0) - 1e-10 (1 + |phi(0)|), the acceptance test,
-        and is accepted without Q.  Only the other rows, and rows whose
-        current or trial predictor leaves the family's clip (where q_1 is
-        not Q's derivative), get sum W Q at their current and trial
-        coefficients, the predictors rebuilt for them alone, and the
-        acceptance test with its halvings; where a step is halved, the score
-        of every active row is taken again, as the next convergence test
-        would take it.  An accepted trial's W q_1 and W b'' serve the next
-        iterate; the Gram matrix of W b'' is the negated Hessian, solved as
-        it is.  The last W b'' (b_g, width), the group's curvature, is
-        returned for ``_differentiate``.  Rows that converge or stall leave
-        the active rows, whose w and y are compacted once when they do.
+        and is accepted without Q; q_1 is Q's derivative at every predictor,
+        so this holds on every row.  Only the other rows get sum W Q at their
+        current and trial coefficients, the predictors rebuilt for them
+        alone, and the acceptance test with its halvings; where a step is
+        halved, the score of every active row is taken again, as the next
+        convergence test would take it.  An accepted trial's W q_1 and W b''
+        serve the next iterate; the Gram matrix of W b'' is the negated
+        Hessian, solved as it is.  The last W b'' (b_g, width), the group's
+        curvature, is returned for ``_differentiate``.  Rows that converge or
+        stall leave the active rows, whose w and y are compacted once when
+        they do.
         """
         m = coefs.shape[0]
         every = slice(None)
-        _, wq1, wb, outside = self._pass(self._linpred(local, every, coefs), y, w)
+        _, wq1, wb = self._pass(self._linpred(local, every, coefs), y, w)
         curvature = wb
         grad = self._score(local, every, wq1)
         del wq1
 
         active = np.arange(m)
         while True:
-            # grad, wb, outside, w and y hold the active rows
+            # grad, wb, w and y hold the active rows
             sel = every if active.size == m else active
             gn = np.abs(grad).max(axis=1)
             gnorm[sel] = gn
@@ -706,8 +697,7 @@ class CurveFitter:
             converged[active[done]] = True
             if done.any():
                 keep = ~done
-                active, grad, wb, outside, w, y = (
-                    a[keep] for a in (active, grad, wb, outside, w, y))
+                active, grad, wb, w, y = (a[keep] for a in (active, grad, wb, w, y))
                 sel = active
             if active.size == 0 or iters[sel].min() >= MAX_LOCAL_ITERS:
                 # points that exhausted the budget stay converged=False
@@ -718,11 +708,10 @@ class CurveFitter:
             step = _ridged_solve(information, grad, "local Newton", local.index[active])
 
             trial_c = coefs[sel] + step
-            _, trial_wq1, trial_wb, trial_outside = self._pass(
-                self._linpred(local, sel, trial_c), y, w)
+            _, trial_wq1, trial_wb = self._pass(self._linpred(local, sel, trial_c), y, w)
             grad = self._score(local, sel, trial_wq1)
             certified = np.einsum("er,er->e", grad, step) >= -1e-10   # a NaN slope is not
-            rows = np.flatnonzero(~certified | outside | trial_outside)
+            rows = np.flatnonzero(~certified)
             stalled = rows[:0]
             if rows.size:
                 # views, not copies, where every active row is uncertified
@@ -742,7 +731,7 @@ class CurveFitter:
                     lam[bad] *= 0.5
                     r = rows[bad]
                     trial_c[r] = coefs[active[r]] + lam[bad, None] * step[r]
-                    trial_obj[bad], trial_wq1[r], trial_wb[r], trial_outside[r] = self._pass(
+                    trial_obj[bad], trial_wq1[r], trial_wb[r] = self._pass(
                         self._linpred(local, active[r], trial_c[r]), y[r], w[r], True)
                     bad = ~(trial_obj >= obj - tol_obj)
                 stalled = rows[bad]
@@ -750,16 +739,15 @@ class CurveFitter:
                 # stalled points (no ascent after max halvings) are abandoned
                 keep = np.ones(active.size, dtype=bool)
                 keep[stalled] = False
-                active, trial_c, trial_wq1, trial_wb, trial_outside, w, y = (
-                    a[keep] for a in (active, trial_c, trial_wq1, trial_wb, trial_outside,
-                                      w, y))
+                active, trial_c, trial_wq1, trial_wb, w, y = (
+                    a[keep] for a in (active, trial_c, trial_wq1, trial_wb, w, y))
                 sel = active
             coefs[sel] = trial_c
             if active.size == m:   # rebound, not copied: frees the last W b''
                 curvature = trial_wb
             else:
                 curvature[sel] = trial_wb
-            wb, outside = trial_wb, trial_outside
+            wb = trial_wb
             if grad is None:
                 grad = self._score(local, sel, trial_wq1)
             del trial_wq1

@@ -82,8 +82,8 @@ def log_passes(fitter):
 def trials(log):
     """The Newton trials of a ``log_passes`` log, one dict each: its rows, its
     step and score when logged ("step" entries, if any, precede their trial),
-    whether a predictor left the clip, and the rows of each Q pass (objective
-    evaluated) that followed it."""
+    whether a predictor had |x| > LINEAR_PREDICTOR_MAX, and the rows of each
+    Q pass (objective evaluated) that followed it."""
     out, current, start, step = [], None, False, None
     for entry in log:
         if entry[0] == "group":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,10 +58,14 @@ class TestDerivativeLadder:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_q1_matches_finite_difference_of_quasi_loglik(self, family):
-        for x in (-3.0, 0.0, 2.0):
+        # past +/-30 the poisson Q goes on linearly, with slopes up to e^30,
+        # so there the match is relative
+        beyond = (31.0, -31.0, 40.0, -40.0) if family == "poisson" else ()
+        for x in (-3.0, 0.0, 2.0) + beyond:
             for y in _Y_SAMPLES[family]:
                 fd = fd_derivative(lambda t: quasi_loglik(family, t, y), x)
-                assert q(family, 1, x, y) == pytest.approx(fd, abs=1e-7)
+                tol = {"abs": 1e-7} if abs(x) <= LINEAR_PREDICTOR_MAX else {"rel": 1e-6}
+                assert q(family, 1, x, y) == pytest.approx(fd, **tol)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_q2_strictly_negative(self, family):
@@ -112,6 +118,15 @@ class TestDomainValidation:
     def test_poisson_rejects_negative_response(self):
         with pytest.raises(DomainError, match=r"y\[2\]"):
             g.get_family("poisson").validate_response(np.array([1.0, 0.0, -3.0]))
+
+    def test_poisson_rejects_a_count_past_the_capped_mean(self):
+        # past +30 the slope of Q is y - e^30, so Q has a maximum only for
+        # y <= e^30, the largest mean the capped exponent reaches
+        cap = np.exp(LINEAR_PREDICTOR_MAX)
+        fam = g.get_family("poisson")
+        fam.validate_response(np.array([0.0, cap]))
+        with pytest.raises(DomainError, match=r"y\[1\]"):
+            fam.validate_response(np.array([1.0, np.nextafter(cap, np.inf), 2.0]))
 
     def test_bernoulli_rejects_non_binary(self):
         with pytest.raises(DomainError, match=r"y\[1\]"):
@@ -215,6 +230,42 @@ def test_fused_triple_and_derivative_ladder(point):
         fd = fd_derivative(lambda t: below(order, t), x)
         exact = fam.q(order, x, y)
         assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact)), (order, exact, fd)
+
+
+# both sides of the cap at +/-30, far past it, and where e^x under- or
+# overflows
+_POISSON_EDGES = (0.0, -0.0, 29.5, -29.5, 30.0, -30.0, 30.5, -30.5, 45.0, -45.0,
+                  700.0, -700.0, 1e4, -1e4)
+_POISSON_PREDICTORS = st.one_of(st.sampled_from(_POISSON_EDGES), st.floats(-800.0, 800.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_POISSON_PREDICTORS, b=_POISSON_PREDICTORS, y=st.floats(0.0, 50.0))
+def test_poisson_q_goes_on_linearly_past_the_cap(a, b, y):
+    # Q is y*x - e^x within +/-30 and its tangent at the cap beyond, so q_1
+    # is its derivative and it is concave for every finite x
+    fam = g.get_family("poisson")
+    eps = np.finfo(float).eps
+
+    def scale(x):   # bounds the terms Q sums, and q_1 x, at x
+        return (y + np.exp(np.clip(x, -LINEAR_PREDICTOR_MAX, LINEAR_PREDICTOR_MAX))) \
+            * (31.0 + abs(x))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x in (a, b):
+            qx, q1, _ = fam.q012(x, y)
+            if abs(x) <= LINEAR_PREDICTOR_MAX:
+                assert _same_bits(qx, y * x - np.exp(x))
+            elif abs(x) > 30.5:   # both x +/- h past the cap, where Q is linear
+                h = 0.25
+                up, down = fam.q012(x + h, y)[0], fam.q012(x - h, y)[0]
+                band = 4.0 * eps * (abs(up) + abs(down)) / (2.0 * h)
+                assert abs((up - down) / (2.0 * h) - q1) <= 1e-6 * abs(q1) + band, (x, y)
+        m = 0.5 * a + 0.5 * b
+        qa, qb, qm = (fam.q012(x, y)[0] for x in (a, b, m))
+        band = 8.0 * eps * (scale(a) + scale(b) + scale(m))
+        assert qm >= 0.5 * (qa + qb) - band, (a, b, y)
 
 
 def _bern_q012_with_a_select(x, y):

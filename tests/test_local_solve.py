@@ -61,10 +61,6 @@ def test_one_family_pass_per_objective(family, start, monkeypatch):
     sol = fitter.solve(offsets, **kwargs)
     assert sol.converged.all()   # so every group runs as many trials as its points' most
     passes = [entry for entry in log if entry[0] == "pass"]
-    # poisson rows whose predictor leaves the clip take the Q path too; a
-    # start 8 below sends some there, so the count of Q rows is a bound
-    guarded = fitter.family.clip is not None and any(beyond for *_, beyond in passes)
-    assert guarded == (family == "poisson" and start == "warm")
 
     # q_1 and q_2 only: one pass per group to start and one per trial
     runs = trials(log)
@@ -72,9 +68,9 @@ def test_one_family_pass_per_objective(family, start, monkeypatch):
                            for group in fitter.groups)
     assert sum(not objective for _, objective, *_ in passes) == \
         len(fitter.groups) + group_iterations == len(fitter.groups) + len(runs)
-    # Q only for the rows whose step the score does not certify: at their
-    # current and trial coefficients, then at each halving of the rows still
-    # short of the acceptance test
+    # Q only for the rows whose step the score does not certify, whatever
+    # their predictors: at their current and trial coefficients, then at
+    # each halving of the rows still short of the acceptance test
     for run in runs:
         uncertified = np.count_nonzero(
             ~(np.einsum("er,er->e", run["grad"], run["step"]) >= -1e-10))
@@ -82,8 +78,7 @@ def test_one_family_pass_per_objective(family, start, monkeypatch):
             assert uncertified == 0
             continue
         first, second, *halvings = run["q_passes"]
-        assert first == second
-        assert uncertified <= first <= run["rows"] if guarded else first == uncertified
+        assert first == second == uncertified
         assert halvings == sorted(halvings, reverse=True) and all(h <= first for h in halvings)
     certified = sum(run["rows"] for run in runs) - sum(run["q_passes"][0] for run in runs
                                                        if run["q_passes"])
@@ -347,7 +342,8 @@ _PUSHES = {
     "bernoulli": (0.0, 1.0, -1.0, 3.0, -3.0, 8.0, -8.0, 40.0, -40.0, 800.0),
 }
 # added to the offsets a warm poisson start was made for, so that its
-# predictors, or its trials', pass the clip at +/-30
+# predictors, or its trials', pass +/-30, where the exponent is capped and Q
+# goes on linearly
 _POISSON_SHIFTS = (0.0, 26.0, -26.0, 29.0, -29.0, 33.0)
 
 
@@ -414,7 +410,7 @@ def test_certified_loop_is_the_q_every_trial_loop(problem):
     if any(run["q_passes"] for run in runs):
         event("overshoot rows")
     if problem["family"] == "poisson" and any(run["beyond"] for run in runs):
-        event("clip guard")
+        event("predictor beyond ±30")
     if not isinstance(want, BatchSolution):
         event("SingularityError")
         assert got == want
