@@ -77,9 +77,11 @@ widest window by at most _TILE_SPAN = 32 observations, so a point's sums run
 over few observations beyond its own window.  A group's (b_g, width) arrays,
 and a tile's, hold at most _BLOCK_ELEMENTS = 2^15 (point, observation) pairs
 unless a single tile is wider, so the temporaries of every stage stay
-bounded whatever m is.  Nothing of size (m, d, w) is stored: the bases and
-their products are rebuilt per call from O(n) arrays, at about the cost of
-one point's Hessian per tile.
+bounded whatever m is.  A fitter stores, built once, each group's kernel
+weights (b_g, width), its points' maps M_e (b_g, d, d) and its tiles' row
+bounds, first columns and centres, besides O(n) arrays; nothing of size
+(m, d, w).  The bases and their products, which end in the offsets, are
+rebuilt per call, at about the cost of one point's Hessian per tile.
 
 Given z, ``CurveFitter.solve`` also returns the derivative of the local
 coefficients with respect to beta, obtained in closed form by differentiating
@@ -379,32 +381,28 @@ def _groups(tiles, unions) -> list:
     return groups
 
 
-class Tile(NamedTuple):
-    """A run of consecutive u-sorted evaluation points sharing one basis."""
-
-    points: slice     # rows of the u-sorted points
-    lo: int           # its columns, the u-sorted observations lo .. hi - 1:
-    hi: int           # the union of its points' windows, padded to its group's width
-    centre: float     # the basis's expansion point
-
-
 class Group(NamedTuple):
-    """Consecutive tiles whose points are solved together."""
+    """Consecutive tiles of u-sorted points, solved together.
 
-    points: slice     # rows of the u-sorted points
-    tiles: slice      # into CurveFitter.tiles
-    width: int        # hi - lo of each of its tiles
+    Everything the solver reads of a group that the offsets do not change is
+    built once, by the constructor; ``CurveFitter._local`` fills in the two
+    arrays that end in the offsets, per call.  Tile k holds the group's
+    points bounds[k] .. bounds[k + 1] - 1 and the u-sorted observations
+    starts[k] .. starts[k] + width - 1 as its columns: the union of its
+    points' windows, padded to the group's width, weights.shape[1].
+    """
 
-
-class _Local(NamedTuple):
-    """A group's tile bases, built per call from O(n) arrays."""
-
-    # (tiles, d + 1, width) rows (u_i - centre)^r / r! * x_ij, then the offsets
-    bases: np.ndarray
-    pairs: np.ndarray    # (tiles, width, d * d) products of a basis's rows
-    bounds: np.ndarray   # (tiles + 1,) the tiles' first rows in the group, then b
-    shift: np.ndarray    # (b, d, d) M_e: point e's local design is M_e times its basis
-    index: np.ndarray    # (b,) the points' indices in the caller's order
+    points: slice         # rows of the u-sorted points
+    index: np.ndarray     # (b,) the points' indices in the caller's order
+    bounds: np.ndarray    # (tiles + 1,) the tiles' first rows in the group, then b
+    starts: np.ndarray    # (tiles,) the tiles' first columns
+    centres: np.ndarray   # (tiles,) the tile bases' expansion points
+    maps: np.ndarray      # (b, d, d) M_e: point e's local design is M_e times its basis
+    weights: np.ndarray   # (b, width) kernel weights, zero outside each point's window
+    # per call: (tiles, d + 1, width) rows (u_i - centre)^r / r! * x_ij, then
+    # the offsets, and (tiles, width, d * d) products of a basis's rows
+    bases: Optional[np.ndarray] = None
+    pairs: Optional[np.ndarray] = None
 
 
 def _shift_matrices(shift, degree: int, q: int) -> np.ndarray:
@@ -421,10 +419,10 @@ def _shift_matrices(shift, degree: int, q: int) -> np.ndarray:
     return maps
 
 
-def _products(local, rows, values, mats) -> np.ndarray:
+def _products(group, rows, values, mats) -> np.ndarray:
     """values (k, .) times its row's tile matrix from mats, (k, .): rows is
     slice(None) or the sorted group rows that values holds."""
-    cuts = local.bounds if isinstance(rows, slice) else np.searchsorted(rows, local.bounds)
+    cuts = group.bounds if isinstance(rows, slice) else np.searchsorted(rows, group.bounds)
     out = np.empty((values.shape[0], mats[0].shape[1]))
     for a, b, mat in zip(cuts[:-1].tolist(), cuts[1:].tolist(), mats):
         if a < b:
@@ -432,21 +430,26 @@ def _products(local, rows, values, mats) -> np.ndarray:
     return out
 
 
+def _columns(group: Group) -> np.ndarray:
+    """(tiles, width) each tile's columns, indices of u-sorted observations."""
+    return group.starts[:, None] + np.arange(group.weights.shape[1])
+
+
 class CurveFitter:
     """Batched local polynomial quasi-likelihood solver at fixed points.
 
     The constructor sorts the points by u (stable), cuts them into tiles
-    (``_tiles``) and the tiles into groups (``_groups``).  A tile's columns
-    are the u-sorted observations lo .. hi - 1, the union of its points'
-    kernel windows padded to its group's width; a group stores its points'
-    kernel ``weights`` (b_g, width), zero outside each point's own window.
-    Beyond those the fitter keeps O(n) arrays only: ``order``,
-    ``point_order``, the tiles and groups, the u-sorted u, x and y, and each
-    point's shift from its tile's centre.  Every method runs group by group
-    (module docstring), reading a tile's responses, offsets, z and x as
-    contiguous slices of the u-sorted arrays; the offsets enter as the last
-    row of each tile's basis.  One instance is reused for every beta the
-    profile optimizer visits.
+    (``_tiles``) and the tiles into groups (``_groups``), and builds each
+    ``Group`` once: its points' kernel weights (b_g, width), zero outside
+    each point's own window, its points' Taylor maps M_e (b_g, d, d), and
+    its tiles' row bounds, first columns and centres.  Beyond the groups the
+    fitter keeps O(n) arrays only: ``order``, ``point_order`` and the
+    u-sorted u, x and y.  Nothing of size (m, d, w) is stored.  Every method
+    runs group by group (module docstring), reading a tile's responses,
+    offsets, z and x as contiguous slices of the u-sorted arrays; the
+    offsets enter as the last row of each tile's basis, built per call by
+    ``_local``.  One instance is reused for every beta the profile optimizer
+    visits.
     """
 
     def __init__(self, family: FamilySpec, x, y, u, smoothing: SmoothingParams, points):
@@ -472,25 +475,25 @@ class CurveFitter:
         self._u = u[self.order]
         self._y = self.y[self.order]
         self._xt = np.ascontiguousarray(self.x[self.order].T)   # (q, n)
-        self._shift = np.empty(points.size)
         counts = np.empty(points.size, dtype=int)
         tiles = _tiles(lo, hi)
         unions = [int(hi[b - 1] - lo[a]) for a, b in tiles]
-        self.tiles, self.groups, self.weights = [], [], []
+        self.groups = []
         for first, stop in _groups(tiles, unions):
             width = max(unions[first:stop])
             rows = slice(tiles[first][0], tiles[stop - 1][1])
-            weights = np.empty((rows.stop - rows.start, width))
-            for a, b in tiles[first:stop]:
-                lo_t = min(int(lo[a]), u.size - width)
-                tile = Tile(slice(a, b), lo_t, lo_t + width, 0.5 * (points[a] + points[b - 1]))
-                weights[a - rows.start:b - rows.start] = _epanechnikov(
-                    self._u[tile.lo:tile.hi] - points[a:b, None], smoothing.h)
-                self._shift[a:b] = points[a:b] - tile.centre
-                self.tiles.append(tile)
+            bounds = np.array([a for a, _ in tiles[first:stop]] + [rows.stop]) - rows.start
+            at = points[rows]
+            starts = np.minimum(lo[rows][bounds[:-1]], u.size - width)
+            centres = 0.5 * (at[bounds[:-1]] + at[bounds[1:] - 1])
+            maps = _shift_matrices(at - np.repeat(centres, np.diff(bounds)), smoothing.degree, q)
+            weights = np.empty((at.size, width))
+            for a, b, start in zip(bounds[:-1].tolist(), bounds[1:].tolist(), starts.tolist()):
+                weights[a:b] = _epanechnikov(
+                    self._u[start:start + width] - at[a:b, None], smoothing.h)
             counts[self.point_order[rows]] = np.count_nonzero(weights, axis=1)
-            self.groups.append(Group(rows, slice(first, stop), width))
-            self.weights.append(weights)
+            self.groups.append(Group(rows, self.point_order[rows], bounds, starts, centres,
+                                     maps, weights))
         if np.any(counts < self.n_coef):
             k = int(np.argmin(counts))
             raise EffectiveSampleError(
@@ -500,20 +503,19 @@ class CurveFitter:
             )
 
     def with_delta(self, delta) -> CurveFitter:
-        """Copy sharing the tiles; delta enters only initial_coefficients."""
+        """Copy sharing the groups; delta enters only initial_coefficients."""
         other = copy.copy(self)
         other.smoothing = replace(self.smoothing, delta=delta)
         return other
 
-    def _local(self, group: Group, offsets) -> _Local:
-        """The group's tile bases, each ending in its slice of the u-sorted
-        offsets, their column pair products and its points' maps."""
-        tiles = self.tiles[group.tiles]
-        columns = np.array([t.lo for t in tiles])[:, None] + np.arange(group.width)
-        du = self._u[columns] - np.array([t.centre for t in tiles])[:, None]  # (T, width)
-        x = self._xt[:, columns].swapaxes(0, 1)                              # (T, q, width)
+    def _local(self, group: Group, offsets) -> Group:
+        """The group with its tile bases, each ending in its slice of the
+        u-sorted offsets, and their column pair products."""
+        columns = _columns(group)
+        du = self._u[columns] - group.centres[:, None]    # (T, width)
+        x = self._xt[:, columns].swapaxes(0, 1)           # (T, q, width)
         degree, q, d = self.smoothing.degree, self.n_curves, self.n_coef
-        bases = np.empty((len(tiles), d + 1, group.width))
+        bases = np.empty((columns.shape[0], d + 1, columns.shape[1]))
         bases[:, :q] = x
         power = np.ones_like(du)
         for r in range(1, degree + 1):
@@ -522,16 +524,12 @@ class CurveFitter:
         bases[:, d] = offsets[columns]
         design = bases[:, :d].swapaxes(1, 2)
         pairs = design[:, :, :, None] * design[:, :, None, :]
-        bounds = [0] + [t.points.stop - group.points.start for t in tiles]
-        shift = _shift_matrices(self._shift[group.points], degree, q)
-        return _Local(bases, pairs.reshape(len(tiles), group.width, -1), np.array(bounds),
-                      shift, self.point_order[group.points])
+        return group._replace(bases=bases, pairs=pairs.reshape(*columns.shape, -1))
 
-    def _rows(self, group: Group, values) -> np.ndarray:
+    @staticmethod
+    def _rows(group: Group, values) -> np.ndarray:
         """(b_g, width) the u-sorted values over each point's tile columns."""
-        tiles = self.tiles[group.tiles]
-        return np.repeat(np.stack([values[t.lo:t.hi] for t in tiles]),
-                         [t.points.stop - t.points.start for t in tiles], axis=0)
+        return np.repeat(values[_columns(group)], np.diff(group.bounds), axis=0)
 
     def _unsorted(self, values: np.ndarray) -> np.ndarray:
         """Rows of the u-sorted points back in the caller's point order."""
@@ -549,48 +547,48 @@ class CurveFitter:
         return None if q is None else np.einsum("ei,ei->e", w, q), wq1, wb
 
     @staticmethod
-    def _linpred(local, sel, coefs):
+    def _linpred(group, sel, coefs):
         """Predictors (rows, width) of rows sel: (M_e' a_e, 1)' times the
         basis with its offsets row, (M_e' a_e)' B + o.  Where BLAS sums the
         inner dimension in order, as OpenBLAS's matrix product does, this is
         the d-row product plus o bit for bit; at odd d its one-row product
         (matrix-vector) sums otherwise and may differ in the last bit."""
-        shift = local.shift[sel]
-        c = np.ones((shift.shape[0], shift.shape[1] + 1))
-        c[:, :-1] = np.einsum("ers,er->es", shift, coefs)
-        return _products(local, sel, c, local.bases)
+        maps = group.maps[sel]
+        c = np.ones((maps.shape[0], maps.shape[1] + 1))
+        c[:, :-1] = np.einsum("ers,er->es", maps, coefs)
+        return _products(group, sel, c, group.bases)
 
     @staticmethod
-    def _score(local, sel, weighted):
+    def _score(group, sel, weighted):
         """sum_i weighted_ei D_ei per row, (rows, d): M_e (weighted B')_e."""
-        return np.einsum("ers,es->er", local.shift[sel],
-                         _products(local, sel, weighted, local.bases[:, :-1].swapaxes(1, 2)))
+        return np.einsum("ers,es->er", group.maps[sel],
+                         _products(group, sel, weighted, group.bases[:, :-1].swapaxes(1, 2)))
 
     @staticmethod
-    def _weighted_gram(local, sel, weighted):
+    def _weighted_gram(group, sel, weighted):
         """sum_i weighted_ei D_ei D_ei' per row, (rows, d, d): M_e (weighted P)_e M_e'."""
-        shift = local.shift[sel]
-        gram = _products(local, sel, weighted, local.pairs).reshape(shift.shape)
-        return shift @ gram @ np.swapaxes(shift, 1, 2)
+        maps = group.maps[sel]
+        gram = _products(group, sel, weighted, group.pairs).reshape(maps.shape)
+        return maps @ gram @ np.swapaxes(maps, 1, 2)
 
     def _transformed_residuals(self, offsets):
         """u-sorted transformed response minus u-sorted offsets (the cold start's)."""
         return self.family.transform(self.y, self.smoothing.delta)[self.order] - offsets
 
-    def _cold(self, group, local, weights, resid):
+    def _cold(self, group, resid):
         """Weighted least squares on the group's transformed residuals (b_g, d)."""
         every = slice(None)
-        return _ridged_solve(self._weighted_gram(local, every, weights),
-                             self._score(local, every, weights * self._rows(group, resid)),
-                             "local initializer", local.index)
+        return _ridged_solve(self._weighted_gram(group, every, group.weights),
+                             self._score(group, every, group.weights * self._rows(group, resid)),
+                             "local initializer", group.index)
 
     def initial_coefficients(self, offsets) -> np.ndarray:
         """Weighted least squares on the transformed response (cold start)."""
         offsets = np.asarray(offsets, dtype=float)[self.order]
         resid = self._transformed_residuals(offsets)
         coefs = np.empty((self.points.size, self.n_coef))
-        for group, weights in zip(self.groups, self.weights):
-            coefs[group.points] = self._cold(group, self._local(group, offsets), weights, resid)
+        for group in self.groups:
+            coefs[group.points] = self._cold(self._local(group, offsets), resid)
         return self._unsorted(coefs)
 
     # -- Newton iteration ---------------------------------------------------
@@ -622,22 +620,22 @@ class CurveFitter:
         if z is not None:
             zs = np.asarray(z, dtype=float)[self.order]
             derivative = np.empty((m, self.n_coef, zs.shape[1]))
-        for group, weights in zip(self.groups, self.weights):
-            local, rows = self._local(group, offsets), group.points
+        for group in self.groups:
+            group = self._local(group, offsets)
+            rows = group.points
             if warm is None:
-                coefs[rows] = self._cold(group, local, weights, resid)
+                coefs[rows] = self._cold(group, resid)
             solution = (coefs[rows], gnorm[rows], converged[rows], iters[rows])   # views
-            wb = self._solve_group(local, weights, self._rows(group, self._y), *solution)
+            wb = self._solve_group(group, self._rows(group, self._y), *solution)
             stalled = ~solution[2] & (solution[3] < MAX_LOCAL_ITERS)
             if warm is not None and stalled.any():
                 resid = self._transformed_residuals(offsets) if resid is None else resid
-                cold = (self._cold(group, local, weights, resid),
-                        *(np.zeros_like(a) for a in solution[1:]))
-                cold += (self._solve_group(local, weights, self._rows(group, self._y), *cold),)
+                cold = (self._cold(group, resid), *(np.zeros_like(a) for a in solution[1:]))
+                cold += (self._solve_group(group, self._rows(group, self._y), *cold),)
                 for out, new in zip((*solution, wb), cold):
                     out[stalled] = new[stalled]
             if z is not None:
-                derivative[local.index] = self._differentiate(group, local, wb, zs)
+                derivative[group.index] = self._differentiate(group, wb, zs)
         coefs, gnorm, converged, iters = (
             self._unsorted(a) for a in (coefs, gnorm, converged, iters))
         if _log.isEnabledFor(logging.DEBUG) and not converged.all():
@@ -653,10 +651,10 @@ class CurveFitter:
         return BatchSolution(coefs, None if z is None else np.swapaxes(derivative, 1, 2),
                              gnorm, converged, iters)
 
-    def _solve_group(self, local, w, y, coefs, gnorm, converged, iters):
+    def _solve_group(self, group, y, coefs, gnorm, converged, iters):
         """Damped Newton iteration of one group's points, in place.
 
-        w and y are the group's (b_g, width) kernel weights and responses,
+        y, the group's (b_g, width) responses, and its kernel weights w are
         read and never written; the predictors come from the group's bases,
         which end in the offsets.  coefs, gnorm, converged and iters are its
         views of the solution arrays, updated in place.  Steps, ridges,
@@ -680,11 +678,11 @@ class CurveFitter:
         stall leave the active rows, whose w and y are compacted once when
         they do.
         """
-        m = coefs.shape[0]
+        m, w = coefs.shape[0], group.weights
         every = slice(None)
-        _, wq1, wb = self._pass(self._linpred(local, every, coefs), y, w)
+        _, wq1, wb = self._pass(self._linpred(group, every, coefs), y, w)
         curvature = wb
-        grad = self._score(local, every, wq1)
+        grad = self._score(group, every, wq1)
         del wq1
 
         active = np.arange(m)
@@ -703,13 +701,13 @@ class CurveFitter:
                 # points that exhausted the budget stay converged=False
                 break
 
-            information = self._weighted_gram(local, sel, wb)   # minus the Hessian
+            information = self._weighted_gram(group, sel, wb)   # minus the Hessian
             del wb   # held on only as curvature
-            step = _ridged_solve(information, grad, "local Newton", local.index[active])
+            step = _ridged_solve(information, grad, "local Newton", group.index[active])
 
             trial_c = coefs[sel] + step
-            _, trial_wq1, trial_wb = self._pass(self._linpred(local, sel, trial_c), y, w)
-            grad = self._score(local, sel, trial_wq1)
+            _, trial_wq1, trial_wb = self._pass(self._linpred(group, sel, trial_c), y, w)
+            grad = self._score(group, sel, trial_wq1)
             certified = np.einsum("er,er->e", grad, step) >= -1e-10   # a NaN slope is not
             rows = np.flatnonzero(~certified)
             stalled = rows[:0]
@@ -717,8 +715,8 @@ class CurveFitter:
                 # views, not copies, where every active row is uncertified
                 part = every if rows.size == active.size else rows
                 at = sel if part is every else active[rows]
-                obj = self._pass(self._linpred(local, at, coefs[at]), y[part], w[part], True)[0]
-                trial_obj = self._pass(self._linpred(local, at, trial_c[part]),
+                obj = self._pass(self._linpred(group, at, coefs[at]), y[part], w[part], True)[0]
+                trial_obj = self._pass(self._linpred(group, at, trial_c[part]),
                                        y[part], w[part], True)[0]
                 tol_obj = 1e-10 * (1.0 + np.abs(obj))
                 bad = ~(trial_obj >= obj - tol_obj)   # a NaN objective is no ascent
@@ -732,7 +730,7 @@ class CurveFitter:
                     r = rows[bad]
                     trial_c[r] = coefs[active[r]] + lam[bad, None] * step[r]
                     trial_obj[bad], trial_wq1[r], trial_wb[r] = self._pass(
-                        self._linpred(local, active[r], trial_c[r]), y[r], w[r], True)
+                        self._linpred(group, active[r], trial_c[r]), y[r], w[r], True)
                     bad = ~(trial_obj >= obj - tol_obj)
                 stalled = rows[bad]
             if stalled.size:
@@ -749,13 +747,13 @@ class CurveFitter:
                 curvature[sel] = trial_wb
             wb = trial_wb
             if grad is None:
-                grad = self._score(local, sel, trial_wq1)
+                grad = self._score(group, sel, trial_wq1)
             del trial_wq1
             iters[sel] += 1
 
         return curvature
 
-    def _differentiate(self, group, local, wb, zs) -> np.ndarray:
+    def _differentiate(self, group, wb, zs) -> np.ndarray:
         """(b_g, d, p) derivative of the group's local coefficients with
         respect to beta, from wb = W b'' = -W q_2 (b_g, width) at its
         solution, which is only read.
@@ -772,17 +770,17 @@ class CurveFitter:
         product with T_e.  The ridge ladder decides on -S1 alone, as for any
         right-hand side.
         """
-        d, p = self.n_coef, zs.shape[1]
-        information = self._weighted_gram(local, slice(None), wb)
+        d, p, width = self.n_coef, zs.shape[1], wb.shape[1]
+        information = self._weighted_gram(group, slice(None), wb)
         tz = np.empty((wb.shape[0], d * p))
-        kron = np.empty((group.width, d * p))   # C order, so no reshape copies it
-        bounds = local.bounds.tolist()
-        for a, b, basis, tile in zip(bounds, bounds[1:], local.bases[:, :-1],
-                                     self.tiles[group.tiles]):
-            np.multiply(basis.T[:, :, None], zs[tile.lo:tile.hi, None, :],
-                        out=kron.reshape(group.width, d, p))
+        kron = np.empty((width, d * p))   # C order, so no reshape copies it
+        bounds = group.bounds.tolist()
+        for a, b, basis, start in zip(bounds, bounds[1:], group.bases[:, :-1],
+                                      group.starts.tolist()):
+            np.multiply(basis.T[:, :, None], zs[start:start + width, None, :],
+                        out=kron.reshape(width, d, p))
             np.matmul(wb[a:b], kron, out=tz[a:b])
-        out = _ridged_solve(information, local.shift, "curve derivative", local.index) \
+        out = _ridged_solve(information, group.maps, "curve derivative", group.index) \
             @ tz.reshape(-1, d, p)
         return np.negative(out, out=out)
 

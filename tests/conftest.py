@@ -69,8 +69,8 @@ def log_passes(fitter):
         log.append(("group",))
         return solve_group(*args)
 
-    def logged_score(local, sel, weighted):
-        grad = score(local, sel, weighted)
+    def logged_score(group, sel, weighted):
+        grad = score(group, sel, weighted)
         log.append(("score", grad))
         return grad
 

@@ -160,11 +160,11 @@ def _q_every_trial_objectives(family, linpred, y, w):
     return np.einsum("ei,ei->e", w, q), q1, q2
 
 
-def _q_every_trial_linpred(local, sel, coefs, offsets):
+def _q_every_trial_linpred(group, sel, coefs, offsets):
     """Predictors (rows, width) of rows sel: the product with the basis's d
     leading rows, then the offsets added."""
-    out = _products(local, sel, np.einsum("ers,er->es", local.shift[sel], coefs),
-                    local.bases[:, :-1])
+    out = _products(group, sel, np.einsum("ers,er->es", group.maps[sel], coefs),
+                    group.bases[:, :-1])
     out += offsets
     return out
 
@@ -181,18 +181,18 @@ class QEveryTrialFitter(CurveFitter):
     same coefficients, iterations and flags bit for bit.
     """
 
-    def _solve_group(self, local, w, y, coefs, gnorm, converged, iters):
-        m = coefs.shape[0]
+    def _solve_group(self, group, y, coefs, gnorm, converged, iters):
+        m, w = coefs.shape[0], group.weights
         every = slice(None)
-        offsets = np.repeat(local.bases[:, -1], np.diff(local.bounds), axis=0)
+        offsets = np.repeat(group.bases[:, -1], np.diff(group.bounds), axis=0)
         obj, q1, q2 = _q_every_trial_objectives(
-            self.family, _q_every_trial_linpred(local, every, coefs, offsets), y, w)
+            self.family, _q_every_trial_linpred(group, every, coefs, offsets), y, w)
         curvature = q2
 
         active = np.arange(m)
         while True:
             sel = every if active.size == m else active
-            grad = self._score(local, sel, w[sel] * q1)
+            grad = self._score(group, sel, w[sel] * q1)
             gn = np.abs(grad).max(axis=1)
             gnorm[sel] = gn
             done = gn < LOCAL_TOL
@@ -203,13 +203,13 @@ class QEveryTrialFitter(CurveFitter):
             if active.size == 0 or iters[sel].min() >= MAX_LOCAL_ITERS:
                 break
 
-            hess = self._weighted_gram(local, sel, w[sel] * q2)
-            step = _ridged_solve(-hess, grad, "local Newton", local.index[active])
+            hess = self._weighted_gram(group, sel, w[sel] * q2)
+            step = _ridged_solve(-hess, grad, "local Newton", group.index[active])
 
             lam = np.ones(active.size)
             trial_c = coefs[sel] + step
             trial_obj, trial_q1, trial_q2 = _q_every_trial_objectives(
-                self.family, _q_every_trial_linpred(local, sel, trial_c, offsets[sel]),
+                self.family, _q_every_trial_linpred(group, sel, trial_c, offsets[sel]),
                 y[sel], w[sel])
             tol_obj = 1e-10 * (1.0 + np.abs(obj[sel]))
             bad = ~(trial_obj >= obj[sel] - tol_obj)
@@ -220,7 +220,7 @@ class QEveryTrialFitter(CurveFitter):
                 idx = active[bad]
                 trial_c[bad] = coefs[idx] + lam[bad, None] * step[bad]
                 trial_obj[bad], trial_q1[bad], trial_q2[bad] = _q_every_trial_objectives(
-                    self.family, _q_every_trial_linpred(local, idx, trial_c[bad], offsets[idx]),
+                    self.family, _q_every_trial_linpred(group, idx, trial_c[bad], offsets[idx]),
                     y[idx], w[idx])
                 bad = ~(trial_obj >= obj[sel] - tol_obj)
             if bad.any():

@@ -210,25 +210,20 @@ def test_warm_solve_with_converged_points(draw):
 # dense references over a fitter's tiles
 
 
-def _tile_rows(fitter, tile):
-    """A tile's points and columns, as indices in the caller's order."""
-    return fitter.point_order[tile.points], fitter.order[tile.lo:tile.hi]
-
-
-def _tiles_in_groups(fitter, per_group):
-    """(tile, its rows of the group's array) for every tile, with per_group
-    one (b_g, width) array per group, such as its weights."""
-    for group, array in zip(fitter.groups, per_group):
-        for tile in fitter.tiles[group.tiles]:
-            start = group.points.start
-            yield tile, array[tile.points.start - start:tile.points.stop - start]
+def _tile_slices(group):
+    """(rows, columns) of each tile of a group: its slice of the group's
+    points and its slice of the u-sorted observations."""
+    width = group.weights.shape[1]
+    return [(slice(a, b), slice(start, start + width)) for a, b, start in zip(
+        group.bounds[:-1].tolist(), group.bounds[1:].tolist(), group.starts.tolist())]
 
 
 def _scattered_weights(fitter):
     """The groups' kernel weights, scattered into the dense (m, n) layout."""
     dense = np.zeros((fitter.points.size, fitter.y.size))
-    for tile, weights in _tiles_in_groups(fitter, fitter.weights):
-        dense[np.ix_(*_tile_rows(fitter, tile))] = weights
+    for group in fitter.groups:
+        for rows, columns in _tile_slices(group):
+            dense[np.ix_(group.index[rows], fitter.order[columns])] = group.weights[rows]
     return dense
 
 
@@ -325,11 +320,50 @@ _GROUPED_DRAWS = [
 ]
 
 
+# six observations in a boundary window for six coefficients, with an
+# information matrix of condition number about 2e12 (first draw) and 4e13
+# (second): past the ridge ladder's limit of 1e12, so every Newton step of
+# that point is ridged (relative ridge 1e-10) and converges only linearly.
+# It leaves the 50-iteration budget flagged unconverged, with gradient
+# norm 7.8e-8 and 3.5e-6; unridged, it would converge in 3 iterations.
+_RIDGED_DRAWS = [
+    ("poisson", 2, np.arange(7) / 40.0, np.arange(7) / 40.0, "observations", 0.12625, 1,
+     0, 8),
+    ("poisson", 2, np.array([7, 1, 0, 2, 3, 4, 5]) / 40.0,
+     np.array([7, 1, 0, 2, 3, 4, 5]) / 40.0, "observations", 0.1515, 1, 0, 2),
+]
+_EMPTY_DRAW = ("bernoulli", 1, np.arange(9) / 40.0, np.array([]), "grid", 0.1, 1 << 15,
+               32, 4)
+# tied u, at tied points in tiles of one point and at one point
+_TIED_U = np.array([4, 0, 2, 2, 8, 1, 4, 4, 3, 5, 6]) / 40.0
+_TIED_DRAWS = [
+    ("poisson", 1, _TIED_U, _TIED_U, "observations", 0.11, 1, 0, 5),
+    ("bernoulli", 0, _TIED_U, np.array([0.07]), "one point", 0.11, 64, 3, 6),
+]
+
+
+def _assert_solved(solution, score, cond):
+    """Each point converged, its dense score (m, d) under 1e-7, or is
+    flagged: out of the iteration budget unconverged, at a system past the
+    ridge ladder's condition limit (the dense cond over 1e11), reporting its
+    dense score's norm as its gradient norm.  Returns the flagged points."""
+    flagged = ~solution.converged
+    score = np.abs(score).max(axis=1)
+    assert np.all(score[~flagged] < 1e-7)
+    assert np.all(solution.iterations[flagged] == MAX_LOCAL_ITERS)
+    assert np.all(cond[flagged] > 1e11)
+    assert np.all(np.abs(solution.gradient_norm - score)[flagged]
+                  <= 1e-9 + 1e-6 * score[flagged])
+    return flagged
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tiled_problems())
 @example(_GROUPED_DRAWS[0])
 @example(_GROUPED_DRAWS[1])
+@example(_RIDGED_DRAWS[0])
+@example(_RIDGED_DRAWS[1])
 def test_tiles_agree_with_dense_reference(problem):
     family, degree, u, points, where, h, elements, span, seed = problem
     family, x, z, y, offsets = _problem_arrays(family, u, seed)
@@ -338,7 +372,8 @@ def test_tiles_agree_with_dense_reference(problem):
         patch.setattr(g.smoothing, "_BLOCK_ELEMENTS", elements)
         patch.setattr(g.smoothing, "_TILE_SPAN", span)
         fitter = CurveFitter(family, x, y, u, sm, points)
-        tiles, groups = len(fitter.tiles), len(fitter.groups)
+        tiles = sum(group.starts.size for group in fitter.groups)
+        groups = len(fitter.groups)
         event(f"{where}: " + ("one tile" if tiles == 1 else "several tiles per group"
                               if tiles > groups else "one tile per group"))
         dense = (family, u, x, y, offsets, points, sm)
@@ -347,17 +382,18 @@ def test_tiles_agree_with_dense_reference(problem):
         _assert_close_where_well_conditioned(initial, *_dense_initial(*dense))
 
         cold = fitter.solve(offsets, z=z)
-        assert cold.converged.all()
-        assert np.abs(_dense_score(*dense, cold.coefficients)).max() < 1e-7
+        derivative, cond = _dense_derivative(family, u, x, y, z, offsets, points, sm,
+                                             cold.coefficients)
+        if _assert_solved(cold, _dense_score(*dense, cold.coefficients), cond).any():
+            event("flagged points past the condition limit")
 
         warm = cold.coefficients.copy()
         warm[:, 0] -= 1.0
         warm_sol = fitter.solve(offsets, warm=warm)
-        assert warm_sol.converged.all()
-        assert np.abs(_dense_score(*dense, warm_sol.coefficients)).max() < 1e-7
+        s1, _ = _dense_systems(family, u, x, y, z, offsets, points, sm, warm_sol.coefficients)
+        _assert_solved(warm_sol, _dense_score(*dense, warm_sol.coefficients),
+                       np.linalg.cond(s1))
 
-        derivative, cond = _dense_derivative(family, u, x, y, z, offsets, points, sm,
-                                             cold.coefficients)
         _assert_close_where_well_conditioned(cold.derivative, derivative, cond)
 
         if where == "observations":
@@ -371,6 +407,86 @@ def test_tiles_agree_with_dense_reference(problem):
             _assert_close_where_well_conditioned(
                 engine.tangent_start(state, beta + move) - state.solution.coefficients,
                 np.einsum("epd,p->ed", derivative, move), cond)
+
+
+def test_a_window_past_the_condition_limit_is_flagged():
+    # the first ridged draw: its last point alone is flagged, at a gradient
+    # norm under the dense score bound, and the same solve without the ridge
+    # ladder's limit converges
+    family, degree, u, points, _, h, elements, span, seed = _RIDGED_DRAWS[0]
+    family, x, z, y, offsets = _problem_arrays(family, u, seed)
+    sm = SmoothingParams(h=h, delta=0.1, degree=degree)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(g.smoothing, "_BLOCK_ELEMENTS", elements)
+        patch.setattr(g.smoothing, "_TILE_SPAN", span)
+        fitter = CurveFitter(family, x, y, u, sm, points)
+        sol = fitter.solve(offsets)
+        assert sol.converged.tolist() == [True] * 6 + [False]
+        assert sol.iterations[-1] == MAX_LOCAL_ITERS and sol.gradient_norm[-1] < 1e-7
+        patch.setattr(g.smoothing, "_CONDITION_LIMIT", 1e15)
+        patch.setattr(g.smoothing, "_LOG_CLEARED", math.log(1e13))
+        assert fitter.solve(offsets).converged.all()
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tiled_problems())
+@example(_GROUPED_DRAWS[0])
+@example(_RIDGED_DRAWS[1])
+@example(_EMPTY_DRAW)
+@example(_TIED_DRAWS[0])
+@example(_TIED_DRAWS[1])
+def test_groups_are_built_once_from_their_tiles(problem):
+    # each group holds what a per-tile build gives, bit for bit, and its
+    # Taylor maps are built by the constructor alone, once per group
+    family, degree, u, points, _, h, elements, span, seed = problem
+    family, x, z, y, offsets = _problem_arrays(family, u, seed)
+    sm = SmoothingParams(h=h, delta=0.1, degree=degree)
+    shift_matrices, calls = smoothing._shift_matrices, []
+
+    def counted(*args):
+        calls.append(1)
+        return shift_matrices(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(g.smoothing, "_BLOCK_ELEMENTS", elements)
+        patch.setattr(g.smoothing, "_TILE_SPAN", span)
+        patch.setattr(g.smoothing, "_shift_matrices", counted)
+        fitter = CurveFitter(family, x, y, u, sm, points)
+        assert len(calls) == len(fitter.groups)
+        fitter.initial_coefficients(offsets)
+        cold = fitter.solve(offsets, z=z)
+        fitter.solve(offsets, warm=cold.coefficients - 1.0, z=z)
+        assert len(calls) == len(fitter.groups)
+        order, lo, hi = smoothing._kernel_windows(u, points, h)
+        point_order = np.argsort(points, kind="stable")
+        lo, hi, at = lo[point_order], hi[point_order], points[point_order]
+        tiles = smoothing._tiles(lo, hi)
+        unions = [int(hi[b - 1] - lo[a]) for a, b in tiles]
+        groups = smoothing._groups(tiles, unions)
+
+    assert len(fitter.groups) == len(groups) and (groups or points.size == 0)
+    for group, (first, stop) in zip(fitter.groups, groups):
+        width = max(unions[first:stop])
+        rows = slice(tiles[first][0], tiles[stop - 1][1])
+        assert group.points == rows and group.weights.shape == (rows.stop - rows.start, width)
+        assert np.array_equal(group.index, point_order[rows])
+        assert group.bounds.tolist() == [a - rows.start for a, _ in tiles[first:stop]] \
+            + [rows.stop - rows.start]
+        assert group.bases is None and group.pairs is None
+        for k, (a, b) in enumerate(tiles[first:stop]):
+            start = min(int(lo[a]), u.size - width)
+            centre = 0.5 * (at[a] + at[b - 1])
+            assert group.starts[k] == start and _same_bits(group.centres[k], centre)
+            tile = slice(a - rows.start, b - rows.start)
+            assert _same_bits(group.weights[tile], smoothing._epanechnikov(
+                u[order][start:start + width] - at[a:b, None], h))
+            assert _same_bits(group.maps[tile], shift_matrices(at[a:b] - centre, degree, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +513,24 @@ class TestBandedWindows:
             inside = np.abs(sorted_u[None, :] - points[:, None]) <= radius
             windows = inside.sum(axis=1)
             covered = 0
-            for group, weights in zip(fitter.groups, fitter.weights):
-                tiles = fitter.tiles[group.tiles]
+            for group in fitter.groups:
+                width = group.weights.shape[1]
                 unions = []
-                for tile in tiles:
-                    rows = fitter.point_order[tile.points]
-                    union = np.flatnonzero(inside[rows].any(axis=0))
-                    assert tile.lo <= union[0] and union[-1] < tile.hi
-                    assert tile.hi - tile.lo == group.width < data.n
+                for rows, columns in _tile_slices(group):
+                    caller = group.index[rows]
+                    union = np.flatnonzero(inside[caller].any(axis=0))
+                    assert columns.start <= union[0] and union[-1] < columns.stop <= data.n
                     unions.append(union[-1] + 1 - union[0])
-                    if rows.size > 1:
-                        assert unions[-1] <= windows[rows].max() + smoothing._TILE_SPAN
-                        assert rows.size * unions[-1] <= smoothing._BLOCK_ELEMENTS
-                    assert tile.points.start == covered
-                    covered = tile.points.stop
-                assert group.width == max(unions)
-                assert weights.shape == (group.points.stop - group.points.start, group.width)
-                if len(tiles) > 1:
-                    assert weights.size <= smoothing._BLOCK_ELEMENTS
+                    if caller.size > 1:
+                        assert unions[-1] <= windows[caller].max() + smoothing._TILE_SPAN
+                        assert caller.size * unions[-1] <= smoothing._BLOCK_ELEMENTS
+                    assert group.points.start + rows.start == covered
+                    covered = group.points.start + rows.stop
+                assert width == max(unions) and width < data.n
+                assert group.weights.shape[0] == group.points.stop - group.points.start \
+                    == group.bounds[-1] == group.index.size
+                if len(unions) > 1:
+                    assert group.weights.size <= smoothing._BLOCK_ELEMENTS
             assert covered == points.size
 
     def test_every_nonzero_weight_is_in_the_band(self):
@@ -452,25 +568,32 @@ class TestBandedWindows:
         _, data = _poisson_data(n=100)
         sm = SmoothingParams(h=2.0, delta=0.1)
         fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, data.u)
-        assert [(t.lo, t.hi) for t in fitter.tiles] == [(0, data.n)] * len(fitter.tiles)
+        assert all(np.all(group.starts == 0) and group.weights.shape[1] == data.n
+                   for group in fitter.groups)
         assert np.all(_scattered_weights(fitter) > 0)
 
 
 @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
 def test_no_fitter_array_holds_a_local_design(family):
     # the stored bands are the groups' kernel weights, each row at most
-    # _TILE_SPAN wider than the widest window, and O(n) arrays: no array,
-    # and not all of them together, is as large as an (m, d, w) local design
+    # _TILE_SPAN wider than the widest window, beside the points' (m, d, d)
+    # Taylor maps and O(n) arrays: no array, and not all of them together,
+    # is as large as an (m, d, w) local design
     data = g.generate(g.make_design(family, 1500), seed=g.replicate_seed(9, 3))
     delta, h = g.preset_smoothing(family, 1500)
     sm = SmoothingParams(h=h, delta=delta)
     fitter = g.ProfileEngine(family, data, sm).fitter
     w = (np.abs(data.u[None, :] - data.u[:, None]) <= h).sum(axis=1).max()
-    arrays = [a for value in vars(fitter).values()
-              for a in (value if isinstance(value, (list, tuple)) else [value])
-              if isinstance(a, np.ndarray)]
-    assert sum(a.size for a in fitter.weights) <= data.n * (w + smoothing._TILE_SPAN)
-    assert sum(a.size for a in arrays) < data.n * fitter.n_coef * w
+
+    def arrays(value):
+        if isinstance(value, (list, tuple)):   # the groups, and their fields
+            return [a for v in value for a in arrays(v)]
+        return [value] if isinstance(value, np.ndarray) else []
+
+    stored = arrays(list(vars(fitter).values()))
+    assert sum(group.weights.size
+               for group in fitter.groups) <= data.n * (w + smoothing._TILE_SPAN)
+    assert sum(a.size for a in stored) < data.n * fitter.n_coef * w
 
 
 # ---------------------------------------------------------------------------
@@ -514,5 +637,7 @@ class TestContiguousWindows:
         sm = SmoothingParams(h=0.4 if family == "bernoulli" else 0.2, delta=0.1)
         points = np.linspace(-0.15, 1.15, 27)
         fitter = self._check(family, data, sm, points)
-        assert fitter.tiles[0].lo == 0 and fitter.tiles[-1].hi == data.n
-        assert max(np.count_nonzero(w, axis=1).max() for w in fitter.weights) < data.n
+        first, last = fitter.groups[0], fitter.groups[-1]
+        assert first.starts[0] == 0 and last.starts[-1] + last.weights.shape[1] == data.n
+        assert max(np.count_nonzero(group.weights, axis=1).max()
+                   for group in fitter.groups) < data.n

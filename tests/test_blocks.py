@@ -39,7 +39,7 @@ def _outputs(engine, beta):
     differentiated = fitter.solve(offsets, z=data.z)
     state = engine.state(beta)
     return {
-        "weights": fitter.weights,
+        "weights": [group.weights for group in fitter.groups],
         "cold": cold,
         "warm": fitter.solve(offsets * 1.01, warm=warm),
         "initial": fitter.initial_coefficients(offsets),
@@ -186,7 +186,7 @@ def test_block_temporaries_do_not_grow_with_the_points(monkeypatch):
     sm = SmoothingParams(h=h, delta=delta)
     offsets = data.z @ np.full(data.n_linear, 0.1)
     fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, data.u)
-    w = max(np.count_nonzero(weights, axis=1).max() for weights in fitter.weights)
+    w = max(np.count_nonzero(group.weights, axis=1).max() for group in fitter.groups)
     monkeypatch.setattr(smoothing, "_BLOCK_ELEMENTS", data.n // 4 * w)
     peak_m, peak_4m = (
         _transient_peak(CurveFitter("poisson", data.x, data.y, data.u, sm, points),
@@ -202,7 +202,7 @@ def test_no_points_is_one_empty_block():
     curve = g.fit_curve("poisson", data, beta, sm, grid=np.array([]))
     assert curve.values.shape == (0, data.n_curves)
     fitter = CurveFitter("poisson", data.x, data.y, data.u, sm, np.array([]))
-    assert fitter.tiles == fitter.groups == []
+    assert fitter.groups == []
     sol = fitter.solve(data.z @ beta, z=data.z)
     assert sol.coefficients.shape == (0, fitter.n_coef)
     assert fitter.alpha_prime(sol).shape == (0, data.n_linear, data.n_curves)

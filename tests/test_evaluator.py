@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gvcplm as g
 from gvcplm import CurveFitter, SmoothingParams
 
-from test_bands import _problem_arrays
+from test_bands import _problem_arrays, _same_bits
 
 FAMILIES = ("gaussian", "poisson", "bernoulli")
 _RESPONSES = {
@@ -26,11 +26,6 @@ _RESPONSES = {
 # signed zeros, both sides of the poisson clip at 30, and where the bernoulli
 # e = exp(-|x|) is far below 1
 _EDGES = (0.0, -0.0, 29.5, -29.5, 30.0, -30.0, 30.5, -30.5, 45.0, -45.0, 700.0, -700.0)
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @st.composite
@@ -69,10 +64,12 @@ def test_a_solve_leaves_the_stored_weights_and_responses(family):
     u = np.linspace(0.0, 1.0, 90)
     fit_family, x, z, y, offsets = _problem_arrays(family, u, 5)
     fitter = CurveFitter(fit_family, x, y, u, SmoothingParams(h=0.25, delta=0.1), u)
-    stored = [w.copy() for w in fitter.weights], fitter._y.copy(), fitter.y.copy()
+    stored = ([group.weights.copy() for group in fitter.groups],
+              fitter._y.copy(), fitter.y.copy())
     warm = fitter.initial_coefficients(offsets)
     warm[:, 0] += 3.0   # a start that overshoots, so that some steps take the Q path
     fitter.solve(offsets, z=z)
     fitter.solve(offsets, warm=warm, z=z)
-    assert all(np.array_equal(a, b) for a, b in zip(fitter.weights, stored[0]))
+    assert all(np.array_equal(group.weights, w)
+               for group, w in zip(fitter.groups, stored[0]))
     assert np.array_equal(fitter._y, stored[1]) and np.array_equal(fitter.y, stored[2])

@@ -124,7 +124,7 @@ def test_curvature_is_q2_at_returned_coefficients(family, start):
 def _stalling_cold_start(monkeypatch, fitter, warm):
     """Make the fitter's cold start the warm start, so that a point whose warm
     start stalls stalls again when its group is solved from the cold start."""
-    monkeypatch.setattr(fitter, "_cold", lambda group, local, *_: warm[local.index])
+    monkeypatch.setattr(fitter, "_cold", lambda group, *_: warm[group.index])
 
 
 def _assert_cold_solve(sol, cold):
@@ -288,20 +288,20 @@ def test_converged_and_one_step_solves_report_nothing(caplog, monkeypatch):
         assert not fitter.solve(offsets, warm=warm).converged.any()
 
 
-def _differentiate_with_p_right_hand_sides(fitter, group, local, wb, zs):
+def _differentiate_with_p_right_hand_sides(fitter, group, wb, zs):
     """The derivative as -S1^{-1} (M_e T_e): with W b'' = -W q_2, -S1 and
     M_e T_e = -S2 formed first, then one solve with its p columns as
     right-hand sides, negated."""
-    d, p = fitter.n_coef, zs.shape[1]
-    information = fitter._weighted_gram(local, slice(None), wb)
+    d, p, width = fitter.n_coef, zs.shape[1], group.weights.shape[1]
+    information = fitter._weighted_gram(group, slice(None), wb)
     tz = np.empty((wb.shape[0], d * p))
-    bounds = local.bounds.tolist()
-    for a, b, basis, tile in zip(bounds, bounds[1:], local.bases[:, :-1],
-                                 fitter.tiles[group.tiles]):
-        kron = basis.T[:, :, None] * zs[tile.lo:tile.hi, None, :]
-        np.matmul(wb[a:b], kron.reshape(group.width, -1), out=tz[a:b])
-    return -smoothing._ridged_solve(information, local.shift @ tz.reshape(-1, d, p),
-                                    "curve derivative", local.index)
+    bounds = group.bounds.tolist()
+    for a, b, basis, start in zip(bounds, bounds[1:], group.bases[:, :-1],
+                                  group.starts.tolist()):
+        kron = basis.T[:, :, None] * zs[start:start + width, None, :]
+        np.matmul(wb[a:b], kron.reshape(width, -1), out=tz[a:b])
+    return -smoothing._ridged_solve(information, group.maps @ tz.reshape(-1, d, p),
+                                    "curve derivative", group.index)
 
 
 @pytest.mark.parametrize("family, x_scale", [("poisson", 1.0), ("bernoulli", 1.0),
@@ -319,9 +319,9 @@ def test_derivative_agrees_with_the_p_right_hand_side_form(family, x_scale, capl
     fitter = CurveFitter(family, x, data.y, data.u, SmoothingParams(h=h, delta=delta), data.u)
     differentiate, groups = fitter._differentiate, []
 
-    def compared(group, local, wb, zs):
-        got = differentiate(group, local, wb, zs)
-        want = _differentiate_with_p_right_hand_sides(fitter, group, local, wb, zs)
+    def compared(group, wb, zs):
+        got = differentiate(group, wb, zs)
+        want = _differentiate_with_p_right_hand_sides(fitter, group, wb, zs)
         scale = np.abs(want).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
         groups.append(group)
