@@ -92,8 +92,9 @@ def cross_validate(
     """
     fam = get_family(family)
     fam.validate_response(data.y)
-    if not 2 <= k <= data.n:
-        raise ParameterError(f"cross-validation needs 2 <= k <= n = {data.n}, got k = {k}")
+    if not _is_integer(k) or not 2 <= k <= data.n:
+        raise ParameterError(f"cross-validation needs an integer 2 <= k <= n = {data.n}, "
+                             f"got k = {k!r}")
     if not _is_integer(seed) or seed < 0:
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     if grid is None:

@@ -213,8 +213,12 @@ def glrt(
     gamma0 = B beta_hat, the projection of the estimate onto the null space,
     with the local fits warm-started from
     tangent_start(fit_alt.differentiated_state, B' gamma0); beta_null is B'
-    gamma_hat.
+    gamma_hat.  A constraint on another number of coefficients than the
+    data's p raises ParameterError before any fit.
     """
+    if constraint.b.shape[1] != data.n_linear:
+        raise ParameterError(f"constraint is on {constraint.b.shape[1]} coefficients, "
+                             f"but the data has p = {data.n_linear}")
     if fit_alt is None:
         fit_alt = profile_fit(family, data, config)
     engine = fit_alt.engine

@@ -32,6 +32,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ParameterError
+from .families import LINEAR_PREDICTOR_MAX
 from .metrics import ar1_moment
 from .smoothing import _is_integer
 
@@ -49,7 +50,7 @@ _DESIGNS = {
             lambda u: 4.0 + np.sin(2.0 * np.pi * np.asarray(u, float)),
             lambda u: 2.0 * np.asarray(u, float) * (1.0 - np.asarray(u, float)),
         ),
-        draw=lambda rng, lp: rng.poisson(np.exp(np.clip(lp, None, 30.0))),
+        draw=lambda rng, lp: rng.poisson(np.exp(np.clip(lp, None, LINEAR_PREDICTOR_MAX))),
     ),
     "bernoulli": _Design(
         beta=(3.0, 1.0, -2.0, 0.5, 2.0, -2.0),

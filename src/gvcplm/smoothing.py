@@ -46,7 +46,9 @@ the union of its points' windows, padded to the widest union of its group; a
 group stores its points' kernel weights over their tiles' columns, (b_g,
 width), zero outside each point's own window, so the estimator is the one
 defined by the full kernel sums above.  Responses, offsets, x and z are
-read, when needed, as a tile's contiguous slice of the u-sorted arrays.
+read, when needed, as a tile's contiguous slice of the u-sorted arrays;
+every result is held in the caller's point order, each group's rows
+gathered and scattered through its points' indices.
 
 A tile shares one basis across its points (Fan and Gijbels, Local Polynomial
 Modelling, 1996, section 3): the Taylor re-expansion of the local polynomial
@@ -331,8 +333,8 @@ def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float):
     Returns (order, lo, hi): order sorts u (stable), and point e's window
     order[lo[e] : hi[e]] holds the observations with |u_i - points[e]| <=
     reach.  The search is widened by a relative 1e-9, so every observation
-    whose kernel weight is nonzero is inside.  lo and hi are nondecreasing in
-    the point.
+    whose kernel weight is nonzero is inside.  For sorted points, lo and hi
+    are nondecreasing in e.
     """
     order = np.argsort(u, kind="stable")
     sorted_u = u[order]
@@ -342,16 +344,19 @@ def _kernel_windows(u: np.ndarray, points: np.ndarray, reach: float):
     return order, lo, hi
 
 
-def _tiles(lo, hi) -> list:
-    """Tiles of the u-sorted points, as (a, b) bounds of consecutive points,
-    from their windows [lo[e], hi[e]) (nondecreasing in e).
+def _layout(lo, hi) -> list:
+    """Tiles and groups of the u-sorted points, cut in one greedy walk from
+    their windows [lo[e], hi[e]) (nondecreasing in e): per group, [bounds,
+    width], its tiles' first points then its stop, and its widest union.
 
-    A tile's union of windows is [lo[a], hi[b - 1]).  A point joins the tile
-    while the union stays within _TILE_SPAN observations of the tile's widest
-    window and the tile's (point, observation) pairs within _BLOCK_ELEMENTS.
+    A tile of points a .. b - 1 has the union [lo[a], hi[b - 1]).  A point
+    joins the tile while the union stays within _TILE_SPAN observations of
+    the tile's widest window and the tile's (point, observation) pairs within
+    _BLOCK_ELEMENTS; the tile then joins the last group while the group's
+    points times its width stay within _BLOCK_ELEMENTS.
     """
     lo, hi = lo.tolist(), hi.tolist()
-    tiles, a = [], 0
+    groups, a = [], 0
     while a < len(lo):
         b, widest = a + 1, hi[a] - lo[a]
         while b < len(lo):
@@ -359,25 +364,13 @@ def _tiles(lo, hi) -> list:
             if union > wider + _TILE_SPAN or (b + 1 - a) * union > _BLOCK_ELEMENTS:
                 break
             b, widest = b + 1, wider
-        tiles.append((a, b))
+        union = hi[b - 1] - lo[a]
+        if groups and (b - groups[-1][0][0]) * max(groups[-1][1], union) <= _BLOCK_ELEMENTS:
+            groups[-1][0].append(b)
+            groups[-1][1] = max(groups[-1][1], union)
+        else:
+            groups.append([[a, b], union])
         a = b
-    return tiles
-
-
-def _groups(tiles, unions) -> list:
-    """Groups of consecutive tiles, as (first, stop) bounds into tiles: a tile
-    joins while the group's points times its widest union stay within
-    _BLOCK_ELEMENTS."""
-    groups, first = [], 0
-    while first < len(tiles):
-        stop, width = first + 1, unions[first]
-        while stop < len(tiles):
-            wider = max(width, unions[stop])
-            if (tiles[stop][1] - tiles[first][0]) * wider > _BLOCK_ELEMENTS:
-                break
-            stop, width = stop + 1, wider
-        groups.append((first, stop))
-        first = stop
     return groups
 
 
@@ -386,13 +379,14 @@ class Group(NamedTuple):
 
     Everything the solver reads of a group that the offsets do not change is
     built once, by the constructor; ``CurveFitter._local`` fills in the two
-    arrays that end in the offsets, per call.  Tile k holds the group's
-    points bounds[k] .. bounds[k + 1] - 1 and the u-sorted observations
-    starts[k] .. starts[k] + width - 1 as its columns: the union of its
-    points' windows, padded to the group's width, weights.shape[1].
+    arrays that end in the offsets, per call.  Its rows are its points in u
+    order, and each solve gathers and scatters them through index.  Tile k
+    holds the group's rows bounds[k] .. bounds[k + 1] - 1 and the u-sorted
+    observations starts[k] .. starts[k] + width - 1 as its columns: the
+    union of its points' windows, padded to the group's width,
+    weights.shape[1].
     """
 
-    points: slice         # rows of the u-sorted points
     index: np.ndarray     # (b,) the points' indices in the caller's order
     bounds: np.ndarray    # (tiles + 1,) the tiles' first rows in the group, then b
     starts: np.ndarray    # (tiles,) the tiles' first columns
@@ -438,18 +432,19 @@ def _columns(group: Group) -> np.ndarray:
 class CurveFitter:
     """Batched local polynomial quasi-likelihood solver at fixed points.
 
-    The constructor sorts the points by u (stable), cuts them into tiles
-    (``_tiles``) and the tiles into groups (``_groups``), and builds each
-    ``Group`` once: its points' kernel weights (b_g, width), zero outside
-    each point's own window, its points' Taylor maps M_e (b_g, d, d), and
+    The constructor sorts the points by u (stable), cuts them into tiles and
+    the tiles into groups in one walk (``_layout``), and builds each
+    ``Group`` once: its points' caller indices, kernel weights (b_g, width),
+    zero outside each point's own window, Taylor maps M_e (b_g, d, d), and
     its tiles' row bounds, first columns and centres.  Beyond the groups the
-    fitter keeps O(n) arrays only: ``order``, ``point_order`` and the
-    u-sorted u, x and y.  Nothing of size (m, d, w) is stored.  Every method
-    runs group by group (module docstring), reading a tile's responses,
-    offsets, z and x as contiguous slices of the u-sorted arrays; the
-    offsets enter as the last row of each tile's basis, built per call by
-    ``_local``.  One instance is reused for every beta the profile optimizer
-    visits.
+    fitter keeps O(n) arrays only: ``order`` and the u-sorted u, x and y.
+    Nothing of size (m, d, w) is stored.  Every method runs group by group
+    (module docstring), reading a tile's responses, offsets, z and x as
+    contiguous slices of the u-sorted arrays; the offsets enter as the last
+    row of each tile's basis, built per call by ``_local``.  Every output
+    is held in the caller's point order, each group's rows written through
+    its ``index``.  One instance is reused for every beta the profile
+    optimizer visits.
     """
 
     def __init__(self, family: FamilySpec, x, y, u, smoothing: SmoothingParams, points):
@@ -468,32 +463,26 @@ class CurveFitter:
         self.n_curves = q
         self.n_coef = (smoothing.degree + 1) * q
 
-        self.order, lo, hi = _kernel_windows(u, self.points, smoothing.h)
-        self.point_order = np.argsort(self.points, kind="stable")
-        points = self.points[self.point_order]
-        lo, hi = lo[self.point_order], hi[self.point_order]
+        point_order = np.argsort(self.points, kind="stable")
+        points = self.points[point_order]
+        self.order, lo, hi = _kernel_windows(u, points, smoothing.h)
         self._u = u[self.order]
         self._y = self.y[self.order]
         self._xt = np.ascontiguousarray(self.x[self.order].T)   # (q, n)
         counts = np.empty(points.size, dtype=int)
-        tiles = _tiles(lo, hi)
-        unions = [int(hi[b - 1] - lo[a]) for a, b in tiles]
         self.groups = []
-        for first, stop in _groups(tiles, unions):
-            width = max(unions[first:stop])
-            rows = slice(tiles[first][0], tiles[stop - 1][1])
-            bounds = np.array([a for a, _ in tiles[first:stop]] + [rows.stop]) - rows.start
-            at = points[rows]
-            starts = np.minimum(lo[rows][bounds[:-1]], u.size - width)
+        for tiles, width in _layout(lo, hi):
+            rows = slice(tiles[0], tiles[-1])
+            at, bounds = points[rows], np.array(tiles) - rows.start
+            starts = np.minimum(lo[tiles[:-1]], u.size - width)
             centres = 0.5 * (at[bounds[:-1]] + at[bounds[1:] - 1])
             maps = _shift_matrices(at - np.repeat(centres, np.diff(bounds)), smoothing.degree, q)
             weights = np.empty((at.size, width))
             for a, b, start in zip(bounds[:-1].tolist(), bounds[1:].tolist(), starts.tolist()):
                 weights[a:b] = _epanechnikov(
                     self._u[start:start + width] - at[a:b, None], smoothing.h)
-            counts[self.point_order[rows]] = np.count_nonzero(weights, axis=1)
-            self.groups.append(Group(rows, self.point_order[rows], bounds, starts, centres,
-                                     maps, weights))
+            counts[point_order[rows]] = np.count_nonzero(weights, axis=1)
+            self.groups.append(Group(point_order[rows], bounds, starts, centres, maps, weights))
         if np.any(counts < self.n_coef):
             k = int(np.argmin(counts))
             raise EffectiveSampleError(
@@ -503,7 +492,8 @@ class CurveFitter:
             )
 
     def with_delta(self, delta) -> CurveFitter:
-        """Copy sharing the groups; delta enters only initial_coefficients."""
+        """Copy sharing the groups; delta enters every cold start: those of
+        initial_coefficients, of solve without warm and of its stall retry."""
         other = copy.copy(self)
         other.smoothing = replace(self.smoothing, delta=delta)
         return other
@@ -530,12 +520,6 @@ class CurveFitter:
     def _rows(group: Group, values) -> np.ndarray:
         """(b_g, width) the u-sorted values over each point's tile columns."""
         return np.repeat(values[_columns(group)], np.diff(group.bounds), axis=0)
-
-    def _unsorted(self, values: np.ndarray) -> np.ndarray:
-        """Rows of the u-sorted points back in the caller's point order."""
-        out = np.empty_like(values)
-        out[self.point_order] = values
-        return out
 
     # -- elementary pieces, on one group's rows -------------------------------
 
@@ -573,7 +557,7 @@ class CurveFitter:
 
     def _transformed_residuals(self, offsets):
         """u-sorted transformed response minus u-sorted offsets (the cold start's)."""
-        return self.family.transform(self.y, self.smoothing.delta)[self.order] - offsets
+        return self.family.transform(self._y, self.smoothing.delta) - offsets
 
     def _cold(self, group, resid):
         """Weighted least squares on the group's transformed residuals (b_g, d)."""
@@ -588,8 +572,8 @@ class CurveFitter:
         resid = self._transformed_residuals(offsets)
         coefs = np.empty((self.points.size, self.n_coef))
         for group in self.groups:
-            coefs[group.points] = self._cold(self._local(group, offsets), resid)
-        return self._unsorted(coefs)
+            coefs[group.index] = self._cold(self._local(group, offsets), resid)
+        return coefs
 
     # -- Newton iteration ---------------------------------------------------
 
@@ -610,34 +594,33 @@ class CurveFitter:
         """
         offsets = np.asarray(offsets, dtype=float)[self.order]
         m = self.points.size
-        coefs = (np.empty((m, self.n_coef)) if warm is None
-                 else np.array(warm, dtype=float)[self.point_order])
+        if warm is not None:
+            warm = np.asarray(warm, dtype=float)
         # the cold start's residuals; from a warm start, computed if a point stalls
         resid = self._transformed_residuals(offsets) if warm is None else None
-        converged = np.zeros(m, dtype=bool)
-        iters = np.zeros(m, dtype=int)
-        gnorm = np.full(m, np.inf)
+        outputs = (np.empty((m, self.n_coef)), np.empty(m), np.empty(m, dtype=bool),
+                   np.empty(m, dtype=int))
         if z is not None:
             zs = np.asarray(z, dtype=float)[self.order]
             derivative = np.empty((m, self.n_coef, zs.shape[1]))
         for group in self.groups:
-            group = self._local(group, offsets)
-            rows = group.points
-            if warm is None:
-                coefs[rows] = self._cold(group, resid)
-            solution = (coefs[rows], gnorm[rows], converged[rows], iters[rows])   # views
-            wb = self._solve_group(group, self._rows(group, self._y), *solution)
+            group, rows = self._local(group, offsets), group.index
+            y = self._rows(group, self._y)
+            start = self._cold(group, resid) if warm is None else warm[rows]
+            solution = (start, *(np.zeros(rows.size, dtype=a.dtype) for a in outputs[1:]))
+            wb = self._solve_group(group, y, *solution)
             stalled = ~solution[2] & (solution[3] < MAX_LOCAL_ITERS)
             if warm is not None and stalled.any():
                 resid = self._transformed_residuals(offsets) if resid is None else resid
                 cold = (self._cold(group, resid), *(np.zeros_like(a) for a in solution[1:]))
-                cold += (self._solve_group(group, self._rows(group, self._y), *cold),)
+                cold += (self._solve_group(group, y, *cold),)
                 for out, new in zip((*solution, wb), cold):
                     out[stalled] = new[stalled]
+            for out, new in zip(outputs, solution):
+                out[rows] = new
             if z is not None:
-                derivative[group.index] = self._differentiate(group, wb, zs)
-        coefs, gnorm, converged, iters = (
-            self._unsorted(a) for a in (coefs, gnorm, converged, iters))
+                derivative[rows] = self._differentiate(group, wb, zs)
+        coefs, gnorm, converged, iters = outputs
         if _log.isEnabledFor(logging.DEBUG) and not converged.all():
             # an active point has iterations left, so one that stopped short
             # of the budget unconverged was abandoned

@@ -466,20 +466,19 @@ def test_groups_are_built_once_from_their_tiles(problem):
         order, lo, hi = smoothing._kernel_windows(u, points, h)
         point_order = np.argsort(points, kind="stable")
         lo, hi, at = lo[point_order], hi[point_order], points[point_order]
-        tiles = smoothing._tiles(lo, hi)
-        unions = [int(hi[b - 1] - lo[a]) for a, b in tiles]
-        groups = smoothing._groups(tiles, unions)
+        layout = smoothing._layout(lo, hi)
 
-    assert len(fitter.groups) == len(groups) and (groups or points.size == 0)
-    for group, (first, stop) in zip(fitter.groups, groups):
-        width = max(unions[first:stop])
-        rows = slice(tiles[first][0], tiles[stop - 1][1])
-        assert group.points == rows and group.weights.shape == (rows.stop - rows.start, width)
+    assert len(fitter.groups) == len(layout) and (layout or points.size == 0)
+    for group, (bounds, width) in zip(fitter.groups, layout):
+        tiles = list(zip(bounds, bounds[1:]))
+        assert width == max(int(hi[b - 1] - lo[a]) for a, b in tiles)
+        rows = slice(tiles[0][0], tiles[-1][1])
+        assert group.weights.shape == (rows.stop - rows.start, width)
         assert np.array_equal(group.index, point_order[rows])
-        assert group.bounds.tolist() == [a - rows.start for a, _ in tiles[first:stop]] \
+        assert group.bounds.tolist() == [a - rows.start for a, _ in tiles] \
             + [rows.stop - rows.start]
         assert group.bases is None and group.pairs is None
-        for k, (a, b) in enumerate(tiles[first:stop]):
+        for k, (a, b) in enumerate(tiles):
             start = min(int(lo[a]), u.size - width)
             centre = 0.5 * (at[a] + at[b - 1])
             assert group.starts[k] == start and _same_bits(group.centres[k], centre)
@@ -512,7 +511,7 @@ class TestBandedWindows:
             sorted_u = data.u[fitter.order]
             inside = np.abs(sorted_u[None, :] - points[:, None]) <= radius
             windows = inside.sum(axis=1)
-            covered = 0
+            point_order, covered = np.argsort(points, kind="stable"), 0
             for group in fitter.groups:
                 width = group.weights.shape[1]
                 unions = []
@@ -524,11 +523,10 @@ class TestBandedWindows:
                     if caller.size > 1:
                         assert unions[-1] <= windows[caller].max() + smoothing._TILE_SPAN
                         assert caller.size * unions[-1] <= smoothing._BLOCK_ELEMENTS
-                    assert group.points.start + rows.start == covered
-                    covered = group.points.start + rows.stop
+                    assert np.array_equal(caller, point_order[covered:covered + caller.size])
+                    covered += caller.size
                 assert width == max(unions) and width < data.n
-                assert group.weights.shape[0] == group.points.stop - group.points.start \
-                    == group.bounds[-1] == group.index.size
+                assert group.weights.shape[0] == group.bounds[-1] == group.index.size
                 if len(unions) > 1:
                     assert group.weights.size <= smoothing._BLOCK_ELEMENTS
             assert covered == points.size

@@ -109,9 +109,12 @@ def test_tiles_partition_the_points_within_bounds(steps, elements):
     hi = np.maximum.accumulate(lo + np.array([width for _, width in steps], dtype=int))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
-        tiles = smoothing._tiles(lo, hi)
-        unions = [hi[b - 1] - lo[a] for a, b in tiles]
-        groups = smoothing._groups(tiles, unions)
+        layout = smoothing._layout(lo, hi)
+    tiles = [(a, b) for bounds, _ in layout for a, b in zip(bounds, bounds[1:])]
+    unions = [hi[b - 1] - lo[a] for a, b in tiles]
+    stops = np.cumsum([len(bounds) - 1 for bounds, _ in layout]).tolist()
+    groups = list(zip([0] + stops[:-1], stops))
+    assert [width for _, width in layout] == [max(unions[a:b]) for a, b in groups]
 
     def tile_fits(a, b):
         union = hi[b - 1] - lo[a]
@@ -150,16 +153,15 @@ def test_singular_system_in_a_later_block_names_its_point(elements, monkeypatch)
     with pytest.raises(SingularityError, match=f"local Newton: .*{message}"):
         fitter.solve(offsets, warm=warm)
     # and a NaN q_2 in e's row of its group's curvature makes e's derivative
-    # system NaN: e's row is its place among the u-sorted points, less the
-    # group's first
-    k = int(np.flatnonzero(fitter.point_order == e)[0])
-    t = next(t for t, group in enumerate(fitter.groups) if k < group.points.stop)
+    # system NaN: e's row is its place in its group's index
+    t = next(t for t, group in enumerate(fitter.groups) if e in group.index)
+    row = int(np.flatnonzero(fitter.groups[t].index == e)[0])
     solve_group, groups = fitter._solve_group, iter(range(len(fitter.groups)))
 
     def poisoned(*args):
         q2 = solve_group(*args)
         if next(groups) == t:
-            q2[k - fitter.groups[t].points.start, 0] = np.nan
+            q2[row, 0] = np.nan
         return q2
 
     monkeypatch.setattr(fitter, "_solve_group", poisoned)

@@ -84,6 +84,13 @@ class TestCrossValidate:
         with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
             g.cross_validate("poisson", data, grid=[(0.1, 0.1)], k=3, seed=seed)
 
+    @pytest.mark.parametrize("k", [5.5, 2.9, 3.0, "3", True])
+    def test_fold_count_not_an_integer(self, k):
+        # np.array_split would truncate 5.5 to 5 folds and 2.9 to 2
+        data = _poisson_data()
+        with pytest.raises(ParameterError, match="needs an integer 2 <= k"):
+            g.cross_validate("poisson", data, grid=[(0.1, 0.1)], k=k)
+
     def test_more_folds_than_observations(self):
         # k > n would leave a fold empty and spend a fit on the full data
         data = _poisson_data()

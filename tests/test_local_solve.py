@@ -23,7 +23,7 @@ from gvcplm.smoothing import MAX_HALVINGS, MAX_LOCAL_ITERS, BatchSolution
 
 from conftest import log_passes, trials
 from oracles import QEveryTrialFitter
-from test_bands import _dense_systems, _problem_arrays
+from test_bands import _dense_systems, _problem_arrays, _same_bits
 
 
 def _simulated_problem(family, n=300, seed=3):
@@ -64,8 +64,7 @@ def test_one_family_pass_per_objective(family, start, monkeypatch):
 
     # q_1 and q_2 only: one pass per group to start and one per trial
     runs = trials(log)
-    group_iterations = sum(int(sol.iterations[fitter.point_order[group.points]].max())
-                           for group in fitter.groups)
+    group_iterations = sum(int(sol.iterations[group.index].max()) for group in fitter.groups)
     assert sum(not objective for _, objective, *_ in passes) == \
         len(fitter.groups) + group_iterations == len(fitter.groups) + len(runs)
     # Q only for the rows whose step the score does not certify, whatever
@@ -188,7 +187,7 @@ def _assert_zero_curvature_raises(fitter, offsets, warm, **kwargs):
     first Newton step's information matrix is zero, a typed error naming
     the lowest point, the first of the first group."""
     message = (f"local Newton: information matrix at point index "
-               f"{fitter.point_order[0]} stayed ill-conditioned after ridge escalation")
+               f"{fitter.groups[0].index[0]} stayed ill-conditioned after ridge escalation")
     with pytest.raises(SingularityError, match=message):
         fitter.solve(offsets, warm=warm, **kwargs)
 
@@ -201,6 +200,38 @@ def test_saturated_warm_start_takes_the_cold_solve():
                        fitter.solve(offsets, z=data.z))
 
 
+@pytest.mark.parametrize("elements", [smoothing._BLOCK_ELEMENTS, 1000],
+                         ids=["default", "1000"])
+@pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+def test_solve_follows_a_row_permutation_bit_for_bit(family, elements, monkeypatch):
+    # u has no ties, so the permuted rows sort into the same u order: every
+    # group solves the same problem, and only its caller indices move.  The
+    # permuted fitter returns the permuted outputs bit for bit, cold, with
+    # the derivative, and warm from a start pushed 40 up at every other
+    # point, where the bernoulli points stall and take their cold retry
+    monkeypatch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
+    data, fitter = _simulated_problem(family)
+    assert np.unique(data.u).size == data.n
+    offsets = data.z @ np.full(data.n_linear, 0.1)
+    perm = np.random.default_rng(17).permutation(data.n)
+    permuted = CurveFitter(family, data.x[perm], data.y[perm], data.u[perm],
+                           fitter.smoothing, data.u[perm])
+    assert _same_bits(permuted.initial_coefficients(offsets[perm]),
+                      fitter.initial_coefficients(offsets)[perm])
+    cold = fitter.solve(offsets, z=data.z)
+    warm = cold.coefficients.copy()
+    warm[::2, 0] += 40.0
+    solves = ((cold, permuted.solve(offsets[perm], z=data.z[perm])),
+              (fitter.solve(offsets, warm=warm, z=data.z),
+               permuted.solve(offsets[perm], warm=warm[perm], z=data.z[perm])))
+    if family == "bernoulli":
+        assert np.array_equal(solves[1][0].coefficients[::2], cold.coefficients[::2])
+    for sol, sol_p in solves:
+        for name in BatchSolution._fields:
+            a, b = getattr(sol, name)[perm], getattr(sol_p, name)
+            assert _same_bits(a, b) if a.dtype == float else np.array_equal(a, b), name
+
+
 def test_stalled_points_of_a_group_take_the_cold_solve():
     # every other point starts at its solution and keeps it; the saturated
     # rest stall, and take their group's solve from the cold start
@@ -209,7 +240,7 @@ def test_stalled_points_of_a_group_take_the_cold_solve():
     kept = np.arange(data.n) % 2 == 0
     warm[kept] = cold.coefficients[kept]
     sol = fitter.solve(offsets, warm=warm, z=data.z)
-    mixed = [kept[fitter.point_order[group.points]] for group in fitter.groups]
+    mixed = [kept[group.index] for group in fitter.groups]
     assert any(k.any() and not k.all() for k in mixed) and sol.converged.all()
     assert np.all(sol.iterations[kept] == 0)
     for name in ("coefficients", "gradient_norm", "iterations"):
