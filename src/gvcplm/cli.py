@@ -36,7 +36,7 @@ from .errors import (
 from .families import get_family
 from .inference import glrt, make_constraint, sandwich_covariance
 from .profile import FitConfig, fit as profile_fit
-from .smoothing import SmoothingParams, fit_curve
+from .smoothing import SmoothingParams, _is_integer, _is_real, fit_curve
 from .studies import write_csv
 
 EXIT_OK = 0
@@ -111,10 +111,6 @@ _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 _BLOCKS = ("columns", "smoothing", "fit", "cv", "simulate")
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # the JSON type a config file must give each option whose flag text is read
 # by str, _names, int, float, bool or _floats, which would coerce 5 to "5",
 # 1.5 to 1 or "no" to True
@@ -122,10 +118,10 @@ _JSON_TYPES = {
     str: ("a string", lambda v: isinstance(v, str)),
     _names: ("a string or a list of strings", lambda v: isinstance(v, str) or (
         isinstance(v, list) and all(isinstance(s, str) for s in v))),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", _number),
+    int: ("an integer", _is_integer),
+    float: ("a number", _is_real),
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    _floats: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
+    _floats: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_real, v))),
 }
 
 
@@ -154,7 +150,7 @@ def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dat
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         try:
             header = next(csv.reader(handle))
         except StopIteration:
@@ -488,7 +484,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not path.exists():
             raise ParameterError(f"config file not found: {path}")
         try:
-            file = json.loads(path.read_text(encoding="utf-8"))
+            file = json.loads(path.read_text(encoding="utf-8-sig"))
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(file, dict):

@@ -59,11 +59,11 @@ def make_constraint(rows) -> ConstraintSpec:
 
     Rows are orthonormalized without changing their span, so the tested
     hypothesis is unchanged.  Rows that are already orthonormal are kept
-    as-is.  Dependent rows raise RankError.
+    as-is.  Non-finite rows raise ParameterError, dependent rows RankError.
 
     b is the basis scipy.linalg.null_space(a).T would give: the trailing
-    right singular vectors of a, past the singular values above
-    sigma_max * eps * max(l, p).
+    p - l right singular vectors of a, whose rank is l, its rows being
+    orthonormal once the user's rows have passed matrix_rank.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     l, p = rows.shape
@@ -71,6 +71,8 @@ def make_constraint(rows) -> ConstraintSpec:
         raise ParameterError(
             f"hypothesis has {l} rows but beta has only {p} coordinates"
         )
+    if not np.all(np.isfinite(rows)):
+        raise ParameterError("hypothesis rows must be finite")
     if np.linalg.matrix_rank(rows) < l:
         raise RankError("hypothesis rows are linearly dependent")
     gram = rows @ rows.T
@@ -81,9 +83,8 @@ def make_constraint(rows) -> ConstraintSpec:
         signs = np.sign(np.diag(rmat))
         signs[signs == 0] = 1.0
         a = (qmat * signs[None, :]).T
-    _, sigma, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(sigma > sigma.max() * np.finfo(float).eps * max(l, p)))
-    return ConstraintSpec(a=a, b=vh[rank:])
+    vh = np.linalg.svd(a, full_matrices=True)[2]
+    return ConstraintSpec(a=a, b=vh[l:])
 
 
 @dataclass(frozen=True)

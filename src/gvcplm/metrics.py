@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,9 +79,4 @@ class MetricSummary:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "sd_mad": self.sd_mad,
-            "mean": self.mean,
-            "sd": self.sd,
-        }
+        return asdict(self)

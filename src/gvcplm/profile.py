@@ -67,6 +67,7 @@ from .smoothing import (
     _is_integer,
     _is_real,
     _ridged_solve,
+    _shaped,
 )
 
 _ALGORITHMS = {
@@ -134,10 +135,12 @@ class FitResult:
     @functools.cached_property
     def differentiated_state(self) -> _State:
         """The final state with its derivative: the state itself, or, when it
-        was solved without one, its one re-solve
-        (``ProfileEngine.differentiated``), made on first use and kept for
-        every later reader."""
-        return self.engine.differentiated(self.state)
+        was solved without one, its one re-solve at its beta from its own
+        local coefficients, made on first use and kept for every later reader."""
+        state = self.state
+        if state.solution.derivative is not None:
+            return state
+        return self.engine.state(state.beta, state.solution.coefficients)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -190,28 +193,16 @@ class ProfileEngine:
         """Profile state at beta; the local fits start from warm, (m, d)
         coefficients such as tangent_start's, or cold when warm is None.
         With differentiate the solve also returns the local coefficients'
-        beta-derivative, which alpha_prime and tangent_start read; the
-        backfitting ascent and the bare objective go without it."""
-        beta = np.asarray(beta, dtype=float)
+        beta-derivative, which the fitter's alpha_prime and tangent_start
+        read; the backfitting ascent and the bare objective go without it.
+        Only beta's shape is checked here: a trial beta may be non-finite."""
+        beta = _shaped(beta, (self.data.n_linear,), "beta")
         offsets = self.data.z @ beta
         sol = self.fitter.solve(offsets, warm=warm, z=self.data.z if differentiate else None)
         a0 = sol.coefficients[:, : self.data.n_curves]
         fitted = np.einsum("iq,iq->i", a0, self.data.x) + offsets
         q, q1, q2 = self.family.q012(fitted, self.data.y)
         return _State(beta, sol, fitted, float(np.sum(q)), q1, q2)
-
-    def differentiated(self, state: _State) -> _State:
-        """state when it has its derivative; otherwise (the final state of a
-        backfitting fit, or of a fit without differentiate_last) the state
-        re-solved at its beta from its own local coefficients, with the
-        derivative."""
-        if state.solution.derivative is not None:
-            return state
-        return self.state(state.beta, state.solution.coefficients)
-
-    def alpha_prime(self, state: _State) -> np.ndarray:
-        """(n, p, q) derivative of the fitted curve at each observation."""
-        return self.fitter.alpha_prime(state.solution)
 
     def tangent_start(self, near: _State, beta) -> np.ndarray:
         """Local coefficients at beta predicted to first order from the
@@ -224,7 +215,7 @@ class ProfileEngine:
         """z_i + alpha_prime(u_i) x_i, or plain z for backfitting."""
         if algorithm == "backfitting":
             return self.data.z
-        ap = self.alpha_prime(state)
+        ap = self.fitter.alpha_prime(state.solution)
         return self.data.z + np.einsum("ipq,iq->ip", ap, self.data.x)
 
     def score_vectors(self, state: _State, algorithm: str = "accelerated") -> np.ndarray:
@@ -255,8 +246,8 @@ class ProfileEngine:
         for j in range(p):
             shift = np.zeros(p)
             shift[j] = _FD_EPS
-            ap_plus = self.alpha_prime(self.state(state.beta + shift, warm))
-            ap_minus = self.alpha_prime(self.state(state.beta - shift, warm))
+            ap_plus = self.fitter.alpha_prime(self.state(state.beta + shift, warm).solution)
+            ap_minus = self.fitter.alpha_prime(self.state(state.beta - shift, warm).solution)
             dj = (ap_plus - ap_minus) / (2.0 * _FD_EPS)   # (n, p, q)
             term[j] = np.einsum("i,ikr,ir->k", state.q1, dj, self.data.x)
         return 0.5 * (term + term.T)

@@ -34,7 +34,7 @@ from .data import Dataset
 from .errors import ParameterError
 from .families import LINEAR_PREDICTOR_MAX
 from .metrics import ar1_moment
-from .smoothing import _is_integer
+from .smoothing import _is_integer, _shaped
 
 
 class _Design(NamedTuple):
@@ -103,12 +103,7 @@ class SimDesign:
     seed: int = 0
 
     def __post_init__(self):
-        beta0 = np.asarray(self.beta0, dtype=float)
-        if beta0.shape != (self.p_dim,):
-            raise ParameterError(
-                f"beta0 has shape {beta0.shape}, expected ({self.p_dim},)"
-            )
-        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "beta0", _shaped(self.beta0, (self.p_dim,), "beta0"))
 
 
 def make_design(family: str, n: int, seed: int = 0) -> SimDesign:

@@ -199,6 +199,15 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _shaped(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape; ParameterError naming it
+    and both shapes when it has another."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ParameterError(f"{name} has shape {value.shape}, expected {shape}")
+    return value
+
+
 @dataclass(frozen=True)
 class SmoothingParams:
     """Smoothing configuration: bandwidth, transform offset, polynomial degree."""
@@ -568,7 +577,7 @@ class CurveFitter:
 
     def initial_coefficients(self, offsets) -> np.ndarray:
         """Weighted least squares on the transformed response (cold start)."""
-        offsets = np.asarray(offsets, dtype=float)[self.order]
+        offsets = _shaped(offsets, self.y.shape, "offsets")[self.order]
         resid = self._transformed_residuals(offsets)
         coefs = np.empty((self.points.size, self.n_coef))
         for group in self.groups:
@@ -591,17 +600,20 @@ class CurveFitter:
             offsets: z_i' beta per observation, shape (n,).
             warm: optional (m, d) starting coefficients.
             z: optional (n, p) linear covariates, for the derivative.
+
+        An argument of another shape raises ParameterError naming it.
         """
-        offsets = np.asarray(offsets, dtype=float)[self.order]
+        offsets = _shaped(offsets, self.y.shape, "offsets")[self.order]
         m = self.points.size
         if warm is not None:
-            warm = np.asarray(warm, dtype=float)
+            warm = _shaped(warm, (m, self.n_coef), "warm")
         # the cold start's residuals; from a warm start, computed if a point stalls
         resid = self._transformed_residuals(offsets) if warm is None else None
         outputs = (np.empty((m, self.n_coef)), np.empty(m), np.empty(m, dtype=bool),
                    np.empty(m, dtype=int))
         if z is not None:
-            zs = np.asarray(z, dtype=float)[self.order]
+            z = np.asarray(z, dtype=float)
+            zs = _shaped(z, (self.y.size, z.shape[1] if z.ndim > 1 else 1), "z")[self.order]
             derivative = np.empty((m, self.n_coef, zs.shape[1]))
         for group in self.groups:
             group, rows = self._local(group, offsets), group.index
@@ -786,11 +798,7 @@ class CurveFitter:
 
 
 def _checked_beta(data: Dataset, beta, name: str = "beta") -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (data.n_linear,):
-        raise ParameterError(
-            f"{name} has shape {beta.shape}, expected ({data.n_linear},)"
-        )
+    beta = _shaped(beta, (data.n_linear,), name)
     if not np.all(np.isfinite(beta)):
         raise ParameterError(f"{name} must be finite")
     return beta

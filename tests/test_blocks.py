@@ -7,6 +7,7 @@ grow with the number of points.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import gvcplm as g
-from gvcplm import CurveFitter, SingularityError, SmoothingParams
+from gvcplm import CurveFitter, EffectiveSampleError, SingularityError, SmoothingParams
 from gvcplm import smoothing
 
 from test_bands import _assert_close_where_well_conditioned, _dense_derivative, _dense_score
@@ -76,11 +77,23 @@ def test_tilings_repeat_bit_for_bit_and_agree_with_dense(data_strategy):
                          degree=draw(st.integers(0, 1)))
     beta = np.linspace(-0.2, 0.2, data.n_linear)
     partition = draw(st.sampled_from(["points", "random", "default"]))
+    default = smoothing._BLOCK_ELEMENTS
     elements = {"points": 1, "random": draw(st.integers(1, n * n)),
-                "default": smoothing._BLOCK_ELEMENTS}[partition]
+                "default": default}[partition]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
-        engine = g.ProfileEngine(family, data, sm)
+        try:
+            engine = g.ProfileEngine(family, data, sm)
+        except EffectiveSampleError as exc:
+            # a window with fewer observations than coefficients: every
+            # tiling counts each point's own window, so all say the same
+            for each in (default, 1):
+                patch.setattr(smoothing, "_BLOCK_ELEMENTS", each)
+                with pytest.raises(EffectiveSampleError) as again:
+                    g.ProfileEngine(family, data, sm)
+                assert str(again.value) == str(exc)
+            event(f"{partition}: too few observations in a window")
+            return
         event(f"{partition}: {'one group' if len(engine.fitter.groups) == 1 else 'groups'}")
         expected = _outputs(engine, beta)
         # the same bits again from an engine built for another delta and
@@ -98,6 +111,18 @@ def test_tilings_repeat_bit_for_bit_and_agree_with_dense(data_strategy):
     assert np.abs(_dense_score(*dense, offsets, data.u, sm, cold.coefficients)).max() < 1e-7
     _assert_close_where_well_conditioned(differentiated.derivative, *_dense_derivative(
         *dense, data.z, offsets, data.u, sm, cold.coefficients))
+
+
+@pytest.mark.parametrize("elements", (1, smoothing._BLOCK_ELEMENTS))
+def test_a_window_short_of_observations_raises_under_every_tiling(elements):
+    # a draw of the property above: poisson, n = 60, dataset seed 199,
+    # degree 1 at the preset h, where one boundary window holds 3 observations
+    data, delta, h = _dataset("poisson", 60, 199)
+    message = "only 3 observations carry kernel weight at u = 0.987476; need at least 4"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "_BLOCK_ELEMENTS", elements)
+        with pytest.raises(EffectiveSampleError, match=re.escape(message)):
+            g.ProfileEngine("poisson", data, SmoothingParams(h=h, delta=delta, degree=1))
 
 
 @settings(max_examples=300, deadline=None)

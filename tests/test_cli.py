@@ -120,6 +120,18 @@ class TestDatasetCsv:
         assert not caught
         np.testing.assert_array_equal(data.y, y)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" begins the file with one, before the first
+        # column's name
+        data = g.generate(g.make_design("poisson", 60), seed=g.replicate_seed(3, 0))
+        plain, marked = tmp_path / "d.csv", tmp_path / "bom.csv"
+        write_dataset_csv(plain, data)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back = read_dataset_csv(marked, "u", "y", ["x1", "x2"],
+                                [f"z{j + 1}" for j in range(data.n_linear)])
+        for name in "uxzy":
+            np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
+
     def test_intercept_prepended(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("u,x1,z1,y\n0.1,2.0,0.3,2\n0.2,3.0,0.4,3\n")
@@ -538,6 +550,13 @@ class TestOptionTable:
         assert run_cli("simulate", "--config", str(config)) == 2
         key = f"{block}.{name}" if block else name
         assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_config_file_with_a_byte_order_mark_is_read(self, tmp_path):
+        cfg = {"out": str(tmp_path / "out"), "simulate": {"emit_csv": True, "reps": 1, "n": 60}}
+        config = tmp_path / "c.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps(cfg).encode())
+        assert run_cli("simulate", "--config", str(config)) == 0
+        assert (tmp_path / "out" / "dataset_rep000.csv").exists()
 
     def test_config_keys_the_command_does_not_read_are_allowed(self, tmp_path):
         cfg = {"out": str(tmp_path / "out"), "simulate": {"emit_csv": True, "reps": 1},

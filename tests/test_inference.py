@@ -129,6 +129,14 @@ class TestMakeConstraint:
         with pytest.raises(RankError):
             g.make_constraint(rows)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_rows_rejected(self, bad):
+        # checked before the rank, whose SVD fails on NaN and misreads inf
+        rows = np.eye(5)[3:]
+        rows[1, 0] = bad
+        with pytest.raises(ParameterError, match="hypothesis rows must be finite"):
+            g.make_constraint(rows)
+
     @pytest.mark.parametrize("p", (10, 13, 20, 28))
     def test_basis_is_scipy_null_space(self, p):
         # the hypotheses z7 = ... = zp = 0 of the benchmark designs

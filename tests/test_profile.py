@@ -236,6 +236,19 @@ class TestFit:
         with pytest.raises(ParameterError, match=message):
             g.fit("gaussian", data, config, init=init)
 
+    @pytest.mark.parametrize("beta", (np.zeros(7), np.zeros((10, 1))), ids=["short", "column"])
+    def test_state_names_a_beta_of_the_wrong_shape(self, beta):
+        data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(5, 0))
+        delta, h = g.preset_smoothing("poisson", 200)
+        engine = ProfileEngine("poisson", data, SmoothingParams(h=h, delta=delta))
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"beta has shape {beta.shape}, expected (10,)")):
+            engine.state(beta)
+        # a non-finite trial beta of the right shape is not a ParameterError,
+        # which cross-validation would re-raise instead of failing the cell
+        with pytest.raises(g.SingularityError, match="non-finite entry"):
+            engine.state(np.full(10, np.nan))
+
     def test_monotone_ascent_trace(self):
         design = g.make_design("poisson", 200)
         sm = SmoothingParams(h=0.1, delta=0.1)

@@ -252,3 +252,29 @@ def test_smoothing_params_reject_a_value_that_is_not_a_number(field, value):
     name = {"h": "bandwidth h", "delta": "offset delta"}[field]
     with pytest.raises(g.ParameterError, match=f"{name} must be a real number"):
         SmoothingParams(**{"h": 0.1, "delta": 0.1, field: value})
+
+
+@pytest.mark.parametrize("method, name, shape, expected", [
+    ("solve", "offsets", (205,), (200,)),
+    ("solve", "offsets", (150,), (200,)),
+    ("initial_coefficients", "offsets", (205,), (200,)),
+    ("initial_coefficients", "offsets", (150,), (200,)),
+    ("solve", "warm", (205, 4), (200, 4)),
+    ("solve", "warm", (200, 3), (200, 4)),
+    ("solve", "z", (150, 10), (200, 10)),
+    ("solve", "z", (200, 10, 1), (200, 10)),
+    ("solve", "z", (200,), (200, 1)),
+], ids=["solve-offsets-long", "solve-offsets-short", "initial-offsets-long",
+        "initial-offsets-short", "warm-rows", "warm-columns", "z-rows", "z-3d", "z-1d"])
+def test_fitter_names_an_argument_of_the_wrong_shape(method, name, shape, expected):
+    # an argument with more or fewer rows is indexed through the u
+    # order, which would cut it or end in numpy's IndexError; a poisson
+    # fitter of n = 200 observations at 200 points, d = 2q = 4
+    data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(5, 0))
+    delta, h = g.preset_smoothing("poisson", 200)
+    fitter = g.CurveFitter("poisson", data.x, data.y, data.u,
+                           SmoothingParams(h=h, delta=delta), data.u)
+    args = {"offsets": data.z @ np.full(data.n_linear, 0.1), name: np.zeros(shape)}
+    with pytest.raises(g.ParameterError,
+                       match=re.escape(f"{name} has shape {shape}, expected {expected}")):
+        getattr(fitter, method)(**args)
