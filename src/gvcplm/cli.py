@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import studies
-from .crossval import DEFAULT_DELTA_GRID, cross_validate, default_h_grid
+from .crossval import cross_validate, default_smoothing_grid
 from .data import Dataset
 from .errors import (
     DataError,
@@ -302,11 +302,10 @@ def _cross_validate(cfg: dict, family, data: Dataset):
     that, the delta axis is smoothing.delta.  Failing both, each axis is the
     one default_smoothing_grid uses.
     """
-    deltas = cfg.get("cv.delta_grid") or [cfg.get("smoothing.delta")]
-    if deltas == [None] and family.needs_delta:
-        deltas = DEFAULT_DELTA_GRID
-    hs = cfg.get("cv.h_grid") or default_h_grid(data)
-    grid = [(d, float(h)) for d in deltas for h in hs]
+    delta = cfg.get("smoothing.delta")
+    grid = default_smoothing_grid(family, data,
+                                  cfg.get("cv.delta_grid") or (None if delta is None else [delta]),
+                                  cfg.get("cv.h_grid") or None)
     return cross_validate(family, data, grid=grid, config=_fit_config(cfg, grid[0][1]),
                           **_set(cfg, k="cv.k", seed="seed"))
 
@@ -381,9 +380,7 @@ def _cmd_fit(cfg: dict) -> int:
     cov = sandwich_covariance(result)
     out = _out_dir(cfg)
     payload = _fit_payload(family, data, result, cov)
-    smoothing = config.smoothing
-    payload["smoothing"] = {"h": smoothing.h, "delta": smoothing.delta,
-                            "degree": smoothing.degree}
+    payload["smoothing"] = dataclasses.asdict(config.smoothing)
     payload["standardized_residuals"] = [
         float(r) for r in _standardized_residuals(result)
     ]

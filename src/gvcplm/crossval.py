@@ -67,11 +67,14 @@ def default_h_grid(data: Dataset) -> np.ndarray:
     return np.exp(np.linspace(np.log(0.5 * rot), np.log(2.0 * rot), 10))
 
 
-def default_smoothing_grid(family, data: Dataset):
-    """Cartesian (delta, h) grid; gaussian families only vary h."""
-    fam = get_family(family)
-    hs = default_h_grid(data)
-    deltas = DEFAULT_DELTA_GRID if fam.needs_delta else (None,)
+def default_smoothing_grid(family, data: Dataset, deltas=None, hs=None):
+    """Cartesian (delta, h) grid of the given axes.  An axis left None takes
+    its default: DEFAULT_DELTA_GRID (only None for a family that needs no
+    delta, such as the gaussian) and default_h_grid."""
+    if deltas is None:
+        deltas = DEFAULT_DELTA_GRID if get_family(family).needs_delta else (None,)
+    if hs is None:
+        hs = default_h_grid(data)
     return [(d, float(h)) for d in deltas for h in hs]
 
 

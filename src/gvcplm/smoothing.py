@@ -459,10 +459,13 @@ class CurveFitter:
     def __init__(self, family: FamilySpec, x, y, u, smoothing: SmoothingParams, points):
         self.family = get_family(family)
         self.smoothing = smoothing
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.family.validate_response(self.y)
         u = np.asarray(u, dtype=float)
+        if u.ndim != 1:
+            raise ParameterError(f"u must be a 1-D array, got shape {u.shape}")
+        self.y = _shaped(y, u.shape, "y")
+        x = np.asarray(x, dtype=float)
+        self.x = _shaped(x, (u.size, x.shape[1] if x.ndim > 1 else 1), "x")
+        self.family.validate_response(self.y)
         self.points = np.atleast_1d(np.asarray(points, dtype=float))
         nonfinite = np.count_nonzero(~np.isfinite(self.points))
         if self.points.ndim != 1 or nonfinite:
@@ -589,12 +592,12 @@ class CurveFitter:
     def solve(self, offsets, warm=None, z=None) -> BatchSolution:
         """Maximize every local objective for the given offsets.
 
-        The groups are solved one after another (``_solve_group``), each from
-        its cold start when warm is None, and, given z, differentiated
-        (``_differentiate``) before the next.  A warm-started point abandoned
-        short of the iteration budget takes the result of its group's solve
-        from the cold start instead.  A solve that leaves points unconverged
-        reports them in one debug record on the ``gvcplm`` logger.
+        Each group is solved by ``_solve_group``, which returns its points'
+        results, from its cold start when warm is None, and, given z,
+        differentiated (``_differentiate``) before the next.  A warm-started
+        point abandoned short of the iteration budget takes the result of its
+        group's cold-start solve instead.  A solve that leaves points
+        unconverged reports them in one debug record on the ``gvcplm`` logger.
 
         Args:
             offsets: z_i' beta per observation, shape (n,).
@@ -604,35 +607,31 @@ class CurveFitter:
         An argument of another shape raises ParameterError naming it.
         """
         offsets = _shaped(offsets, self.y.shape, "offsets")[self.order]
-        m = self.points.size
+        m, d = self.points.size, self.n_coef
         if warm is not None:
-            warm = _shaped(warm, (m, self.n_coef), "warm")
+            warm = _shaped(warm, (m, d), "warm")
         # the cold start's residuals; from a warm start, computed if a point stalls
         resid = self._transformed_residuals(offsets) if warm is None else None
-        outputs = (np.empty((m, self.n_coef)), np.empty(m), np.empty(m, dtype=bool),
-                   np.empty(m, dtype=int))
+        coefs, gnorm = np.empty((m, d)), np.empty(m)
+        converged, iters = np.empty(m, dtype=bool), np.empty(m, dtype=int)
         if z is not None:
             z = np.asarray(z, dtype=float)
             zs = _shaped(z, (self.y.size, z.shape[1] if z.ndim > 1 else 1), "z")[self.order]
-            derivative = np.empty((m, self.n_coef, zs.shape[1]))
+            derivative = np.empty((m, d, zs.shape[1]))
         for group in self.groups:
             group, rows = self._local(group, offsets), group.index
             y = self._rows(group, self._y)
             start = self._cold(group, resid) if warm is None else warm[rows]
-            solution = (start, *(np.zeros(rows.size, dtype=a.dtype) for a in outputs[1:]))
-            wb = self._solve_group(group, y, *solution)
+            solution = self._solve_group(group, y, start)
             stalled = ~solution[2] & (solution[3] < MAX_LOCAL_ITERS)
             if warm is not None and stalled.any():
                 resid = self._transformed_residuals(offsets) if resid is None else resid
-                cold = (self._cold(group, resid), *(np.zeros_like(a) for a in solution[1:]))
-                cold += (self._solve_group(group, y, *cold),)
-                for out, new in zip((*solution, wb), cold):
+                cold = self._solve_group(group, y, self._cold(group, resid))
+                for out, new in zip(solution, cold):
                     out[stalled] = new[stalled]
-            for out, new in zip(outputs, solution):
-                out[rows] = new
+            coefs[rows], gnorm[rows], converged[rows], iters[rows], wb = solution
             if z is not None:
                 derivative[rows] = self._differentiate(group, wb, zs)
-        coefs, gnorm, converged, iters = outputs
         if _log.isEnabledFor(logging.DEBUG) and not converged.all():
             # an active point has iterations left, so one that stopped short
             # of the budget unconverged was abandoned
@@ -646,34 +645,34 @@ class CurveFitter:
         return BatchSolution(coefs, None if z is None else np.swapaxes(derivative, 1, 2),
                              gnorm, converged, iters)
 
-    def _solve_group(self, group, y, coefs, gnorm, converged, iters):
-        """Damped Newton iteration of one group's points, in place.
+    def _solve_group(self, group, y, coefs):
+        """Damped Newton iteration of one group's points from coefs, a fresh
+        (b_g, d) start updated in place; returns coefs, gnorm, converged,
+        iters and the curvature (its last W b''), one row per point.
 
         y, the group's (b_g, width) responses, and its kernel weights w are
         read and never written; the predictors come from the group's bases,
-        which end in the offsets.  coefs, gnorm, converged and iters are its
-        views of the solution arrays, updated in place.  Steps, ridges,
-        halvings and convergence are decided on the points' own coefficients
-        a_e (the local design D_e = M_e B), as for a per-point solve.  Each
-        trial predictor gets one family pass for W q_1 and W b'' only, which
-        overwrites it; the trial's score, taken once, serves both the
-        certificate and the next convergence test.  With phi(t) the local
-        objective along the step, concavity gives phi(1) - phi(0) >= phi'(1)
-        = score(trial) . step, so a row whose phi'(1) >= -1e-10 has phi(1) >=
-        phi(0) - 1e-10 >= phi(0) - 1e-10 (1 + |phi(0)|), the acceptance test,
-        and is accepted without Q; q_1 is Q's derivative at every predictor,
-        so this holds on every row.  Only the other rows get sum W Q at their
-        current and trial coefficients, the predictors rebuilt for them
-        alone, and the acceptance test with its halvings; where a step is
-        halved, the score of every active row is taken again, as the next
-        convergence test would take it.  An accepted trial's W q_1 and W b''
-        serve the next iterate; the Gram matrix of W b'' is the negated
-        Hessian, solved as it is.  The last W b'' (b_g, width), the group's
-        curvature, is returned for ``_differentiate``.  Rows that converge or
-        stall leave the active rows, whose w and y are compacted once when
-        they do.
+        which end in the offsets.  Steps, ridges, halvings and convergence are
+        decided on the points' own coefficients a_e (the local design D_e =
+        M_e B), as for a per-point solve.  Each trial predictor gets one
+        family pass for W q_1 and W b'' only, which overwrites it; the trial's
+        score, taken once, serves both the certificate and the next
+        convergence test.  With phi(t) the local objective along the step,
+        concavity gives phi(1) - phi(0) >= phi'(1) = score(trial) . step, so a
+        row whose phi'(1) >= -1e-10 has phi(1) >= phi(0) - 1e-10 >= phi(0) -
+        1e-10 (1 + |phi(0)|), the acceptance test, and is accepted without Q;
+        q_1 is Q's derivative at every predictor, so this holds on every row.
+        Only the other rows get sum W Q at their current and trial
+        coefficients, the predictors rebuilt for them alone, and the
+        acceptance test with its halvings; where a step is halved, the score
+        of every active row is taken again, as the next convergence test would
+        take it.  An accepted trial's W q_1 and W b'' serve the next iterate;
+        the Gram matrix of W b'' is the negated Hessian, solved as it is.
+        Rows that converge or stall leave the active rows, whose w and y are
+        compacted once when they do.
         """
         m, w = coefs.shape[0], group.weights
+        gnorm, converged, iters = np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=int)
         every = slice(None)
         _, wq1, wb = self._pass(self._linpred(group, every, coefs), y, w)
         curvature = wb
@@ -746,7 +745,7 @@ class CurveFitter:
             del trial_wq1
             iters[sel] += 1
 
-        return curvature
+        return coefs, gnorm, converged, iters, curvature
 
     def _differentiate(self, group, wb, zs) -> np.ndarray:
         """(b_g, d, p) derivative of the group's local coefficients with

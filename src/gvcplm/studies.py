@@ -70,9 +70,9 @@ def _smoothing_for(design, h, delta, use_cv: bool, seed: int) -> SmoothingParams
     preset_delta, preset_h = preset_smoothing(family, design.n)
     if use_cv and (h is None or delta is None):
         data = generate(design, replicate_seed(seed, 0))
-        grid = [(d if delta is None else delta, hh if h is None else h)
-                for d, hh in default_smoothing_grid(family, data)]
-        return cross_validate(family, data, grid=list(dict.fromkeys(grid)), seed=seed).best
+        grid = default_smoothing_grid(family, data, None if delta is None else [delta],
+                                      None if h is None else [h])
+        return cross_validate(family, data, grid=grid, seed=seed).best
     return SmoothingParams(h=preset_h if h is None else h,
                            delta=preset_delta if delta is None else delta)
 
@@ -387,8 +387,7 @@ def run_table(
         "n": n,
         "reps": int(reps),
         "seed": seed,
-        "smoothing": {"h": smoothing.h, "delta": smoothing.delta,
-                      "degree": smoothing.degree},
+        "smoothing": dataclasses.asdict(smoothing),
         "n_failures": len(failures),
         "failures": failures,
         "summary": summary,

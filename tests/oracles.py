@@ -181,8 +181,9 @@ class QEveryTrialFitter(CurveFitter):
     same coefficients, iterations and flags bit for bit.
     """
 
-    def _solve_group(self, group, y, coefs, gnorm, converged, iters):
+    def _solve_group(self, group, y, coefs):
         m, w = coefs.shape[0], group.weights
+        gnorm, converged, iters = np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=int)
         every = slice(None)
         offsets = np.repeat(group.bases[:, -1], np.diff(group.bounds), axis=0)
         obj, q1, q2 = _q_every_trial_objectives(
@@ -235,4 +236,4 @@ class QEveryTrialFitter(CurveFitter):
             q1, q2 = trial_q1, trial_q2
             iters[sel] += 1
 
-        return -(w * curvature)
+        return coefs, gnorm, converged, iters, -(w * curvature)

@@ -184,10 +184,10 @@ def test_singular_system_in_a_later_block_names_its_point(elements, monkeypatch)
     solve_group, groups = fitter._solve_group, iter(range(len(fitter.groups)))
 
     def poisoned(*args):
-        q2 = solve_group(*args)
+        solution = solve_group(*args)
         if next(groups) == t:
-            q2[row, 0] = np.nan
-        return q2
+            solution[4][row, 0] = np.nan
+        return solution
 
     monkeypatch.setattr(fitter, "_solve_group", poisoned)
     with pytest.raises(SingularityError, match=f"curve derivative: .*{message}"):

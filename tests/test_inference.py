@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy import special
@@ -338,6 +338,92 @@ class TestRowPermutationInvariance:
             assert np.all(np.abs(fit_p.beta - fit.beta) <= beta_band)
             assert np.all(np.abs(cov_p.se - cov.se) <= se_band * cov.se)
             assert abs(test_p.statistic - test.statistic) <= t_band
+
+
+
+class TestBernoulliLabelFlip:
+    # y -> 1 - y negates the logit predictor: Q(-eta, 1 - y) = Q(eta, y) and
+    # the cold start's logit transform is odd, so the flipped data's fit is
+    # -beta_hat, -alpha_hat with the same SEs, T and CV scores, up to
+    # rounding.  The flip changes the rounding of every term of every sum,
+    # not only their order, so each band below is twice what one run's sums
+    # carry: n eps times the magnitude of the sum (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, section 4.2).  beta_hat, the
+    # root of the profile score sum psi_i, by 2 n eps |H^-1| sum |psi_i|; each
+    # SE by 2 n eps kappa(bread), relative; T = 2 (l_alt - l_null), each l a
+    # sum of n Q_i, by 8 n eps sum |Q_i|.  Measured on 60 random draws at
+    # degrees 0-2, n = 200, all converged: beta_hat within 0.016 of its band
+    # (4.5e-14 SE), SE within 0.008 and T within 0.004 of theirs
+    N, CONSTRAINED = 200, slice(6, None)   # the GLRT holds z7 .. zp at 0
+
+    @classmethod
+    def _draw(cls, degree, seed):
+        data = g.generate(g.make_design("bernoulli", cls.N), seed=g.replicate_seed(seed, 0))
+        delta, h = g.preset_smoothing("bernoulli", cls.N)
+        cfg = FitConfig(smoothing=SmoothingParams(h=h, delta=delta, degree=degree),
+                        max_steps=30)
+        flipped = Dataset(u=data.u, x=data.x, z=data.z, y=1.0 - data.y)
+        return data, flipped, cfg
+
+    @classmethod
+    def _fit_se_and_test(cls, data, cfg):
+        fit = g.fit("bernoulli", data, cfg)
+        constraint = g.make_constraint(np.eye(data.n_linear)[cls.CONSTRAINED])
+        return fit, g.sandwich_covariance(fit), g.glrt("bernoulli", data, constraint, cfg,
+                                                       fit_alt=fit)
+
+    @classmethod
+    def _beta_band(cls, fit):
+        state = fit.differentiated_state
+        psi = fit.engine.score_vectors(state)
+        return 2 * cls.N * np.finfo(float).eps \
+            * np.abs(np.linalg.inv(fit.engine.hessian(state))) @ np.abs(psi).sum(axis=0)
+
+    @settings(max_examples=6, deadline=None)
+    @given(degree=st.integers(0, 2), seed=st.integers(1, 10**6))
+    def test_fit_se_and_glrt_flip_with_the_labels(self, degree, seed):
+        data, flipped, cfg = self._draw(degree, seed)
+        fit, cov, test = self._fit_se_and_test(data, cfg)
+        # an unconverged ascent amplifies the rounding it started from
+        assume(fit.converged)
+        n, eps = self.N, np.finfo(float).eps
+        beta_band = self._beta_band(fit)
+        se_band = 2 * n * eps * np.linalg.cond(cov.bread)
+        t_band = 8 * n * eps * np.abs(g.get_family("bernoulli").q012(fit.fitted, data.y)[0]).sum()
+        fit_f, cov_f, test_f = self._fit_se_and_test(flipped, cfg)
+        assert fit_f.converged
+        assert np.all(np.abs(fit_f.beta + fit.beta) <= beta_band)
+        assert np.all(np.abs(cov_f.se - cov.se) <= se_band * cov.se)
+        assert abs(test_f.statistic - test.statistic) <= t_band
+
+    @pytest.mark.parametrize("degree, seed", [
+        (0, 1), (1, 2), (2, 3),
+        pytest.param(2, 9, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="a training fold's fit diverges unconverged (quasi-separation) and "
+                   "cross_validate scores it: the flipped run's scores differ by up to "
+                   "29% and it picks another cell")),
+    ], ids=["degree0-seed1", "degree1-seed2", "degree2-seed3", "degree2-seed9"])
+    def test_cross_validation_flips_with_the_labels(self, degree, seed):
+        # a cell's score s is a sum of n held-out Q_i <= 0, so the pair's
+        # sums round by 2 n eps |s|, and the evaluation of each Q_i by as
+        # much again; and each held-out predictor moves with its fold fit's
+        # rounding, |z_i| times a beta_hat band (the fold fits rest on 2/3 of
+        # the full fit's sums), which moves Q_i by as much, |q_1| = |y - p|
+        # <= 1.  Measured: within 3e-4 of the band on the passing
+        # draws below, up to 0.035 on others at degree 2; 1.2e11 times it on
+        # the failing one
+        data, flipped, cfg = self._draw(degree, seed)
+        h = cfg.smoothing.h
+        grid = [(delta, f * h) for delta in (0.005, 0.05) for f in (0.8, 1.0)]
+        fit = g.fit("bernoulli", data, cfg)
+        spread = np.abs(data.z).sum(axis=0) @ self._beta_band(fit)
+        cv = g.cross_validate("bernoulli", data, grid=grid, k=3, config=cfg)
+        band = 4 * self.N * np.finfo(float).eps * np.abs(cv.scores) + spread
+        cv_f = g.cross_validate("bernoulli", flipped, grid=grid, k=3, config=cfg)
+        assert not cv.failed.any() and not cv_f.failed.any()
+        assert np.all(np.abs(cv_f.scores - cv.scores) <= band)
+        assert cv_f.best == cv.best
 
 
 def _new_objects(before, kinds):

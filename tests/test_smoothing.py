@@ -278,3 +278,22 @@ def test_fitter_names_an_argument_of_the_wrong_shape(method, name, shape, expect
     with pytest.raises(g.ParameterError,
                        match=re.escape(f"{name} has shape {shape}, expected {expected}")):
         getattr(fitter, method)(**args)
+
+
+@pytest.mark.parametrize("name, shape, message", [
+    ("u", (190,), "y has shape (200,), expected (190,)"),
+    ("y", (190,), "y has shape (190,), expected (200,)"),
+    ("x", (190, 2), "x has shape (190, 2), expected (200, 2)"),
+    ("x", (200,), "x has shape (200,), expected (200, 1)"),
+    ("u", (200, 1), "u must be a 1-D array, got shape (200, 1)"),
+], ids=["u-rows", "y-rows", "x-rows", "x-1d", "u-2d"])
+def test_fitter_constructor_names_data_of_the_wrong_shape(name, shape, message):
+    # x, y and u are read through the u order, so fewer rows in u would fit
+    # on the first observations and drop the rest, and fewer in x or y
+    # would end in numpy's IndexError; a poisson design of n = 200, q = 2
+    data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(5, 0))
+    delta, h = g.preset_smoothing("poisson", 200)
+    args = {"x": data.x, "y": data.y, "u": data.u, name: np.zeros(shape)}
+    with pytest.raises(g.ParameterError, match=re.escape(message)):
+        g.CurveFitter("poisson", smoothing=SmoothingParams(h=h, delta=delta),
+                      points=data.u, **args)
