@@ -36,6 +36,7 @@ from .errors import (
 from .families import get_family
 from .inference import glrt, make_constraint, sandwich_covariance
 from .profile import FitConfig, fit as profile_fit
+from .simulate import generate, make_design, replicate_seed
 from .smoothing import SmoothingParams, _is_integer, _is_real, fit_curve
 from .studies import write_csv
 
@@ -242,7 +243,7 @@ def write_dataset_csv(path, data: Dataset) -> None:
 def _parse_constraint(spec: str, z_names) -> np.ndarray:
     """Parse "z7=0,z8=0" style coordinate hypotheses into constraint rows."""
     names = list(z_names)
-    rows = []
+    indices = []
     for clause in spec.split(","):
         clause = clause.strip()
         if not clause:
@@ -259,12 +260,10 @@ def _parse_constraint(spec: str, z_names) -> np.ndarray:
             raise ParameterError("only zero constraints are supported")
         if name not in names:
             raise ParameterError(f"constraint names unknown column {name!r}")
-        row = np.zeros(len(names))
-        row[names.index(name)] = 1.0
-        rows.append(row)
-    if not rows:
+        indices.append(names.index(name))
+    if not indices:
         raise ParameterError(f"no constraint rows parsed from {spec!r}")
-    return np.vstack(rows)
+    return np.eye(len(names))[indices]
 
 
 def _load(cfg: dict) -> tuple:
@@ -441,8 +440,6 @@ def _cmd_simulate(cfg: dict) -> int:
     if run.get("reps", 1) < 1:
         raise ParameterError(f"simulate.reps: must be at least 1, got {run['reps']}")
     if cfg.get("simulate.emit_csv"):
-        from .simulate import generate, make_design, replicate_seed
-
         design = make_design(run.get("family", "poisson"), run.get("n", 200))
         for rep in range(run.get("reps", 1)):
             data = generate(design, replicate_seed(run.get("seed", 0), rep))
@@ -486,21 +483,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ParameterError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(file, dict):
         raise ParameterError("config file must hold a JSON object")
-    sections = {"": {k: v for k, v in file.items() if k not in _BLOCKS},
-                **{block: file.get(block, {}) for block in _BLOCKS}}
-    for block in _BLOCKS:
-        if not isinstance(sections[block], dict):
+    values = {}
+    for name, value in file.items():
+        block, entries = (name, value) if name in _BLOCKS else ("", {name: value})
+        if not isinstance(entries, dict):
             raise ParameterError(f"config block {block!r} must be a JSON object")
-    for block, section in sections.items():
-        for name in section:
-            key = f"{block}.{name}" if block else name
+        for sub, entry in entries.items():
+            key = f"{block}.{sub}" if block else sub
             # config names the file itself, not a key in it
-            if key not in _BY_KEY or key == "config" or "." in name:
+            if key not in _BY_KEY or key == "config" or "." in sub:
                 raise ParameterError(f"unknown config key {key!r}")
+            values[key] = entry
     cfg = {}
     for opt in _OPTIONS:
-        block, _, name = opt.key.rpartition(".")
-        flag, value = getattr(args, opt.key, None), sections[block].get(name)
+        flag, value = getattr(args, opt.key, None), values.get(opt.key)
         if flag is not None and opt.key != "config":
             cfg[opt.key] = _parse(opt, flag, opt.flag)
         elif value is not None:

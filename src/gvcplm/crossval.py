@@ -35,7 +35,7 @@ from .errors import (
 )
 from .families import get_family
 from .profile import FitConfig, ProfileEngine, fit as profile_fit
-from .smoothing import CurveFitter, SmoothingParams, _is_integer
+from .smoothing import CurveFitter, SmoothingParams, _check_seed, _is_integer
 
 DEFAULT_DELTA_GRID = (0.005, 0.01, 0.05, 0.1, 0.2)
 
@@ -98,8 +98,7 @@ def cross_validate(
     if not _is_integer(k) or not 2 <= k <= data.n:
         raise ParameterError(f"cross-validation needs an integer 2 <= k <= n = {data.n}, "
                              f"got k = {k!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_seed(seed)
     if grid is None:
         grid = default_smoothing_grid(fam, data)
     grid = [(None if d is None else float(d), float(h)) for d, h in grid]

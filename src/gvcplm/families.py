@@ -56,14 +56,6 @@ from .errors import DomainError, ParameterError
 LINEAR_PREDICTOR_MAX = 30.0
 
 
-def _operands(x, y):
-    """x and y as float arrays of their common broadcast shape."""
-    if (type(x) is np.ndarray and type(y) is np.ndarray and x.dtype == np.float64
-            and y.dtype == np.float64 and x.shape == y.shape):
-        return x, y   # what broadcast_arrays returns for them, without its overhead
-    return np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-
-
 # ---------------------------------------------------------------------------
 # gaussian / identity
 
@@ -193,7 +185,7 @@ class FamilySpec:
     def q012(self, x, y, objective=True):
         """(Q, q_1, q_2) at (x, y), or (None, q_1, q_2) without objective:
         the evaluator on a copy of x at w = 1, its w b'' negated."""
-        x, y = _operands(x, y)
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         q, q1, b2 = self.evaluate(x.copy(), y, 1.0, objective)
         return q, q1, np.negative(b2, out=b2)
 

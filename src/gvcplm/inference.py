@@ -35,6 +35,7 @@ from .data import Dataset
 from .errors import ConditioningError, ParameterError, RankError
 from .families import get_family
 from .profile import FitConfig, FitResult, _newton_fit, fit as profile_fit
+from .smoothing import _is_real
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,10 @@ def chi2_upper_tail(x: float, df: int) -> float:
     measured is 3.7e-14 at df = 100 (under 1e-13 for every df <= 100),
     4.4e-13 at df = 1000 and 1.9e-12 at df = 3000.  No hypothesis the package
     builds has df above p, the number of linear coefficients.  x <= 0 gives
-    1.0 and NaN gives NaN; a df that is not a whole number raises
-    ParameterError.
+    1.0 and NaN gives NaN; a df that is not a whole real number, a bool
+    included, raises ParameterError.
     """
-    if not float(df).is_integer() or df < 1:
+    if not _is_real(df) or not float(df).is_integer() or df < 1:
         raise ParameterError(f"degrees of freedom must be an integer >= 1, got {df}")
     y = 0.5 * float(x)
     if math.isnan(y):

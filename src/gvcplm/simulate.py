@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Tuple
 
@@ -34,7 +35,7 @@ from .data import Dataset
 from .errors import ParameterError
 from .families import LINEAR_PREDICTOR_MAX
 from .metrics import ar1_moment
-from .smoothing import _is_integer, _shaped
+from .smoothing import _check_seed, _is_integer, _is_real, _shaped
 
 
 class _Design(NamedTuple):
@@ -104,6 +105,7 @@ class SimDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "beta0", _shaped(self.beta0, (self.p_dim,), "beta0"))
+        _check_seed(self.seed)
 
 
 def make_design(family: str, n: int, seed: int = 0) -> SimDesign:
@@ -121,14 +123,17 @@ def make_design(family: str, n: int, seed: int = 0) -> SimDesign:
 def with_beta(design: SimDesign, **coordinate_values) -> SimDesign:
     """Copy of a design with selected beta coordinates replaced.
 
-    Keys are 1-based coordinate positions given as 'b<k>', e.g.
-    with_beta(design, b7=0.1, b8=0.1).
+    Keys are 1-based coordinate positions given as 'b<k>', k a decimal
+    1..p, e.g. with_beta(design, b7=0.1, b8=0.1); values are finite reals.
     """
     beta = design.beta0.copy()
     for key, value in coordinate_values.items():
-        position = int(key.lstrip("b"))
+        match = re.fullmatch(r"b([0-9]+)", key)
+        position = int(match[1]) if match else 0
         if not 1 <= position <= design.p_dim:
             raise ParameterError(f"design has no coordinate {key}: p = {design.p_dim}")
+        if not _is_real(value) or not math.isfinite(value):
+            raise ParameterError(f"{key} must be a finite real number, got {value!r}")
         beta[position - 1] = float(value)
     return dataclasses.replace(design, beta0=beta)
 
@@ -141,8 +146,8 @@ def design_moment(design: SimDesign) -> np.ndarray:
 def generate(design: SimDesign, seed=None) -> Dataset:
     """Draw one dataset from the design.
 
-    seed overrides design.seed; it may be an int or a numpy SeedSequence,
-    which is how replicate streams are split deterministically.  Bernoulli
+    seed overrides design.seed; it may be an integer >= 0 or a numpy
+    SeedSequence, which is how replicate streams are split deterministically.  Bernoulli
     means come from _expit, which evaluates 1 / (1 + exp(-lp)) with the C
     library's exp through math.exp, as scipy.special.expit does, so the
     draws are the ones an expit-based generator makes.  numpy's vectorized
@@ -153,6 +158,8 @@ def generate(design: SimDesign, seed=None) -> Dataset:
     record = _design(design.family_name, design.n)
     if seed is None:
         seed = design.seed
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)
     rng = np.random.default_rng(seed)
     n, p = design.n, design.p_dim
     u = rng.uniform(0.0, 1.0, size=n)
@@ -184,8 +191,7 @@ def _expit_scalar(v: float) -> float:
 def replicate_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
     """Counter-based child stream: serial and parallel runs see identical data.
     master_seed must be an integer >= 0."""
-    if not _is_integer(master_seed) or master_seed < 0:
-        raise ParameterError(f"seed must be an integer >= 0, got {master_seed!r}")
+    _check_seed(master_seed)
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,))
 
 

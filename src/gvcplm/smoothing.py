@@ -199,6 +199,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_seed(seed) -> None:
+    """ParameterError unless seed is an integer >= 0."""
+    if not _is_integer(seed) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _shaped(value, shape: tuple, name: str) -> np.ndarray:
     """value as a float array of the given shape; ParameterError naming it
     and both shapes when it has another."""

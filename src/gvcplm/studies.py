@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .dbe import fit_dbe
-from .errors import GvcplmError, ParameterError, StudyError
+from .errors import GvcplmError, StudyError
 from .inference import glrt, make_constraint, sandwich_covariance
 from .metrics import MetricSummary, gmse, rase, sample_sd, sd_mad
 from .profile import FitConfig, fit as profile_fit
@@ -52,7 +52,7 @@ from .simulate import (
     replicate_seed,
     with_beta,
 )
-from .smoothing import SmoothingParams, _is_integer, fit_curve
+from .smoothing import SmoothingParams, _check_seed, _is_integer, fit_curve
 from .crossval import cross_validate, default_smoothing_grid
 
 GLRT_LEVELS = (0.10, 0.05, 0.01)
@@ -374,8 +374,7 @@ def run_table(
     unknown = sorted(set(study_kwargs) - set(list(inspect.signature(build).parameters)[3:]))
     if unknown:
         raise StudyError(f"study {study!r} takes no argument {', '.join(unknown)}")
-    if not _is_integer(seed) or seed < 0:
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_seed(seed)
     design = make_design(family, n)
     smoothing = _smoothing_for(design, h, delta, use_cv, seed)
     arms, worker, summarize = build(family, design, smoothing, **study_kwargs)

@@ -51,7 +51,7 @@ class TestChi2UpperTail:
         with pytest.raises(ParameterError):
             g.chi2_upper_tail(1.0, 0)
 
-    @pytest.mark.parametrize("df", (2.5, 0.5, float("nan"), float("inf")))
+    @pytest.mark.parametrize("df", (2.5, 0.5, float("nan"), float("inf"), True, "3"))
     def test_non_integer_df_rejected(self, df):
         with pytest.raises(ParameterError, match="integer"):
             g.chi2_upper_tail(1.0, df)
@@ -424,6 +424,69 @@ class TestBernoulliLabelFlip:
         assert not cv.failed.any() and not cv_f.failed.any()
         assert np.all(np.abs(cv_f.scores - cv.scores) <= band)
         assert cv_f.best == cv.best
+
+
+class TestLinearCovariateShift:
+    # z_j -> z_j + c with x holding its intercept column adds c beta_j to
+    # every linear predictor, which alpha_1 absorbs: the profile likelihood
+    # in beta is unchanged, so beta_hat, the SEs and T stay, and the curve
+    # alpha_1_hat at a given beta moves by -c beta_j.  The shift changes the
+    # rounding of every term, not only their order, so each band is twice
+    # what one run's sums carry, n eps times their magnitude (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, section 4.2),
+    # as in TestBernoulliLabelFlip, times (1 + |c|) where a shifted z_j
+    # enters: z_j + c rounds at eps (|z_j| + |c|), with z_j of order 1, and
+    # the profile score's z_j + alpha_1' cancels the c again.  beta_hat by
+    # 2 n eps (1 + |c|) |H^-1| sum |psi_i|; each SE by 2 n eps (1 + |c|)
+    # kappa(bread), relative; T by 8 n eps (1 + |c|) sum |Q_i|; and each
+    # alpha_1_hat on the grid, a local solve on at most n points whose
+    # predictors hold alpha_1 and c beta_j, by 2 n eps (max |alpha_1_hat| +
+    # |c beta_j|)
+    N, CONSTRAINED = 200, slice(6, None)   # the GLRT holds z7 .. zp at 0
+
+    @classmethod
+    def _fit_se_test_and_curve(cls, family, data, cfg, beta=None):
+        fit = g.fit(family, data, cfg)
+        constraint = g.make_constraint(np.eye(data.n_linear)[cls.CONSTRAINED])
+        curve = g.fit_curve(family, data, fit.beta if beta is None else beta, cfg.smoothing)
+        return (fit, g.sandwich_covariance(fit),
+                g.glrt(family, data, constraint, cfg, fit_alt=fit), curve)
+
+    @pytest.mark.parametrize("family", ("poisson", "bernoulli"))
+    @settings(max_examples=10, deadline=None)
+    @given(degree=st.integers(0, 2), seed=st.integers(1, 10**6), j=st.integers(0, 9),
+           c=st.floats(-3.0, 3.0))
+    def test_fit_se_glrt_and_curve_follow_the_shift(self, family, degree, seed, j, c):
+        data = g.generate(g.make_design(family, self.N), seed=g.replicate_seed(seed, 0))
+        assert np.all(data.x[:, 0] == 1.0)
+        delta, h = g.preset_smoothing(family, self.N)
+        cfg = FitConfig(smoothing=SmoothingParams(h=h, delta=delta, degree=degree),
+                        max_steps=30)
+        fit, cov, test, curve = self._fit_se_test_and_curve(family, data, cfg)
+        # an unconverged ascent amplifies the rounding it started from
+        assume(fit.converged)
+        n, eps, scale = self.N, np.finfo(float).eps, 1.0 + abs(c)
+        state = fit.differentiated_state
+        psi = fit.engine.score_vectors(state)
+        beta_band = 2 * n * eps * scale \
+            * np.abs(np.linalg.inv(fit.engine.hessian(state))) @ np.abs(psi).sum(axis=0)
+        se_band = 2 * n * eps * scale * np.linalg.cond(cov.bread)
+        t_band = 8 * n * eps * scale \
+            * np.abs(g.get_family(family).q012(fit.fitted, data.y)[0]).sum()
+        move = c * fit.beta[j]
+        alpha_band = 2 * n * eps * (np.abs(curve.values[:, 0]).max() + abs(move))
+        z = data.z.copy()
+        z[:, j] += c
+        shifted = Dataset(u=data.u, x=data.x, z=z, y=data.y)
+        fit_s, cov_s, test_s, curve_s = self._fit_se_test_and_curve(family, shifted, cfg,
+                                                                    beta=fit.beta)
+        assert fit_s.converged
+        assert np.all(np.abs(fit_s.beta - fit.beta) <= beta_band)
+        assert np.all(np.abs(cov_s.se - cov.se) <= se_band * cov.se)
+        assert abs(test_s.statistic - test.statistic) <= t_band
+        assert np.array_equal(curve_s.grid, curve.grid)
+        assert np.all(np.abs(curve_s.values[:, 0] - (curve.values[:, 0] - move)) <= alpha_band)
+        assert np.all(np.abs(curve_s.values[:, 1:] - curve.values[:, 1:]) <= alpha_band)
 
 
 def _new_objects(before, kinds):

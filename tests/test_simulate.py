@@ -46,6 +46,19 @@ class TestDesigns:
         with pytest.raises(ParameterError, match="b8"):
             g.with_beta(g.make_design("poisson", 60), b7=0.1, b8=0.1)
 
+    @pytest.mark.parametrize("key,value", [
+        ("x7", 0.1),            # not b<k>
+        ("bb7", 0.1),           # one leading b only
+        ("b0", 0.1),            # k counts from 1
+        ("b7", "a"),
+        ("b7", True),
+        ("b7", float("nan")),
+    ])
+    def test_with_beta_rejects_a_key_or_value_it_cannot_read(self, key, value):
+        design = g.make_design("poisson", 200)
+        with pytest.raises(ParameterError, match=key):
+            g.with_beta(design, **{key: value})
+
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             g.make_design("gamma", 200)
@@ -177,6 +190,14 @@ class TestSeeds:
     def test_replicate_seed_rejects_a_seed_that_is_not_a_count(self, seed):
         with pytest.raises(ParameterError, match="seed"):
             g.replicate_seed(seed, 0)
+
+    @pytest.mark.parametrize("seed", (-1, 1.5, "a", True))
+    def test_generate_and_make_design_reject_a_seed_that_is_not_a_count(self, seed):
+        design = g.make_design("poisson", 200)
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            g.generate(design, seed=seed)
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            g.make_design("poisson", 200, seed=seed)
 
     def test_replicate_seed_takes_numpy_integers(self):
         assert (g.replicate_seed(np.int64(7), 2).generate_state(4).tolist()
