@@ -139,6 +139,19 @@ def _set(cfg: dict, **keys) -> dict:
     return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
 
 
+def _read_text(path: Path, what: str, error) -> str:
+    """The text of the file at path, UTF-8 behind an optional byte order mark,
+    with its line ends as they are (for csv); error, naming path, when it
+    cannot be read or decoded."""
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{what} file {path} cannot be read: {exc}") from None
+
+
 def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dataset:
     """Load a dataset from a headed CSV file.
 
@@ -149,14 +162,12 @@ def read_dataset_csv(path, u_col, y_col, x_cols, z_cols, intercept=False) -> Dat
     file is read cell by cell, which names what is wrong with it.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        text = handle.read()
+    handle = io.StringIO(_read_text(path, "dataset", DataError), newline="")
+    try:
+        header = next(csv.reader(handle))
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    text = handle.read()
     index = {name: k for k, name in enumerate(header)}
     needed = [u_col, y_col, *x_cols, *z_cols]
     for name in needed:
@@ -321,7 +332,10 @@ def _run_config(cfg: dict, family, data: Dataset) -> FitConfig:
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg.get("out") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"output directory {out} cannot be made: {exc}") from None
     return out
 
 
@@ -474,11 +488,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     its JSON type check, also where the command does not read the key."""
     file = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ParameterError(f"config file not found: {path}")
         try:
-            file = json.loads(path.read_text(encoding="utf-8-sig"))
+            file = json.loads(_read_text(Path(args.config), "config", ParameterError))
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(file, dict):

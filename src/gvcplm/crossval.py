@@ -29,6 +29,7 @@ from .dbe import fit_dbe
 from .errors import (
     ConditioningError,
     CrossValidationError,
+    DataError,
     EffectiveSampleError,
     ParameterError,
     SingularityError,
@@ -61,8 +62,12 @@ class CvReport:
 
 
 def default_h_grid(data: Dataset) -> np.ndarray:
-    """Ten log-spaced bandwidths around the n^(-1/5) rule of thumb."""
+    """Ten log-spaced bandwidths around the n^(-1/5) rule of thumb, scaled
+    by the range of u; DataError when u takes one value, which has no range."""
     span = float(data.u.max() - data.u.min())
+    if span == 0.0:
+        raise DataError(f"u takes the single value {float(data.u[0])!r}, so it gives no "
+                        "bandwidth scale; give h")
     rot = span * data.n ** (-0.2)
     return np.exp(np.linspace(np.log(0.5 * rot), np.log(2.0 * rot), 10))
 

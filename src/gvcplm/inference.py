@@ -58,34 +58,25 @@ class ConstraintSpec:
 def make_constraint(rows) -> ConstraintSpec:
     """Build a ConstraintSpec from user hypothesis rows.
 
-    Rows are orthonormalized without changing their span, so the tested
-    hypothesis is unchanged.  Rows that are already orthonormal are kept
-    as-is.  Non-finite rows raise ParameterError, dependent rows RankError.
-
-    b is the basis scipy.linalg.null_space(a).T would give: the trailing
-    p - l right singular vectors of a, whose rank is l, its rows being
-    orthonormal once the user's rows have passed matrix_rank.
+    a spans the rows, so the tested hypothesis is unchanged: it is their QR
+    factor Q with the diagonal of R made positive, so each row of a keeps the
+    direction of its own row, which the df = 1 signed root reads.  b is the
+    null space of the rows, scipy.linalg.null_space(rows).T: their trailing
+    p - l right singular vectors.  No rows, p rows or more and non-finite
+    rows raise ParameterError, dependent rows RankError.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     l, p = rows.shape
-    if l >= p:
-        raise ParameterError(
-            f"hypothesis has {l} rows but beta has only {p} coordinates"
-        )
+    if not 0 < l < p:
+        raise ParameterError(f"hypothesis has {l} rows, but beta has {p} coordinates "
+                             "and a test needs 1 to p - 1 rows")
     if not np.all(np.isfinite(rows)):
         raise ParameterError("hypothesis rows must be finite")
     if np.linalg.matrix_rank(rows) < l:
         raise RankError("hypothesis rows are linearly dependent")
-    gram = rows @ rows.T
-    if np.max(np.abs(gram - np.eye(l))) < 1e-12:
-        a = rows
-    else:
-        qmat, rmat = np.linalg.qr(rows.T)
-        signs = np.sign(np.diag(rmat))
-        signs[signs == 0] = 1.0
-        a = (qmat * signs[None, :]).T
-    vh = np.linalg.svd(a, full_matrices=True)[2]
-    return ConstraintSpec(a=a, b=vh[l:])
+    qmat, rmat = np.linalg.qr(rows.T)
+    a = (qmat * np.sign(np.diag(rmat))).T
+    return ConstraintSpec(a=a, b=np.linalg.svd(rows)[2][l:])
 
 
 @dataclass(frozen=True)
@@ -163,9 +154,11 @@ def chi2_upper_tail(x: float, df: int) -> float:
     measured is 3.7e-14 at df = 100 (under 1e-13 for every df <= 100),
     4.4e-13 at df = 1000 and 1.9e-12 at df = 3000.  No hypothesis the package
     builds has df above p, the number of linear coefficients.  x <= 0 gives
-    1.0 and NaN gives NaN; a df that is not a whole real number, a bool
-    included, raises ParameterError.
+    1.0 and NaN gives NaN; an x that is not a real number, or a df that is
+    not a whole real number, a bool included in both, raises ParameterError.
     """
+    if not _is_real(x):
+        raise ParameterError(f"statistic must be a real number, got {x!r}")
     if not _is_real(df) or not float(df).is_integer() or df < 1:
         raise ParameterError(f"degrees of freedom must be an integer >= 1, got {df}")
     y = 0.5 * float(x)

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .dbe import fit_dbe
-from .errors import GvcplmError, StudyError
+from .errors import GvcplmError, ParameterError, StudyError
 from .inference import glrt, make_constraint, sandwich_covariance
 from .metrics import MetricSummary, gmse, rase, sample_sd, sd_mad
 from .profile import FitConfig, fit as profile_fit
@@ -239,16 +239,20 @@ def _study_table4(family, design, smoothing):
     return [(design, 0, {})], worker, summarize
 
 
-def _glrt_setup(family, design, smoothing):
+def _glrt_setup(study, family, design, smoothing):
     """fig1's test, coordinates 7 .. p = 0 from one Newton step: its degrees
-    of freedom, and the function from a dataset to its GlrtResult."""
+    of freedom, and the function from a dataset to its GlrtResult.  A design
+    with p <= 6 has no such coordinates: ParameterError naming the study."""
+    if design.p_dim <= 6:
+        raise ParameterError(f"{study} tests coordinates 7..p, but n = {design.n} "
+                             f"gives p = {design.p_dim}")
     constraint = make_constraint(np.eye(design.p_dim)[6:])
     cfg = FitConfig(smoothing=smoothing, max_steps=1)
     return constraint.df, lambda data: glrt(family, data, constraint, cfg)
 
 
 def _study_fig1_null(family, design, smoothing):
-    df, test = _glrt_setup(family, design, smoothing)
+    df, test = _glrt_setup("fig1_null", family, design, smoothing)
 
     def worker(data):
         result = test(data)
@@ -277,7 +281,7 @@ def _study_fig1_null(family, design, smoothing):
 
 
 def _study_fig1_power(family, design, smoothing, gammas=POWER_GAMMAS):
-    df, test = _glrt_setup(family, design, smoothing)
+    df, test = _glrt_setup("fig1_power", family, design, smoothing)
     arms = [(with_beta(design, b7=gamma, b8=gamma), 1000 * gi, {"gamma": gamma})
             for gi, gamma in enumerate(gammas)]
 

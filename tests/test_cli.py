@@ -180,6 +180,10 @@ class TestExitCodes:
         ("fit", ("--config", "{config}"), "smoothing.h"),
         ("fit", ("--config", "{blocks}"), "'fit'"),
         ("test", ("--test", "z7=0,z7=0"), "linearly dependent"),
+        ("test", ("--test", "z7"), "cannot parse constraint clause 'z7'"),
+        ("test", ("--test", "z7=1"), "only zero constraints are supported"),
+        ("test", ("--test", "q9=0"), "constraint names unknown column 'q9'"),
+        ("test", ("--test", ","), "no constraint rows parsed from ','"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, extra, message):
         _, args = _write_design_csv(tmp_path, "poisson", 200, 127)
@@ -192,6 +196,33 @@ class TestExitCodes:
         code = run_cli(command, *args, "--delta", "0.1", *extra)
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, target, code, message", [
+        ("--out", "file", 2, "output directory"),
+        ("--data", "directory", 3, "dataset file"),
+        ("--data", "latin1", 3, "dataset file"),
+        ("--config", "directory", 2, "config file"),
+        ("--config", "latin1", 2, "config file"),
+    ])
+    def test_unusable_file_exits_with_its_typed_error(self, tmp_path, capsys, flag, target,
+                                                       code, message):
+        # an input that cannot be read or decoded, or an --out naming a
+        # file, ends in the exit code of its kind and names the path
+        _, args = _write_design_csv(tmp_path, "poisson", 200, 127)
+        paths = {"file": tmp_path / "d.csv", "directory": tmp_path,
+                 "latin1": tmp_path / "latin1"}
+        paths["latin1"].write_bytes("u,y,\u00e9\n".encode("latin-1"))
+        assert run_cli("fit", *args, "--h", "0.1", "--delta", "0.1",
+                       flag, str(paths[target])) == code
+        err = capsys.readouterr().err
+        assert message in err and str(paths[target]) in err
+
+    def test_constant_u_without_h_exits_3(self, tmp_path, capsys):
+        data, args = _write_design_csv(tmp_path, "poisson", 200, 127)
+        write_dataset_csv(tmp_path / "d.csv", g.Dataset(u=np.full(data.n, 0.5), x=data.x,
+                                                        z=data.z, y=data.y))
+        assert run_cli("fit", *args, "--delta", "0.1") == 3
+        assert "u takes the single value 0.5" in capsys.readouterr().err
 
     def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch):
         data = g.generate(g.make_design("poisson", 200), seed=g.replicate_seed(73, 0))

@@ -232,6 +232,12 @@ class TestDefaultGrids:
         assert hs.max() == pytest.approx(2.0 * rot, rel=1e-6)
         assert len(hs) == 10
 
+    def test_constant_u_has_no_default_grid(self):
+        data = _poisson_data()
+        flat = g.Dataset(u=np.full(data.n, 0.25), x=data.x, z=data.z, y=data.y)
+        with pytest.raises(g.DataError, match="u takes the single value 0.25"):
+            g.default_h_grid(flat)
+
     def test_gaussian_grid_has_no_delta_dimension(self):
         data, _, _ = __import__("conftest").make_gaussian_dataset(n=60, p=2, seed=1)
         grid = g.default_smoothing_grid("gaussian", data)

@@ -56,6 +56,11 @@ class TestChi2UpperTail:
         with pytest.raises(ParameterError, match="integer"):
             g.chi2_upper_tail(1.0, df)
 
+    @pytest.mark.parametrize("x", ("a", None, [1, 2], True))
+    def test_non_real_statistic_rejected(self, x):
+        with pytest.raises(ParameterError, match="statistic must be a real number"):
+            g.chi2_upper_tail(x, 3)
+
     def test_nan_statistic_gives_nan(self):
         assert math.isnan(g.chi2_upper_tail(float("nan"), 3))
 
@@ -124,6 +129,11 @@ class TestMakeConstraint:
         expect[0, 0] = expect[1, 1] = 1.0
         np.testing.assert_allclose(proj, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("p", (1, 6))
+    def test_no_rows_rejected(self, p):
+        with pytest.raises(ParameterError, match="hypothesis has 0 rows"):
+            g.make_constraint(np.zeros((0, p)))
+
     def test_dependent_rows_rejected(self):
         rows = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(RankError):
@@ -152,6 +162,9 @@ class TestMakeConstraint:
         assert con.b.shape == (p - l, p)
         np.testing.assert_allclose(con.b @ con.b.T, np.eye(p - l), atol=1e-12)
         assert np.abs(con.a @ con.b.T).max() <= 1e-12
+        # b is the rows' own null space, and each row of a points along its row
+        np.testing.assert_array_equal(con.b, sla.null_space(rows).T)
+        assert np.all(np.diag(con.a @ rows.T) > 0)
 
 
 class TestSandwichCovariance:

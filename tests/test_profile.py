@@ -249,6 +249,14 @@ class TestFit:
         with pytest.raises(g.SingularityError, match="non-finite entry"):
             engine.state(np.full(10, np.nan))
 
+    def test_rejects_an_engine_built_on_other_data(self):
+        data, _, _ = make_gaussian_dataset(n=120, q=1, p=3, seed=7)
+        other, _, _ = make_gaussian_dataset(n=120, q=1, p=3, seed=8)
+        config = FitConfig(smoothing=SmoothingParams(h=0.3), max_steps=1)
+        engine = ProfileEngine("gaussian", other, config.smoothing)
+        with pytest.raises(ParameterError, match="engine was built for other data"):
+            g.fit("gaussian", data, config, engine=engine)
+
     def test_monotone_ascent_trace(self):
         design = g.make_design("poisson", 200)
         sm = SmoothingParams(h=0.1, delta=0.1)

@@ -142,6 +142,19 @@ class TestRunTableSmoke:
         with pytest.raises(g.ParameterError):
             g.run_table(study, reps=2, family=family, n=n)
 
+    @pytest.mark.parametrize("study", ["fig1_null", "fig1_power"])
+    @pytest.mark.parametrize("n", [38, 58])
+    def test_fig1_without_coordinates_7_to_p_ends_in_parameter_error(self, monkeypatch,
+                                                                      study, n):
+        # p = floor(1.8 n^(1/3)) = 6 here, so the hypothesis has no rows
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(studies, "generate", no_draws)
+        with pytest.raises(g.ParameterError, match=f"{study} tests coordinates 7..p, "
+                                                   f"but n = {n} gives p = 6"):
+            g.run_table(study, reps=1, n=n)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_seed_not_a_count_ends_in_parameter_error(self, monkeypatch, seed):
         # the check comes before the first replicate, so a bad seed is not
